@@ -1,21 +1,25 @@
-"""Benchmark the lattice-span hot kernel: numba backend vs numpy fallback.
+"""Benchmark the lattice span: span_columns against the int64 kernel.
 
-Runs the same workloads in two fresh subprocesses, one with HOMSTAB_NUMBA=1
-(jit kernels) and one with HOMSTAB_NUMBA=0 (pure-numpy fallback), and
-prints a comparison table.  The workloads exercise span_columns /
-LatticeSpan on the shapes that dominate verifier runs: boundary matrices
-of bar complexes and random sparse integer columns.
+Times span_columns (sparse exact elimination, the path the verifier
+runs) against the int64 kernel kernels.span_batch_int64, normalized, on
+the shapes that dominate verifier runs: random sparse integer columns and
+the bar boundary d2 of Sym(5).  Both must give the same normalized row
+HNF; a case on which the kernel's int64 guard trips prints "overflow".
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
-import json
 import os
 import random
-import subprocess
 import sys
 import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
+
+from homstab import kernels  # noqa: E402
+from homstab.exact_linalg import span_columns  # noqa: E402
 
 
 def workloads():
@@ -37,57 +41,41 @@ def workloads():
     from homstab.homology_engine import trivial_module, BarComplex, BarBudget
     bc = BarComplex(trivial_module(symmetric_group(5)), 2, BarBudget())
     d2 = bc.boundary(2)
-    yield "bar d2 of S5 (trivial Z)", (d2.nrows,
-                                       [dict(c) for c in d2.cols])
+    yield "bar d2 of S5 (trivial Z)", (d2.nrows, d2.cols)
 
 
-def run_workloads(repeat):
-    from homstab.exact_linalg import span_columns
-    from homstab import kernels
-
-    out = {"backend": kernels.backend_name(), "cases": []}
-    for name, (dim, cols) in workloads():
-        best = None
-        rank = None
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            sp = span_columns(cols, dim)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-            rank = sp.rank()
-        out["cases"].append({"name": name, "rank": rank, "secs": best})
-    return out
+def best_of(repeat, fn, *args):
+    best, result = None, None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best, result
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
 
-    if args.worker:
-        json.dump(run_workloads(args.repeat), sys.stdout)
-        return
-
-    results = []
-    for flag in ("1", "0"):
-        env = dict(os.environ, HOMSTAB_NUMBA=flag)
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__),
-             "--worker", "--repeat", str(args.repeat)],
-            env=env, capture_output=True, text=True, check=True)
-        results.append(json.loads(proc.stdout))
-
-    jit, plain = results
-    width = max(len(c["name"]) for c in jit["cases"])
-    print(f"{'workload':<{width}}  {'rank':>6}  {jit['backend']:>10}  "
-          f"{plain['backend']:>10}  {'speedup':>8}")
-    for a, b in zip(jit["cases"], plain["cases"]):
-        assert a["name"] == b["name"] and a["rank"] == b["rank"], \
-            "backends disagree on results"
-        speed = b["secs"] / a["secs"] if a["secs"] else float("inf")
-        print(f"{a['name']:<{width}}  {a['rank']:>6}  {a['secs']:>9.4f}s  "
-              f"{b['secs']:>9.4f}s  {speed:>7.2f}x")
+    print(f"backend: {kernels.backend_name()}")
+    cases = list(workloads())
+    width = max(len(name) for name, _ in cases)
+    head = (f"{'workload':<{width}}  {'rank':>6}  {'span_columns':>12}  "
+            f"{'int64 kernel':>12}  {'kernel/span':>11}")
+    print(head)
+    for name, (dim, cols) in cases:
+        t_span, span = best_of(args.repeat, span_columns, cols, dim)
+        t_kern, kern = best_of(args.repeat, kernels.span_columns_int64,
+                               cols, dim)
+        line = f"{name:<{width}}  {span.rank():>6}  {t_span:>11.4f}s  "
+        if kern is None:
+            # the kernel's int64 guard tripped
+            print(line + f"{'overflow':>12}")
+            continue
+        assert span.basis() == kern.basis(), f"bases differ on {name}"
+        print(line + f"{t_kern:>11.4f}s  {t_kern / t_span:>10.2f}x")
 
 
 if __name__ == "__main__":

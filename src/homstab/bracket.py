@@ -113,9 +113,6 @@ class BracketCategory:
             X, A + Y + C)
         return self.canonicalize(A + C, B + D, G.mul(fg, shuffle))
 
-    def braiding_mor(self, a: int, b: int) -> UMorphism:
-        return UMorphism(a + b, a + b, self.G.braiding(a, b))
-
     # -- suspensions -------------------------------------------------
 
     def upper_suspension(self, a: int, x: int) -> UMorphism:

@@ -3,18 +3,14 @@
 Everything here is exact: Smith normal form with transform tracking,
 incremental column-span lattice bases in row Hermite form, kernels with
 expression tracking, and subquotient presentations used for homology.
-Large span computations go through the int64 fast path in
-:mod:`homstab.kernels` and fall back to arbitrary precision on overflow.
+Lattice spans use sparse exact elimination.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from . import kernels
 
 
 def xgcd(a: int, b: int):
@@ -99,42 +95,6 @@ class SparseCols:
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseCols) and self.nrows == other.nrows
                 and self.cols == other.cols)
-
-    def write_text(self, path) -> None:
-        """Coordinate text format: header 'dim rows cols nnz', then one
-        'row col value' line per nonzero, sorted by (row, col)."""
-        entries = []
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                entries.append((i, j, v))
-        entries.sort()
-        with open(path, "w") as fh:
-            fh.write(f"dim {self.nrows} {self.ncols} {len(entries)}\n")
-            for i, j, v in entries:
-                fh.write(f"{i} {j} {v}\n")
-
-    @classmethod
-    def read_text(cls, path) -> "SparseCols":
-        with open(path) as fh:
-            head = fh.readline().split()
-            if len(head) != 4 or head[0] != "dim":
-                raise ValueError("bad header, expected 'dim rows cols nnz'")
-            nrows, ncols, nnz = int(head[1]), int(head[2]), int(head[3])
-            mat = cls.zero(nrows, ncols)
-            count = 0
-            for line in fh:
-                if not line.strip():
-                    continue
-                i, j, v = line.split()
-                i, j, v = int(i), int(j), int(v)
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise ValueError(f"entry ({i},{j}) out of bounds")
-                if v:
-                    mat.cols[j][i] = v
-                count += 1
-            if count != nnz:
-                raise ValueError(f"nnz mismatch: header {nnz}, found {count}")
-        return mat
 
 
 # ------------------------------------------------------------------
@@ -340,21 +300,23 @@ def _mat_mul(A, B):
 
 
 # ------------------------------------------------------------------
-# column-span lattice basis (row Hermite form), arbitrary precision
+# column-span lattice basis (row Hermite form), sparse exact elimination
 
 
 class LatticeSpan:
     """Row-HNF basis of a sublattice of Z^dim, built incrementally.
 
-    Rows are keyed by their leading index; the basis is kept reduced
-    against unit pivots so membership reduction of sparse vectors stays
-    cheap.  This is the arbitrary-precision reference; large batches use
-    the int64 fast path and fall back here on overflow.
+    Rows are sparse dicts (index -> value, nonzero entries only) keyed
+    by their leading index.  A new or changed row is reduced against the
+    later pivots and its column is cleared in the earlier rows, so
+    entries above unit pivots vanish and the rows of sparse inputs such
+    as bar boundaries stay sparse.  normalize() finishes the unique
+    reduced row HNF.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: dict[int, list[int]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
     def rank(self) -> int:
         return len(self.rows)
@@ -362,152 +324,117 @@ class LatticeSpan:
     def insert(self, vec) -> bool:
         """Add a vector to the lattice; returns True if the span grew
         or the basis changed."""
-        v = self._to_dense(vec)
+        v = self._to_sparse(vec)
+        rows = self.rows
         changed = False
-        i = 0
-        dim = self.dim
-        while i < dim:
-            if v[i] == 0:
-                i += 1
-                continue
-            row = self.rows.get(i)
+        while v:
+            i = min(v)
+            row = rows.get(i)
             if row is None:
                 if v[i] < 0:
-                    v = [-x for x in v]
-                self.rows[i] = v
+                    v = {k: -x for k, x in v.items()}
+                rows[i] = v
                 self._reduce_row_tail(i)
                 self._clear_column(i)
                 return True
             a = row[i]
             q = v[i] // a
             if q:
-                for k in range(i, dim):
-                    v[k] -= q * row[k]
-            r = v[i]
+                _submul(v, row, q)
+            r = v.get(i)
             if r:
+                # combine row and vector so the pivot becomes gcd(a, r)
                 g, x, y = xgcd(a, r)
-                af, rf = a // g, r // g
-                new_row = [x * row[k] + y * v[k] for k in range(dim)]
-                v = [af * v[k] - rf * row[k] for k in range(dim)]
-                self.rows[i] = new_row
+                rows[i] = _comb(row, x, v, y)
+                v = _comb(v, a // g, row, -(r // g))
                 self._reduce_row_tail(i)
                 self._clear_column(i)
                 changed = True
-            i += 1
         return changed
 
-    def _to_dense(self, vec) -> list[int]:
+    def _to_sparse(self, vec) -> dict[int, int]:
         if isinstance(vec, dict):
-            v = [0] * self.dim
-            for i, x in vec.items():
-                v[i] = int(x)
-            return v
+            return {i: int(x) for i, x in vec.items() if x}
         v = [int(x) for x in vec]
         if len(v) != self.dim:
             raise ValueError("vector length mismatch")
-        return v
+        return {i: x for i, x in enumerate(v) if x}
+
+    def _reduce(self, v: dict[int, int], lo: int) -> None:
+        """Reduce v in place against every pivot after index lo, in
+        increasing pivot order; each reduced entry ends in [0, d)."""
+        rows = self.rows
+        todo = [j for j in v if j > lo and j in rows]
+        heapq.heapify(todo)
+        while todo:
+            j = heapq.heappop(todo)
+            c = v.get(j)
+            if not c:
+                continue
+            row = rows[j]
+            q = c // row[j]
+            if not q:
+                continue
+            for k, x in row.items():
+                old = v.get(k)
+                w = (old or 0) - q * x
+                if w:
+                    if old is None and k in rows:
+                        heapq.heappush(todo, k)
+                    v[k] = w
+                else:
+                    del v[k]
 
     def _reduce_row_tail(self, i):
-        row = self.rows[i]
-        for j in range(i + 1, self.dim):
-            c = row[j]
-            if c:
-                other = self.rows.get(j)
-                if other is not None:
-                    q = c // other[j]
-                    if q:
-                        for k in range(j, self.dim):
-                            row[k] -= q * other[k]
+        self._reduce(self.rows[i], i)
 
     def _clear_column(self, i):
         row = self.rows[i]
         d = row[i]
         for p, other in self.rows.items():
-            if p < i and other[i]:
-                q = other[i] // d
-                if q:
-                    for k in range(i, self.dim):
-                        other[k] -= q * row[k]
-
-    def reduce(self, vec) -> list[int]:
-        """Residue of vec modulo the lattice (HNF reduction)."""
-        v = self._to_dense(vec)
-        for i in range(self.dim):
-            if v[i]:
-                row = self.rows.get(i)
-                if row is not None:
-                    q = v[i] // row[i]
+            if p < i:
+                c = other.get(i)
+                if c:
+                    q = c // d
                     if q:
-                        for k in range(i, self.dim):
-                            v[k] -= q * row[k]
+                        _submul(other, row, q)
+
+    def reduce(self, vec) -> dict[int, int]:
+        """Residue of vec modulo the lattice (HNF reduction), as a sparse
+        dict of its nonzero entries."""
+        v = self._to_sparse(vec)
+        self._reduce(v, -1)
         return v
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
-    def basis(self) -> list[tuple[int, list[int]]]:
-        return sorted((p, row[:]) for p, row in self.rows.items())
+    def basis(self) -> list[tuple[int, dict[int, int]]]:
+        """(lead, row) pairs in increasing lead order; rows are copies."""
+        return [(p, dict(self.rows[p])) for p in sorted(self.rows)]
 
     def normalize(self) -> None:
         """Full HNF reduction: every off-pivot entry above a pivot is
-        reduced into [0, d)."""
-        for i in sorted(self.rows):
+        reduced into [0, d).  Reducing each row's tail in increasing
+        column order suffices: a later step only touches later columns."""
+        for i in self.rows:
             self._reduce_row_tail(i)
-        for i in sorted(self.rows, reverse=True):
-            row = self.rows[i]
-            d = row[i]
-            for p, other in self.rows.items():
-                if p < i:
-                    q = other[i] // d
-                    if q:
-                        for k in range(i, self.dim):
-                            other[k] -= q * row[k]
 
 
-def span_columns(mat, dim: int | None = None, fast: bool = True) -> LatticeSpan:
+def span_columns(mat, dim: int | None = None) -> LatticeSpan:
     """Lattice spanned by the columns of mat (SparseCols or iterable of
-    sparse dict columns).  Uses the int64 kernel when possible."""
+    sparse dict columns), in normalized row HNF."""
     if isinstance(mat, SparseCols):
         cols, dim = mat.cols, mat.nrows
     else:
-        cols = list(mat)
+        cols = mat
         if dim is None:
             raise ValueError("dim required for raw column lists")
-    if fast and dim > 0 and cols:
-        packed = _pack_columns(cols)
-        if packed is not None:
-            out = kernels.span_batch_int64(*packed, dim)
-            if out is not None:
-                H, present = out
-                span = LatticeSpan(dim)
-                for i in np.nonzero(present)[0]:
-                    span.rows[int(i)] = [int(x) for x in H[i]]
-                span.normalize()
-                return span
     span = LatticeSpan(dim)
     for col in cols:
         span.insert(col)
     span.normalize()
     return span
-
-
-def _pack_columns(cols):
-    nnz = sum(len(c) for c in cols)
-    rows = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.int64)
-    colptr = np.empty(len(cols) + 1, dtype=np.int64)
-    t = 0
-    lim = 1 << 30
-    for j, col in enumerate(cols):
-        colptr[j] = t
-        for i, v in col.items():
-            if abs(v) >= lim:
-                return None
-            rows[t] = i
-            vals[t] = v
-            t += 1
-    colptr[len(cols)] = t
-    return rows, vals, colptr
 
 
 # ------------------------------------------------------------------
@@ -526,52 +453,39 @@ def kernel_columns(mat: SparseCols) -> tuple[list[dict[int, int]], list[int]]:
     # row of their reduced vector, each carrying (vector, expression over
     # original columns); pair replacements are unimodular so the zero
     # expressions form a genuine kernel basis
-    pivots: dict[int, tuple[list[int], dict[int, int]]] = {}
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     raw: list[dict[int, int]] = []
-    nrows = mat.nrows
     for j, col in enumerate(mat.cols):
-        v = [0] * nrows
-        for i, x in col.items():
-            v[i] = x
+        v = {i: x for i, x in col.items() if x}
         expr = {j: 1}
-        lead = 0
-        while lead < nrows:
-            if v[lead] == 0:
-                lead += 1
-                continue
+        while v:
+            lead = min(v)
             hit = pivots.get(lead)
             if hit is None:
                 pivots[lead] = (v, expr)
                 expr = None
                 break
             pv, pexpr = hit
-            a, b = pv[lead], v[lead]
-            q = b // a
+            a = pv[lead]
+            q = v[lead] // a
             if q:
-                _vec_submul(v, pv, q)
-                _expr_submul(expr, pexpr, q)
-            r = v[lead]
+                _submul(v, pv, q)
+                _submul(expr, pexpr, q)
+            r = v.get(lead)
             if r:
                 g, x, y = xgcd(a, r)
                 af, rf = a // g, r // g
-                new_pv = [x * pv[k] + y * v[k] for k in range(nrows)]
-                new_pexpr = _expr_comb(pexpr, x, expr, y)
-                v = [af * v[k] - rf * pv[k] for k in range(nrows)]
-                expr = _expr_comb(expr, af, pexpr, -rf)
-                pivots[lead] = (new_pv, new_pexpr)
-            lead += 1
+                pivots[lead] = (_comb(pv, x, v, y), _comb(pexpr, x, expr, y))
+                v = _comb(v, af, pv, -rf)
+                expr = _comb(expr, af, pexpr, -rf)
         if expr is not None:
             raw.append(expr)
     # canonicalize: triangular reduced HNF basis of the kernel lattice
-    ncols = mat.ncols
     if not raw:
         return [], []
-    span = span_columns(raw, dim=ncols)
-    basis, leads = [], []
-    for lead, row in span.basis():
-        leads.append(lead)
-        basis.append({i: x for i, x in enumerate(row) if x})
-    return basis, leads
+    span = span_columns(raw, dim=mat.ncols)
+    basis = span.basis()
+    return [row for _, row in basis], [lead for lead, _ in basis]
 
 
 def triangular_coords(vec: dict[int, int], basis, leads) -> list[int]:
@@ -598,13 +512,8 @@ def triangular_coords(vec: dict[int, int], basis, leads) -> list[int]:
     return out
 
 
-def _vec_submul(v, w, q):
-    for k in range(len(v)):
-        if w[k]:
-            v[k] -= q * w[k]
-
-
-def _expr_submul(e, f, q):
+def _submul(e, f, q):
+    """e -= q * f in place on sparse dicts, dropping zeros."""
     for k, x in f.items():
         w = e.get(k, 0) - q * x
         if w:
@@ -613,10 +522,11 @@ def _expr_submul(e, f, q):
             e.pop(k, None)
 
 
-def _expr_comb(e, a, f, b):
+def _comb(e, a, f, b):
+    """a * e + b * f of sparse dicts, without zeros."""
     out = {}
-    for k, x in e.items():
-        if x:
+    if a:
+        for k, x in e.items():
             out[k] = a * x
     for k, x in f.items():
         w = out.get(k, 0) + b * x
@@ -748,16 +658,21 @@ def homology_of_pair(d_out: SparseCols, d_in: SparseCols,
     if check_composition and not d_out.compose(d_in).is_zero():
         raise ValueError("boundary of boundary is nonzero")
     kbasis, leads = kernel_columns(d_out)
+    return assemble_subquotient(n, kbasis, leads, span_columns(d_in))
+
+
+def assemble_subquotient(n: int, kbasis, leads,
+                         image: LatticeSpan) -> Subquotient:
+    """Subquotient of the cycle lattice (triangular basis kbasis, leads)
+    by the image lattice, both inside Z^n.
+
+    The image basis is written in kernel coordinates; boundaries are
+    cycles, so the coordinate extraction doubles as a containment check.
+    """
     k = len(kbasis)
-    # image lattice, then its matrix in kernel coordinates; boundaries are
-    # cycles so the coordinate extraction doubles as a containment check
-    span = span_columns(d_in)
-    basis_rows = span.basis()
-    nb = len(basis_rows)
-    X_cols = []
-    for _, bvec in basis_rows:
-        bd = {i: x for i, x in enumerate(bvec) if x}
-        X_cols.append(triangular_coords(bd, kbasis, leads))
+    X_cols = [triangular_coords(bvec, kbasis, leads)
+              for _, bvec in image.basis()]
+    nb = len(X_cols)
     X_rows = [[X_cols[c][r] for c in range(nb)] for r in range(k)]
     snf = smith_normal_form(X_rows, transforms=True) if k else SNFResult(
         factors=[], rank=0, nrows=0, ncols=nb, U=[], V=[], Uinv=[])
@@ -768,7 +683,7 @@ def homology_of_pair(d_out: SparseCols, d_in: SparseCols,
         torsion=tuple(snf.factors[i] for i in torsion_pos))
     return Subquotient(
         ambient_dim=n, group=group, leads=leads, kernel_basis=kbasis,
-        U=snf.U if k else [], Uinv=snf.Uinv if k else [],
+        U=snf.U, Uinv=snf.Uinv,
         factors=list(snf.factors) + [0] * (k - snf.rank),
         torsion_pos=torsion_pos, free_pos=free_pos)
 
@@ -804,23 +719,17 @@ def classify_induced(M, src_orders, dst_orders) -> dict:
     """
     nd = len(dst_orders)
     ns = len(src_orders)
-    # relation columns of the codomain
-    rel_dst = []
-    for i, d in enumerate(dst_orders):
-        if d:
-            col = [0] * nd
-            col[i] = d
-            rel_dst.append(col)
+    # [M | R_dst]: the map's columns, then the codomain relations
+    cols = [{i: M[i][j] for i in range(nd) if M[i][j]} for j in range(ns)]
+    cols += [{i: d} for i, d in enumerate(dst_orders) if d]
+    wide = SparseCols(nd, cols)
     # epi: [M | R_dst] must span Z^nd
-    aug = [[M[i][j] for j in range(ns)] + [rc[i] for rc in rel_dst]
-           for i in range(nd)]
-    snf = smith_normal_form(aug) if nd else SNFResult([], 0, 0, 0)
+    snf = smith_normal_form(wide) if nd else SNFResult([], 0, 0, 0)
     is_epi = (snf.rank == nd) and all(d == 1 for d in snf.factors)
     # kernel: preimage of the codomain relation lattice must land in the
     # domain relation lattice
     is_iso = is_epi
     if is_epi:
-        wide = SparseCols.from_dense(aug) if nd else SparseCols.zero(0, ns)
         kbasis, _ = kernel_columns(wide)
         src_lat = LatticeSpan(ns)
         for j, d in enumerate(src_orders):

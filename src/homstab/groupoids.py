@@ -8,7 +8,6 @@ witnesses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import groups as gr
@@ -23,9 +22,6 @@ class FiniteRing:
 
     def __post_init__(self):
         assert self.modulus >= 2
-
-    def is_unit(self, x) -> bool:
-        return math.gcd(x % self.modulus, self.modulus) == 1
 
     def label(self):
         return f"Z/{self.modulus}"

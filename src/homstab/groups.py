@@ -58,14 +58,6 @@ class FiniteGroup:
     def commutator(self, g, h):
         return self.mul(g, self.mul(h, self.mul(self.inv(g), self.inv(h))))
 
-    def element_order(self, g) -> int:
-        n = 1
-        x = g
-        while x != self.identity:
-            x = self.mul(x, g)
-            n += 1
-        return n
-
     def subgroup_closure(self, gens) -> set:
         out = {self.identity}
         frontier = [self.identity]

@@ -31,7 +31,7 @@ from .exact_linalg import (
     LatticeSpan,
     SparseCols,
     Subquotient,
-    SNFResult,
+    assemble_subquotient,
     classify_induced,
     fgab_from_factors,
     homology_of_pair,
@@ -39,7 +39,6 @@ from .exact_linalg import (
     kernel_columns,
     smith_normal_form,
     span_columns,
-    triangular_coords,
 )
 from .groups import FiniteGroup
 
@@ -398,9 +397,6 @@ class BarComplex:
             t = t * g1 + self.pos[g]
         return t
 
-    def cell_index(self, bar, j) -> int:
-        return self.tuple_index(bar) * self.M.rank + j
-
     def boundary(self, i) -> SparseCols:
         """d_i : C_i -> C_{i-1} as a SparseCols matrix."""
         if i in self._boundaries:
@@ -505,41 +501,17 @@ def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
         return homology_of_pair(d_out, d_in, check_composition=False)
     n = d_out.ncols
     # kernel of [d_out | -D] projected to the first n coordinates
-    aug_cols = [dict(c) for c in d_out.cols]
-    for r in rel_out:
-        aug_cols.append({i: -v for i, v in r.items()})
-    aug = SparseCols(d_out.nrows, aug_cols)
+    aug = SparseCols(d_out.nrows, list(d_out.cols)
+                     + [{i: -v for i, v in r.items()} for r in rel_out])
     raw, _ = kernel_columns(aug)
     lat = LatticeSpan(n)
     for v in raw:
         lat.insert({i: x for i, x in v.items() if i < n})
     lat.normalize()
-    kbasis = []
-    leads = []
-    for lead, row in lat.basis():
-        kbasis.append({i: x for i, x in enumerate(row) if x})
-        leads.append(lead)
-    k = len(kbasis)
-    span = span_columns(SparseCols(
-        n, [dict(c) for c in d_in.cols] + [dict(r) for r in rel_here]))
-    X_cols = []
-    for _, bvec in span.basis():
-        bd = {i: x for i, x in enumerate(bvec) if x}
-        X_cols.append(triangular_coords(bd, kbasis, leads))
-    nb = len(X_cols)
-    X_rows = [[X_cols[c][r] for c in range(nb)] for r in range(k)]
-    snf = smith_normal_form(X_rows, transforms=True) if k else SNFResult(
-        factors=[], rank=0, nrows=0, ncols=nb, U=[], V=[], Uinv=[])
-    torsion_pos = [i for i, d in enumerate(snf.factors) if d > 1]
-    free_pos = list(range(snf.rank, k))
-    group = FGAbelianGroup(
-        free_rank=k - snf.rank,
-        torsion=tuple(snf.factors[i] for i in torsion_pos))
-    return Subquotient(
-        ambient_dim=n, group=group, leads=leads, kernel_basis=kbasis,
-        U=snf.U if k else [], Uinv=snf.Uinv if k else [],
-        factors=list(snf.factors) + [0] * (k - snf.rank),
-        torsion_pos=torsion_pos, free_pos=free_pos)
+    basis = lat.basis()
+    image = span_columns(SparseCols(n, list(d_in.cols) + list(rel_here)))
+    return assemble_subquotient(n, [row for _, row in basis],
+                                [lead for lead, _ in basis], image)
 
 
 def bar_homology(M: GModule, i: int,

@@ -1,25 +1,18 @@
-"""Hot integer-lattice kernels: int64 fast paths with a pure-numpy fallback.
+"""Int64 row-HNF lattice-span kernel: an independent oracle for spans.
 
-The jitted path is selected by default when numba imports; set
-``HOMSTAB_NUMBA=0`` to force the numpy fallback.  Both paths run the same
-vectorized row-HNF insertion loop (numba compiles the slice arithmetic,
-plain numpy executes it directly) and are cross-checked in the test suite.
-Every scaled row operation is guarded with a float bound before it runs,
-so int64 wraparound cannot happen silently; on a guard trip the batch
-reports overflow and the caller escalates to the arbitrary-precision
-implementation.
+Lattice spans in the verifier use sparse exact elimination in
+:class:`homstab.exact_linalg.LatticeSpan`.  The functions here compute
+the same normalized row HNF independently, in fixed-width int64 numpy
+arithmetic: the test suite and ``benchmarks/bench_kernels.py`` compare
+:func:`span_columns_int64` with :func:`homstab.exact_linalg.span_columns`
+basis for basis.  Every scaled row operation is guarded with a float
+bound before it runs, so int64 wraparound cannot happen silently; on a
+guard trip the kernel reports overflow instead of a basis.
 """
-
-import os
 
 import numpy as np
 
-NUMBA_ENABLED = os.environ.get("HOMSTAB_NUMBA", "1") != "0"
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
+from .exact_linalg import LatticeSpan
 
 # every scaled row operation is admitted only when the float estimate of
 # |c1|*max|row1| + |c2|*max|row2| stays below LIMIT; 2**60 leaves a 4x
@@ -150,21 +143,10 @@ def _span_batch(rows, vals, colptr, dim, H, present):
     return ncols, -1
 
 
-if NUMBA_ENABLED:
-    _xgcd = njit(cache=True)(_xgcd)
-    _maxabs = njit(cache=True)(_maxabs)
-    _combine_ok = njit(cache=True)(_combine_ok)
-    _reduce_row_unit = njit(cache=True)(_reduce_row_unit)
-    _clear_unit_column = njit(cache=True)(_clear_unit_column)
-    _span_insert = njit(cache=True)(_span_insert)
-    _span_batch = njit(cache=True)(_span_batch)
-
-
 def span_batch_int64(rows, vals, colptr, dim):
     """Row-HNF basis of the lattice spanned by sparse int64 columns.
 
-    Returns (H, present) or None on overflow (the caller then escalates
-    to the arbitrary-precision path).
+    Returns (H, present) or None on overflow.
     """
     H = np.zeros((dim, dim), dtype=np.int64)
     present = np.zeros(dim, dtype=np.bool_)
@@ -178,5 +160,37 @@ def span_batch_int64(rows, vals, colptr, dim):
     return H, present
 
 
+def span_columns_int64(cols, dim):
+    """Normalized LatticeSpan of sparse dict columns computed by
+    :func:`span_batch_int64`, or None when an entry reaches 2**30 or the
+    kernel overflows."""
+    nnz = sum(len(c) for c in cols)
+    rows = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz, dtype=np.int64)
+    colptr = np.empty(len(cols) + 1, dtype=np.int64)
+    t = 0
+    lim = 1 << 30
+    for j, col in enumerate(cols):
+        colptr[j] = t
+        for i, v in col.items():
+            if abs(v) >= lim:
+                return None
+            rows[t] = i
+            vals[t] = v
+            t += 1
+    colptr[len(cols)] = t
+    out = span_batch_int64(rows, vals, colptr, dim)
+    if out is None:
+        return None
+    H, present = out
+    span = LatticeSpan(dim)
+    for i in np.flatnonzero(present):
+        row = H[i]
+        span.rows[int(i)] = {int(k): int(row[k]) for k in np.flatnonzero(row)}
+    span.normalize()
+    return span
+
+
 def backend_name():
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """The span backend: "python" (sparse exact elimination)."""
+    return "python"

@@ -219,14 +219,14 @@ def pi1_triviality(skel: TwoSkeleton, budget_rows: int = 10 ** 6):
     """Semi-decide triviality of the edge-path group.
 
     Returns (status, detail) with status in {"trivial", "nontrivial",
-    "unknown (budget)"}.
+    "not connected", "unknown (budget)"}.
     """
     if skel.n_vertices == 0:
         return "trivial", {"note": "empty"}
     try:
         n_gens, relators = edge_path_presentation(skel)
     except ValueError:
-        return "nontrivial", {"note": "disconnected 1-skeleton"}
+        return "not connected", {"note": "disconnected 1-skeleton"}
     if n_gens == 0:
         return "trivial", {"note": "no edges"}
     # fast pre-pass: tree edges are trivial; a triangle with two trivial

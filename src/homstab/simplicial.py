@@ -5,7 +5,6 @@ certificates."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -363,7 +362,7 @@ def w_isomorphic_to_ord(W: SemiSimplicialSet, ordW: SemiSimplicialSet) -> bool:
 class ConnectivityCertificate:
     components: int
     homology_vanishing_up_to: int     # largest i with H-tilde_j = 0, j <= i
-    pi1_status: str                   # trivial | unknown(budget) | nontrivial | not attempted
+    pi1_status: str                   # trivial | unknown(budget) | nontrivial | not connected | not attempted
     certified_connectivity: int       # topological claim (Hurewicz-safe)
     mode: str                         # homological | topological
     target: int
@@ -461,8 +460,3 @@ def weakly_cm_report(S: SimplicialComplex, n_target: int,
             if not cert.meets_target_homological:
                 ok = False
     return WeaklyCMReport(n_target, top, worst, ok)
-
-
-def export_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj.to_json_dict(), fh, sort_keys=True, indent=1)

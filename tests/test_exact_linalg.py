@@ -1,12 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homstab.exact_linalg import (
     smith_normal_form, SparseCols, LatticeSpan, span_columns,
     kernel_columns, FGAbelianGroup, Subquotient, homology_of_pair,
     induced_matrix, classify_induced,
+)
+from homstab import kernels
+from homstab.groups import symmetric_group
+from homstab.homology_engine import (
+    BarBudget, BarComplex, permutation_module, trivial_module,
 )
 
 MATS = st.lists(
@@ -52,19 +57,53 @@ def test_snf_known_example():
     assert snf.factors == [2, 2, 156]
 
 
+def _int64_oracle(cols, dim):
+    """Basis from the int64 kernel (plain numpy), normalized."""
+    span = kernels.span_columns_int64(cols, dim)
+    assert span is not None, "int64 overflow on a test matrix"
+    return span.basis()
+
+
+def _assert_reduced_hnf(basis):
+    """Positive pivots, every entry above a pivot in [0, pivot)."""
+    for lead, row in basis:
+        assert min(row) == lead and row[lead] > 0
+    for p, row in basis:
+        for lead, other in basis:
+            if lead > p:
+                assert 0 <= row.get(lead, 0) < other[lead]
+
+
+def _assert_span_matches_oracle(cols, dim):
+    span = span_columns(cols, dim)
+    basis = span.basis()
+    _assert_reduced_hnf(basis)
+    assert basis == _int64_oracle(cols, dim)
+    return span
+
+
 @given(MATS)
+# reducing a row against a pivot creates an entry at a later pivot column
+@example([[0, 0, -1, 0], [0, 4, 6, -8], [-2, -9, 0, 0], [-1, -9, 0, 5]])
 @settings(max_examples=40, deadline=None)
-def test_span_fast_vs_slow(rows):
-    """The numba/numpy fast span path and the pure-python slow path
-    agree on rank and membership."""
+def test_span_matches_int64_oracle(rows):
+    """Sparse exact elimination and the int64 kernel give the same
+    normalized row HNF, which is unique, so bases agree exactly."""
     dim = len(rows)
     dense = [[rows[i][j] for i in range(dim)] for j in range(len(rows[0]))]
     cols = [{i: x for i, x in enumerate(c) if x} for c in dense]
-    fast = span_columns(cols, dim, fast=True)
-    slow = span_columns(cols, dim, fast=False)
-    assert fast.rank() == slow.rank()
+    span = _assert_span_matches_oracle(cols, dim)
     for c in dense:
-        assert fast.contains(c) == slow.contains(c) is True
+        assert span.contains(c)
+
+
+@pytest.mark.parametrize("module", ["trivial", "standard"])
+def test_span_matches_int64_oracle_bar_d2(module):
+    G = symmetric_group(4)
+    M = trivial_module(G) if module == "trivial" else permutation_module(G, 4)
+    d2 = BarComplex(M, 2, BarBudget()).boundary(2)
+    span = _assert_span_matches_oracle(d2.cols, d2.nrows)
+    assert span.rank() > 1
 
 
 def test_kernel_columns_exactness():

@@ -23,6 +23,15 @@ def test_circle_pi1_nontrivial():
     assert status != "trivial"
 
 
+def test_disconnected_pi1_not_connected():
+    # two disjoint edges: the 1-skeleton has two components
+    pair = SimplicialComplex(4, [(0, 1), (2, 3)])
+    skel = two_skeleton_from_complex(pair)
+    status, detail = pi1_triviality(skel)
+    assert status == "not connected"
+    assert detail == {"note": "disconnected 1-skeleton"}
+
+
 def test_sphere_trivial():
     # boundary of a tetrahedron: simply connected
     sphere = SimplicialComplex(4, [
