@@ -4,7 +4,11 @@ A morphism m -> n is an equivalence class [X^c, f] with f in Aut(n) and
 c = n - m the complement, placed on the LEFT block; f ~ f(g + id_m) for
 g in Aut(c).  The canonical representative is the minimum of that coset
 under the group's total element order, making equality and hashing of
-morphisms trivial.
+morphisms trivial.  Each groupoid instance computes that minimum
+(`coset_min`): the symmetric, wreath and prime-field GL instances in
+closed form, with no group products; GL over a composite modulus by the
+generic minimum over the |Aut(c)| coset elements, which is also the
+oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -34,29 +38,20 @@ class BracketCategory:
     def __init__(self, instance: BraidedGroupoidInstance):
         self.G = instance
         self._hom_cache: dict[tuple[int, int], tuple[UMorphism, ...]] = {}
-        self._block_cache: dict[tuple[int, int], dict] = {}
 
     # -- canonical representatives ---------------------------------
 
-    def _left_block(self, c: int, m: int):
-        """The subgroup Aut(c) + id_m inside Aut(c+m), as a list of
-        elements paired with their Aut(c) preimages."""
-        key = (c, m)
-        if key not in self._block_cache:
-            G = self.G
-            idm = G.identity(m)
-            self._block_cache[key] = {
-                G.block_sum(g, idm, c, m): g for g in G.aut(c)}
-        return self._block_cache[key]
-
     def canonicalize(self, m: int, n: int, f) -> UMorphism:
+        """[X^c, f] with rep the minimum of the coset f (Aut(c) + id_m),
+        c = n - m.  The instance's `coset_min` gives it in closed form
+        where one is known; its generic minimum over the coset is the
+        fallback and the test oracle."""
         if m > n:
             raise ValueError("no morphisms m -> n with m > n")
         c = n - m
         if c == 0:
             return UMorphism(m, n, f)
-        best = min(self.G.mul(f, b) for b in self._left_block(c, m))
-        return UMorphism(m, n, best)
+        return UMorphism(m, n, self.G.coset_min(c, f))
 
     def identity_mor(self, n: int) -> UMorphism:
         return UMorphism(n, n, self.G.identity(n))
@@ -171,12 +166,15 @@ class BracketCategory:
         G = self.G
         hom = self.hom_set(m, n)
         base = self.canonicalize(m, n, G.identity(n))
-        orbit = {self.post_compose(phi, base) for phi in G.aut(n)}
+        orbit, stab = set(), set()
+        for phi in G.aut(n):
+            image = self.post_compose(phi, base)
+            orbit.add(image)
+            if image == base:
+                stab.add(phi)
         h1 = orbit == set(hom)
-        stab = {phi for phi in G.aut(n)
-                if self.post_compose(phi, base) == base}
-        block = self._left_block(n - m, m)
-        h2_image = stab == set(block)
+        block = G.left_block(n - m, m)
+        h2_image = stab == block
         h2_injective = len(block) == G.aut(n - m).order
         return {
             "m": m, "n": n,

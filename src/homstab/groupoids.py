@@ -26,12 +26,18 @@ class FiniteRing:
     def label(self):
         return f"Z/{self.modulus}"
 
+    @property
+    def is_field(self) -> bool:
+        return gr._factorize(self.modulus) == [(self.modulus, 1)]
+
 
 class BraidedGroupoidInstance:
     """A finite braided monoidal groupoid on objects 0, 1, 2, ...
 
     Subclasses provide `_make_aut`, `block_sum` and `braiding`; Aut(n)
-    construction is memoized and budget-guarded.
+    construction is memoized and budget-guarded.  Subclasses with a
+    closed form for the minimum of a left-block coset override
+    `coset_min`.
     """
 
     symmetric_flag = False
@@ -40,6 +46,7 @@ class BraidedGroupoidInstance:
     def __init__(self, budget=DEFAULT_GROUP_BUDGET):
         self.budget = budget
         self._auts: dict[int, FiniteGroup] = {}
+        self._blocks: dict[tuple[int, int], frozenset] = {}
 
     def aut(self, n: int) -> FiniteGroup:
         if n not in self._auts:
@@ -66,6 +73,30 @@ class BraidedGroupoidInstance:
 
     def braiding_inv(self, m: int, n: int):
         return self.inv(self.braiding(m, n))
+
+    def degree(self, f) -> int:
+        """The object n with f in Aut(n)."""
+        return len(f)
+
+    def left_block(self, c: int, m: int) -> frozenset:
+        """The subgroup Aut(c) + id_m of Aut(c+m) (memoized)."""
+        key = (c, m)
+        if key not in self._blocks:
+            idm = self.identity(m)
+            self._blocks[key] = frozenset(
+                self.block_sum(g, idm, c, m) for g in self.aut(c))
+        return self._blocks[key]
+
+    def coset_min(self, c: int, f):
+        """Minimum of the coset f (Aut(c) + id_m) in the element order,
+        for f in Aut(c+m).
+
+        Generic: |Aut(c)| products.  It is the fallback for instances
+        without a closed form and the oracle the closed forms are tested
+        against.
+        """
+        block = self.left_block(c, self.degree(f) - c)
+        return min(self.mul(f, b) for b in block)
 
     def identity(self, n: int):
         return self.aut(n).identity
@@ -94,6 +125,10 @@ class SymmetricGroupoid(BraidedGroupoidInstance):
     def braiding(self, m, n):
         return gr.perm_braiding(m, n)
 
+    def coset_min(self, c, f):
+        # right multiplication by Aut(c) + id permutes the first c images
+        return tuple(sorted(f[:c])) + f[c:]
+
 
 class WreathGroupoid(BraidedGroupoidInstance):
     symmetric_flag = True
@@ -120,6 +155,23 @@ class WreathGroupoid(BraidedGroupoidInstance):
     def braiding(self, m, n):
         return gr.wreath_braiding(self.base, m, n)
 
+    def degree(self, f):
+        return len(f[1])
+
+    def coset_min(self, c, f):
+        # (a, s)(b + id, t + id) has labels a_i b_{s^-1(i)} and
+        # permutation s (t + id): the labels at the points s(0..c-1)
+        # range over the whole base group independently of each other and
+        # of the first c images of the permutation, which range over
+        # their orderings
+        a, s = f
+        moved = s[:c]
+        least = self.base.elements[0]
+        labels = list(a)
+        for i in moved:
+            labels[i] = least
+        return (tuple(labels), tuple(sorted(moved)) + s[c:])
+
 
 class GeneralLinearGroupoid(BraidedGroupoidInstance):
     symmetric_flag = True
@@ -128,6 +180,10 @@ class GeneralLinearGroupoid(BraidedGroupoidInstance):
         super().__init__(budget)
         self.ring = ring
         self.name = f"gl[{ring.label()}]"
+        if ring.is_field:
+            # decided here so that a call pays no dispatch; Z/m with m
+            # composite keeps the generic minimum
+            self.coset_min = self._echelon_coset_min
 
     def mul(self, a, b):
         return gr.mat_mul_mod(a, b, self.ring.modulus)
@@ -144,6 +200,32 @@ class GeneralLinearGroupoid(BraidedGroupoidInstance):
 
     def braiding(self, m, n):
         return gr.mat_braiding(m, n)
+
+    def _echelon_coset_min(self, c, f):
+        """Over a prime field, f (g + id) replaces the first c columns of
+        f by any basis of their span.  The row-major minimum of such
+        bases is the reduced column echelon form whose pivots are taken
+        right to left: the first pivot row gets column c-1."""
+        p = self.ring.modulus
+        cols = [[row[j] for row in f] for j in range(c)]
+        free = c                    # cols[:free] carry no pivot yet
+        for r in range(len(f)):
+            if not free:
+                break
+            j = next((j for j in range(free) if cols[j][r]), None)
+            if j is None:
+                continue
+            free -= 1
+            cols[j], cols[free] = cols[free], cols[j]
+            inv = pow(cols[free][r], -1, p)
+            piv = [x * inv % p for x in cols[free]]
+            cols[free] = piv
+            for k in range(c):
+                t = cols[k][r]
+                if k != free and t:
+                    cols[k] = [(x - t * y) % p for x, y in zip(cols[k], piv)]
+        return tuple(tuple(col[i] for col in cols) + row[c:]
+                     for i, row in enumerate(f))
 
 
 def make_symmetric(budget=DEFAULT_GROUP_BUDGET) -> BraidedGroupoidInstance:

@@ -225,18 +225,28 @@ def mat_mul_mod(a, b, m):
 
 
 def mat_det_mod(a, m):
-    # fraction-free expansion is fine at these sizes
+    """det(a) mod m by fraction-free (Bareiss) elimination over Z: every
+    division is exact, so the determinant is exact before the reduction."""
     n = len(a)
     if n == 0:
         return 1 % m
-    if n == 1:
-        return a[0][0] % m
-    det = 0
-    for j in range(n):
-        sub = tuple(row[:j] + row[j + 1:] for row in a[1:])
-        term = a[0][j] * mat_det_mod(sub, m)
-        det += term if j % 2 == 0 else -term
-    return det % m
+    rows = [list(r) for r in a]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            i = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if i is None:
+                return 0
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        rk = rows[k]
+        piv = rk[k]
+        for ri in rows[k + 1:]:
+            t = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * piv - t * rk[j]) // prev
+        prev = piv
+    return sign * rows[-1][-1] % m
 
 
 def mat_inv_mod(a, m):

@@ -363,8 +363,8 @@ class ConnectivityCertificate:
     components: int
     homology_vanishing_up_to: int     # largest i with H-tilde_j = 0, j <= i
     pi1_status: str                   # trivial | unknown(budget) | nontrivial | not connected | not attempted
-    certified_connectivity: int       # topological claim (Hurewicz-safe)
-    mode: str                         # homological | topological
+    certified_connectivity: int       # homology vanishing; a claim of kind `mode`
+    mode: str                         # topological (Hurewicz-safe) | homological
     target: int
     meets_target: bool                # topological claim reaches target
     meets_target_homological: bool    # homology vanishing reaches target
@@ -375,10 +375,11 @@ def connectivity_certificate(X, target: int,
                              pi1_budget: int = 10 ** 6) -> ConnectivityCertificate:
     """Certify that X is target-connected.
 
-    `certified_connectivity` is the topological claim: it never exceeds 0
-    without a completed pi1-triviality certificate (Hurewicz packaging).
-    Homological vanishing is always reported alongside.  Empty complexes
-    are (-2)-connected by convention.
+    The topological claim is the homological vanishing degree when pi1 is
+    certified trivial, and at most 0 otherwise (Hurewicz packaging);
+    `meets_target` tests it.  `certified_connectivity` is the vanishing
+    degree, and `mode` says whether it is that topological claim or only
+    homological.  Empty complexes are (-2)-connected by convention.
     """
     from . import pi1 as pi1mod
 
@@ -412,22 +413,17 @@ def connectivity_certificate(X, target: int,
             skel = pi1mod.two_skeleton_from_complex(X)
         pi1_status, _ = pi1mod.pi1_triviality(skel, pi1_budget)
 
-    if pi1_status == "trivial":
-        cert, mode = vanish, "topological"
-    else:
-        # without pi1, a topological claim is safe only up to 0-connected
-        cert = min(vanish, 0)
-        mode = "topological" if vanish <= 0 else "homological"
-        if mode == "homological":
-            cert = vanish  # labeled homological; not a topological claim
-    topo_conn = vanish if pi1_status == "trivial" else min(vanish, 0)
+    # Hurewicz: without a trivial pi1 a topological claim is safe only up
+    # to 0-connected
+    topo = vanish if pi1_status == "trivial" else min(vanish, 0)
+    mode = "topological" if topo == vanish else "homological"
     return ConnectivityCertificate(
         components=components,
         homology_vanishing_up_to=vanish,
         pi1_status=pi1_status,
-        certified_connectivity=cert,
+        certified_connectivity=vanish,
         mode=mode, target=target,
-        meets_target=topo_conn >= target,
+        meets_target=topo >= target,
         meets_target_homological=vanish >= target,
         detail={"reduced_homology": [str(h) for h in hom]})
 

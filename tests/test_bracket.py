@@ -1,6 +1,14 @@
 import math
+import types
 
 import pytest
+
+from homstab.bracket import BracketCategory
+from homstab.groupoids import (
+    BraidedGroupoidInstance, FiniteRing, make_general_linear, make_symmetric,
+    make_wreath)
+from homstab.groups import FiniteGroup, cyclic_group, symmetric_group
+from homstab.simplicial import build_W
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for n in range(0, 7)
@@ -97,3 +105,52 @@ def test_face_inclusions_satisfy_simplicial_identity(sym_cat):
                 rhs = cat.compose(cat.face_inclusion(p, j, x),
                                   cat.face_inclusion(p - 1, i - 1, x))
                 assert lhs == rhs
+
+
+def _cyclic3_identity_last():
+    # Z/3 relabelled by x -> x + 2: the identity 2 is the largest element,
+    # so the minimal label is not the identity
+    return FiniteGroup(range(3), lambda a, b: (a + b - 2) % 3,
+                       lambda a: (1 - a) % 3, 2, name="Z/3'")
+
+
+COSET_CASES = [
+    ("Sym", make_symmetric, 4),
+    ("Z/2 wr Sym", lambda: make_wreath(cyclic_group(2)), 3),
+    ("Z/3 wr Sym", lambda: make_wreath(cyclic_group(3)), 3),
+    ("Z/3' wr Sym", lambda: make_wreath(_cyclic3_identity_last()), 3),
+    ("Sym(3) wr Sym", lambda: make_wreath(symmetric_group(3)), 2),
+    ("GL(F_2)", lambda: make_general_linear(FiniteRing(2)), 3),
+    ("GL(F_3)", lambda: make_general_linear(FiniteRing(3)), 2),
+    ("GL(Z/4)", lambda: make_general_linear(FiniteRing(4)), 2),
+]
+
+
+@pytest.mark.parametrize("name,make,n_max", COSET_CASES,
+                         ids=[c[0] for c in COSET_CASES])
+def test_canonicalize_matches_coset_minimum(name, make, n_max):
+    # the closed-form coset minimum against the generic one, on every
+    # element of Aut(n) and every complement c <= n
+    G = make()
+    closed_form = name != "GL(Z/4)"
+    assert (G.coset_min.__func__ is not BraidedGroupoidInstance.coset_min) \
+        == closed_form
+    cat = BracketCategory(G)
+    for n in range(n_max + 1):
+        for c in range(n + 1):
+            idm = G.identity(n - c)
+            block = [G.block_sum(g, idm, c, n - c) for g in G.aut(c)]
+            for f in G.aut(n):
+                expect = min(G.mul(f, b) for b in block)
+                assert cat.canonicalize(n - c, n, f).rep == expect, (n, c, f)
+
+
+def test_W_levels_match_generic_coset_minimum():
+    closed = make_wreath(cyclic_group(3))
+    generic = make_wreath(cyclic_group(3))
+    generic.coset_min = types.MethodType(BraidedGroupoidInstance.coset_min,
+                                         generic)
+    W = build_W(BracketCategory(closed), 0, 1, 3)
+    W_generic = build_W(BracketCategory(generic), 0, 1, 3)
+    assert W.levels == W_generic.levels
+    assert W.faces == W_generic.faces

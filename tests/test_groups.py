@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from homstab.groups import (
     symmetric_group, alternating_group, cyclic_group, wreath_group,
     general_linear_group, gln_order, perm_mul, perm_inv, perm_identity,
     perm_block_sum, perm_braiding, mat_mul_mod, mat_inv_mod, mat_identity,
-    quotient_group, abelianization, GroupBudgetExceeded,
+    mat_det_mod, quotient_group, abelianization, GroupBudgetExceeded,
 )
 
 
@@ -52,6 +53,24 @@ def test_mat_inverse_mod():
     a = ((1, 1), (0, 1))
     inv = mat_inv_mod(a, 5)
     assert mat_mul_mod(a, inv, 5) == mat_identity(2)
+
+
+def test_mat_det_mod_matches_leibniz():
+    # every 3x3 matrix over Z/4, including the singular ones and those
+    # whose leading entries vanish (row swaps in the elimination)
+    m = 4
+    perms = [(p, _perm_sign_naive(p)) for p in itertools.permutations(range(3))]
+    for flat in itertools.product(range(m), repeat=9):
+        a = (flat[0:3], flat[3:6], flat[6:9])
+        leibniz = sum(s * a[0][p[0]] * a[1][p[1]] * a[2][p[2]]
+                      for p, s in perms)
+        assert mat_det_mod(a, m) == leibniz % m, a
+
+
+def _perm_sign_naive(p):
+    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
+                     if p[i] > p[j])
+    return -1 if inversions % 2 else 1
 
 
 def test_wreath_group_order():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from homstab import pi1
 from homstab.simplicial import (
     build_W, build_S, lift_profile, link, complexes_isomorphic,
     ord_of_complex, w_isomorphic_to_ord, connectivity_certificate,
@@ -98,3 +99,29 @@ def test_gl_W_connectivity(gl2_cat):
         target = (n - 2) // 2
         cert = connectivity_certificate(W, target, 10 ** 5)
         assert cert.meets_target_homological
+
+
+def _cert_fields(c):
+    return (c.components, c.homology_vanishing_up_to, c.pi1_status,
+            c.certified_connectivity, c.mode, c.meets_target,
+            c.meets_target_homological)
+
+
+def test_connectivity_certificate_branches(sym_cat, monkeypatch):
+    W4 = build_W(sym_cat, 0, 1, 4)
+    # pi1 certified trivial: the vanishing degree is a topological claim
+    assert _cert_fields(connectivity_certificate(W4, 2)) == \
+        (1, 2, "trivial", 2, "topological", True, True)
+    # pi1 not attempted (H-tilde_0 alone): topological up to 0-connected
+    assert _cert_fields(connectivity_certificate(
+        build_W(sym_cat, 0, 1, 2), 1)) == \
+        (1, 0, "not attempted", 0, "topological", False, False)
+    # pi1 unknown: the vanishing degree is only a homological claim
+    monkeypatch.setattr(pi1, "pi1_triviality",
+                        lambda skel, budget: ("unknown (budget)", {}))
+    assert _cert_fields(connectivity_certificate(W4, 2)) == \
+        (1, 2, "unknown (budget)", 2, "homological", False, True)
+    assert _cert_fields(connectivity_certificate(W4, 1)) == \
+        (1, 1, "unknown (budget)", 1, "homological", False, True)
+    assert _cert_fields(connectivity_certificate(W4, 0)) == \
+        (1, 0, "not attempted", 0, "topological", True, True)
