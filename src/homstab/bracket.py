@@ -231,19 +231,19 @@ class BracketCategory:
         out["LS2_failures"] = ls2_fail
         # edge stabilizer condition on W_n for the largest n in range
         stab_fail = []
+        stabs = {}      # faces are shared between edges: scan each once
+
+        def stab(u):
+            if u not in stabs:
+                stabs[u] = frozenset(p for p in self.G.aut(u.target)
+                                     if self.post_compose(p, u) == u)
+            return stabs[u]
+
         for n in range(2, n_max + 1):
-            obj = A + n * x
-            G_n = self.G.aut(obj)
-            edges = self.hom_set(2 * x, obj)
-            for f in edges:
+            for f in self.hom_set(2 * x, A + n * x):
                 d0 = self.compose(f, self.face_inclusion(1, 0, x))
                 d1 = self.compose(f, self.face_inclusion(1, 1, x))
-                stab_f = {p for p in G_n if self.post_compose(p, f) == f}
-                stab_faces = {
-                    p for p in G_n
-                    if self.post_compose(p, d0) == d0
-                    and self.post_compose(p, d1) == d1}
-                if stab_f != stab_faces:
+                if stab(f) != stab(d0) & stab(d1):
                     stab_fail.append((n, f))
         out["edge_stabilizers"] = not stab_fail
         out["edge_stabilizer_failures"] = stab_fail

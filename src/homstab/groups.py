@@ -27,6 +27,14 @@ class FiniteGroup:
     Elements are canonical hashable values totally ordered by `sorted`;
     the sorted tuple fixes a deterministic indexing used everywhere
     downstream (canonical coset representatives, chain bases, caches).
+
+    `generators` must generate the group.  Module actions, coinvariants,
+    homomorphism checks and [G, G] cost one unit per generator, so the
+    families pass small sets: Coxeter transpositions for Sym(n), 1 for
+    Z/m, transvections and diagonal units for GL_n(Z/m), and base
+    generators in slot 0 plus Coxeter transpositions for base wr Sym(n).
+    Without `generators` (Alt(n), quotient groups) every non-identity
+    element is a generator.
     """
 
     def __init__(self, elements, mul, inv, identity, name="G",
@@ -74,9 +82,20 @@ class FiniteGroup:
         return out
 
     def commutator_subgroup(self) -> set:
-        comms = {self.commutator(g, h)
-                 for g in self.elements for h in self.elements}
-        return self.subgroup_closure(comms)
+        """[G, G] as the normal closure of the commutators of the
+        generators, modulo which the generators commute.  Conjugates of
+        its generators by the group's generators join them until none is
+        new (conjugation by g^-1 is a power of conjugation by g)."""
+        gens = self.generators
+        ngens = list({self.commutator(a, b) for a in gens for b in gens})
+        out = self.subgroup_closure(ngens)
+        for x in ngens:             # ngens grows while it is scanned
+            for g in gens:
+                y = self.conjugate(x, g)
+                if y not in out:
+                    ngens.append(y)
+                    out = self.subgroup_closure(ngens)
+        return out
 
     def is_subgroup(self, subset) -> bool:
         s = set(subset)
@@ -295,7 +314,22 @@ def general_linear_group(n, m, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
     mul = lambda a, b: mat_mul_mod(a, b, m)
     inv = lambda a: mat_inv_mod(a, m)
     return FiniteGroup(elems, mul, inv, mat_identity(n),
-                       name=f"GL({n},Z/{m})")
+                       name=f"GL({n},Z/{m})",
+                       generators=gln_generators(n, m))
+
+
+def gln_generators(n, m):
+    """Transvections E_ij(1), i != j, then diag(u, 1, ..., 1) for each
+    unit u != 1: the E_ij(1) generate SL_n(Z/m) (Z/m is semilocal), and
+    the diagonal units reach every determinant."""
+    def set_entry(i, j, v):
+        return tuple(tuple(v if (r, c) == (i, j) else int(r == c)
+                           for c in range(n)) for r in range(n))
+    gens = [set_entry(i, j, 1) for i in range(n) for j in range(n) if i != j]
+    if n:
+        gens += [set_entry(0, 0, u) for u in range(2, m)
+                 if math.gcd(u, m) == 1]
+    return gens
 
 
 def mat_block_sum(a, b):
@@ -356,9 +390,12 @@ def wreath_group(base: FiniteGroup, n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGro
     elems = [(labels, p)
              for labels in itertools.product(base.elements, repeat=n)
              for p in itertools.permutations(range(n))]
-    return FiniteGroup(elems, wreath_mul(base), wreath_inv(base),
-                       wreath_identity(base, n),
-                       name=f"{base.name} wr Sym({n})")
+    ident = wreath_identity(base, n)
+    labels, perm = ident
+    gens = [((s,) + labels[1:], perm) for s in base.generators] if n else []
+    gens += [(labels, tuple_swap(n, i)) for i in range(n - 1)]
+    return FiniteGroup(elems, wreath_mul(base), wreath_inv(base), ident,
+                       name=f"{base.name} wr Sym({n})", generators=gens)
 
 
 def wreath_block_sum(base, g, h):

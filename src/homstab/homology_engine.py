@@ -182,9 +182,11 @@ class GModule:
             out.append(x % o if o else x)
         return out
 
-    def verify_action(self, full: bool = False) -> None:
+    def verify_action(self) -> None:
         """Check the action descends to the presentation and is a
-        homomorphism (on generators; all elements when full=True)."""
+        homomorphism: act(s) act(g) = act(s g) for every element g and
+        generator s.  That is |G| |S| products and exhaustive: induction
+        on the word length of h gives act(h) act(g) = act(h g)."""
         ident = self._identity_matrix()
         for s in self.group.generators:
             m = self._reduce(self.gen_action[s])
@@ -200,8 +202,7 @@ class GModule:
             if not self.congruent(self._mat_mul(m, self.act(self.group.inv(s))),
                                   ident):
                 raise ValueError("generator action is not invertible")
-        elems = self.group.elements if full else self.group.generators
-        for g in elems:
+        for g in self.group.elements:
             mg = self.act(g)
             for s in self.group.generators:
                 lhs = self._mat_mul(self.act(s), mg)
@@ -619,7 +620,8 @@ class MappingCone:
     """Cone of the bar-level chain map of a StabilizationSetup.
 
     Cone_i = C_{i-1}(small) (+) C_i(big), d(x, y) = (-dx, f(x) + dy).
-    H_i(Cone) is the relative homology of the stabilization pair.
+    H_i(Cone) is the relative homology of the stabilization pair; it
+    reads the bar levels up to i + 1, so `top` = i + 1 suffices.
     """
 
     def __init__(self, setup: StabilizationSetup, top: int,
@@ -694,7 +696,7 @@ def relative_homology(setup: StabilizationSetup, i: int,
                       budget: BarBudget | None = None) -> FGAbelianGroup:
     """Rel_i = H_i of the mapping cone of the stabilization chain map."""
     budget = budget or BarBudget()
-    cone = MappingCone(setup, i + 2, budget)
+    cone = MappingCone(setup, i + 1, budget)
     return cone.homology(i).group
 
 
@@ -726,8 +728,7 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     long exact sequence holds at these nodes).
     """
     budget = budget or BarBudget()
-    top = i + 2
-    cone = MappingCone(setup, top, budget)
+    cone = MappingCone(setup, i + 1, budget)
     cx_s, cx_b = cone.cx_s, cone.cx_b
     h_b_i = cx_b.homology(i)
     rel_i = cone.homology(i)

@@ -194,7 +194,9 @@ def test_criterion_11_relative_les_and_vanishing():
         for claim in c.get("claims", []):
             if claim.startswith("4.20:vanish"):
                 assert c["rel"] == "0", c
-    assert checked >= 8
+    # the mapping cone builds bar levels up to i + 1 only, so cell (4, 1)
+    # (the 70,805-column bar d2 of Sym(5)) is computed, not refused
+    assert checked >= 10
 
 
 def test_criterion_12_deterministic_reports():

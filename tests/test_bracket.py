@@ -154,3 +154,50 @@ def test_W_levels_match_generic_coset_minimum():
     W_generic = build_W(BracketCategory(generic), 0, 1, 3)
     assert W.levels == W_generic.levels
     assert W.faces == W_generic.faces
+
+
+def _local_standardness_unmemoized(cat, A, x, n_max):
+    """verify_local_standardness scanning G_n for every stabilizer it
+    compares, faces included, with no memo."""
+    out = {"A": A, "X": x, "n_max": n_max}
+    left = cat.monoidal_sum(
+        cat.monoidal_sum(cat.iota(A), cat.identity_mor(x)), cat.iota(x))
+    right = cat.monoidal_sum(cat.iota(A + x), cat.identity_mor(x))
+    out["LS1"] = left != right
+    ls2_fail = []
+    for n in range(1, n_max + 1):
+        images = {}
+        for f in cat.hom_set(x, A + (n - 1) * x):
+            img = cat.monoidal_sum(f, cat.iota(x))
+            if img in images:
+                ls2_fail.append((n, images[img], f))
+            images[img] = f
+    out["LS2"] = not ls2_fail
+    out["LS2_failures"] = ls2_fail
+    stab_fail = []
+    for n in range(2, n_max + 1):
+        G_n = cat.G.aut(A + n * x)
+        for f in cat.hom_set(2 * x, A + n * x):
+            d0 = cat.compose(f, cat.face_inclusion(1, 0, x))
+            d1 = cat.compose(f, cat.face_inclusion(1, 1, x))
+            stab_f = {p for p in G_n if cat.post_compose(p, f) == f}
+            stab_faces = {p for p in G_n
+                          if cat.post_compose(p, d0) == d0
+                          and cat.post_compose(p, d1) == d1}
+            if stab_f != stab_faces:
+                stab_fail.append((n, f))
+    out["edge_stabilizers"] = not stab_fail
+    out["edge_stabilizer_failures"] = stab_fail
+    out["passed"] = out["LS1"] and out["LS2"] and out["edge_stabilizers"]
+    return out
+
+
+@pytest.mark.parametrize("make,A,n_max", [
+    (lambda: make_general_linear(FiniteRing(4)), 0, 2),
+    (make_symmetric, 0, 4),
+    (make_symmetric, 1, 3),
+], ids=["GL(Z/4)", "Sym", "Sym A=1"])
+def test_local_standardness_matches_unmemoized(make, A, n_max):
+    cat = BracketCategory(make())
+    assert cat.verify_local_standardness(A, 1, n_max) == \
+        _local_standardness_unmemoized(cat, A, 1, n_max)

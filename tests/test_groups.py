@@ -4,7 +4,7 @@ import math
 import pytest
 
 from homstab.groups import (
-    symmetric_group, alternating_group, cyclic_group, wreath_group,
+    FiniteGroup, symmetric_group, alternating_group, cyclic_group, wreath_group,
     general_linear_group, gln_order, perm_mul, perm_inv, perm_identity,
     perm_block_sum, perm_braiding, mat_mul_mod, mat_inv_mod, mat_identity,
     mat_det_mod, quotient_group, abelianization, GroupBudgetExceeded,
@@ -125,3 +125,57 @@ def test_generator_words_cover_group():
 def test_budget_guard():
     with pytest.raises(GroupBudgetExceeded):
         symmetric_group(8, budget=100)
+
+
+def _phi(m):
+    return sum(1 for u in range(1, m + 1) if math.gcd(u, m) == 1)
+
+
+@pytest.mark.parametrize("m,n", [(2, n) for n in range(4)]
+                         + [(m, n) for m in (3, 4, 6) for n in range(3)])
+def test_gln_generators_generate(m, n):
+    G = general_linear_group(n, m)
+    assert len(G.generators) <= n * (n - 1) + _phi(m)
+    assert len(G.generator_words()) == G.order
+    assert all(g in G for g in G.generators)
+
+
+@pytest.mark.parametrize("base", [cyclic_group(2), cyclic_group(3),
+                                  symmetric_group(3)],
+                         ids=lambda b: b.name)
+@pytest.mark.parametrize("n", range(4))
+def test_wreath_generators_generate(base, n):
+    G = wreath_group(base, n)
+    assert len(G.generators) == (len(base.generators) if n else 0) \
+        + max(n - 1, 0)
+    assert len(G.generator_words()) == G.order
+
+
+def _generated_by(G, gens, name):
+    """The subgroup of G that `gens` generate, with those generators."""
+    return FiniteGroup(G.subgroup_closure(gens), G.mul, G.inv, G.identity,
+                       name=name, generators=gens)
+
+
+# [a, b] alone generates 3 elements of A_4 = [Sym(4), Sym(4)]
+SYM4_TRANSPOSITION_4CYCLE = _generated_by(
+    symmetric_group(4), [(1, 0, 2, 3), (1, 2, 3, 0)], "Sym(4) on (01), (0123)")
+# Z/2 wr C_4: [G, G] is the 8 label vectors of even weight; reaching them
+# from [a, b] = e_0 + e_1 needs conjugates of conjugates by the 4-cycle
+WREATH_CYCLIC = _generated_by(
+    wreath_group(cyclic_group(2), 4),
+    [((1, 0, 0, 0), (0, 1, 2, 3)), ((0, 0, 0, 0), (1, 2, 3, 0))],
+    "Z/2 wr C_4")
+
+
+@pytest.mark.parametrize("G", [
+    SYM4_TRANSPOSITION_4CYCLE, WREATH_CYCLIC,
+    *(symmetric_group(n) for n in range(6)),
+    wreath_group(cyclic_group(2), 3), wreath_group(cyclic_group(3), 2),
+    *(general_linear_group(n, 2) for n in range(4)),
+    *(general_linear_group(n, 4) for n in range(3)),
+], ids=lambda G: G.name)
+def test_commutator_subgroup_matches_all_pairs(G):
+    all_pairs = G.subgroup_closure(
+        {G.commutator(g, h) for g in G for h in G})
+    assert G.commutator_subgroup() == all_pairs

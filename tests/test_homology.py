@@ -6,7 +6,7 @@ from homstab.groups import (symmetric_group, alternating_group,
 from homstab.exact_linalg import SparseCols, homology_of_pair
 from homstab.pi1 import todd_coxeter_trivial
 from homstab.homology_engine import (
-    BarBudget, BarBudgetExceeded, trivial_module, sign_module,
+    BarBudget, BarBudgetExceeded, BarComplex, trivial_module, sign_module,
     permutation_module, group_ring_module, induce_module, bar_homology,
     coinvariants, conjugation_acts_trivially, HomologyCache,
 )
@@ -250,3 +250,36 @@ def test_homology_cache_roundtrip(tmp_path):
     reread = HomologyCache(tmp_path / "h.json")
     assert str(reread.get(key)) == "Z + Z/2 + Z/4"
     assert reread.get("missing") is None
+
+
+def test_verify_action_rejects_broken_braid_relation():
+    # s1 -> -1, s2 -> 1 on Z: s1 s2 s1 = s2 s1 s2 fails, though every
+    # product of two generators is consistent
+    from homstab.exact_linalg import FGAbelianGroup
+    from homstab.homology_engine import GModule
+    G = symmetric_group(3)
+    s1, s2 = G.generators
+    M = GModule(G, FGAbelianGroup(1), {s1: [[-1]], s2: [[1]]})
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        M.verify_action()
+    sign = GModule(G, FGAbelianGroup(1), {s1: [[-1]], s2: [[-1]]})
+    sign.verify_action()
+
+
+def test_relative_homology_reads_levels_up_to_i_plus_1():
+    # Sym(2) -> Sym(3), constant Z: the big bar complex has 25 cells at
+    # level 2 and 125 at level 3; Rel_1 and its LES need only level 2
+    from homstab.bracket import BracketCategory
+    from homstab.coeffsys import constant_system
+    from homstab.groupoids import make_symmetric
+    from homstab.homology_engine import relative_homology, les_exact_at_rel
+    setup = constant_system(BracketCategory(make_symmetric()), 0, 1, 3
+                            ).stabilization_setup(2)
+    budget = BarBudget(max_cells=100)
+    with pytest.raises(BarBudgetExceeded):
+        BarComplex(setup.big, 3, budget)
+    rel = relative_homology(setup, 1, budget)
+    assert str(rel) == str(relative_homology(setup, 1))
+    les = les_exact_at_rel(setup, 1, budget)
+    assert les["exact"]
+    assert str(les["Rel_i"]) == str(rel)

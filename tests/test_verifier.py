@@ -186,3 +186,25 @@ def test_custom_coeff_loader(tmp_path, sym_cat):
                n_max=2)
     rep = run_degree(cfg)
     assert rep["degree"]["r"] == 0
+
+
+def test_custom_coeff_loader_rejects_broken_relation(tmp_path, sym_cat):
+    # Sym(3) with s1 -> -1, s2 -> 1 breaks the braid relation; every
+    # product of two generators is consistent, so only a check over all
+    # elements sees it
+    from homstab.groupoids import make_symmetric
+    modules = [{"free_rank": 1, "torsion": [],
+                "actions": [[[1]] for _ in
+                            make_symmetric().aut(n).generators]}
+               for n in range(3)]
+    modules.append({"free_rank": 1, "torsion": [],
+                    "actions": [[[-1]], [[1]]]})
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"n_max": 3, "modules": modules,
+                                "s_mats": [[[1]]] * 3}))
+    cfg = _cfg(coeff={"kind": "custom",
+                      "params": {"path": str(path), "r_max": 1,
+                                 "N_max": 0}},
+               n_max=3)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        run_degree(cfg)
