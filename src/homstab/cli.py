@@ -26,26 +26,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON run configuration")
         p.add_argument("--format", choices=("json", "table"),
                        default="json")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for grid cells")
-        p.add_argument("--cache-dir", default=None,
-                       help="directory for the homology cache")
-        p.add_argument("--budget-cells", type=int, default=None,
-                       help="override budgets.bar_cells from the config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if name in ("homology", "stability"):
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker threads for grid cells")
+            p.add_argument("--budget-cells", type=int, default=None,
+                           help="override budgets.bar_cells from the "
+                                "config")
+        if name == "homology":
+            p.add_argument("--cache-dir", default=None,
+                           help="directory for the homology cache")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = verifier.load_config(args.config)
-    if args.budget_cells is not None:
+    if getattr(args, "budget_cells", None) is not None:
         cfg.budgets["bar_cells"] = args.budget_cells
         cfg.raw.setdefault("budgets", {})["bar_cells"] = args.budget_cells
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.raw["seed"] = args.seed
     if args.command == "verify-axioms":
         report = verifier.run_axioms(cfg)
     elif args.command == "connectivity":
@@ -56,8 +54,7 @@ def main(argv=None) -> int:
     elif args.command == "degree":
         report = verifier.run_degree(cfg)
     else:
-        report = verifier.run_stability(cfg, jobs=args.jobs,
-                                        cache_dir=args.cache_dir)
+        report = verifier.run_stability(cfg, jobs=args.jobs)
     verifier.report_emit(report, args.format)
     return verifier.exit_code(report)
 

@@ -26,43 +26,17 @@ from dataclasses import dataclass
 from .groups import abelianization, coords_add
 from .groupoids import PresentedGroupFamily, braid_family
 from .bracket import BracketCategory, UMorphism
-from .exact_linalg import (FGAbelianGroup, SparseCols, smith_normal_form,
-                           Subquotient)
+from .exact_linalg import (FGAbelianGroup, SparseCols, Subquotient,
+                           identity_matrix, mat_mul, reduce_rows,
+                           relation_columns, rows_congruent,
+                           smith_normal_form)
 from .homology_engine import (GModule, StabilizationSetup,
                               presented_subquotient)
 from . import laurent as lau
 
 
 # ----------------------------------------------------------------------
-# dense integer matrix helpers (rectangular, with row-wise reduction)
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mm(a, b):
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner))
-             for j in range(cols)] for i in range(rows)]
-
-
-def _reduce_rows(mat, orders):
-    out = []
-    for i, row in enumerate(mat):
-        o = orders[i]
-        out.append([x % o for x in row] if o else row[:])
-    return out
-
-
-def _rows_congruent(a, b, orders):
-    for i, o in enumerate(orders):
-        for x, y in zip(a[i], b[i]):
-            d = x - y
-            if (d % o if o else d) != 0:
-                return False
-    return True
+# dense integer matrix helpers
 
 
 def _apply_dense(mat, vec):
@@ -93,10 +67,6 @@ def _kron(a, b):
                 for q in range(cb):
                     out[i * rb + p][j * cb + q] = v * b[p][q]
     return out
-
-
-def _relation_columns(orders):
-    return [{i: o} for i, o in enumerate(orders) if o]
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +116,9 @@ class CoefficientSystem:
 
     def schain(self, m: int, n: int):
         """Composite structure map F_m -> F_n (identity when m == n)."""
-        mat = _identity(self.rank(m))
+        mat = identity_matrix(self.rank(m))
         for j in range(m, n):
-            mat = _reduce_rows(_mm(self.s_mats[j], mat), self.orders(j + 1))
+            mat = reduce_rows(mat_mul(self.s_mats[j], mat), self.orders(j + 1))
         return mat
 
     def cchain(self, m: int, n: int):
@@ -156,11 +126,11 @@ class CoefficientSystem:
         is the identity.  Since the complement sits in the LEFT block,
         each step is the structure map followed by the braiding that
         moves the image into the last coordinates."""
-        mat = _identity(self.rank(m))
+        mat = identity_matrix(self.rank(m))
         for j in range(m, n):
             b = self.inst.braiding(self.obj(j), self.x)
-            step = _mm(self.modules[j + 1].act(b), self.s_mats[j])
-            mat = _reduce_rows(_mm(step, mat), self.orders(j + 1))
+            step = mat_mul(self.modules[j + 1].act(b), self.s_mats[j])
+            mat = reduce_rows(mat_mul(step, mat), self.orders(j + 1))
         return mat
 
     def _steps(self, size: int) -> int:
@@ -175,8 +145,8 @@ class CoefficientSystem:
         n = self._steps(mor.target)
         if n > self.n_max:
             raise ValueError("morphism target outside the window")
-        return _reduce_rows(
-            _mm(self.modules[n].act(mor.rep), self.cchain(m, n)),
+        return reduce_rows(
+            mat_mul(self.modules[n].act(mor.rep), self.cchain(m, n)),
             self.orders(n))
 
     def sigma_mor(self, n: int) -> UMorphism:
@@ -202,10 +172,10 @@ class CoefficientSystem:
             s = self.s_mats[n]
             tgt = self.orders(n + 1)
             for g in self.group(n).generators:
-                lhs = _mm(s, self.modules[n].act(g))
+                lhs = mat_mul(s, self.modules[n].act(g))
                 gg = cat.sigma_upper_on_group(g, self.obj(n), x)
-                rhs = _mm(self.modules[n + 1].act(gg), s)
-                if not _rows_congruent(lhs, rhs, tgt):
+                rhs = mat_mul(self.modules[n + 1].act(gg), s)
+                if not rows_congruent(lhs, rhs, tgt):
                     raise ValueError(
                         f"s_{n} is not equivariant over the suspension")
         for n in range(self.n_max):
@@ -216,9 +186,9 @@ class CoefficientSystem:
                     big = self.inst.block_sum(
                         self.inst.identity(self.obj(n)), h,
                         self.obj(n), m * x)
-                    lhs = _mm(self.modules[n + m].act(big), chain)
-                    if not _rows_congruent(lhs, chain,
-                                           self.orders(n + m)):
+                    lhs = mat_mul(self.modules[n + m].act(big), chain)
+                    if not rows_congruent(lhs, chain,
+                                          self.orders(n + m)):
                         raise ValueError(
                             f"Aut(x^{m}) does not act trivially on the "
                             f"image of F_{n}")
@@ -237,9 +207,9 @@ class CoefficientSystem:
                 f = hf[rng.randrange(len(hf))]
                 g = hg[rng.randrange(len(hg))]
                 lhs = self.evaluate(cat.compose(g, f))
-                rhs = _reduce_rows(_mm(self.evaluate(g), self.evaluate(f)),
-                                   self.orders(q))
-                if not _rows_congruent(lhs, rhs, self.orders(q)):
+                rhs = reduce_rows(mat_mul(self.evaluate(g), self.evaluate(f)),
+                                  self.orders(q))
+                if not rows_congruent(lhs, rhs, self.orders(q)):
                     raise ValueError("functoriality fails on a sample")
                 checked += 1
 
@@ -295,8 +265,8 @@ class CoefficientSystem:
             lam = SparseCols.from_dense(self.sigma_mat(n))
             sq = presented_subquotient(
                 lam, SparseCols.zero(self.rank(n), 0),
-                _relation_columns(self.orders(n + 1)),
-                _relation_columns(self.orders(n)))
+                relation_columns(self.orders(n + 1)),
+                relation_columns(self.orders(n)))
             mod, lf = self._subq_module(
                 sq, self.group(n), self.modules[n].act,
                 name=f"(ker {self.name})_{n}")
@@ -320,7 +290,7 @@ class CoefficientSystem:
             sq = presented_subquotient(
                 SparseCols.zero(0, r1),
                 SparseCols.from_dense(lam), [],
-                _relation_columns(self.orders(n + 1)))
+                relation_columns(self.orders(n + 1)))
             mod, lf = self._subq_module(
                 sq, self.group(n), susp.modules[n].act,
                 name=f"(coker {self.name})_{n}")
@@ -436,14 +406,15 @@ def split_witness(F: CoefficientSystem):
     rows, rhs = [], []
 
     def add_eq(coeffs: dict, target: int, modulus: int):
-        row = [0] * (total + (1 if modulus else 0))
+        # as wide as the earlier rows, which carry their slack columns
+        row = [0] * (len(rows[0]) if rows else total)
         for v, c in coeffs.items():
             row[v] += c
         if modulus:
-            row[total] = modulus
-        # pad previously added rows for the new slack column
-        for r in rows:
-            r.extend([0] * (len(row) - len(r)))
+            # a new slack column: row . x + modulus * t = target
+            for r in rows:
+                r.append(0)
+            row.append(modulus)
         rows.append(row)
         rhs.append(target)
 
@@ -476,7 +447,7 @@ def split_witness(F: CoefficientSystem):
     for n in range(W):
         lam = F.sigma_mat(n)
         rn, rn1 = F.rank(n), F.rank(n + 1)
-        ident = _identity(rn)
+        ident = identity_matrix(rn)
         # (a) rho_n . lam_n = id  (mod orders_n)
         for i in range(rn):
             for j in range(rn):
@@ -647,9 +618,9 @@ class InternalizedSystem(CoefficientSystem):
                      lambda g, n=n: cat.sigma_lower_on_group(
                          g, self.A, self.x, n), "lower")):
                 for g in self.group(n).generators:
-                    lhs = _mm(mat, self.modules[n].act(g))
-                    rhs = _mm(self.modules[n + 1].act(on_group(g)), mat)
-                    if not _rows_congruent(lhs, rhs, self.orders(n + 1)):
+                    lhs = mat_mul(mat, self.modules[n].act(g))
+                    rhs = mat_mul(self.modules[n + 1].act(on_group(g)), mat)
+                    if not rows_congruent(lhs, rhs, self.orders(n + 1)):
                         raise ValueError(
                             f"{tag} suspension not equivariant for the "
                             f"internalized action at level {n}")
@@ -671,19 +642,19 @@ def internalize(F: CoefficientSystem, limit: AbelianizationLimit,
         raise ValueError("abelianization limit was not detected")
 
     def star_word(n, coords):
-        mat = _identity(F.rank(n))
+        mat = identity_matrix(F.rank(n))
         for kk, c in enumerate(coords):
             e = c % factors[kk]
             for _ in range(e):
-                mat = _reduce_rows(_mm(star[n][kk], mat), F.orders(n))
+                mat = reduce_rows(mat_mul(star[n][kk], mat), F.orders(n))
         return mat
 
     mods = []
     for n in range(F.n_max + 1):
         smap = limit.s_maps[n]
         gen_action = {
-            g: _reduce_rows(_mm(F.modules[n].act(g), star_word(n, smap[g])),
-                            F.orders(n))
+            g: reduce_rows(mat_mul(F.modules[n].act(g), star_word(n, smap[g])),
+                           F.orders(n))
             for g in F.group(n).generators}
         mods.append(GModule(F.group(n), F.modules[n].underlying,
                             gen_action, name=f"({F.name})^int_{n}"))
@@ -698,7 +669,7 @@ def constant_system(cat: BracketCategory, A: int, x: int, n_max: int,
                     rank: int = 1, torsion: tuple = ()) -> CoefficientSystem:
     under = FGAbelianGroup(rank - len(torsion), tuple(torsion))
     total = len(under.torsion) + under.free_rank
-    ident = _identity(total)
+    ident = identity_matrix(total)
     mods = []
     for n in range(n_max + 1):
         grp = cat.G.aut(A + n * x)

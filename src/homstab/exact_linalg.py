@@ -98,6 +98,55 @@ class SparseCols:
 
 
 # ------------------------------------------------------------------
+# dense integer matrices (lists of rows) over presented groups: row i
+# lives in Z/orders[i], order 0 meaning Z
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(A, B):
+    """A @ B for rectangular dense integer matrices."""
+    m, k = len(A), len(B)
+    n = len(B[0]) if k else 0
+    out = [[0] * n for _ in range(m)]
+    for i in range(m):
+        Ai = A[i]
+        Oi = out[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                for j in range(n):
+                    if Bt[j]:
+                        Oi[j] += a * Bt[j]
+    return out
+
+
+def reduce_rows(mat, orders):
+    """Copy of mat with row i reduced modulo orders[i]."""
+    return [[x % o for x in row] if o else row[:]
+            for row, o in zip(mat, orders)]
+
+
+def rows_congruent(a, b, orders) -> bool:
+    """a == b with row i compared modulo orders[i]."""
+    for o, ra, rb in zip(orders, a, b):
+        for x, y in zip(ra, rb):
+            d = x - y
+            if (d % o if o else d) != 0:
+                return False
+    return True
+
+
+def relation_columns(orders) -> list[dict[int, int]]:
+    """The relations orders[i] * e_i = 0 of a presented group, as sparse
+    columns in row order (free rows give none)."""
+    return [{i: o} for i, o in enumerate(orders) if o]
+
+
+# ------------------------------------------------------------------
 # Smith normal form (arbitrary precision, with transforms)
 
 
@@ -110,10 +159,6 @@ class SNFResult:
     U: list[list[int]] | None = None       # U @ M @ V = D
     V: list[list[int]] | None = None
     Uinv: list[list[int]] | None = None
-
-
-def _mat_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(mat, transforms: bool = False, verify: bool = False):
@@ -129,9 +174,9 @@ def smith_normal_form(mat, transforms: bool = False, verify: bool = False):
     m = len(dense)
     n = len(dense[0]) if m else 0
     A = [row[:] for row in dense]
-    U = _mat_identity(m) if transforms else None
-    Uinv = _mat_identity(m) if transforms else None
-    V = _mat_identity(n) if transforms else None
+    U = identity_matrix(m) if transforms else None
+    Uinv = identity_matrix(m) if transforms else None
+    V = identity_matrix(n) if transforms else None
 
     def row_op(i, j, q):
         # row_i -= q * row_j ; mirror on U, inverse op on Uinv columns
@@ -273,30 +318,13 @@ def smith_normal_form(mat, transforms: bool = False, verify: bool = False):
     res = SNFResult(factors=factors, rank=rank, nrows=m, ncols=n,
                     U=U, V=V, Uinv=Uinv)
     if verify and transforms:
-        D = _mat_mul(_mat_mul(U, dense), V)
+        D = mat_mul(mat_mul(U, dense), V)
         for i in range(m):
             for j in range(n):
                 want = factors[i] if i == j and i < rank else 0
                 assert D[i][j] == want, "U*M*V != D"
-        assert _mat_mul(U, Uinv) == _mat_identity(m), "U*Uinv != I"
+        assert mat_mul(U, Uinv) == identity_matrix(m), "U*Uinv != I"
     return res
-
-
-def _mat_mul(A, B):
-    m, k = len(A), len(B)
-    n = len(B[0]) if k else 0
-    out = [[0] * n for _ in range(m)]
-    for i in range(m):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(n):
-                    if Bt[j]:
-                        Oi[j] += a * Bt[j]
-    return out
 
 
 # ------------------------------------------------------------------
@@ -721,7 +749,7 @@ def classify_induced(M, src_orders, dst_orders) -> dict:
     ns = len(src_orders)
     # [M | R_dst]: the map's columns, then the codomain relations
     cols = [{i: M[i][j] for i in range(nd) if M[i][j]} for j in range(ns)]
-    cols += [{i: d} for i, d in enumerate(dst_orders) if d]
+    cols += relation_columns(dst_orders)
     wide = SparseCols(nd, cols)
     # epi: [M | R_dst] must span Z^nd
     snf = smith_normal_form(wide) if nd else SNFResult([], 0, 0, 0)

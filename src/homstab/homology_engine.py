@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact_linalg import (
     FGAbelianGroup,
@@ -35,8 +34,13 @@ from .exact_linalg import (
     classify_induced,
     fgab_from_factors,
     homology_of_pair,
+    identity_matrix,
     induced_matrix,
     kernel_columns,
+    mat_mul,
+    reduce_rows,
+    relation_columns,
+    rows_congruent,
     smith_normal_form,
     span_columns,
 )
@@ -116,37 +120,14 @@ class GModule:
         for g in group.generators:
             if g not in self.gen_action:
                 raise ValueError("action matrix missing for a generator")
-        self._act_cache: dict = {group.identity: self._identity_matrix()}
+        self._act_cache: dict = {group.identity: identity_matrix(self.rank)}
         self._right_cache: dict = {}
         self._words = None
 
     # -- presentation helpers
 
-    def _identity_matrix(self):
-        return [[1 if i == j else 0 for j in range(self.rank)]
-                for i in range(self.rank)]
-
-    def _reduce(self, mat):
-        out = []
-        for i, row in enumerate(mat):
-            o = self.orders[i]
-            out.append([x % o for x in row] if o else row[:])
-        return out
-
-    def _mat_mul(self, a, b):
-        r = self.rank
-        prod = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)]
-                for i in range(r)]
-        return self._reduce(prod)
-
-    def congruent(self, a, b) -> bool:
-        for i in range(self.rank):
-            o = self.orders[i]
-            for j in range(self.rank):
-                d = a[i][j] - b[i][j]
-                if (d % o if o else d) != 0:
-                    return False
-        return True
+    def _product(self, a, b):
+        return reduce_rows(mat_mul(a, b), self.orders)
 
     # -- the action
 
@@ -159,9 +140,10 @@ class GModule:
             self._words = self.group.generator_words()
         gens = self.group.generators
         # words are generator-index tuples with g = s_{w_1} ... s_{w_k}
-        mat = self._identity_matrix()
+        mat = identity_matrix(self.rank)
         for gi in self._words[g]:
-            mat = self._mat_mul(mat, self._reduce(self.gen_action[gens[gi]]))
+            mat = self._product(
+                mat, reduce_rows(self.gen_action[gens[gi]], self.orders))
         self._act_cache[g] = mat
         return mat
 
@@ -187,9 +169,9 @@ class GModule:
         homomorphism: act(s) act(g) = act(s g) for every element g and
         generator s.  That is |G| |S| products and exhaustive: induction
         on the word length of h gives act(h) act(g) = act(h g)."""
-        ident = self._identity_matrix()
+        ident = identity_matrix(self.rank)
         for s in self.group.generators:
-            m = self._reduce(self.gen_action[s])
+            m = reduce_rows(self.gen_action[s], self.orders)
             # relation columns must be preserved: o_j * (col j) = 0 in M
             for j, oj in enumerate(self.orders):
                 if not oj:
@@ -199,14 +181,16 @@ class GModule:
                     if (v % oi if oi else v) != 0:
                         raise ValueError(
                             "action does not descend to the presentation")
-            if not self.congruent(self._mat_mul(m, self.act(self.group.inv(s))),
-                                  ident):
+            if not rows_congruent(
+                    self._product(m, self.act(self.group.inv(s))), ident,
+                    self.orders):
                 raise ValueError("generator action is not invertible")
         for g in self.group.elements:
             mg = self.act(g)
             for s in self.group.generators:
-                lhs = self._mat_mul(self.act(s), mg)
-                if not self.congruent(lhs, self.act(self.group.mul(s, g))):
+                lhs = self._product(self.act(s), mg)
+                if not rows_congruent(lhs, self.act(self.group.mul(s, g)),
+                                      self.orders):
                     raise ValueError("action is not a homomorphism")
 
     def content_hash(self) -> str:
@@ -223,8 +207,7 @@ class GModule:
 def trivial_module(group: FiniteGroup, rank: int = 1,
                    torsion: tuple = ()) -> GModule:
     under = FGAbelianGroup(rank - len(torsion), tuple(torsion))
-    n = rank
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    ident = identity_matrix(rank)
     return GModule(group, under,
                    {g: ident for g in group.generators}, name="trivial")
 
@@ -336,10 +319,7 @@ def _cokernel(columns, dim) -> FGAbelianGroup:
 
 def coinvariants(M: GModule) -> FGAbelianGroup:
     """M_G = M / span{g.m - m}, computed from group generators."""
-    cols = []
-    for j, o in enumerate(M.orders):
-        if o:
-            cols.append({j: o})
+    cols = relation_columns(M.orders)
     for g in M.group.generators:
         mat = M.act(g)
         for j in range(M.rank):
@@ -354,16 +334,57 @@ def coinvariants(M: GModule) -> FGAbelianGroup:
 
 
 # ----------------------------------------------------------------------
-# the normalized bar complex
+# presented chain complexes: the bar complex and the mapping cone
 
 
-class BarComplex:
+class PresentedComplex:
+    """A chain complex whose level i is the abelian group presented on
+    level_size[i] generators, row r of order row_orders(i)[r] (0 = Z).
+
+    Subclasses give level_size, boundary(i) and row_orders(i); the
+    relations, the d^2 check and homology all come from those.  Homology
+    is the subquotient {v : d v in relations} / (im d + relations).
+    """
+
+    kind = "complex"
+
+    def homology(self, i) -> Subquotient:
+        d_out = self.boundary(i) if i >= 1 else SparseCols.zero(
+            0, self.level_size[0])
+        d_in = self.boundary(i + 1)
+        rel_out = []
+        if i >= 1:
+            orders_out = self.row_orders(i - 1)
+            if not _composite_vanishes(d_out, d_in, orders_out):
+                raise AssertionError(f"{self.kind}: d^2 != 0")
+            rel_out = relation_columns(orders_out)
+        return presented_subquotient(d_out, d_in, rel_out,
+                                     relation_columns(self.row_orders(i)))
+
+
+def _composite_vanishes(d_out: SparseCols, d_in: SparseCols,
+                        orders) -> bool:
+    """d_out o d_in == 0 modulo the relations orders[r] * e_r of the
+    target level."""
+    comp = d_out.compose(d_in)
+    if not any(orders):
+        return comp.is_zero()
+    for col in comp.cols:
+        for r, v in col.items():
+            o = orders[r]
+            if (v % o if o else v) != 0:
+                return False
+    return True
+
+
+class BarComplex(PresentedComplex):
     """Normalized bar complex of (G, M) up to a requested level.
 
-    Levels are free Z-modules on (module generator, bar tuple) pairs with
-    the module's torsion relations tracked separately; homology is the
-    subquotient {v : d v in relations} / (im d + relations).
+    Level i is generated by (bar tuple, module generator) pairs: row
+    t * rank + j has the order of module generator j.
     """
+
+    kind = "bar complex"
 
     def __init__(self, M: GModule, top: int, budget: BarBudget):
         self.M = M
@@ -397,6 +418,9 @@ class BarComplex:
         for g in bar:
             t = t * g1 + self.pos[g]
         return t
+
+    def row_orders(self, i):
+        return self.M.orders * len(self.nontriv) ** i
 
     def boundary(self, i) -> SparseCols:
         """d_i : C_i -> C_{i-1} as a SparseCols matrix."""
@@ -446,48 +470,6 @@ class BarComplex:
         d = SparseCols(self.level_size[i - 1], cols)
         self._boundaries[i] = d
         return d
-
-    def relation_columns(self, i):
-        """Torsion relations of level i as sparse columns."""
-        out = []
-        if all(o == 0 for o in self.M.orders):
-            return out
-        rank = self.M.rank
-        for t in range(self.level_size[i] // rank):
-            for j, o in enumerate(self.M.orders):
-                if o:
-                    out.append({t * rank + j: o})
-        return out
-
-    def homology(self, i) -> Subquotient:
-        if i == 0:
-            d1 = self.boundary(1) if self.top >= 1 else SparseCols.zero(
-                self.level_size[0], 0)
-            return presented_subquotient(
-                SparseCols.zero(0, self.level_size[0]), d1,
-                [], self.relation_columns(0))
-        d_out = self.boundary(i)
-        d_in = self.boundary(i + 1)
-        if not _composite_vanishes(d_out, d_in, self.M.orders, self.M.rank):
-            raise AssertionError("bar complex: d^2 != 0")
-        return presented_subquotient(
-            d_out, d_in,
-            self.relation_columns(i - 1), self.relation_columns(i))
-
-
-def _composite_vanishes(d_out: SparseCols, d_in: SparseCols,
-                        orders, rank) -> bool:
-    """d_out o d_in == 0 modulo the torsion relations of the target level
-    (row r belongs to module generator r % rank)."""
-    comp = d_out.compose(d_in)
-    if all(o == 0 for o in orders):
-        return comp.is_zero()
-    for col in comp.cols:
-        for r, v in col.items():
-            o = orders[r % rank]
-            if (v % o if o else v) != 0:
-                return False
-    return True
 
 
 def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
@@ -555,9 +537,9 @@ class StabilizationSetup:
         assert len(set(self.phi.values())) == len(self.phi), \
             "phi is not injective"
         for g in Gs.generators:
-            lhs = _rect_mul(self.s_matrix, self.small.act(g))
-            rhs = _rect_mul(self.big.act(self.phi[g]), self.s_matrix)
-            if not _rect_congruent(lhs, rhs, self.big.orders):
+            lhs = mat_mul(self.s_matrix, self.small.act(g))
+            rhs = mat_mul(self.big.act(self.phi[g]), self.s_matrix)
+            if not rows_congruent(lhs, rhs, self.big.orders):
                 raise ValueError("s is not equivariant over phi")
 
     def chain_map(self, i, cx_small: BarComplex,
@@ -578,21 +560,16 @@ class StabilizationSetup:
         return SparseCols(cx_big.level_size[i], cols)
 
 
-def _rect_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    colsn = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner))
-             for j in range(colsn)] for i in range(rows)]
-
-
-def _rect_congruent(a, b, row_orders):
-    for i, o in enumerate(row_orders):
-        for x, y in zip(a[i], b[i]):
-            d = x - y
-            if (d % o if o else d) != 0:
-                return False
-    return True
+def _stabilization_verdict(M, hs: Subquotient, hb: Subquotient) -> dict:
+    """Epi/iso verdict of the induced map M : hs -> hb."""
+    verdict = classify_induced(M, hs.gen_orders(), hb.gen_orders())
+    return {
+        "is_epi": verdict["is_epi"],
+        "is_iso": verdict["is_iso"],
+        "source": hs.group,
+        "target": hb.group,
+        "matrix": M,
+    }
 
 
 def stabilization_status(setup: StabilizationSetup, i: int,
@@ -605,18 +582,10 @@ def stabilization_status(setup: StabilizationSetup, i: int,
     hs = cx_s.homology(i)
     hb = cx_b.homology(i)
     f = setup.chain_map(i, cx_s, cx_b)
-    M = induced_matrix(f, hs, hb)
-    verdict = classify_induced(M, hs.gen_orders(), hb.gen_orders())
-    return {
-        "is_epi": verdict["is_epi"],
-        "is_iso": verdict["is_iso"],
-        "source": hs.group,
-        "target": hb.group,
-        "matrix": M,
-    }
+    return _stabilization_verdict(induced_matrix(f, hs, hb), hs, hb)
 
 
-class MappingCone:
+class MappingCone(PresentedComplex):
     """Cone of the bar-level chain map of a StabilizationSetup.
 
     Cone_i = C_{i-1}(small) (+) C_i(big), d(x, y) = (-dx, f(x) + dy).
@@ -624,26 +593,32 @@ class MappingCone:
     reads the bar levels up to i + 1, so `top` = i + 1 suffices.
     """
 
+    kind = "mapping cone"
+
     def __init__(self, setup: StabilizationSetup, top: int,
                  budget: BarBudget):
         self.setup = setup
         self.cx_s = BarComplex(setup.small, top, budget)
         self.cx_b = BarComplex(setup.big, top, budget)
         self.top = top
+        self.level_size = [self.offset(i) + self.cx_b.level_size[i]
+                           for i in range(top + 1)]
 
-    def level_size(self, i):
-        small = self.cx_s.level_size[i - 1] if i >= 1 else 0
-        return small + self.cx_b.level_size[i]
+    def offset(self, i):
+        """Rows of the small summand C_{i-1}(small) in Cone_i."""
+        return self.cx_s.level_size[i - 1] if i >= 1 else 0
+
+    def row_orders(self, i):
+        small = self.cx_s.row_orders(i - 1) if i >= 1 else []
+        return small + self.cx_b.row_orders(i)
 
     def boundary(self, i) -> SparseCols:
-        ns_out = self.cx_s.level_size[i - 2] if i >= 2 else 0
-        nrows = self.level_size(i - 1)
+        ns_out = self.offset(i - 1)
         cols = []
-        f = self.setup.chain_map(i - 1, self.cx_s, self.cx_b) if i >= 1 \
-            else None
-        ds = self.cx_s.boundary(i - 1) if i >= 2 else None
         db = self.cx_b.boundary(i)
         if i >= 1:
+            f = self.setup.chain_map(i - 1, self.cx_s, self.cx_b)
+            ds = self.cx_s.boundary(i - 1) if i >= 2 else None
             for c in range(self.cx_s.level_size[i - 1]):
                 col = {}
                 if ds is not None:
@@ -654,42 +629,7 @@ class MappingCone:
                 cols.append(col)
         for c in range(self.cx_b.level_size[i]):
             cols.append({ns_out + r: v for r, v in db.cols[c].items()})
-        return SparseCols(nrows, cols)
-
-    def relation_columns(self, i):
-        out = []
-        off = self.cx_s.level_size[i - 1] if i >= 1 else 0
-        if i >= 1:
-            out.extend(self.cx_s.relation_columns(i - 1))
-        for r in self.cx_b.relation_columns(i):
-            out.append({off + k: v for k, v in r.items()})
-        return out
-
-    def _composite_vanishes(self, d_out, d_in, target_level) -> bool:
-        ms, mb = self.setup.small, self.setup.big
-        if all(o == 0 for o in ms.orders) and all(o == 0 for o in mb.orders):
-            return d_out.compose(d_in).is_zero()
-        off = self.cx_s.level_size[target_level - 1] \
-            if target_level >= 1 else 0
-        comp = d_out.compose(d_in)
-        for col in comp.cols:
-            for r, v in col.items():
-                o = ms.orders[r % ms.rank] if r < off \
-                    else mb.orders[(r - off) % mb.rank]
-                if (v % o if o else v) != 0:
-                    return False
-        return True
-
-    def homology(self, i) -> Subquotient:
-        d_out = self.boundary(i) if i >= 1 else SparseCols.zero(
-            0, self.level_size(0))
-        d_in = self.boundary(i + 1)
-        if i >= 1 and not self._composite_vanishes(d_out, d_in, i - 1):
-            raise AssertionError("mapping cone: d^2 != 0")
-        return presented_subquotient(
-            d_out, d_in,
-            self.relation_columns(i - 1) if i >= 1 else [],
-            self.relation_columns(i))
+        return SparseCols(self.level_size[i - 1], cols)
 
 
 def relative_homology(setup: StabilizationSetup, i: int,
@@ -714,9 +654,8 @@ def exactness_defect(g_mat, f_mat, orders_a, orders_b, orders_c
     f_cols = [{i: f_mat[i][j] for i in range(nb) if f_mat[i][j]}
               for j in range(na)]
     d_in = SparseCols(nb, f_cols)
-    rel_out = [{i: o} for i, o in enumerate(orders_c) if o]
-    rel_here = [{i: o} for i, o in enumerate(orders_b) if o]
-    return presented_subquotient(d_out, d_in, rel_out, rel_here).group
+    return presented_subquotient(d_out, d_in, relation_columns(orders_c),
+                                 relation_columns(orders_b)).group
 
 
 def les_exact_at_rel(setup: StabilizationSetup, i: int,
@@ -725,7 +664,9 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     at the Rel_i and H_{i-1}(small) nodes, plus j o f = 0 at H_i(big).
 
     Returns the computed groups and per-node defects (all trivial iff the
-    long exact sequence holds at these nodes).
+    long exact sequence holds at these nodes), together with the verdict
+    of stabilization_status read from the same induced map f_*:
+    is_epi, is_iso, source, target and matrix.
     """
     budget = budget or BarBudget()
     cone = MappingCone(setup, i + 1, budget)
@@ -737,9 +678,9 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     h_s_i = cx_s.homology(i)
 
     # j: C_i(big) -> Cone_i is the inclusion into the second summand
-    off = cx_s.level_size[i - 1] if i >= 1 else 0
+    off = cone.offset(i)
     j_cols = [{off + c: 1} for c in range(cx_b.level_size[i])]
-    j_amb = SparseCols(cone.level_size(i), j_cols)
+    j_amb = SparseCols(cone.level_size[i], j_cols)
     Mj = induced_matrix(j_amb, h_b_i, rel_i)
 
     f_amb = setup.chain_map(i, cx_s, cx_b)
@@ -749,6 +690,7 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
         "H_i_small": h_s_i.group, "H_i_big": h_b_i.group,
         "Rel_i": rel_i.group,
         "defects": {},
+        **_stabilization_verdict(Mf, h_s_i, h_b_i),
     }
     # exactness at H_i(big): ker j = im f
     out["defects"]["at_H_i_big"] = exactness_defect(
@@ -756,7 +698,7 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     if i >= 1:
         # connecting map: Cone_i -> C_{i-1}(small) is (x, y) |-> x
         d_cols = []
-        for c in range(cone.level_size(i)):
+        for c in range(cone.level_size[i]):
             d_cols.append({c: 1} if c < off else {})
         d_amb = SparseCols(cx_s.level_size[i - 1], d_cols)
         Md = induced_matrix(d_amb, rel_i, h_s_im1)

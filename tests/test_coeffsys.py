@@ -10,8 +10,8 @@ from homstab.coeffsys import (
     degree_profile, split_witness, split_degree_profile,
     abelianization_limit, abelian_constant_system, internalize,
     InternalizedSystem, BurauSystem, presented_abelianization,
-    _mm, _identity,
 )
+from homstab.exact_linalg import identity_matrix, mat_mul
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,8 @@ def test_standard_sigma_naturality(sym_cat, std):
         for g in std.group(n).generators:
             tw = std.modules[n + 1].act(
                 sym_cat.sigma_lower_on_group(g, 0, 1, n))
-            assert _mm(tw, lam) == _mm(lam, std.modules[n].act(g)), (n, g)
+            assert mat_mul(tw, lam) == mat_mul(
+                lam, std.modules[n].act(g)), (n, g)
 
 
 def test_standard_kernel_trivial(std):
@@ -88,7 +89,7 @@ def test_split_witness_standard(std):
     w = split_witness(std)
     assert w is not None
     for n, rho in enumerate(w):
-        assert _mm(rho, std.sigma_mat(n)) == _identity(std.rank(n))
+        assert mat_mul(rho, std.sigma_mat(n)) == identity_matrix(std.rank(n))
     sdp = split_degree_profile(std, 2, 0)
     assert (sdp.status, sdp.r, sdp.N) == ("ok", 1, 0)
 
@@ -179,3 +180,23 @@ def test_braid_abelianization():
 def test_stabilization_setup_verifies(std):
     for n in range(std.n_max):
         std.stabilization_setup(n).verify()
+
+
+@pytest.mark.parametrize("cat_name", ["sym_cat", "gl2_cat"])
+def test_split_witness_constant_with_torsion(request, cat_name):
+    # Z + Z/2: the modular equations add slack columns, which the later
+    # integral equations must be as wide as
+    from homstab.exact_linalg import reduce_rows, rows_congruent
+    cat = request.getfixturevalue(cat_name)
+    C = constant_system(cat, 0, 1, 2, rank=2, torsion=(2,))
+    w = split_witness(C)
+    assert w is not None and len(w) == 2
+    for n, rho in enumerate(w):
+        orders = C.orders(n)
+        assert rows_congruent(mat_mul(rho, C.sigma_mat(n)),
+                              identity_matrix(C.rank(n)), orders)
+        for g in C.group(n).generators:
+            tw = C.modules[n + 1].act(cat.sigma_lower_on_group(g, 0, 1, n))
+            assert rows_congruent(
+                reduce_rows(mat_mul(rho, tw), orders),
+                mat_mul(C.modules[n].act(g), rho), orders)

@@ -283,3 +283,69 @@ def test_relative_homology_reads_levels_up_to_i_plus_1():
     les = les_exact_at_rel(setup, 1, budget)
     assert les["exact"]
     assert str(les["Rel_i"]) == str(rel)
+
+
+@pytest.mark.parametrize("coeff", ["constant", "constant_torsion",
+                                   "standard"])
+def test_les_pass_matches_separate_calls(sym_cat, coeff):
+    # the verdict and Rel_i that les_exact_at_rel returns agree with
+    # stabilization_status and relative_homology, on every cell of
+    # Sym(n) -> Sym(n + 1) with n <= 3, i <= 1
+    from homstab.coeffsys import constant_system, standard_system
+    from homstab.homology_engine import (les_exact_at_rel,
+                                         relative_homology,
+                                         stabilization_status)
+    system = {
+        "constant": lambda: constant_system(sym_cat, 0, 1, 4),
+        "constant_torsion": lambda: constant_system(
+            sym_cat, 0, 1, 4, rank=2, torsion=(2,)),
+        "standard": lambda: standard_system(sym_cat, 0, 4),
+    }[coeff]()
+    for n in range(4):
+        setup = system.stabilization_setup(n)
+        setup.verify()
+        for i in range(2):
+            les = les_exact_at_rel(setup, i)
+            st = stabilization_status(setup, i)
+            assert les["exact"], (n, i)
+            for key in ("is_epi", "is_iso", "matrix"):
+                assert les[key] == st[key], (n, i, key)
+            for key in ("source", "target"):
+                assert str(les[key]) == str(st[key]), (n, i, key)
+            assert str(les["Rel_i"]) == str(relative_homology(setup, i))
+
+
+def test_mapping_cone_rejects_non_equivariant_map():
+    # trivial Z on Sym(2) -> sign module on Sym(3) with s = 1 commutes
+    # with no transposition, so the cone's d1 d2 is nonzero
+    from dataclasses import replace
+    from homstab.bracket import BracketCategory
+    from homstab.coeffsys import constant_system
+    from homstab.groupoids import make_symmetric
+    from homstab.homology_engine import MappingCone
+    setup = constant_system(BracketCategory(make_symmetric()), 0, 1, 3
+                            ).stabilization_setup(2)
+    setup.verify()
+    big = sign_module(setup.big.group,
+                      lambda g: 1 if _perm_sign(g) > 0 else -1)
+    bad = replace(setup, big=big)
+    with pytest.raises(ValueError, match="not equivariant"):
+        bad.verify()
+    with pytest.raises(AssertionError, match=r"d\^2 != 0"):
+        MappingCone(bad, 2, BarBudget()).homology(1)
+
+
+def test_z4_sign_module_d2_vanishes_only_mod_4():
+    # Sym(2) acting on Z/4 by -1, reduced to [[3]]: d1 d2 is 8 over Z and
+    # 0 in Z/4; H_i(C_2; Z/4 twisted) is Z/2 for i = 0, 1, 2
+    from homstab.exact_linalg import FGAbelianGroup
+    from homstab.homology_engine import GModule
+    G = symmetric_group(2)
+    (s,) = G.generators
+    M = GModule(G, FGAbelianGroup(0, (4,)), {s: [[-1]]})
+    M.verify_action()
+    assert M.act(s) == [[3]]
+    cx = BarComplex(M, 3, BarBudget())
+    assert cx.boundary(1).compose(cx.boundary(2)).cols == [{0: 8}]
+    assert [str(cx.homology(i).group) for i in range(3)] == ["Z/2"] * 3
+    assert str(bar_homology(M, 1)) == "Z/2"

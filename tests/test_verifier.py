@@ -208,3 +208,26 @@ def test_custom_coeff_loader_rejects_broken_relation(tmp_path, sym_cat):
                n_max=3)
     with pytest.raises(ValueError, match="not a homomorphism"):
         run_degree(cfg)
+
+
+def test_cli_flags_per_subcommand():
+    from homstab.cli import build_parser
+    parser = build_parser()
+    args = parser.parse_args(["stability", "--config", "c.json",
+                              "--jobs", "2", "--budget-cells", "10"])
+    assert (args.jobs, args.budget_cells) == (2, 10)
+    args = parser.parse_args(["homology", "--config", "c.json",
+                              "--cache-dir", "d", "--jobs", "2"])
+    assert (args.cache_dir, args.jobs) == ("d", 2)
+    for argv in (["stability", "--cache-dir", "d"],
+                 ["degree", "--jobs", "2"],
+                 ["verify-axioms", "--budget-cells", "10"],
+                 ["homology", "--seed", "1"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv[:1] + ["--config", "c.json"] + argv[1:])
+
+
+def test_config_seed_is_hashed_not_read():
+    cfg = _cfg()
+    assert not hasattr(cfg, "seed")
+    assert config_hash(cfg) != config_hash(_cfg(seed=1))
