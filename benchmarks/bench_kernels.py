@@ -38,9 +38,8 @@ def workloads():
     yield "boundary-like 1000x3000, nnz 3", random_sparse(1000, 3000, 3)
 
     from homstab.groups import symmetric_group
-    from homstab.homology_engine import trivial_module, BarComplex, BarBudget
-    bc = BarComplex(trivial_module(symmetric_group(5)), 2, BarBudget())
-    d2 = bc.boundary(2)
+    from homstab.homology_engine import trivial_module, resolve, BarBudget
+    d2 = resolve(trivial_module(symmetric_group(5)), BarBudget()).boundary(2)
     yield "bar d2 of S5 (trivial Z)", (d2.nrows, d2.cols)
 
 

@@ -1,8 +1,9 @@
 """Command-line verifier.
 
 Subcommands: verify-axioms, connectivity, homology, degree, stability.
-Exit codes: 0 all checks clean; 2 at least one violation or failed
-check; 3 budget-starved (some cells skipped, no violations).
+Exit codes: 0 all checks clean; 1 the config or the run is invalid (one
+line "homstab: error: <message>" on stderr); 2 at least one violation or
+failed check; 3 budget-starved (some cells skipped, no violations).
 """
 
 from __future__ import annotations
@@ -32,29 +33,32 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget-cells", type=int, default=None,
                            help="override budgets.bar_cells from the "
                                 "config")
-        if name == "homology":
-            p.add_argument("--cache-dir", default=None,
-                           help="directory for the homology cache")
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> dict:
     cfg = verifier.load_config(args.config)
     if getattr(args, "budget_cells", None) is not None:
         cfg.budgets["bar_cells"] = args.budget_cells
         cfg.raw.setdefault("budgets", {})["bar_cells"] = args.budget_cells
     if args.command == "verify-axioms":
-        report = verifier.run_axioms(cfg)
-    elif args.command == "connectivity":
-        report = verifier.run_connectivity(cfg)
-    elif args.command == "homology":
-        report = verifier.run_homology(cfg, cache_dir=args.cache_dir,
-                                       jobs=args.jobs)
-    elif args.command == "degree":
-        report = verifier.run_degree(cfg)
-    else:
-        report = verifier.run_stability(cfg, jobs=args.jobs)
+        return verifier.run_axioms(cfg)
+    if args.command == "connectivity":
+        return verifier.run_connectivity(cfg)
+    if args.command == "homology":
+        return verifier.run_homology(cfg, jobs=args.jobs)
+    if args.command == "degree":
+        return verifier.run_degree(cfg)
+    return verifier.run_stability(cfg, jobs=args.jobs)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        report = _run(args)
+    except (ValueError, OSError) as exc:
+        print(f"homstab: error: {exc}", file=sys.stderr)
+        return 1
     verifier.report_emit(report, args.format)
     return verifier.exit_code(report)
 

@@ -336,6 +336,16 @@ def _trivial_from(F) -> int | None:
     return t
 
 
+def _check_window(n_max: int, r_max: int, N_max: int) -> None:
+    """A degree bound (r_max, N_max) needs n_max >= N_max + r_max + 1."""
+    need = N_max + max(r_max, 0) + 1
+    if n_max < need:
+        raise ValueError(
+            f"window too small for the requested degree bound: n_max "
+            f"{n_max} < N_max + r_max + 1 = {need}; lower r_max or raise "
+            f"n_max")
+
+
 def degree_profile(F, r_max: int, N_max: int) -> DegreeProfile:
     """Degree (r, N) of a coefficient system, computed recursively:
     degree -1 means vanishing from N on; otherwise ker sigma_X must
@@ -346,8 +356,7 @@ def degree_profile(F, r_max: int, N_max: int) -> DegreeProfile:
     """
     if hasattr(F, "degree_profile"):
         return F.degree_profile(r_max, N_max)
-    if F.n_max < N_max + max(r_max, 0) + 1:
-        raise ValueError("window too small for the requested degree bound")
+    _check_window(F.n_max, r_max, N_max)
     t = _trivial_from(F)
     if t is not None and t <= N_max:
         return DegreeProfile("ok", -1, t, F.n_max)
@@ -482,8 +491,7 @@ def split_degree_profile(F, r_max: int, N_max: int) -> DegreeProfile:
     if hasattr(F, "degree_profile"):
         # structural Laurent systems certify splitness along the way
         return F.degree_profile(r_max, N_max)
-    if F.n_max < N_max + max(r_max, 0) + 1:
-        raise ValueError("window too small for the requested degree bound")
+    _check_window(F.n_max, r_max, N_max)
     t = _trivial_from(F)
     if t is not None and t <= N_max:
         return DegreeProfile("ok", -1, t, F.n_max)
@@ -868,9 +876,7 @@ class BurauSystem:
         """Degree within the structural fragment: sigma_X components are
         eliminated with unit pivots; the cokernel tower must become a
         system of isomorphisms (constant-like) within two steps."""
-        if self.n_max < N_max + max(r_max, 0) + 1:
-            raise ValueError("window too small for the requested degree "
-                             "bound")
+        _check_window(self.n_max, r_max, N_max)
         if all(self.module_trivial(n) for n in range(N_max, self.n_max + 1)):
             return DegreeProfile("ok", -1, N_max, self.n_max)
         if r_max < 0:

@@ -105,10 +105,6 @@ class BraidedGroupoidInstance:
     def identity(self, n: int):
         return self.aut(n).identity
 
-    def key(self) -> str:
-        """Stable identifier used for caches."""
-        return self.name
-
 
 class SymmetricGroupoid(BraidedGroupoidInstance):
     symmetric_flag = True

@@ -5,6 +5,11 @@ finitely generated Z[G]-module, plus the plumbing the stability verifier
 needs: coinvariants, induced modules, stabilization chain maps, and
 relative homology as a mapping cone.
 
+Every caller takes its complex from `resolve(M, budget)`, which keeps one
+bar complex per module and budget.  Its levels are built on first use,
+each after one budget check, and its boundaries and homology groups are
+kept, so neighbouring grid cells that resolve the same module share them.
+
 Conventions (fixed once, and d^2 = 0 is asserted on every assembled
 complex so a sign slip cannot pass silently):
 
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 
 from .exact_linalg import (
@@ -62,7 +66,8 @@ class BarBudget:
 
     max_cells bounds the basis size of any single chain level (in the
     normalized complex).  The degree/order guards refuse expensive
-    homological degrees for large groups unless explicitly raised.
+    homological degrees for large groups unless explicitly raised; chain
+    level i is first read by homology in degree i - 1.
     """
 
     max_cells: int = 2_000_000
@@ -73,7 +78,10 @@ class BarBudget:
     def __post_init__(self):
         assert self.max_cells > 0 and self.max_degree > 0
 
-    def check(self, group_order: int, rank: int, degree: int) -> None:
+    def check(self, group_order: int, rank: int, level: int) -> None:
+        """Refuse to build bar chain level `level` of a rank-`rank` module
+        over a group of order `group_order`."""
+        degree = level - 1
         if degree > self.max_degree:
             raise BarBudgetExceeded(
                 f"homological degree {degree} exceeds max_degree "
@@ -86,12 +94,11 @@ class BarBudget:
             raise BarBudgetExceeded(
                 f"|G| = {group_order} > {self.order_limit_deg3} refused at "
                 f"degree {degree}", estimate=group_order)
-        # largest level consulted for H_degree is degree + 1
-        worst = rank * max(1, (group_order - 1)) ** (degree + 1)
-        if worst > self.max_cells:
+        cells = rank * max(1, (group_order - 1)) ** level
+        if cells > self.max_cells:
             raise BarBudgetExceeded(
-                f"chain level {degree + 1} needs {worst} cells "
-                f"(> {self.max_cells})", estimate=worst)
+                f"chain level {level} needs {cells} cells "
+                f"(> {self.max_cells})", estimate=cells)
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +130,7 @@ class GModule:
         self._act_cache: dict = {group.identity: identity_matrix(self.rank)}
         self._right_cache: dict = {}
         self._words = None
+        self._complexes: dict = {}      # BarBudget -> BarComplex, see resolve
 
     # -- presentation helpers
 
@@ -339,27 +347,35 @@ def coinvariants(M: GModule) -> FGAbelianGroup:
 
 class PresentedComplex:
     """A chain complex whose level i is the abelian group presented on
-    level_size[i] generators, row r of order row_orders(i)[r] (0 = Z).
+    level_size(i) generators, row r of order row_orders(i)[r] (0 = Z).
 
-    Subclasses give level_size, boundary(i) and row_orders(i); the
+    Subclasses give level_size(i), boundary(i) and row_orders(i); the
     relations, the d^2 check and homology all come from those.  Homology
-    is the subquotient {v : d v in relations} / (im d + relations).
+    is the subquotient {v : d v in relations} / (im d + relations), and
+    is kept per degree.
     """
 
     kind = "complex"
 
+    def __init__(self):
+        self._homology: dict[int, Subquotient] = {}
+
     def homology(self, i) -> Subquotient:
-        d_out = self.boundary(i) if i >= 1 else SparseCols.zero(
-            0, self.level_size[0])
+        if i in self._homology:
+            return self._homology[i]
+        # level i + 1 first: it is the larger one, which a budget refuses
         d_in = self.boundary(i + 1)
+        d_out = self.boundary(i) if i >= 1 else SparseCols.zero(
+            0, self.level_size(0))
         rel_out = []
         if i >= 1:
             orders_out = self.row_orders(i - 1)
             if not _composite_vanishes(d_out, d_in, orders_out):
                 raise AssertionError(f"{self.kind}: d^2 != 0")
             rel_out = relation_columns(orders_out)
-        return presented_subquotient(d_out, d_in, rel_out,
-                                     relation_columns(self.row_orders(i)))
+        h = presented_subquotient(d_out, d_in, rel_out,
+                                  relation_columns(self.row_orders(i)))
+        return self._homology.setdefault(i, h)
 
 
 def _composite_vanishes(d_out: SparseCols, d_in: SparseCols,
@@ -378,31 +394,27 @@ def _composite_vanishes(d_out: SparseCols, d_in: SparseCols,
 
 
 class BarComplex(PresentedComplex):
-    """Normalized bar complex of (G, M) up to a requested level.
+    """Normalized bar complex of (G, M); take it from `resolve`.
 
     Level i is generated by (bar tuple, module generator) pairs: row
-    t * rank + j has the order of module generator j.
+    t * rank + j has the order of module generator j.  Level i is built
+    by the first boundary(i), after the budget admits it.
     """
 
     kind = "bar complex"
 
-    def __init__(self, M: GModule, top: int, budget: BarBudget):
+    def __init__(self, M: GModule, budget: BarBudget):
+        super().__init__()
         self.M = M
         self.G = M.group
-        self.top = top
         self.budget = budget
-        g1 = self.G.order - 1
-        budget.check(self.G.order, M.rank, max(1, top - 1))
         self.nontriv = [g for g in self.G.elements
                         if g != self.G.identity]
         self.pos = {g: i for i, g in enumerate(self.nontriv)}
-        self.level_size = [M.rank * g1 ** i for i in range(top + 1)]
-        for i, sz in enumerate(self.level_size):
-            if sz > budget.max_cells:
-                raise BarBudgetExceeded(
-                    f"chain level {i} needs {sz} cells "
-                    f"(> {budget.max_cells})", estimate=sz)
         self._boundaries: dict[int, SparseCols] = {}
+
+    def level_size(self, i) -> int:
+        return self.M.rank * len(self.nontriv) ** i
 
     def _tuples(self, i):
         if i == 0:
@@ -426,8 +438,9 @@ class BarComplex(PresentedComplex):
         """d_i : C_i -> C_{i-1} as a SparseCols matrix."""
         if i in self._boundaries:
             return self._boundaries[i]
-        if i == 0 or i > self.top:
+        if i < 1:
             raise ValueError("boundary index out of range")
+        self.budget.check(self.G.order, self.M.rank, level=i)
         rank = self.M.rank
         ident = self.G.identity
         cols = []
@@ -435,7 +448,7 @@ class BarComplex(PresentedComplex):
             base = []
             # structural terms shared by all module generators
             sign = -1 if i % 2 else 1
-            tail_idx = self.tuple_index(bar[:-1]) if i >= 1 else 0
+            tail_idx = self.tuple_index(bar[:-1])
             for j in range(rank):
                 col: dict[int, int] = {}
                 # leading face: twist the module by g1
@@ -467,9 +480,17 @@ class BarComplex(PresentedComplex):
                     col.pop(k, None)
                 base.append(col)
             cols.extend(base)
-        d = SparseCols(self.level_size[i - 1], cols)
-        self._boundaries[i] = d
-        return d
+        d = SparseCols(self.level_size(i - 1), cols)
+        return self._boundaries.setdefault(i, d)
+
+
+def resolve(M: GModule, budget: BarBudget) -> BarComplex:
+    """The one bar complex of M under budget, kept on M so that every
+    caller shares its levels and homology."""
+    cx = M._complexes.get(budget)
+    if cx is None:
+        cx = M._complexes.setdefault(budget, BarComplex(M, budget))
+    return cx
 
 
 def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
@@ -500,15 +521,27 @@ def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
 def bar_homology(M: GModule, i: int,
                  budget: BarBudget | None = None) -> FGAbelianGroup:
     """H_i(G; M) via the normalized bar complex."""
-    budget = budget or BarBudget()
     if i == 0:
         return coinvariants(M)
-    cx = BarComplex(M, i + 1, budget)
-    return cx.homology(i).group
+    return resolve(M, budget or BarBudget()).homology(i).group
 
 
 # ----------------------------------------------------------------------
-# stabilization maps and relative homology
+# chain maps, stabilization and relative homology
+
+
+def _bar_chain_map(i, cx_src: BarComplex, cx_tgt: BarComplex, group_map,
+                  mat) -> SparseCols:
+    """C_i(src) -> C_i(tgt) sending m (x) [g1|...|gi] to
+    mat.m (x) [group_map(g1)|...|group_map(gi)]."""
+    rs, rt = cx_src.M.rank, cx_tgt.M.rank
+    cols = []
+    for bar in cx_src._tuples(i):
+        tgt = cx_tgt.tuple_index(tuple(group_map(g) for g in bar))
+        for j in range(rs):
+            cols.append({tgt * rt + a: mat[a][j]
+                         for a in range(rt) if mat[a][j]})
+    return SparseCols(cx_tgt.level_size(i), cols)
 
 
 @dataclass
@@ -545,19 +578,8 @@ class StabilizationSetup:
     def chain_map(self, i, cx_small: BarComplex,
                   cx_big: BarComplex) -> SparseCols:
         """C_i(G_small; M_small) -> C_i(G_big; M_big)."""
-        rs = self.small.rank
-        rb = self.big.rank
-        cols = []
-        for bar in cx_small._tuples(i):
-            tgt = cx_big.tuple_index(tuple(self.phi[g] for g in bar))
-            for j in range(rs):
-                col = {}
-                for a in range(rb):
-                    v = self.s_matrix[a][j]
-                    if v:
-                        col[tgt * rb + a] = v
-                cols.append(col)
-        return SparseCols(cx_big.level_size[i], cols)
+        return _bar_chain_map(i, cx_small, cx_big, self.phi.__getitem__,
+                             self.s_matrix)
 
 
 def _stabilization_verdict(M, hs: Subquotient, hb: Subquotient) -> dict:
@@ -576,11 +598,11 @@ def stabilization_status(setup: StabilizationSetup, i: int,
                          budget: BarBudget | None = None) -> dict:
     """Classify H_i(G_small; M_small) -> H_i(G_big; M_big)."""
     budget = budget or BarBudget()
-    top = i + 1
-    cx_s = BarComplex(setup.small, top, budget)
-    cx_b = BarComplex(setup.big, top, budget)
-    hs = cx_s.homology(i)
+    cx_s = resolve(setup.small, budget)
+    cx_b = resolve(setup.big, budget)
+    # the big group first: it is the one a budget refuses
     hb = cx_b.homology(i)
+    hs = cx_s.homology(i)
     f = setup.chain_map(i, cx_s, cx_b)
     return _stabilization_verdict(induced_matrix(f, hs, hb), hs, hb)
 
@@ -590,36 +612,43 @@ class MappingCone(PresentedComplex):
 
     Cone_i = C_{i-1}(small) (+) C_i(big), d(x, y) = (-dx, f(x) + dy).
     H_i(Cone) is the relative homology of the stabilization pair; it
-    reads the bar levels up to i + 1, so `top` = i + 1 suffices.
+    reads the bar levels up to i + 1 only.
     """
 
     kind = "mapping cone"
 
-    def __init__(self, setup: StabilizationSetup, top: int,
-                 budget: BarBudget):
+    def __init__(self, setup: StabilizationSetup, budget: BarBudget):
+        super().__init__()
         self.setup = setup
-        self.cx_s = BarComplex(setup.small, top, budget)
-        self.cx_b = BarComplex(setup.big, top, budget)
-        self.top = top
-        self.level_size = [self.offset(i) + self.cx_b.level_size[i]
-                           for i in range(top + 1)]
+        self.cx_s = resolve(setup.small, budget)
+        self.cx_b = resolve(setup.big, budget)
+        self._maps: dict[int, SparseCols] = {}
+
+    def level_size(self, i) -> int:
+        return self.offset(i) + self.cx_b.level_size(i)
 
     def offset(self, i):
         """Rows of the small summand C_{i-1}(small) in Cone_i."""
-        return self.cx_s.level_size[i - 1] if i >= 1 else 0
+        return self.cx_s.level_size(i - 1) if i >= 1 else 0
 
     def row_orders(self, i):
         small = self.cx_s.row_orders(i - 1) if i >= 1 else []
         return small + self.cx_b.row_orders(i)
+
+    def chain_map(self, i) -> SparseCols:
+        """The stabilization chain map f at level i, built once."""
+        if i not in self._maps:
+            self._maps[i] = self.setup.chain_map(i, self.cx_s, self.cx_b)
+        return self._maps[i]
 
     def boundary(self, i) -> SparseCols:
         ns_out = self.offset(i - 1)
         cols = []
         db = self.cx_b.boundary(i)
         if i >= 1:
-            f = self.setup.chain_map(i - 1, self.cx_s, self.cx_b)
             ds = self.cx_s.boundary(i - 1) if i >= 2 else None
-            for c in range(self.cx_s.level_size[i - 1]):
+            f = self.chain_map(i - 1)
+            for c in range(self.cx_s.level_size(i - 1)):
                 col = {}
                 if ds is not None:
                     for r, v in ds.cols[c].items():
@@ -627,17 +656,15 @@ class MappingCone(PresentedComplex):
                 for r, v in f.cols[c].items():
                     col[ns_out + r] = v
                 cols.append(col)
-        for c in range(self.cx_b.level_size[i]):
+        for c in range(self.cx_b.level_size(i)):
             cols.append({ns_out + r: v for r, v in db.cols[c].items()})
-        return SparseCols(self.level_size[i - 1], cols)
+        return SparseCols(self.level_size(i - 1), cols)
 
 
 def relative_homology(setup: StabilizationSetup, i: int,
                       budget: BarBudget | None = None) -> FGAbelianGroup:
     """Rel_i = H_i of the mapping cone of the stabilization chain map."""
-    budget = budget or BarBudget()
-    cone = MappingCone(setup, i + 1, budget)
-    return cone.homology(i).group
+    return MappingCone(setup, budget or BarBudget()).homology(i).group
 
 
 def exactness_defect(g_mat, f_mat, orders_a, orders_b, orders_c
@@ -668,8 +695,7 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     of stabilization_status read from the same induced map f_*:
     is_epi, is_iso, source, target and matrix.
     """
-    budget = budget or BarBudget()
-    cone = MappingCone(setup, i + 1, budget)
+    cone = MappingCone(setup, budget or BarBudget())
     cx_s, cx_b = cone.cx_s, cone.cx_b
     h_b_i = cx_b.homology(i)
     rel_i = cone.homology(i)
@@ -679,12 +705,11 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
 
     # j: C_i(big) -> Cone_i is the inclusion into the second summand
     off = cone.offset(i)
-    j_cols = [{off + c: 1} for c in range(cx_b.level_size[i])]
-    j_amb = SparseCols(cone.level_size[i], j_cols)
+    j_cols = [{off + c: 1} for c in range(cx_b.level_size(i))]
+    j_amb = SparseCols(cone.level_size(i), j_cols)
     Mj = induced_matrix(j_amb, h_b_i, rel_i)
 
-    f_amb = setup.chain_map(i, cx_s, cx_b)
-    Mf = induced_matrix(f_amb, h_s_i, h_b_i)
+    Mf = induced_matrix(cone.chain_map(i), h_s_i, h_b_i)
 
     out = {
         "H_i_small": h_s_i.group, "H_i_big": h_b_i.group,
@@ -698,12 +723,11 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     if i >= 1:
         # connecting map: Cone_i -> C_{i-1}(small) is (x, y) |-> x
         d_cols = []
-        for c in range(cone.level_size[i]):
+        for c in range(cone.level_size(i)):
             d_cols.append({c: 1} if c < off else {})
-        d_amb = SparseCols(cx_s.level_size[i - 1], d_cols)
+        d_amb = SparseCols(cx_s.level_size(i - 1), d_cols)
         Md = induced_matrix(d_amb, rel_i, h_s_im1)
-        f_prev = setup.chain_map(i - 1, cx_s, cx_b)
-        Mf_prev = induced_matrix(f_prev, h_s_im1, h_b_im1)
+        Mf_prev = induced_matrix(cone.chain_map(i - 1), h_s_im1, h_b_im1)
         out["H_im1_small"] = h_s_im1.group
         out["H_im1_big"] = h_b_im1.group
         out["defects"]["at_Rel_i"] = exactness_defect(
@@ -725,28 +749,15 @@ def conjugation_chain_map(M: GModule, h, i, cx: BarComplex) -> SparseCols:
     g |-> h g h^{-1} together with m |-> h.m."""
     G = M.group
     hinv = G.inv(h)
-    rank = M.rank
-    hmat = M.act(h)
-    cols = []
-    for bar in cx._tuples(i):
-        conj = tuple(G.mul(G.mul(h, g), hinv) for g in bar)
-        tgt = cx.tuple_index(conj)
-        for j in range(rank):
-            col = {}
-            for a in range(rank):
-                v = hmat[a][j]
-                if v:
-                    col[tgt * rank + a] = v
-            cols.append(col)
-    return SparseCols(cx.level_size[i], cols)
+    return _bar_chain_map(i, cx, cx, lambda g: G.mul(G.mul(h, g), hinv),
+                          M.act(h))
 
 
 def conjugation_acts_trivially(M: GModule, i: int,
                                budget: BarBudget | None = None) -> bool:
     """True iff every inner automorphism induces the identity on
     H_i(G; M).  Exhaustive over the group."""
-    budget = budget or BarBudget()
-    cx = BarComplex(M, i + 1, budget)
+    cx = resolve(M, budget or BarBudget())
     hq = cx.homology(i)
     orders = hq.gen_orders()
     ngen = len(orders)
@@ -761,39 +772,3 @@ def conjugation_acts_trivially(M: GModule, i: int,
                 if (d % o if o else d) != 0:
                     return False
     return True
-
-
-# ----------------------------------------------------------------------
-# disk cache
-
-
-class HomologyCache:
-    """JSON-on-disk memo of homology values keyed by
-    (family_hash, n, i, coefficient_hash)."""
-
-    def __init__(self, path):
-        self.path = str(path)
-        self._data = {}
-        if os.path.exists(self.path):
-            with open(self.path) as fh:
-                self._data = json.load(fh)
-
-    @staticmethod
-    def key(family_hash: str, n: int, i: int, coeff_hash: str) -> str:
-        return f"{family_hash}:{n}:{i}:{coeff_hash}"
-
-    def get(self, key) -> FGAbelianGroup | None:
-        rec = self._data.get(key)
-        if rec is None:
-            return None
-        return FGAbelianGroup(rec["free"], tuple(rec["torsion"]))
-
-    def put(self, key, value: FGAbelianGroup) -> None:
-        self._data[key] = {"free": value.free_rank,
-                           "torsion": list(value.torsion)}
-
-    def flush(self) -> None:
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self._data, fh, sort_keys=True, indent=0)
-        os.replace(tmp, self.path)

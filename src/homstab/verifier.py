@@ -3,10 +3,10 @@
 A run is described by a JSON config (family, coefficient system, slope
 k, window, theorems, budgets).  The verifier evaluates the chosen
 stability range predicates on an (n, i) grid of observed stabilization
-maps, plus axiom, connectivity, and degree runs.  Reports are
-deterministic given (config, toolkit version) and independent of the
-parallelism width; wall-clock timings are kept out of the canonical
-JSON for that reason.
+maps, plus axiom, connectivity, degree and homology runs.  Every report,
+the homology grid's included (no cache is read), is deterministic given
+(config, toolkit version) and independent of the parallelism width;
+wall-clock timings are kept out of the canonical JSON for that reason.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .simplicial import (build_W, build_S, lift_profile,
 from .exact_linalg import FGAbelianGroup
 from .homology_engine import (BarBudget, BarBudgetExceeded, GModule,
                               bar_homology, stabilization_status,
-                              les_exact_at_rel, HomologyCache)
+                              les_exact_at_rel)
 from .coeffsys import (CoefficientSystem, constant_system, standard_system,
                        tensor_power, abelian_constant_system, internalize,
                        abelianization_limit, BurauSystem, degree_profile,
@@ -363,31 +363,18 @@ def run_degree(cfg: FamilyConfig) -> dict:
     return out
 
 
-def run_homology(cfg: FamilyConfig, cache_dir=None, jobs: int = 1) -> dict:
+def run_homology(cfg: FamilyConfig, jobs: int = 1) -> dict:
     inst = build_instance(cfg)
     cat = BracketCategory(inst)
     system = build_system(cfg, cat)
     if not isinstance(system, CoefficientSystem):
         raise ValueError("homology grids need a finite coefficient system")
     budget = cfg.bar_budget()
-    cache = None
-    if cache_dir:
-        import os
-        os.makedirs(cache_dir, exist_ok=True)
-        cache = HomologyCache(os.path.join(cache_dir, "homology.json"))
-    fam_hash = f"{inst.key()}:A{cfg.A}:X{cfg.X}:{system.name}"
     grid = [(n, i) for n in range(cfg.n_max + 1)
             for i in range(cfg.i_max + 1)]
 
     def cell(args):
         n, i = args
-        key = None
-        if cache is not None:
-            key = HomologyCache.key(fam_hash, n, i,
-                                    system.modules[n].content_hash())
-            hit = cache.get(key)
-            if hit is not None:
-                return {"n": n, "i": i, "H": str(hit), "cached": True}
         try:
             h = bar_homology(system.modules[n], i, budget)
         except BarBudgetExceeded as exc:
@@ -395,14 +382,10 @@ def run_homology(cfg: FamilyConfig, cache_dir=None, jobs: int = 1) -> dict:
                     "estimate": exc.estimate,
                     "repro": {"config_hash": config_hash(cfg),
                               "n": n, "i": i}}
-        if cache is not None:
-            cache.put(key, h)
-        return {"n": n, "i": i, "H": str(h), "cached": False}
+        return {"n": n, "i": i, "H": str(h)}
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         cells = list(pool.map(cell, grid))
-    if cache is not None:
-        cache.flush()
     skipped = sum(1 for c in cells if "skipped" in c)
     return {
         "command": "homology",

@@ -11,7 +11,7 @@ from homstab.exact_linalg import (
 from homstab import kernels
 from homstab.groups import symmetric_group
 from homstab.homology_engine import (
-    BarBudget, BarComplex, permutation_module, trivial_module,
+    BarBudget, permutation_module, resolve, trivial_module,
 )
 
 MATS = st.lists(
@@ -101,7 +101,7 @@ def test_span_matches_int64_oracle(rows):
 def test_span_matches_int64_oracle_bar_d2(module):
     G = symmetric_group(4)
     M = trivial_module(G) if module == "trivial" else permutation_module(G, 4)
-    d2 = BarComplex(M, 2, BarBudget()).boundary(2)
+    d2 = resolve(M, BarBudget()).boundary(2)
     span = _assert_span_matches_oracle(d2.cols, d2.nrows)
     assert span.rank() > 1
 

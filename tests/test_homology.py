@@ -6,9 +6,9 @@ from homstab.groups import (symmetric_group, alternating_group,
 from homstab.exact_linalg import SparseCols, homology_of_pair
 from homstab.pi1 import todd_coxeter_trivial
 from homstab.homology_engine import (
-    BarBudget, BarBudgetExceeded, BarComplex, trivial_module, sign_module,
+    BarBudget, BarBudgetExceeded, trivial_module, sign_module,
     permutation_module, group_ring_module, induce_module, bar_homology,
-    coinvariants, conjugation_acts_trivially, HomologyCache,
+    coinvariants, conjugation_acts_trivially, resolve,
 )
 
 
@@ -241,17 +241,6 @@ def test_budget_refusals():
         bar_homology(trivial_module(small), 1, BarBudget(max_cells=10))
 
 
-def test_homology_cache_roundtrip(tmp_path):
-    from homstab.exact_linalg import FGAbelianGroup
-    cache = HomologyCache(tmp_path / "h.json")
-    key = HomologyCache.key("fam", 3, 1, "abc")
-    cache.put(key, FGAbelianGroup(1, (2, 4)))
-    cache.flush()
-    reread = HomologyCache(tmp_path / "h.json")
-    assert str(reread.get(key)) == "Z + Z/2 + Z/4"
-    assert reread.get("missing") is None
-
-
 def test_verify_action_rejects_broken_braid_relation():
     # s1 -> -1, s2 -> 1 on Z: s1 s2 s1 = s2 s1 s2 fails, though every
     # product of two generators is consistent
@@ -276,13 +265,46 @@ def test_relative_homology_reads_levels_up_to_i_plus_1():
     setup = constant_system(BracketCategory(make_symmetric()), 0, 1, 3
                             ).stabilization_setup(2)
     budget = BarBudget(max_cells=100)
-    with pytest.raises(BarBudgetExceeded):
-        BarComplex(setup.big, 3, budget)
+    with pytest.raises(BarBudgetExceeded, match="chain level 3 needs 125"):
+        resolve(setup.big, budget).boundary(3)
     rel = relative_homology(setup, 1, budget)
     assert str(rel) == str(relative_homology(setup, 1))
     les = les_exact_at_rel(setup, 1, budget)
     assert les["exact"]
     assert str(les["Rel_i"]) == str(rel)
+
+
+def test_h0_stabilization_builds_chain_level_1_only():
+    # Sym(2) -> Sym(3), constant Z: H_0 reads bar level 1 (5 cells of
+    # Sym(3)); level 2 (25 cells) is first read by H_1 and refused there
+    from homstab.bracket import BracketCategory
+    from homstab.coeffsys import constant_system
+    from homstab.groupoids import make_symmetric
+    from homstab.homology_engine import stabilization_status
+    setup = constant_system(BracketCategory(make_symmetric()), 0, 1, 3
+                            ).stabilization_setup(2)
+    budget = BarBudget(max_cells=10)
+    st = stabilization_status(setup, 0, budget)
+    assert (str(st["source"]), str(st["target"])) == ("Z", "Z")
+    assert st["is_iso"]
+    with pytest.raises(BarBudgetExceeded, match="chain level 2 needs 25"):
+        stabilization_status(setup, 1, budget)
+
+
+def test_les_pass_builds_each_chain_map_once(sym_cat, monkeypatch):
+    # the cone's boundaries and the LES's induced maps share f_0 and f_1
+    from homstab.coeffsys import standard_system
+    from homstab.homology_engine import StabilizationSetup, les_exact_at_rel
+    built = {}
+    chain_map = StabilizationSetup.chain_map
+
+    def counting(self, i, *args):
+        built[i] = built.get(i, 0) + 1
+        return chain_map(self, i, *args)
+    monkeypatch.setattr(StabilizationSetup, "chain_map", counting)
+    setup = standard_system(sym_cat, 0, 3).stabilization_setup(2)
+    assert les_exact_at_rel(setup, 1)["exact"]
+    assert built == {0: 1, 1: 1}
 
 
 @pytest.mark.parametrize("coeff", ["constant", "constant_torsion",
@@ -332,7 +354,41 @@ def test_mapping_cone_rejects_non_equivariant_map():
     with pytest.raises(ValueError, match="not equivariant"):
         bad.verify()
     with pytest.raises(AssertionError, match=r"d\^2 != 0"):
-        MappingCone(bad, 2, BarBudget()).homology(1)
+        MappingCone(bad, BarBudget()).homology(1)
+
+
+def test_resolve_keeps_one_copy_across_threads():
+    # grid cells on --jobs threads race for one module's complex, levels
+    # and homology; every thread gets the one copy that is kept
+    import sys
+    import threading
+    budget = BarBudget()
+
+    def race(M, nthreads=8):
+        got = []
+        start = threading.Barrier(nthreads, timeout=120)
+
+        def work():
+            start.wait()
+            cx = resolve(M, budget)
+            got.append((cx, cx.boundary(2), cx.homology(1)))
+        threads = [threading.Thread(target=work) for _ in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = race(permutation_module(symmetric_group(4), 4))
+            assert len(got) == 8
+            assert all(a is b for row in got for a, b in zip(row, got[0]))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_z4_sign_module_d2_vanishes_only_mod_4():
@@ -345,7 +401,7 @@ def test_z4_sign_module_d2_vanishes_only_mod_4():
     M = GModule(G, FGAbelianGroup(0, (4,)), {s: [[-1]]})
     M.verify_action()
     assert M.act(s) == [[3]]
-    cx = BarComplex(M, 3, BarBudget())
+    cx = resolve(M, BarBudget())
     assert cx.boundary(1).compose(cx.boundary(2)).cols == [{0: 8}]
     assert [str(cx.homology(i).group) for i in range(3)] == ["Z/2"] * 3
     assert str(bar_homology(M, 1)) == "Z/2"

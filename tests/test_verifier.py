@@ -88,14 +88,13 @@ def test_run_degree_constant():
     assert rep["split"]["witness_found"]
 
 
-def test_run_homology_grid_and_cache(tmp_path):
+def test_run_homology_grid():
     cfg = _cfg(n_max=3)
-    rep = run_homology(cfg, cache_dir=str(tmp_path), jobs=2)
+    rep = run_homology(cfg, jobs=2)
     values = {(c["n"], c["i"]): c["H"] for c in rep["cells"]}
     assert values[(3, 1)] == "Z/2"
     assert values[(2, 0)] == "Z"
-    rep2 = run_homology(cfg, cache_dir=str(tmp_path))
-    assert all(c["cached"] for c in rep2["cells"])
+    assert all(set(c) == {"n", "i", "H"} for c in rep["cells"])
 
 
 def test_run_stability_constant_consistent():
@@ -165,6 +164,45 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_invalid_run_exits_1(tmp_path, capsys):
+    # Z/2 wr Sym with constant coefficients: the default r_max 3 needs
+    # n_max >= N_max + r_max + 1 = 4, so the degree profile is refused
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "family": {"kind": "wreath", "params": {"cyclic_order": 2}},
+        "A": 0, "X": 1, "coeff": {"kind": "constant", "params": {}},
+        "k": 2, "n_max": 3, "i_max": 1, "theorems": ["A", "4.20"],
+    }))
+    assert cli_main(["stability", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("homstab: error: window too small for the requested "
+                   "degree bound: n_max 3 < N_max + r_max + 1 = 4; lower "
+                   "r_max or raise n_max\n")
+    assert cli_main(["degree", "--config", str(tmp_path / "none.json")]) == 1
+    _, err = capsys.readouterr()
+    assert err.startswith("homstab: error: ") and err.count("\n") == 1
+
+
+def test_stability_run_builds_each_bar_level_once(monkeypatch):
+    # neighbouring cells resolve the same module F_{n+1}; every bar level
+    # of every module is budget-checked, hence built, exactly once
+    from homstab.homology_engine import BarBudget
+    checked = []
+    check = BarBudget.check
+
+    def counting(self, order, rank, level):
+        checked.append((order, rank, level))
+        return check(self, order, rank, level)
+    monkeypatch.setattr(BarBudget, "check", counting)
+    cfg = _cfg(coeff={"kind": "standard", "params": {"r_max": 2,
+                                                     "N_max": 0}},
+               theorems=["A", "4.20"], n_max=4, i_max=1)
+    rep = run_stability(cfg, jobs=1)
+    assert rep["summary"]["VIOLATION"] == 0
+    assert len(checked) == len(set(checked)) == 10
+
+
 def test_custom_coeff_loader(tmp_path, sym_cat):
     # rank-1 trivial system written out as JSON
     from homstab.groupoids import make_symmetric
@@ -217,9 +255,10 @@ def test_cli_flags_per_subcommand():
                               "--jobs", "2", "--budget-cells", "10"])
     assert (args.jobs, args.budget_cells) == (2, 10)
     args = parser.parse_args(["homology", "--config", "c.json",
-                              "--cache-dir", "d", "--jobs", "2"])
-    assert (args.cache_dir, args.jobs) == ("d", 2)
-    for argv in (["stability", "--cache-dir", "d"],
+                              "--jobs", "2"])
+    assert args.jobs == 2
+    for argv in (["homology", "--cache-dir", "d"],
+                 ["stability", "--cache-dir", "d"],
                  ["degree", "--jobs", "2"],
                  ["verify-axioms", "--budget-cells", "10"],
                  ["homology", "--seed", "1"]):
