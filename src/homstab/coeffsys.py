@@ -11,7 +11,8 @@ morphisms.  The module implements:
   sigma_X : F -> Sigma F;
 * kernel and cokernel systems of sigma_X, degree profiles (including the
   split variant), and explicit split witnesses found by exact integer
-  linear algebra;
+  linear algebra (every kernel and cokernel is an
+  `exact_linalg.presented_subquotient`);
 * internalization: twisting a system by maps s_n : G_n -> G_inf^ab into
   a stably detected abelianization limit;
 * builtin systems (constant, standard/permutation, tensor powers,
@@ -26,32 +27,12 @@ from dataclasses import dataclass
 from .groups import abelianization, coords_add
 from .groupoids import PresentedGroupFamily, braid_family
 from .bracket import BracketCategory, UMorphism
-from .exact_linalg import (FGAbelianGroup, SparseCols, Subquotient,
-                           identity_matrix, mat_mul, reduce_rows,
-                           relation_columns, rows_congruent,
+from .exact_linalg import (FGAbelianGroup, SparseCols, identity_matrix,
+                           induced_matrix, mat_mul, presented_subquotient,
+                           reduce_rows, relation_columns, rows_congruent,
                            smith_normal_form)
-from .homology_engine import (GModule, StabilizationSetup,
-                              presented_subquotient)
+from .homology_engine import GModule, StabilizationSetup, check_equivariant
 from . import laurent as lau
-
-
-# ----------------------------------------------------------------------
-# dense integer matrix helpers
-
-
-def _apply_dense(mat, vec):
-    """mat @ vec with vec a sparse dict; result sparse."""
-    out: dict[int, int] = {}
-    for j, v in vec.items():
-        for i in range(len(mat)):
-            a = mat[i][j]
-            if a:
-                w = out.get(i, 0) + a * v
-                if w:
-                    out[i] = w
-                else:
-                    out.pop(i, None)
-    return out
 
 
 def _kron(a, b):
@@ -169,15 +150,10 @@ class CoefficientSystem:
         """
         cat, x = self.cat, self.x
         for n in range(self.n_max):
-            s = self.s_mats[n]
-            tgt = self.orders(n + 1)
-            for g in self.group(n).generators:
-                lhs = mat_mul(s, self.modules[n].act(g))
-                gg = cat.sigma_upper_on_group(g, self.obj(n), x)
-                rhs = mat_mul(self.modules[n + 1].act(gg), s)
-                if not rows_congruent(lhs, rhs, tgt):
-                    raise ValueError(
-                        f"s_{n} is not equivariant over the suspension")
+            check_equivariant(
+                self.s_mats[n], self.modules[n], self.modules[n + 1],
+                lambda g, n=n: cat.sigma_upper_on_group(g, self.obj(n), x),
+                f"s_{n} is not equivariant over the suspension")
         for n in range(self.n_max):
             for m in range(1, self.n_max - n + 1):
                 chain = self.schain(n, n + m)
@@ -235,73 +211,42 @@ class CoefficientSystem:
         return CoefficientSystem(cat, A, x, self.n_max - 1, mods, s_mats,
                                  name=f"S{self.name}")
 
-    def _subq_module(self, sq: Subquotient, group, ambient_act, name):
-        orders = sq.gen_orders()
-        under = FGAbelianGroup(sum(1 for o in orders if o == 0),
-                               tuple(o for o in orders if o))
-        k = len(orders)
-        lifts = [sq.lift(j) for j in range(k)]
-        gen_action = {}
-        for g in group.generators:
-            amat = ambient_act(g)
-            cols = [sq.project(_apply_dense(amat, lifts[j]))
-                    for j in range(k)]
-            gen_action[g] = [[cols[j][i] for j in range(k)]
-                             for i in range(k)]
-        return GModule(group, under, gen_action, name=name), lifts
+    def _subquotient_system(self, kind, ambient, sqs):
+        """The system of subquotients sqs[n] of ambient.modules[n], n in
+        0..n_max-1, with actions and structure maps induced from ambient."""
 
-    def _induced_map(self, amb_mat, sq_src: Subquotient, lifts_src,
-                     sq_dst: Subquotient):
-        k_src = len(lifts_src)
-        cols = [sq_dst.project(_apply_dense(amb_mat, lifts_src[j]))
-                for j in range(k_src)]
-        k_dst = len(sq_dst.gen_orders())
-        return [[cols[j][i] for j in range(k_src)] for i in range(k_dst)]
+        def induced(mat, src, dst):
+            return induced_matrix(
+                SparseCols.from_dense(mat, src.ambient_dim), src, dst)
+
+        mods = [GModule(self.group(n), sq.group,
+                        {g: induced(ambient.modules[n].act(g), sq, sq)
+                         for g in self.group(n).generators},
+                        name=f"({kind} {self.name})_{n}")
+                for n, sq in enumerate(sqs)]
+        s_mats = [induced(ambient.s_mats[n], sqs[n], sqs[n + 1])
+                  for n in range(self.n_max - 1)]
+        return CoefficientSystem(self.cat, self.A, self.x, self.n_max - 1,
+                                 mods, s_mats, name=f"{kind} {self.name}")
 
     def kernel_system(self) -> "CoefficientSystem":
         """ker(sigma_X : F -> Sigma F) on the window 0..n_max-1."""
-        sqs, lifts, mods = [], [], []
-        for n in range(self.n_max):
-            lam = SparseCols.from_dense(self.sigma_mat(n))
-            sq = presented_subquotient(
-                lam, SparseCols.zero(self.rank(n), 0),
-                relation_columns(self.orders(n + 1)),
-                relation_columns(self.orders(n)))
-            mod, lf = self._subq_module(
-                sq, self.group(n), self.modules[n].act,
-                name=f"(ker {self.name})_{n}")
-            sqs.append(sq)
-            lifts.append(lf)
-            mods.append(mod)
-        s_mats = [self._induced_map(self.s_mats[n], sqs[n], lifts[n],
-                                    sqs[n + 1])
-                  for n in range(self.n_max - 1)]
-        return CoefficientSystem(self.cat, self.A, self.x, self.n_max - 1,
-                                 mods, s_mats, name=f"ker {self.name}")
+        sqs = [presented_subquotient(
+                   SparseCols.from_dense(self.sigma_mat(n), self.rank(n)),
+                   SparseCols.zero(self.rank(n), 0),
+                   relation_columns(self.orders(n + 1)),
+                   relation_columns(self.orders(n)))
+               for n in range(self.n_max)]
+        return self._subquotient_system("ker", self, sqs)
 
     def cokernel_system(self) -> "CoefficientSystem":
         """coker(sigma_X : F -> Sigma F) on the window 0..n_max-1."""
-        cat, A, x = self.cat, self.A, self.x
-        susp = self.suspend()
-        sqs, lifts, mods = [], [], []
-        for n in range(self.n_max):
-            lam = self.sigma_mat(n)
-            r1 = self.rank(n + 1)
-            sq = presented_subquotient(
-                SparseCols.zero(0, r1),
-                SparseCols.from_dense(lam), [],
-                relation_columns(self.orders(n + 1)))
-            mod, lf = self._subq_module(
-                sq, self.group(n), susp.modules[n].act,
-                name=f"(coker {self.name})_{n}")
-            sqs.append(sq)
-            lifts.append(lf)
-            mods.append(mod)
-        s_mats = [self._induced_map(susp.s_mats[n], sqs[n], lifts[n],
-                                    sqs[n + 1])
-                  for n in range(self.n_max - 1)]
-        return CoefficientSystem(cat, A, x, self.n_max - 1, mods, s_mats,
-                                 name=f"coker {self.name}")
+        sqs = [presented_subquotient(
+                   SparseCols.zero(0, self.rank(n + 1)),
+                   SparseCols.from_dense(self.sigma_mat(n), self.rank(n)),
+                   [], relation_columns(self.orders(n + 1)))
+               for n in range(self.n_max)]
+        return self._subquotient_system("coker", self.suspend(), sqs)
 
     # -- stability plumbing
 
@@ -625,13 +570,10 @@ class InternalizedSystem(CoefficientSystem):
                     (self.sigma_mat(n),
                      lambda g, n=n: cat.sigma_lower_on_group(
                          g, self.A, self.x, n), "lower")):
-                for g in self.group(n).generators:
-                    lhs = mat_mul(mat, self.modules[n].act(g))
-                    rhs = mat_mul(self.modules[n + 1].act(on_group(g)), mat)
-                    if not rows_congruent(lhs, rhs, self.orders(n + 1)):
-                        raise ValueError(
-                            f"{tag} suspension not equivariant for the "
-                            f"internalized action at level {n}")
+                check_equivariant(
+                    mat, self.modules[n], self.modules[n + 1], on_group,
+                    f"{tag} suspension not equivariant for the "
+                    f"internalized action at level {n}")
 
 
 def internalize(F: CoefficientSystem, limit: AbelianizationLimit,
@@ -923,14 +865,11 @@ def presented_abelianization(family: PresentedGroupFamily,
                              n: int) -> FGAbelianGroup:
     """Abelianization of G_n from relator exponent sums."""
     g = family.gens(n)
-    rows = []
+    cols = []
     for word in family.relators(n):
-        row = [0] * g
+        col = [0] * g
         for letter in word:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append(row)
-    if not rows:
-        return FGAbelianGroup(g, ())
-    snf = smith_normal_form(rows)
-    torsion = tuple(d for d in snf.factors if d > 1)
-    return FGAbelianGroup(g - snf.rank, torsion)
+            col[abs(letter) - 1] += 1 if letter > 0 else -1
+        cols.append({i: v for i, v in enumerate(col) if v})
+    return presented_subquotient(SparseCols.zero(0, g), SparseCols(g, cols),
+                                 [], []).group

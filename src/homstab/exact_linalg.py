@@ -1,9 +1,12 @@
 """Exact integer linear algebra over Z.
 
 Everything here is exact: Smith normal form with transform tracking,
-incremental column-span lattice bases in row Hermite form, kernels with
-expression tracking, and subquotient presentations used for homology.
-Lattice spans use sparse exact elimination.
+incremental column-span lattice bases in row Hermite form (sparse exact
+elimination), and kernels with expression tracking.
+
+`presented_subquotient` is the one routine for presented abelian groups:
+every homology group, kernel, cokernel and subquotient, and every epi/iso
+verdict of `classify_induced`, is computed by it.
 """
 
 from __future__ import annotations
@@ -43,14 +46,11 @@ class SparseCols:
     def ncols(self) -> int:
         return len(self.cols)
 
-    @property
-    def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
-
     @classmethod
-    def from_dense(cls, rows: list[list[int]]) -> "SparseCols":
+    def from_dense(cls, rows: list[list[int]], ncols: int) -> "SparseCols":
+        """The dense matrix `rows`; ncols is explicit because a matrix
+        without rows still has columns."""
         nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
         cols = [{} for _ in range(ncols)]
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
@@ -161,19 +161,18 @@ class SNFResult:
     Uinv: list[list[int]] | None = None
 
 
-def smith_normal_form(mat, transforms: bool = False, verify: bool = False):
+def smith_normal_form(mat, transforms: bool = False):
     """SNF of an integer matrix (dense list of rows or SparseCols).
 
     Pivot choice is the smallest nonzero magnitude with ties broken by
     (row, col), so the transforms are deterministic.
     """
     if isinstance(mat, SparseCols):
-        dense = mat.to_dense()
+        A = mat.to_dense()
     else:
-        dense = [list(map(int, row)) for row in mat]
-    m = len(dense)
-    n = len(dense[0]) if m else 0
-    A = [row[:] for row in dense]
+        A = [list(map(int, row)) for row in mat]
+    m = len(A)
+    n = len(A[0]) if m else 0
     U = identity_matrix(m) if transforms else None
     Uinv = identity_matrix(m) if transforms else None
     V = identity_matrix(n) if transforms else None
@@ -315,16 +314,8 @@ def smith_normal_form(mat, transforms: bool = False, verify: bool = False):
                 changed = True
 
     factors = [A[i][i] for i in range(rank)]
-    res = SNFResult(factors=factors, rank=rank, nrows=m, ncols=n,
-                    U=U, V=V, Uinv=Uinv)
-    if verify and transforms:
-        D = mat_mul(mat_mul(U, dense), V)
-        for i in range(m):
-            for j in range(n):
-                want = factors[i] if i == j and i < rank else 0
-                assert D[i][j] == want, "U*M*V != D"
-        assert mat_mul(U, Uinv) == identity_matrix(m), "U*Uinv != I"
-    return res
+    return SNFResult(factors=factors, rank=rank, nrows=m, ncols=n,
+                     U=U, V=V, Uinv=Uinv)
 
 
 # ------------------------------------------------------------------
@@ -599,17 +590,6 @@ class FGAbelianGroup:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    def label(self):
-        return str(self)
-
-
-def fgab_from_factors(diag, total_gens):
-    """FGAbelianGroup for Z^total_gens modulo relations with SNF diagonal
-    `diag` (nonzero invariant factors)."""
-    torsion = tuple(d for d in diag if d > 1)
-    free = total_gens - len(diag)
-    return FGAbelianGroup(free, torsion)
-
 
 @dataclass
 class Subquotient:
@@ -674,19 +654,43 @@ class Subquotient:
                 + [0] * len(self.free_pos))
 
 
+def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
+                          rel_out, rel_here) -> Subquotient:
+    """ker/im homology where the chain levels are presented groups.
+
+    With d_out: Z^n -> Z^m and d_in: Z^p -> Z^n, cycles are the v with
+    d_out(v) in the span of the columns rel_out, and boundaries are
+    im(d_in) together with the columns rel_here.  Kernels (d_in zero),
+    cokernels (d_out zero) and homology are all special cases.
+    """
+    n = d_out.ncols
+    if d_in.nrows != n:
+        raise ValueError("chain level dimension mismatch")
+    if rel_out:
+        # kernel of [d_out | -rel_out] projected to the first n coordinates
+        aug = SparseCols(d_out.nrows, list(d_out.cols)
+                         + [{i: -v for i, v in r.items()} for r in rel_out])
+        raw, _ = kernel_columns(aug)
+        basis = span_columns([{i: x for i, x in v.items() if i < n}
+                              for v in raw], dim=n).basis()
+        kbasis, leads = [row for _, row in basis], [lead for lead, _ in basis]
+    else:
+        kbasis, leads = kernel_columns(d_out)
+    image = span_columns(SparseCols(n, list(d_in.cols) + list(rel_here)))
+    return assemble_subquotient(n, kbasis, leads, image)
+
+
 def homology_of_pair(d_out: SparseCols, d_in: SparseCols,
                      check_composition: bool = True) -> Subquotient:
     """ker(d_out) / im(d_in) where d_out: Z^n -> Z^m, d_in: Z^p -> Z^n.
 
     Asserts d_out @ d_in == 0 when check_composition is set.
     """
-    n = d_out.ncols
-    if d_in.nrows != n:
+    if d_in.nrows != d_out.ncols:
         raise ValueError("chain level dimension mismatch")
     if check_composition and not d_out.compose(d_in).is_zero():
         raise ValueError("boundary of boundary is nonzero")
-    kbasis, leads = kernel_columns(d_out)
-    return assemble_subquotient(n, kbasis, leads, span_columns(d_in))
+    return presented_subquotient(d_out, d_in, [], [])
 
 
 def assemble_subquotient(n: int, kbasis, leads,
@@ -743,29 +747,15 @@ def classify_induced(M, src_orders, dst_orders) -> dict:
     """Classify an induced map between f.g. abelian groups in canonical
     form.  M maps sum Z/src_orders -> sum Z/dst_orders (order 0 = Z).
 
+    Epi iff the cokernel is trivial, iso iff the kernel is trivial too.
     Returns {'matrix', 'is_epi', 'is_iso'}; exact, no heuristics.
     """
-    nd = len(dst_orders)
-    ns = len(src_orders)
-    # [M | R_dst]: the map's columns, then the codomain relations
-    cols = [{i: M[i][j] for i in range(nd) if M[i][j]} for j in range(ns)]
-    cols += relation_columns(dst_orders)
-    wide = SparseCols(nd, cols)
-    # epi: [M | R_dst] must span Z^nd
-    snf = smith_normal_form(wide) if nd else SNFResult([], 0, 0, 0)
-    is_epi = (snf.rank == nd) and all(d == 1 for d in snf.factors)
-    # kernel: preimage of the codomain relation lattice must land in the
-    # domain relation lattice
-    is_iso = is_epi
-    if is_epi:
-        kbasis, _ = kernel_columns(wide)
-        src_lat = LatticeSpan(ns)
-        for j, d in enumerate(src_orders):
-            if d:
-                src_lat.insert({j: d})
-        for kvec in kbasis:
-            x = {j: v for j, v in kvec.items() if j < ns}
-            if not src_lat.contains(x):
-                is_iso = False
-                break
+    ns, nd = len(src_orders), len(dst_orders)
+    f = SparseCols.from_dense(M, ns)
+    rel_dst = relation_columns(dst_orders)
+    coker = presented_subquotient(SparseCols.zero(0, nd), f, [], rel_dst)
+    is_epi = coker.group.is_trivial()
+    is_iso = is_epi and presented_subquotient(
+        f, SparseCols.zero(ns, 0), rel_dst,
+        relation_columns(src_orders)).group.is_trivial()
     return {"matrix": M, "is_epi": is_epi, "is_iso": is_iso}

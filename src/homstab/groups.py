@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .exact_linalg import SparseCols, smith_normal_form, FGAbelianGroup
+from .exact_linalg import SparseCols, smith_normal_form, FGAbelianGroup, xgcd
 
 DEFAULT_GROUP_BUDGET = 5040
 
@@ -102,11 +102,11 @@ class FiniteGroup:
         return (self.identity in s
                 and all(self.mul(a, b) in s for a in s for b in s))
 
-    def generator_words(self, gens=None):
-        """BFS words over `gens` reaching every element; returns
+    def generator_words(self):
+        """BFS words over the generators reaching every element; returns
         {element: tuple of generator indices}.  Deterministic: generators
         tried in order, frontier kept sorted."""
-        gens = list(gens) if gens is not None else list(self.generators)
+        gens = self.generators
         words = {self.identity: ()}
         frontier = [self.identity]
         while frontier:
@@ -272,7 +272,7 @@ def mat_inv_mod(a, m):
     """Inverse via adjugate times det inverse (det must be a unit)."""
     n = len(a)
     det = mat_det_mod(a, m)
-    g, dinv, _ = _xgcd(det, m)
+    g, dinv, _ = xgcd(det, m)
     if g != 1:
         raise ValueError("matrix not invertible mod m")
     dinv %= m
@@ -288,16 +288,6 @@ def mat_inv_mod(a, m):
     return tuple(tuple(r) for r in adj)
 
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def general_linear_group(n, m, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
     """GL_n(Z/m) (m need not be prime) as explicit matrices."""
     order = gln_order(n, m)
@@ -307,7 +297,7 @@ def general_linear_group(n, m, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
     elems = []
     for flat in itertools.product(range(m), repeat=n * n):
         a = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
-        g, _, _ = _xgcd(mat_det_mod(a, m), m)
+        g, _, _ = xgcd(mat_det_mod(a, m), m)
         if g == 1:
             elems.append(a)
     assert len(elems) == order

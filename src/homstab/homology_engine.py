@@ -1,9 +1,10 @@
 """Group homology of finite groups with twisted coefficients.
 
 Normalized bar complex over a finite group G with coefficients in a
-finitely generated Z[G]-module, plus the plumbing the stability verifier
-needs: coinvariants, induced modules, stabilization chain maps, and
-relative homology as a mapping cone.
+finitely generated Z[G]-module, plus what the stability verifier needs:
+coinvariants, induced modules, stabilization chain maps, and relative
+homology as a mapping cone.  Every group here is computed by
+`exact_linalg.presented_subquotient`.
 
 Every caller takes its complex from `resolve(M, budget)`, which keeps one
 bar complex per module and budget.  Its levels are built on first use,
@@ -31,23 +32,20 @@ from dataclasses import dataclass
 
 from .exact_linalg import (
     FGAbelianGroup,
-    LatticeSpan,
     SparseCols,
     Subquotient,
-    assemble_subquotient,
     classify_induced,
-    fgab_from_factors,
-    homology_of_pair,
     identity_matrix,
     induced_matrix,
-    kernel_columns,
     mat_mul,
+    presented_subquotient,
     reduce_rows,
     relation_columns,
     rows_congruent,
-    smith_normal_form,
-    span_columns,
 )
+# not called here: perfbench/test_tracer.py checks that tracing patches
+# these names in every module that imports them
+from .exact_linalg import homology_of_pair, span_columns  # noqa: F401
 from .groups import FiniteGroup
 
 
@@ -162,15 +160,6 @@ class GModule:
             cached = self.act(self.group.inv(g))
             self._right_cache[g] = cached
         return cached
-
-    def apply(self, g, vec):
-        mat = self.act(g)
-        out = []
-        for i in range(self.rank):
-            x = sum(mat[i][j] * vec[j] for j in range(self.rank))
-            o = self.orders[i]
-            out.append(x % o if o else x)
-        return out
 
     def verify_action(self) -> None:
         """Check the action descends to the presentation and is a
@@ -317,28 +306,16 @@ def induce_module(G: FiniteGroup, M: GModule) -> GModule:
 # coinvariants
 
 
-def _cokernel(columns, dim) -> FGAbelianGroup:
-    dense = [[col.get(i, 0) for col in columns] for i in range(dim)]
-    if not columns:
-        return FGAbelianGroup(dim)
-    snf = smith_normal_form(dense)
-    return fgab_from_factors(snf.factors, dim)
-
-
 def coinvariants(M: GModule) -> FGAbelianGroup:
     """M_G = M / span{g.m - m}, computed from group generators."""
-    cols = relation_columns(M.orders)
+    cols = []
     for g in M.group.generators:
-        mat = M.act(g)
-        for j in range(M.rank):
-            col = {}
-            for i in range(M.rank):
-                v = mat[i][j] - (1 if i == j else 0)
-                if v:
-                    col[i] = v
-            if col:
-                cols.append(col)
-    return _cokernel(cols, M.rank)
+        moved = [[v - (i == j) for j, v in enumerate(row)]
+                 for i, row in enumerate(M.act(g))]
+        cols += SparseCols.from_dense(moved, M.rank).cols
+    return presented_subquotient(
+        SparseCols.zero(0, M.rank), SparseCols(M.rank, cols), [],
+        relation_columns(M.orders)).group
 
 
 # ----------------------------------------------------------------------
@@ -493,31 +470,6 @@ def resolve(M: GModule, budget: BarBudget) -> BarComplex:
     return cx
 
 
-def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
-                          rel_out, rel_here) -> Subquotient:
-    """ker/im homology where the chain levels are presented groups.
-
-    Cycles are v with d_out(v) in the lattice spanned by rel_out;
-    boundaries are im(d_in) together with rel_here.  With no relations
-    this is exactly homology_of_pair.
-    """
-    if not rel_out and not rel_here:
-        return homology_of_pair(d_out, d_in, check_composition=False)
-    n = d_out.ncols
-    # kernel of [d_out | -D] projected to the first n coordinates
-    aug = SparseCols(d_out.nrows, list(d_out.cols)
-                     + [{i: -v for i, v in r.items()} for r in rel_out])
-    raw, _ = kernel_columns(aug)
-    lat = LatticeSpan(n)
-    for v in raw:
-        lat.insert({i: x for i, x in v.items() if i < n})
-    lat.normalize()
-    basis = lat.basis()
-    image = span_columns(SparseCols(n, list(d_in.cols) + list(rel_here)))
-    return assemble_subquotient(n, [row for _, row in basis],
-                                [lead for lead, _ in basis], image)
-
-
 def bar_homology(M: GModule, i: int,
                  budget: BarBudget | None = None) -> FGAbelianGroup:
     """H_i(G; M) via the normalized bar complex."""
@@ -569,17 +521,24 @@ class StabilizationSetup:
                     self.phi[a], self.phi[b]), "phi is not a homomorphism"
         assert len(set(self.phi.values())) == len(self.phi), \
             "phi is not injective"
-        for g in Gs.generators:
-            lhs = mat_mul(self.s_matrix, self.small.act(g))
-            rhs = mat_mul(self.big.act(self.phi[g]), self.s_matrix)
-            if not rows_congruent(lhs, rhs, self.big.orders):
-                raise ValueError("s is not equivariant over phi")
+        check_equivariant(self.s_matrix, self.small, self.big,
+                          self.phi.__getitem__,
+                          "s is not equivariant over phi")
 
     def chain_map(self, i, cx_small: BarComplex,
                   cx_big: BarComplex) -> SparseCols:
         """C_i(G_small; M_small) -> C_i(G_big; M_big)."""
         return _bar_chain_map(i, cx_small, cx_big, self.phi.__getitem__,
                              self.s_matrix)
+
+
+def check_equivariant(s, src: GModule, dst: GModule, phi, message) -> None:
+    """Raise ValueError(message) unless s . src.act(g) == dst.act(phi(g)) . s
+    on the presentation of dst, for every generator g of src's group."""
+    for g in src.group.generators:
+        if not rows_congruent(mat_mul(s, src.act(g)),
+                              mat_mul(dst.act(phi(g)), s), dst.orders):
+            raise ValueError(message)
 
 
 def _stabilization_verdict(M, hs: Subquotient, hb: Subquotient) -> dict:
@@ -674,13 +633,8 @@ def exactness_defect(g_mat, f_mat, orders_a, orders_b, orders_c
     Exactness at B is equivalent to the result being trivial; everything
     is exact integer arithmetic, no rank heuristics.
     """
-    nb = len(orders_b)
-    nc = len(orders_c)
-    na = len(orders_a)
-    d_out = SparseCols.from_dense(g_mat) if nc else SparseCols.zero(0, nb)
-    f_cols = [{i: f_mat[i][j] for i in range(nb) if f_mat[i][j]}
-              for j in range(na)]
-    d_in = SparseCols(nb, f_cols)
+    d_out = SparseCols.from_dense(g_mat, len(orders_b))
+    d_in = SparseCols.from_dense(f_mat, len(orders_a))
     return presented_subquotient(d_out, d_in, relation_columns(orders_c),
                                  relation_columns(orders_b)).group
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bracket import BracketCategory, UMorphism
 from .exact_linalg import SparseCols, homology_of_pair, FGAbelianGroup
@@ -76,17 +76,11 @@ class SemiSimplicialSet:
             boundaries.append(SparseCols(sizes[p - 1], cols))
         return ChainComplex(boundaries)
 
-    def to_json_dict(self):
-        return {
-            "levels": [[repr(x) for x in lv] for lv in self.levels],
-            "faces": self.faces,
-        }
-
 
 class SimplicialComplex:
     """Vertices 0..nv-1 and a downward-closed set of sorted tuples."""
 
-    def __init__(self, n_vertices, maximal_or_all, vertex_labels=None):
+    def __init__(self, n_vertices, maximal_or_all):
         self.n_vertices = n_vertices
         simplices = set()
         for s in maximal_or_all:
@@ -96,7 +90,6 @@ class SimplicialComplex:
                 simplices.update(itertools.combinations(t, r))
         simplices.update((v,) for v in range(n_vertices))
         self.simplices = simplices
-        self.vertex_labels = vertex_labels
 
     def by_dimension(self, p):
         return sorted(s for s in self.simplices if len(s) == p + 1)
@@ -127,12 +120,6 @@ class SimplicialComplex:
                 cols.append(col)
             boundaries.append(SparseCols(len(levels[p - 1]), cols))
         return ChainComplex(boundaries)
-
-    def to_json_dict(self):
-        return {
-            "n_vertices": self.n_vertices,
-            "simplices": sorted(map(list, self.simplices)),
-        }
 
     def is_empty(self):
         return self.n_vertices == 0
@@ -175,15 +162,12 @@ class ChainComplex:
 # W and S construction
 
 
-def build_W(U: BracketCategory, A: int, x: int, n: int,
-            p_max: int | None = None) -> SemiSimplicialSet:
-    """W_n(A,X): p-simplices are Hom(X^{p+1}, A + nX); face i forgets
-    slot i."""
-    if p_max is None:
-        p_max = n - 1
+def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
+    """W_n(A,X): p-simplices are Hom(X^{p+1}, A + nX) for p < n; face i
+    forgets slot i."""
     obj = A + n * x
     levels = []
-    for p in range(p_max + 1):
+    for p in range(n):
         hom = U.hom_set((p + 1) * x, obj)
         levels.append(list(hom))
     # drop trailing empty levels so dimension reflects content
@@ -210,15 +194,13 @@ def build_S(W: SemiSimplicialSet) -> SimplicialComplex:
             vs = set(W.vertex_tuple(p, s))
             if len(vs) == p + 1:
                 spanning.append(tuple(sorted(vs)))
-    return SimplicialComplex(nv, spanning,
-                             vertex_labels=list(W.levels[0]) if W.levels else [])
+    return SimplicialComplex(nv, spanning)
 
 
 @dataclass
 class LiftProfile:
     counts: dict          # S-simplex tuple -> number of W-lifts
     condition: str        # "A" | "B" | "neither"
-    detail: dict = field(default_factory=dict)
 
 
 def lift_profile(W: SemiSimplicialSet, S: SimplicialComplex) -> LiftProfile:
@@ -240,8 +222,7 @@ def lift_profile(W: SemiSimplicialSet, S: SimplicialComplex) -> LiftProfile:
         for s in counts)
     cond_b = all(c == 1 for c in counts.values())
     condition = "A" if cond_a else ("B" if cond_b else "neither")
-    return LiftProfile(counts, condition,
-                       detail={"max_count": max(counts.values(), default=0)})
+    return LiftProfile(counts, condition)
 
 
 def link(S: SimplicialComplex, sigma) -> SimplicialComplex:
@@ -256,8 +237,7 @@ def link(S: SimplicialComplex, sigma) -> SimplicialComplex:
     verts = sorted({v for s in members for v in s})
     relab = {v: i for i, v in enumerate(verts)}
     return SimplicialComplex(
-        len(verts), [tuple(relab[v] for v in s) for s in members],
-        vertex_labels=verts)
+        len(verts), [tuple(relab[v] for v in s) for s in members])
 
 
 def complexes_isomorphic(S1: SimplicialComplex, S2: SimplicialComplex):
@@ -368,7 +348,6 @@ class ConnectivityCertificate:
     target: int
     meets_target: bool                # topological claim reaches target
     meets_target_homological: bool    # homology vanishing reaches target
-    detail: dict = field(default_factory=dict)
 
 
 def connectivity_certificate(X, target: int,
@@ -424,8 +403,7 @@ def connectivity_certificate(X, target: int,
         certified_connectivity=vanish,
         mode=mode, target=target,
         meets_target=topo >= target,
-        meets_target_homological=vanish >= target,
-        detail={"reduced_homology": [str(h) for h in hom]})
+        meets_target_homological=vanish >= target)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -35,6 +37,8 @@ def test_snf_transform_identity(rows):
         for j in range(len(rows[0])):
             expect = snf.factors[i] if i == j and i < len(snf.factors) else 0
             assert prod[i][j] == expect
+    assert _mat_mul(snf.U, snf.Uinv) == [
+        [int(i == j) for j in range(len(rows))] for i in range(len(rows))]
     for i in range(snf.rank - 1):
         assert snf.factors[i + 1] % snf.factors[i] == 0
 
@@ -107,7 +111,7 @@ def test_span_matches_int64_oracle_bar_d2(module):
 
 
 def test_kernel_columns_exactness():
-    mat = SparseCols.from_dense([[1, 2, 3], [2, 4, 6]])
+    mat = SparseCols.from_dense([[1, 2, 3], [2, 4, 6]], 3)
     kernel, _ = kernel_columns(mat)
     assert len(kernel) == 2
     for vec in kernel:
@@ -127,7 +131,7 @@ def test_homology_of_pair_circle():
     # chain complex of a triangle boundary: H_1 = ker d1 / im d2 = Z
     d1 = SparseCols.from_dense([[-1, 0, -1],
                                 [1, -1, 0],
-                                [0, 1, 1]])
+                                [0, 1, 1]], 3)
     d2 = SparseCols.zero(3, 0)
     sq = homology_of_pair(d1, d2)
     assert sq.group.free_rank == 1 and sq.group.torsion == ()
@@ -135,7 +139,7 @@ def test_homology_of_pair_circle():
 
 def test_subquotient_project_lift_roundtrip():
     d_out = SparseCols.zero(0, 2)
-    d_in = SparseCols.from_dense([[2, 0], [0, 3]])  # quotient Z/2 + Z/3
+    d_in = SparseCols.from_dense([[2, 0], [0, 3]], 2)  # quotient Z/2 + Z/3
     sq = homology_of_pair(d_out, d_in)
     assert sq.group.order() == 6
     for k in range(len(sq.gen_orders())):
@@ -147,17 +151,71 @@ def test_subquotient_project_lift_roundtrip():
 
 def test_induced_matrix_and_classification():
     d_out = SparseCols.zero(0, 1)
-    d_in = SparseCols.from_dense([[2]])   # Z/2
+    d_in = SparseCols.from_dense([[2]], 1)   # Z/2
     src = homology_of_pair(d_out, d_in)
     dst = homology_of_pair(d_out, d_in)
-    ident = SparseCols.from_dense([[1]])
+    ident = SparseCols.from_dense([[1]], 1)
     M = induced_matrix(ident, src, dst)
     cls = classify_induced(M, src.gen_orders(), dst.gen_orders())
     assert cls["is_epi"] and cls["is_iso"]
-    zero = SparseCols.from_dense([[0]])
+    zero = SparseCols.from_dense([[0]], 1)
     M0 = induced_matrix(zero, src, dst)
     cls0 = classify_induced(M0, src.gen_orders(), dst.gen_orders())
     assert not cls0["is_epi"] and not cls0["is_iso"]
+
+
+ORDERS = st.lists(st.sampled_from([2, 3, 4, 6]), max_size=3)
+
+
+@st.composite
+def torsion_maps(draw):
+    """(M, src, dst): a well-defined M : sum Z/src -> sum Z/dst, entries
+    not reduced modulo dst."""
+    src, dst = draw(ORDERS), draw(ORDERS)
+    M = []
+    for b in dst:
+        row = []
+        for a in src:
+            # a * M[i][j] = 0 mod b iff b / gcd(a, b) divides M[i][j]
+            step = b // math.gcd(a, b)
+            row.append(step * draw(st.integers(0, b // step - 1))
+                       + b * draw(st.integers(-1, 1)))
+        M.append(row)
+    return M, src, dst
+
+
+@given(torsion_maps())
+@settings(max_examples=150, deadline=None)
+def test_classify_induced_matches_brute_force(case):
+    M, src, dst = case
+    image = {tuple(sum(r * x for r, x in zip(row, v)) % b
+                   for row, b in zip(M, dst))
+             for v in itertools.product(*[range(a) for a in src])}
+    is_epi = len(image) == math.prod(dst)
+    is_iso = is_epi and len(image) == math.prod(src)
+    cls = classify_induced(M, src, dst)
+    assert (cls["is_epi"], cls["is_iso"]) == (is_epi, is_iso)
+
+
+@pytest.mark.parametrize("M, src, dst, epi, iso", [
+    ([[1]], [0], [0], True, True),
+    ([[-1]], [0], [0], True, True),
+    ([[2]], [0], [0], False, False),
+    ([[0]], [0], [0], False, False),
+    ([[3]], [0], [4], True, False),       # Z ->> Z/4, kernel 4Z
+    ([[2]], [0], [4], False, False),
+    ([[0]], [2], [0], False, False),      # Z/2 -> Z is zero
+    ([[1, 0], [0, 1]], [2, 0], [2, 0], True, True),
+    ([[1, 1], [0, 1]], [2, 0], [2, 0], True, True),
+    ([[1, 0], [0, 2]], [2, 0], [2, 0], False, False),
+    ([[1, 2]], [0, 0], [0], True, False),
+    ([], [0], [], True, False),           # Z -> 0
+    ([], [], [], True, True),
+    ([[]], [], [0], False, False),        # 0 -> Z
+])
+def test_classify_induced_free_cases(M, src, dst, epi, iso):
+    cls = classify_induced(M, src, dst)
+    assert (cls["is_epi"], cls["is_iso"]) == (epi, iso)
 
 
 def test_lattice_span_insert_reduce():

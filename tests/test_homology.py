@@ -1,12 +1,15 @@
+import itertools
+import math
+
 import pytest
 
 from homstab.groups import (symmetric_group, alternating_group,
                             cyclic_group, abelianization, perm_mul,
                             perm_inv, perm_identity)
-from homstab.exact_linalg import SparseCols, homology_of_pair
+from homstab.exact_linalg import FGAbelianGroup, SparseCols, homology_of_pair
 from homstab.pi1 import todd_coxeter_trivial
 from homstab.homology_engine import (
-    BarBudget, BarBudgetExceeded, trivial_module, sign_module,
+    BarBudget, BarBudgetExceeded, GModule, trivial_module, sign_module,
     permutation_module, group_ring_module, induce_module, bar_homology,
     coinvariants, conjugation_acts_trivially, resolve,
 )
@@ -189,6 +192,69 @@ def test_h0_coinvariants():
     assert str(bar_homology(trivial_module(G), 0)) == "Z"
     sign = sign_module(G, lambda g: 1 if _perm_sign(g) > 0 else -1)
     assert str(coinvariants(sign)) == "Z/2"
+
+
+def _brute_coinvariants(M):
+    """|M_G[d]| for d = 1..12, read off M / <g.m - m> by enumeration: the
+    counts fix a finite abelian group up to isomorphism."""
+    orders = M.orders
+    elems = list(itertools.product(*[range(o) for o in orders]))
+
+    def combine(a, b, sign=1):
+        return tuple((x + sign * y) % o for x, y, o in zip(a, b, orders))
+
+    def act(g, m):
+        return tuple(sum(a * x for a, x in zip(row, m)) % o
+                     for row, o in zip(M.act(g), orders))
+
+    moved = {combine(act(g, m), m, -1)
+             for g in M.group.elements for m in elems}
+    N = {tuple(0 for _ in orders)}
+    frontier = list(N)
+    while frontier:
+        frontier = list({combine(a, b) for a in frontier
+                         for b in moved} - N)
+        N.update(frontier)
+    return [sum(1 for m in elems
+                if tuple(d * x % o for x, o in zip(m, orders)) in N)
+            // len(N) for d in range(1, 13)]
+
+
+def _torsion_modules():
+    """Every action of Z/2 and Z/3 on (Z/2)^2, Z/2 + Z/4, (Z/3)^2 and
+    Z/2 + Z/6, and Sym(3) permuting (Z/m)^3, with or without a sign."""
+    for k, torsion in itertools.product((2, 3),
+                                        ((2, 2), (2, 4), (3, 3), (2, 6))):
+        under = FGAbelianGroup(0, torsion)
+        for a, b, c, d in itertools.product(*[range(o) for o in torsion
+                                              for _ in torsion]):
+            M = GModule(cyclic_group(k), under, {1: [[a, b], [c, d]]})
+            try:
+                M.verify_action()
+            except ValueError:
+                continue
+            yield M
+    G = symmetric_group(3)
+    for m, signed in itertools.product((2, 3, 4, 6), (False, True)):
+        action = {}
+        for g in G.generators:
+            mat = [[0] * 3 for _ in range(3)]
+            for j in range(3):
+                mat[g[j]][j] = _perm_sign(g) if signed else 1
+            action[g] = mat
+        yield GModule(G, FGAbelianGroup(0, (m, m, m)), action)
+
+
+def test_coinvariants_match_brute_force():
+    count = 0
+    for M in _torsion_modules():
+        H = coinvariants(M)
+        want = _brute_coinvariants(M)
+        got = [math.prod(math.gcd(d, t) for t in H.torsion)
+               for d in range(1, 13)]
+        assert H.free_rank == 0 and got == want, (M.orders, M.gen_action)
+        count += 1
+    assert count > 50
 
 
 def _perm_sign(p):

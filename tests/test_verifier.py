@@ -184,6 +184,30 @@ def test_cli_invalid_run_exits_1(tmp_path, capsys):
     assert err.startswith("homstab: error: ") and err.count("\n") == 1
 
 
+def test_cli_degree_module_rank_drops_to_0(tmp_path, capsys):
+    # F_0 = Z, F_1 = F_2 = 0: sigma_X at level 0 is a 0 x 1 matrix, whose
+    # kernel Z survives, so the degree bound (1, 0) is exceeded
+    desc = {"n_max": 2,
+            "modules": [{"free_rank": 1, "actions": []},
+                        {"free_rank": 0, "actions": []},
+                        {"free_rank": 0, "actions": [[]]}],
+            "s_mats": [[], []]}
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(desc))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "family": {"kind": "symmetric", "params": {}}, "A": 0, "X": 1,
+        "coeff": {"kind": "custom", "params": {"path": str(sys_path),
+                                               "r_max": 1, "N_max": 0}},
+        "k": 2, "n_max": 2}))
+    assert cli_main(["degree", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["degree"]["status"] == "exceeds"
+    assert rep["split"] == {"witness_found": False}
+
+
 def test_stability_run_builds_each_bar_level_once(monkeypatch):
     # neighbouring cells resolve the same module F_{n+1}; every bar level
     # of every module is budget-checked, hence built, exactly once
