@@ -13,7 +13,7 @@ oracle the closed forms are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groupoids import BraidedGroupoidInstance
 

@@ -30,7 +30,7 @@ from .bracket import BracketCategory, UMorphism
 from .exact_linalg import (FGAbelianGroup, SparseCols, identity_matrix,
                            induced_matrix, mat_mul, presented_subquotient,
                            reduce_rows, relation_columns, rows_congruent,
-                           smith_normal_form)
+                           solve_integer)
 from .homology_engine import GModule, StabilizationSetup, check_equivariant
 from . import laurent as lau
 
@@ -321,26 +321,6 @@ def degree_profile(F, r_max: int, N_max: int) -> DegreeProfile:
 # split witnesses
 
 
-def _solve_integer(rows, rhs):
-    """One solution x of A x = b over Z, or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    snf = smith_normal_form(rows, transforms=True)
-    ub = [sum(snf.U[i][j] * rhs[j] for j in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(m):
-        if i < snf.rank:
-            d = snf.factors[i]
-            if ub[i] % d:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i]:
-            return None
-    return [sum(snf.V[i][j] * y[j] for j in range(n)) for i in range(n)]
-
-
 def split_witness(F: CoefficientSystem):
     """Retractions rho_n : F_{n+1} -> F_n with rho_n sigma_X = id,
     equivariant over Sigma_X and natural in the system; None if the
@@ -357,19 +337,18 @@ def split_witness(F: CoefficientSystem):
     def var(n, i, j):
         return offs[n] + i * F.rank(n + 1) + j
 
-    rows, rhs = [], []
+    # one sparse column per variable, one row per equation; an equation
+    # modulo m is the relation column m * e_row
+    cols = [{} for _ in range(total)]
+    rhs, rel = [], []
 
     def add_eq(coeffs: dict, target: int, modulus: int):
-        # as wide as the earlier rows, which carry their slack columns
-        row = [0] * (len(rows[0]) if rows else total)
+        e = len(rhs)
         for v, c in coeffs.items():
-            row[v] += c
+            if c:
+                cols[v][e] = c
         if modulus:
-            # a new slack column: row . x + modulus * t = target
-            for r in rows:
-                r.append(0)
-            row.append(modulus)
-        rows.append(row)
+            rel.append({e: modulus})
         rhs.append(target)
 
     def add_matrix_eq(n_rho_left, left_pre, n_rho_right, right_post,
@@ -419,7 +398,7 @@ def split_witness(F: CoefficientSystem):
         sp = susp.s_mats[n]
         add_matrix_eq(n, F.s_mats[n], n + 1, sp, None, F.orders(n + 1),
                       (F.rank(n + 1), F.rank(n + 1)))
-    sol = _solve_integer(rows, rhs)
+    sol = solve_integer(cols, rhs, len(rhs), rel)
     if sol is None:
         return None
     out = []

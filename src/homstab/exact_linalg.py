@@ -1,8 +1,9 @@
 """Exact integer linear algebra over Z.
 
-Everything here is exact: Smith normal form with transform tracking,
-incremental column-span lattice bases in row Hermite form (sparse exact
-elimination), and kernels with expression tracking.
+Everything here is exact.  Spans, kernels modulo relations and integer
+solves are one sparse row Hermite form (`LatticeSpan`): a kernel or a
+solve reads the span of the tagged columns (A e_j ; e_j).  The Smith
+normal form keeps only the row transforms U and Uinv.
 
 `presented_subquotient` is the one routine for presented abelian groups:
 every homology group, kernel, cokernel and subquotient, and every epi/iso
@@ -147,7 +148,7 @@ def relation_columns(orders) -> list[dict[int, int]]:
 
 
 # ------------------------------------------------------------------
-# Smith normal form (arbitrary precision, with transforms)
+# Smith normal form (arbitrary precision, with row transforms)
 
 
 @dataclass
@@ -156,13 +157,13 @@ class SNFResult:
     rank: int
     nrows: int
     ncols: int
-    U: list[list[int]] | None = None       # U @ M @ V = D
-    V: list[list[int]] | None = None
-    Uinv: list[list[int]] | None = None
+    U: list[list[int]]        # U @ M @ V = D for a unimodular V not kept
+    Uinv: list[list[int]]
 
 
-def smith_normal_form(mat, transforms: bool = False):
-    """SNF of an integer matrix (dense list of rows or SparseCols).
+def smith_normal_form(mat):
+    """SNF of an integer matrix (dense list of rows or SparseCols), with
+    the row transform U and its inverse.
 
     Pivot choice is the smallest nonzero magnitude with ties broken by
     (row, col), so the transforms are deterministic.
@@ -173,56 +174,46 @@ def smith_normal_form(mat, transforms: bool = False):
         A = [list(map(int, row)) for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = identity_matrix(m) if transforms else None
-    Uinv = identity_matrix(m) if transforms else None
-    V = identity_matrix(n) if transforms else None
+    U = identity_matrix(m)
+    Uinv = identity_matrix(m)
 
     def row_op(i, j, q):
         # row_i -= q * row_j ; mirror on U, inverse op on Uinv columns
         Ai, Aj = A[i], A[j]
         for k in range(n):
             Ai[k] -= q * Aj[k]
-        if transforms:
-            Ui, Uj = U[i], U[j]
-            for k in range(m):
-                Ui[k] -= q * Uj[k]
-            for r in range(m):
-                Uinv[r][j] += q * Uinv[r][i]
+        Ui, Uj = U[i], U[j]
+        for k in range(m):
+            Ui[k] -= q * Uj[k]
+        for r in range(m):
+            Uinv[r][j] += q * Uinv[r][i]
 
     def col_op(j, i, q):
-        # col_j -= q * col_i ; mirror on V
+        # col_j -= q * col_i
         for r in range(m):
             A[r][j] -= q * A[r][i]
-        if transforms:
-            for r in range(n):
-                V[r][j] -= q * V[r][i]
 
     def swap_rows(i, j):
         if i == j:
             return
         A[i], A[j] = A[j], A[i]
-        if transforms:
-            U[i], U[j] = U[j], U[i]
-            for r in range(m):
-                Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
+        U[i], U[j] = U[j], U[i]
+        for r in range(m):
+            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
 
     def swap_cols(i, j):
         if i == j:
             return
         for r in range(m):
             A[r][i], A[r][j] = A[r][j], A[r][i]
-        if transforms:
-            for r in range(n):
-                V[r][i], V[r][j] = V[r][j], V[r][i]
 
     def negate_row(i):
         for k in range(n):
             A[i][k] = -A[i][k]
-        if transforms:
-            for k in range(m):
-                U[i][k] = -U[i][k]
-            for r in range(m):
-                Uinv[r][i] = -Uinv[r][i]
+        for k in range(m):
+            U[i][k] = -U[i][k]
+        for r in range(m):
+            Uinv[r][i] = -Uinv[r][i]
 
     t = 0
     while True:
@@ -281,41 +272,36 @@ def smith_normal_form(mat, transforms: bool = False):
             a, b = A[i][i], A[i + 1][i + 1]
             if b % a:
                 # standard 2x2 fix: gcd and lcm on the diagonal
-                g, x, _ = xgcd(a, b)
+                g = math.gcd(a, b)
                 lcm = a // g * b
-                if transforms:
-                    # (i) col_i += col_{i+1}; (ii) clear via row/col ops
-                    for r in range(m):
-                        A[r][i] += A[r][i + 1]
-                    for r in range(n):
-                        V[r][i] += V[r][i + 1]
-                    # now rows i, i+1 of the 2x2 block are (a, 0), (b, b)
-                    while True:
-                        p, q = A[i][i], A[i + 1][i]
-                        if q == 0:
-                            break
-                        k = q // p
-                        if k:
-                            row_op(i + 1, i, k)
-                        if A[i + 1][i]:
-                            swap_rows(i, i + 1)
-                    # clear fill in row i at column i+1
-                    p = A[i][i]
-                    q = A[i][i + 1]
-                    if q % p == 0:
-                        col_op(i + 1, i, q // p)
-                    if A[i][i] < 0:
-                        negate_row(i)
-                    if A[i + 1][i + 1] < 0:
-                        negate_row(i + 1)
-                    assert abs(A[i][i]) == g and abs(A[i + 1][i + 1]) == lcm
-                else:
-                    A[i][i], A[i + 1][i + 1] = g, lcm
+                # (i) col_i += col_{i+1}; (ii) clear via row/col ops
+                for r in range(m):
+                    A[r][i] += A[r][i + 1]
+                # now rows i, i+1 of the 2x2 block are (a, 0), (b, b)
+                while True:
+                    p, q = A[i][i], A[i + 1][i]
+                    if q == 0:
+                        break
+                    k = q // p
+                    if k:
+                        row_op(i + 1, i, k)
+                    if A[i + 1][i]:
+                        swap_rows(i, i + 1)
+                # clear fill in row i at column i+1
+                p = A[i][i]
+                q = A[i][i + 1]
+                if q % p == 0:
+                    col_op(i + 1, i, q // p)
+                if A[i][i] < 0:
+                    negate_row(i)
+                if A[i + 1][i + 1] < 0:
+                    negate_row(i + 1)
+                assert abs(A[i][i]) == g and abs(A[i + 1][i + 1]) == lcm
                 changed = True
 
     factors = [A[i][i] for i in range(rank)]
     return SNFResult(factors=factors, rank=rank, nrows=m, ncols=n,
-                     U=U, V=V, Uinv=Uinv)
+                     U=U, Uinv=Uinv)
 
 
 # ------------------------------------------------------------------
@@ -457,54 +443,51 @@ def span_columns(mat, dim: int | None = None) -> LatticeSpan:
 
 
 # ------------------------------------------------------------------
-# kernels with expression tracking
+# kernels and integer solves from one tagged span
 
 
-def kernel_columns(mat: SparseCols) -> tuple[list[dict[int, int]], list[int]]:
-    """Kernel of the column map Z^ncols -> Z^nrows.
+def _tagged_span(cols, nrows: int, rel) -> LatticeSpan:
+    """Span of (c_j ; e_j) for the columns c_j of cols and (r ; 0) for
+    the relations r, inside Z^(nrows + len(cols))."""
+    tagged = [{**c, nrows + j: 1} for j, c in enumerate(cols)]
+    return span_columns(tagged + list(rel), dim=nrows + len(cols))
 
-    Returns (basis, leads): a triangular HNF basis of the kernel lattice
-    as sparse dicts over column indices, with basis[t][leads[t]] > 0 the
-    leading entry.  Coordinates of any kernel vector in this basis come
-    from forward substitution (see :func:`triangular_coords`).
+
+def kernel_columns(mat: SparseCols, rel=()) -> tuple[list[dict[int, int]],
+                                                   list[int]]:
+    """Lattice of the v in Z^ncols with mat(v) in the span of the columns
+    rel: the kernel of mat when rel is empty.
+
+    Returns (basis, leads): the reduced HNF basis of that lattice as
+    sparse dicts over column indices, with basis[t][leads[t]] > 0 the
+    leading entry.  The HNF rows of the tagged span that lead past its
+    first nrows coordinates are exactly the rows (0 ; v) of this basis.
+    Coordinates of a vector in it come from forward substitution (see
+    :func:`triangular_coords`).
     """
-    # column reduction with expression tracking: pivots keyed by the lead
-    # row of their reduced vector, each carrying (vector, expression over
-    # original columns); pair replacements are unimodular so the zero
-    # expressions form a genuine kernel basis
-    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    raw: list[dict[int, int]] = []
-    for j, col in enumerate(mat.cols):
-        v = {i: x for i, x in col.items() if x}
-        expr = {j: 1}
-        while v:
-            lead = min(v)
-            hit = pivots.get(lead)
-            if hit is None:
-                pivots[lead] = (v, expr)
-                expr = None
-                break
-            pv, pexpr = hit
-            a = pv[lead]
-            q = v[lead] // a
-            if q:
-                _submul(v, pv, q)
-                _submul(expr, pexpr, q)
-            r = v.get(lead)
-            if r:
-                g, x, y = xgcd(a, r)
-                af, rf = a // g, r // g
-                pivots[lead] = (_comb(pv, x, v, y), _comb(pexpr, x, expr, y))
-                v = _comb(v, af, pv, -rf)
-                expr = _comb(expr, af, pexpr, -rf)
-        if expr is not None:
-            raw.append(expr)
-    # canonicalize: triangular reduced HNF basis of the kernel lattice
-    if not raw:
-        return [], []
-    span = span_columns(raw, dim=mat.ncols)
-    basis = span.basis()
-    return [row for _, row in basis], [lead for lead, _ in basis]
+    m = mat.nrows
+    rows = _tagged_span(mat.cols, m, rel).rows
+    leads = [p for p in sorted(rows) if p >= m]
+    return ([{i - m: x for i, x in rows[p].items()} for p in leads],
+            [p - m for p in leads])
+
+
+def solve_integer(cols, rhs, nrows: int, rel=()) -> list[int] | None:
+    """One x over Z with sum_j x_j cols[j] = rhs modulo the span of rel,
+    or None if there is none.
+
+    cols and rel are sparse columns in Z^nrows, rhs a dense vector.
+    Reducing (rhs ; 0) by the tagged span of :func:`kernel_columns`
+    leaves (0 ; -x) exactly when the system is solvable.
+    """
+    resid = _tagged_span(cols, nrows, rel).reduce(
+        {i: b for i, b in enumerate(rhs) if b})
+    if any(i < nrows for i in resid):
+        return None
+    x = [0] * len(cols)
+    for i, v in resid.items():
+        x[i - nrows] = -v
+    return x
 
 
 def triangular_coords(vec: dict[int, int], basis, leads) -> list[int]:
@@ -666,16 +649,7 @@ def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
     n = d_out.ncols
     if d_in.nrows != n:
         raise ValueError("chain level dimension mismatch")
-    if rel_out:
-        # kernel of [d_out | -rel_out] projected to the first n coordinates
-        aug = SparseCols(d_out.nrows, list(d_out.cols)
-                         + [{i: -v for i, v in r.items()} for r in rel_out])
-        raw, _ = kernel_columns(aug)
-        basis = span_columns([{i: x for i, x in v.items() if i < n}
-                              for v in raw], dim=n).basis()
-        kbasis, leads = [row for _, row in basis], [lead for lead, _ in basis]
-    else:
-        kbasis, leads = kernel_columns(d_out)
+    kbasis, leads = kernel_columns(d_out, rel_out)
     image = span_columns(SparseCols(n, list(d_in.cols) + list(rel_here)))
     return assemble_subquotient(n, kbasis, leads, image)
 
@@ -706,8 +680,7 @@ def assemble_subquotient(n: int, kbasis, leads,
               for _, bvec in image.basis()]
     nb = len(X_cols)
     X_rows = [[X_cols[c][r] for c in range(nb)] for r in range(k)]
-    snf = smith_normal_form(X_rows, transforms=True) if k else SNFResult(
-        factors=[], rank=0, nrows=0, ncols=nb, U=[], V=[], Uinv=[])
+    snf = smith_normal_form(X_rows)
     torsion_pos = [i for i, d in enumerate(snf.factors) if d > 1]
     free_pos = list(range(snf.rank, k))
     group = FGAbelianGroup(

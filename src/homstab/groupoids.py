@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import groups as gr
-from .groups import (FiniteGroup, GroupBudgetExceeded, DEFAULT_GROUP_BUDGET)
+from .groups import FiniteGroup, DEFAULT_GROUP_BUDGET
 
 
 @dataclass(frozen=True)

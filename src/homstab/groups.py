@@ -453,8 +453,7 @@ def abelian_invariants(Q: FiniteGroup):
             if col:
                 rel_cols.append(col)
     snf = smith_normal_form(
-        SparseCols(k, rel_cols) if rel_cols else SparseCols.zero(k, 0),
-        transforms=True)
+        SparseCols(k, rel_cols) if rel_cols else SparseCols.zero(k, 0))
     assert snf.rank == k, "finite abelian group must have full relation rank"
     torsion_pos = [i for i, d in enumerate(snf.factors) if d > 1]
     group = FGAbelianGroup(0, tuple(snf.factors[i] for i in torsion_pos))

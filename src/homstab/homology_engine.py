@@ -2,8 +2,8 @@
 
 Normalized bar complex over a finite group G with coefficients in a
 finitely generated Z[G]-module, plus what the stability verifier needs:
-coinvariants, induced modules, stabilization chain maps, and relative
-homology as a mapping cone.  Every group here is computed by
+coinvariants, stabilization chain maps, and relative homology as a
+mapping cone.  Every group here is computed by
 `exact_linalg.presented_subquotient`.
 
 Every caller takes its complex from `resolve(M, budget)`, which keeps one
@@ -241,65 +241,6 @@ def group_ring_module(group: FiniteGroup, quotient: FiniteGroup,
         action[g] = m
     return GModule(group, FGAbelianGroup(n), action,
                    name=f"Z[Q{n}]")
-
-
-def induce_module(G: FiniteGroup, M: GModule) -> GModule:
-    """Induced module Ind_H^G M where H = M.group sits inside G.
-
-    Basis: (coset rep r, module generator j); g.(r (x) m) = r' (x) h.m
-    with g r = r' h, h in H.  Coset reps are the minimal elements of the
-    left cosets gH, so the construction is deterministic.
-    """
-    H = M.group
-    hset = set(H.elements)
-    for h in H.elements:
-        if h not in G.index:
-            raise ValueError("H is not a subset of G")
-    for a in H.generators:
-        for b in H.generators:
-            if G.mul(a, b) not in hset:
-                raise ValueError("H is not closed under the group operation")
-    # minimal-element coset representatives
-    seen = set()
-    reps = []
-    for g in G.elements:
-        if g in seen:
-            continue
-        coset = sorted(G.mul(g, h) for h in hset)
-        reps.append(coset[0])
-        seen.update(coset)
-    rep_of = {}
-    for r in reps:
-        for h in hset:
-            rep_of[G.mul(r, h)] = r
-    ridx = {r: i for i, r in enumerate(reps)}
-    m_rank = M.rank
-    n = len(reps) * m_rank
-    # torsion-first order layout is preserved blockwise only if M is free
-    # or pure torsion per generator; interleave then re-sort canonically
-    orders = []
-    for _ in reps:
-        orders.extend(M.orders)
-    tors = sorted(o for o in orders if o)
-    under = FGAbelianGroup(sum(1 for o in orders if not o), tuple(tors))
-    # index layout: block r, generator j, with torsion-first order inside M
-    action = {}
-    for g in G.generators:
-        mat = [[0] * n for _ in range(n)]
-        for i, r in enumerate(reps):
-            gr = G.mul(g, r)
-            r2 = rep_of[gr]
-            h = G.mul(G.inv(r2), gr)
-            hmat = M.act(h)
-            for a in range(m_rank):
-                for b in range(m_rank):
-                    if hmat[a][b]:
-                        mat[ridx[r2] * m_rank + a][i * m_rank + b] = hmat[a][b]
-        action[g] = mat
-    out = GModule(G, under, action, name=f"Ind({M.name})")
-    # the blockwise layout must agree with the torsion-first convention
-    out.orders = orders
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bracket import BracketCategory, UMorphism
+from .bracket import BracketCategory
 from .exact_linalg import SparseCols, homology_of_pair, FGAbelianGroup
 
 

@@ -75,6 +75,17 @@ class FamilyConfig:
 ABELIAN_COEFFS = {"abelian_constant", "internalized_abelian"}
 
 
+def _require(obj, what: str, keys=()) -> dict:
+    """obj, checked to be a JSON object holding every key in keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not "
+                         f"{type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} lacks the key {key!r}")
+    return obj
+
+
 def load_config(source) -> FamilyConfig:
     """Validate and normalize a config given as a dict or a JSON path."""
     if isinstance(source, dict):
@@ -82,22 +93,26 @@ def load_config(source) -> FamilyConfig:
     else:
         with open(source) as fh:
             raw = json.load(fh)
-    fam = raw.get("family", {})
-    coeff = raw.get("coeff", {"kind": "constant", "params": {}})
+    _require(raw, "config")
+    fam = _require(raw.get("family", {}), "family")
+    coeff = _require(raw.get("coeff", {"kind": "constant", "params": {}}),
+                     "coeff")
     cfg = FamilyConfig(
         raw=raw,
         family_kind=fam.get("kind", "symmetric"),
-        family_params=fam.get("params", {}),
+        family_params=_require(fam.get("params", {}), "family params"),
         A=int(raw.get("A", 0)),
         X=int(raw.get("X", 1)),
         coeff_kind=coeff.get("kind", "constant"),
-        coeff_params=coeff.get("params", {}),
+        coeff_params=_require(coeff.get("params", {}), "coeff params"),
         k=int(raw.get("k", 2)),
         n_max=int(raw.get("n_max", 4)),
         i_max=int(raw.get("i_max", 1)),
         theorems=list(raw.get("theorems", ["3.1"])),
-        budgets=dict(raw.get("budgets", {})),
+        budgets=dict(_require(raw.get("budgets", {}), "budgets")),
     )
+    if cfg.coeff_kind == "custom":
+        _require(cfg.coeff_params, "coeff custom params", ("path",))
     if cfg.A < 0 or cfg.X < 1:
         raise ValueError("need A >= 0 and X >= 1")
     if cfg.k < 2:
@@ -135,10 +150,12 @@ def _custom_system(cat: BracketCategory, cfg: FamilyConfig):
     "s_mats": [matrix]}.
     """
     with open(cfg.coeff_params["path"]) as fh:
-        desc = json.load(fh)
+        desc = _require(json.load(fh), "custom description",
+                        ("n_max", "modules", "s_mats"))
     n_max = int(desc["n_max"])
     mods = []
     for n, md in enumerate(desc["modules"]):
+        _require(md, f"custom module {n}", ("actions",))
         grp = cat.G.aut(cfg.A + n * cfg.X)
         under = FGAbelianGroup(int(md.get("free_rank", 0)),
                                tuple(md.get("torsion", [])))

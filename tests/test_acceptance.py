@@ -5,10 +5,7 @@ equality on a desk-scale instance.  Budget-refused cells are asserted to
 be refusals (documented skips), never silently ignored.
 """
 
-import json
 import math
-
-import pytest
 
 from homstab.groups import (symmetric_group, alternating_group,
                             abelianization)
@@ -17,7 +14,7 @@ from homstab.simplicial import (build_W, build_S, lift_profile, link,
                                 connectivity_certificate,
                                 SimplicialComplex)
 from homstab.homology_engine import (trivial_module, permutation_module,
-                                     bar_homology, BarBudgetExceeded)
+                                     bar_homology)
 from homstab.coeffsys import (constant_system, standard_system,
                               tensor_power, degree_profile, split_witness,
                               split_degree_profile, abelianization_limit,

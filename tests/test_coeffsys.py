@@ -1,6 +1,5 @@
 import pytest
 
-from homstab.groups import cyclic_group
 from homstab.groupoids import braid_family
 from homstab.homology_engine import GModule, bar_homology
 from homstab.exact_linalg import FGAbelianGroup
@@ -94,6 +93,20 @@ def test_split_witness_standard(std):
     assert (sdp.status, sdp.r, sdp.N) == ("ok", 1, 0)
 
 
+def test_split_degree_tensor_square(sym_cat):
+    # the split witness solves one integer system over all of rho_0..rho_5
+    T = tensor_power(standard_system(sym_cat, 0, 6), 2)
+    sdp = split_degree_profile(T, 3, 1)
+    assert (sdp.status, sdp.r, sdp.N) == ("ok", 2, 0)
+    w = split_witness(T)
+    assert w is not None and len(w) == 6
+    for n, rho in enumerate(w):
+        assert mat_mul(rho, T.sigma_mat(n)) == identity_matrix(T.rank(n))
+        for g in T.group(n).generators:
+            tw = T.modules[n + 1].act(sym_cat.sigma_lower_on_group(g, 0, 1, n))
+            assert mat_mul(rho, tw) == mat_mul(T.modules[n].act(g), rho)
+
+
 def test_no_split_witness_for_multiplication_by_two(sym_cat):
     # F_n = Z with trivial action and s_n = multiplication by 2:
     # a valid system whose suspension map admits no retraction
@@ -184,8 +197,7 @@ def test_stabilization_setup_verifies(std):
 
 @pytest.mark.parametrize("cat_name", ["sym_cat", "gl2_cat"])
 def test_split_witness_constant_with_torsion(request, cat_name):
-    # Z + Z/2: the modular equations add slack columns, which the later
-    # integral equations must be as wide as
+    # Z + Z/2: each equation modulo 2 is a relation column of the solve
     from homstab.exact_linalg import reduce_rows, rows_congruent
     cat = request.getfixturevalue(cat_name)
     C = constant_system(cat, 0, 1, 2, rank=2, torsion=(2,))

@@ -1,14 +1,13 @@
 import itertools
 import math
-import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homstab.exact_linalg import (
     smith_normal_form, SparseCols, LatticeSpan, span_columns,
-    kernel_columns, FGAbelianGroup, Subquotient, homology_of_pair,
-    induced_matrix, classify_induced,
+    kernel_columns, solve_integer, FGAbelianGroup, homology_of_pair,
+    induced_matrix, classify_induced, relation_columns,
 )
 from homstab import kernels
 from homstab.groups import symmetric_group
@@ -31,14 +30,21 @@ def _mat_mul(A, B):
 @given(MATS)
 @settings(max_examples=60, deadline=None)
 def test_snf_transform_identity(rows):
-    snf = smith_normal_form(rows, transforms=True)
-    prod = _mat_mul(_mat_mul(snf.U, rows), snf.V)
-    for i in range(len(rows)):
-        for j in range(len(rows[0])):
-            expect = snf.factors[i] if i == j and i < len(snf.factors) else 0
-            assert prod[i][j] == expect
+    """U M = D V^-1 for a unimodular V: the rows of U M past the rank
+    vanish, and row i below it is d_i times a row of V^-1, so those
+    quotient rows have every invariant factor 1."""
+    snf = smith_normal_form(rows)
     assert _mat_mul(snf.U, snf.Uinv) == [
         [int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    um = _mat_mul(snf.U, rows)
+    assert all(not any(row) for row in um[snf.rank:])
+    W = []
+    for d, row in zip(snf.factors, um):
+        assert all(x % d == 0 for x in row)
+        W.append([x // d for x in row])
+    if W:
+        quot = smith_normal_form(W)
+        assert quot.rank == snf.rank and set(quot.factors) == {1}
     for i in range(snf.rank - 1):
         assert snf.factors[i + 1] % snf.factors[i] == 0
 
@@ -117,6 +123,76 @@ def test_kernel_columns_exactness():
     for vec in kernel:
         out = mat.apply(vec)
         assert not out
+
+
+@st.composite
+def presented_systems(draw):
+    """(rows, orders): an integer matrix of up to 4 x 5 whose row i lives
+    in Z/orders[i] (order 0 meaning Z)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(m)]
+    return rows, [draw(st.integers(0, 6)) for _ in range(m)]
+
+
+def _congruent_to_zero(vec, orders):
+    return all((x % o if o else x) == 0 for x, o in zip(vec, orders))
+
+
+def _apply(rows, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in rows]
+
+
+@given(presented_systems())
+@settings(max_examples=60, deadline=None)
+def test_kernel_columns_modulo_relations(case):
+    """The basis spans exactly the v with rows . v = 0 modulo orders."""
+    rows, orders = case
+    n = len(rows[0])
+    mat = SparseCols.from_dense(rows, n)
+    basis, leads = kernel_columns(mat, relation_columns(orders))
+    assert leads == sorted(set(leads))
+    for v, lead in zip(basis, leads):
+        assert min(v) == lead and v[lead] > 0
+        dense = [v.get(j, 0) for j in range(n)]
+        assert _congruent_to_zero(_apply(rows, dense), orders)
+    span = span_columns(basis, n)
+    for v in itertools.product(range(-2, 3), repeat=n):
+        if _congruent_to_zero(_apply(rows, v), orders):
+            assert span.contains(list(v)), v
+
+
+def _solvable_by_snf(rows, rhs, orders):
+    """The criterion of the dense SNF solve: with U [A | rel] V = D,
+    A x = b modulo orders iff (U b)_i = 0 mod d_i below the rank and
+    (U b)_i = 0 beyond it."""
+    rel = [[o if i == j else 0 for j, o in enumerate(orders) if o]
+           for i in range(len(rows))]
+    snf = smith_normal_form([r + q for r, q in zip(rows, rel)])
+    ub = _apply(snf.U, rhs)
+    return (all(ub[i] % d == 0 for i, d in enumerate(snf.factors))
+            and not any(ub[snf.rank:]))
+
+
+@given(presented_systems(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_integer_matches_snf_criterion(case, data):
+    rows, orders = case
+    m, n = len(rows), len(rows[0])
+    if data.draw(st.booleans()):
+        # a right-hand side in the image, shifted by relations
+        y = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rhs = [b + o * data.draw(st.integers(-2, 2))
+               for b, o in zip(_apply(rows, y), orders)]
+    else:
+        rhs = data.draw(st.lists(st.integers(-9, 9), min_size=m,
+                                 max_size=m))
+    cols = SparseCols.from_dense(rows, n).cols
+    x = solve_integer(cols, rhs, m, relation_columns(orders))
+    assert (x is not None) == _solvable_by_snf(rows, rhs, orders)
+    if x is not None:
+        assert len(x) == n
+        assert _congruent_to_zero(
+            [a - b for a, b in zip(_apply(rows, x), rhs)], orders)
 
 
 def test_fgab_str():

@@ -5,9 +5,8 @@ from homstab.groups import (FiniteGroup, cyclic_group, perm_identity,
 from homstab.groupoids import (
     make_symmetric, make_wreath, make_general_linear, FiniteRing,
     GeneralLinearGroupoid, verify_groupoid_axioms, braid_family,
-    PresentedGroupFamily,
 )
-from homstab.laurent import lm_identity, lm_eq, lm_mul, lm_word
+from homstab.laurent import lm_identity, lm_eq, lm_mul
 from homstab.coeffsys import BurauSystem
 
 

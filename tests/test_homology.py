@@ -4,13 +4,12 @@ import math
 import pytest
 
 from homstab.groups import (symmetric_group, alternating_group,
-                            cyclic_group, abelianization, perm_mul,
-                            perm_inv, perm_identity)
+                            cyclic_group, abelianization)
 from homstab.exact_linalg import FGAbelianGroup, SparseCols, homology_of_pair
 from homstab.pi1 import todd_coxeter_trivial
 from homstab.homology_engine import (
     BarBudget, BarBudgetExceeded, GModule, trivial_module, sign_module,
-    permutation_module, group_ring_module, induce_module, bar_homology,
+    permutation_module, group_ring_module, bar_homology,
     coinvariants, conjugation_acts_trivially, resolve,
 )
 

@@ -9,8 +9,9 @@ import homstab
 
 SRC = Path(homstab.__file__).parent
 
-# smith_normal_form may be called here and in exact_linalg
-SNF_CALLERS = {"coeffsys._solve_integer", "groups.abelian_invariants"}
+# smith_normal_form may be called in exact_linalg and, outside it, only
+# here: these SNF coordinates are what coeff.params.subgroup refers to
+SNF_CALLERS = {"groups.abelian_invariants"}
 # these may be used in exact_linalg and kernels only
 PIECES = {"kernel_columns", "span_columns", "LatticeSpan",
           "assemble_subquotient"}

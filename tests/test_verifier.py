@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from homstab import verifier
 from homstab.verifier import (
     load_config, config_hash, predicted_ranges, run_axioms,
     run_connectivity, run_degree, run_homology, run_stability,
@@ -206,6 +205,26 @@ def test_cli_degree_module_rank_drops_to_0(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["degree"]["status"] == "exceeds"
     assert rep["split"] == {"witness_found": False}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no_path", "coeff custom params lacks the key 'path'"),
+    ("no_actions", "custom module 0 lacks the key 'actions'"),
+    ("list_config", "config must be a JSON object, not list"),
+])
+def test_cli_malformed_config_exits_1(tmp_path, capsys, case, message):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps({"n_max": 1, "s_mats": [[[1]]],
+                                    "modules": [{"free_rank": 1}] * 2}))
+    params = {} if case == "no_path" else {"path": str(sys_path)}
+    cfg = {"family": {"kind": "symmetric", "params": {}}, "n_max": 1,
+           "coeff": {"kind": "custom", "params": params}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([cfg] if case == "list_config" else cfg))
+    assert cli_main(["degree", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == f"homstab: error: {message}\n"
 
 
 def test_stability_run_builds_each_bar_level_once(monkeypatch):
