@@ -29,11 +29,13 @@ class FiniteGroup:
     downstream (canonical coset representatives, chain bases, caches).
 
     `generators` must generate the group.  Module actions, coinvariants,
-    homomorphism checks and [G, G] cost one unit per generator, so the
-    families pass small sets: Coxeter transpositions for Sym(n), 1 for
-    Z/m, transvections and diagonal units for GL_n(Z/m), and base
-    generators in slot 0 plus Coxeter transpositions for base wr Sym(n).
-    Without `generators` (Alt(n), quotient groups) every non-identity
+    homomorphism checks and [G, G] cost one unit per generator, and the
+    presentation complex has |G| (|S| - 1) + 1 relators, so every group
+    here passes a small set: Coxeter transpositions for Sym(n), the
+    3-cycles (0 1 k) for Alt(n), 1 for Z/m, transvections and diagonal
+    units for GL_n(Z/m), base generators in slot 0 plus Coxeter
+    transpositions for base wr Sym(n), and the images of the parent's
+    generators for a quotient.  Without `generators` every non-identity
     element is a generator.
     """
 
@@ -166,8 +168,12 @@ def alternating_group(n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
         raise GroupBudgetExceeded(
             f"|Alt({n})| = {order} exceeds budget {budget}")
     elems = [p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1]
-    gens = [p for p in elems if p != perm_identity(n)]
-    # 3-cycles generate; the full nonidentity set is fine at this scale
+    # the 3-cycles (0 1 k), k = 2 .. n - 1, generate Alt(n)
+    gens = []
+    for k in range(2, n):
+        p = list(range(n))
+        p[0], p[1], p[k] = 1, k, 0
+        gens.append(tuple(p))
     return FiniteGroup(elems, perm_mul, perm_inv, perm_identity(n),
                        name=f"Alt({n})", generators=gens)
 
@@ -412,7 +418,8 @@ def cyclic_group(m) -> FiniteGroup:
 
 def quotient_group(G: FiniteGroup, normal_subgroup) -> tuple[FiniteGroup, dict]:
     """Quotient by a normal subgroup; cosets are represented by their
-    minimum element.  Returns (Q, coset_map element -> representative)."""
+    minimum element, and Q is generated by the images of G's generators.
+    Returns (Q, coset_map element -> representative)."""
     N = sorted(normal_subgroup)
     assert G.is_subgroup(N)
     rep = {}
@@ -426,8 +433,10 @@ def quotient_group(G: FiniteGroup, normal_subgroup) -> tuple[FiniteGroup, dict]:
     reps = sorted(set(rep.values()))
     mul = lambda a, b: rep[G.mul(a, b)]
     inv = lambda a: rep[G.inv(a)]
-    Q = FiniteGroup(reps, mul, inv, rep[G.identity],
-                    name=f"{G.name}/N")
+    ident = rep[G.identity]
+    gens = dict.fromkeys(rep[g] for g in G.generators if rep[g] != ident)
+    Q = FiniteGroup(reps, mul, inv, ident, name=f"{G.name}/N",
+                    generators=gens)
     return Q, rep
 
 

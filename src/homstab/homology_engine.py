@@ -1,27 +1,42 @@
 """Group homology of finite groups with twisted coefficients.
 
-Normalized bar complex over a finite group G with coefficients in a
-finitely generated Z[G]-module, plus what the stability verifier needs:
-coinvariants, stabilization chain maps, and relative homology as a
-mapping cone.  Every group here is computed by
-`exact_linalg.presented_subquotient`.
+Two free resolutions of Z over Z[G], tensored with a finitely generated
+Z[G]-module M, plus what the stability verifier needs: coinvariants,
+stabilization chain maps, and relative homology as a mapping cone.
+Every group here is computed by `exact_linalg.presented_subquotient`.
 
-Every caller takes its complex from `resolve(M, budget)`, which keeps one
-bar complex per module and budget.  Its levels are built on first use,
-each after one budget check, and its boundaries and homology groups are
-kept, so neighbouring grid cells that resolve the same module share them.
+Every caller takes its complex from `resolve(M, budget, top)`, where top
+is the highest chain level it reads (H_i reads levels up to i + 1):
+
+  * top <= 2 (H_0, H_1, Rel_1): the presentation complex, the cellular
+    chains of the universal cover of the Cayley-graph presentation
+    complex of G.  Level 2 has rank * (|G| (|S| - 1) + 1) cells for a
+    generating set S.
+  * otherwise: the normalized bar complex, whose level i has
+    rank * (|G| - 1)^i cells.
+
+`resolve` keeps one complex of each kind per module and budget.  Its
+levels are built on first use, each after one budget check on the size
+of that level of that resolution, and its boundaries and homology groups
+are kept, so neighbouring grid cells that resolve the same module share
+them.
 
 Conventions (fixed once, and d^2 = 0 is asserted on every assembled
 complex so a sign slip cannot pass silently):
 
   * modules carry a LEFT action by integer matrices on a fixed generating
-    presentation; the bar complex uses the associated right action
-    m.g := g^{-1}.m;
-  * C_i = M (x) Z[Gbar^i] with Gbar = G \\ {e}  (normalized complex);
-  * d(m(x)[g1|...|gi]) = m.g1 (x) [g2|...|gi]
+    presentation; both complexes use the associated right action
+    m.g := g^{-1}.m, extended linearly to Z[G];
+  * bar complex: C_i = M (x) Z[Gbar^i] with Gbar = G \\ {e};
+    d(m(x)[g1|...|gi]) = m.g1 (x) [g2|...|gi]
       + sum_{s=1..i-1} (-1)^s m (x) [g1|..|g_s g_{s+1}|..|gi]
       + (-1)^i m (x) [g1|...|g_{i-1}],
-    terms whose bar acquires an identity entry are dropped.
+    terms whose bar acquires an identity entry are dropped;
+  * presentation complex: C_0 = M, C_1 = M^S, C_2 = M^R with one relator
+    w(g) s w(gs)^{-1} per non-tree edge (g, s) of the Cayley graph, w the
+    BFS tree words of `FiniteGroup.generator_words`;
+    d_1(m e_s) = m.s - m and d_2(m e_R) = sum_t m.(dR/dt) e_t, with dR/dt
+    the Fox derivative (Fox, Free differential calculus I, 1953).
 """
 
 from __future__ import annotations
@@ -60,12 +75,14 @@ class BarBudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class BarBudget:
-    """Resource limits for bar-complex assembly.
+    """Resource limits for assembling a resolution.
 
-    max_cells bounds the basis size of any single chain level (in the
-    normalized complex).  The degree/order guards refuse expensive
-    homological degrees for large groups unless explicitly raised; chain
-    level i is first read by homology in degree i - 1.
+    max_cells bounds the basis size of any single chain level of the
+    resolution that is built (bar or presentation complex).  The
+    degree/order guards refuse expensive homological degrees for large
+    groups unless explicitly raised; chain level i is first read by
+    homology in degree i - 1, so they fire only at levels >= 3, which
+    only the bar complex has.
     """
 
     max_cells: int = 2_000_000
@@ -76,10 +93,12 @@ class BarBudget:
     def __post_init__(self):
         assert self.max_cells > 0 and self.max_degree > 0
 
-    def check(self, group_order: int, rank: int, level: int) -> None:
-        """Refuse to build bar chain level `level` of a rank-`rank` module
-        over a group of order `group_order`."""
+    def check(self, cx, level: int) -> None:
+        """Refuse to build chain level `level` of the resolution cx.  A
+        refusal reads "chain level N needs C cells"; one from a
+        resolution other than the bar complex starts with its kind."""
         degree = level - 1
+        group_order = cx.G.order
         if degree > self.max_degree:
             raise BarBudgetExceeded(
                 f"homological degree {degree} exceeds max_degree "
@@ -92,10 +111,11 @@ class BarBudget:
             raise BarBudgetExceeded(
                 f"|G| = {group_order} > {self.order_limit_deg3} refused at "
                 f"degree {degree}", estimate=group_order)
-        cells = rank * max(1, (group_order - 1)) ** level
+        cells = cx.level_size(level)
         if cells > self.max_cells:
+            named = "" if cx.kind == BarComplex.kind else f"{cx.kind}: "
             raise BarBudgetExceeded(
-                f"chain level {level} needs {cells} cells "
+                f"{named}chain level {level} needs {cells} cells "
                 f"(> {self.max_cells})", estimate=cells)
 
 
@@ -128,7 +148,7 @@ class GModule:
         self._act_cache: dict = {group.identity: identity_matrix(self.rank)}
         self._right_cache: dict = {}
         self._words = None
-        self._complexes: dict = {}      # BarBudget -> BarComplex, see resolve
+        self._complexes: dict = {}      # (kind, BarBudget) -> complex
 
     # -- presentation helpers
 
@@ -137,17 +157,21 @@ class GModule:
 
     # -- the action
 
+    def words(self) -> dict:
+        """The group's BFS generator words, computed once per module:
+        generator-index tuples with g = s_{w_1} ... s_{w_k}."""
+        if self._words is None:
+            self._words = self.group.generator_words()
+        return self._words
+
     def act(self, g):
         """Left-action matrix of g, memoized via generator words."""
         cached = self._act_cache.get(g)
         if cached is not None:
             return cached
-        if self._words is None:
-            self._words = self.group.generator_words()
         gens = self.group.generators
-        # words are generator-index tuples with g = s_{w_1} ... s_{w_k}
         mat = identity_matrix(self.rank)
-        for gi in self._words[g]:
+        for gi in self.words()[g]:
             mat = self._product(
                 mat, reduce_rows(self.gen_action[gens[gi]], self.orders))
         self._act_cache[g] = mat
@@ -260,7 +284,7 @@ def coinvariants(M: GModule) -> FGAbelianGroup:
 
 
 # ----------------------------------------------------------------------
-# presented chain complexes: the bar complex and the mapping cone
+# presented chain complexes: the two resolutions and the mapping cone
 
 
 class PresentedComplex:
@@ -268,7 +292,10 @@ class PresentedComplex:
     level_size(i) generators, row r of order row_orders(i)[r] (0 = Z).
 
     Subclasses give level_size(i), boundary(i) and row_orders(i); the
-    relations, the d^2 check and homology all come from those.  Homology
+    relations, the d^2 check and homology all come from those.  The two
+    resolutions also give chain_map(i, other, group_map, mat): the map
+    C_i(self) -> C_i(other) over a homomorphism group_map and a module map
+    mat equivariant over it, which induces the map on homology.  Homology
     is the subquotient {v : d v in relations} / (im d + relations), and
     is kept per degree.
     """
@@ -358,7 +385,7 @@ class BarComplex(PresentedComplex):
             return self._boundaries[i]
         if i < 1:
             raise ValueError("boundary index out of range")
-        self.budget.check(self.G.order, self.M.rank, level=i)
+        self.budget.check(self, i)
         rank = self.M.rank
         ident = self.G.identity
         cols = []
@@ -402,45 +429,183 @@ class BarComplex(PresentedComplex):
         return self._boundaries.setdefault(i, d)
 
 
-def resolve(M: GModule, budget: BarBudget) -> BarComplex:
-    """The one bar complex of M under budget, kept on M so that every
-    caller shares its levels and homology."""
-    cx = M._complexes.get(budget)
+    def chain_map(self, i, other: "BarComplex", group_map,
+                  mat) -> SparseCols:
+        """C_i(self) -> C_i(other) sending m (x) [g1|...|gi] to
+        mat.m (x) [group_map(g1)|...|group_map(gi)]."""
+        rs, rt = self.M.rank, other.M.rank
+        cols = []
+        for bar in self._tuples(i):
+            tgt = other.tuple_index(tuple(group_map(g) for g in bar))
+            for j in range(rs):
+                cols.append({tgt * rt + a: mat[a][j]
+                             for a in range(rt) if mat[a][j]})
+        return SparseCols(other.level_size(i), cols)
+
+
+class PresentationComplex(PresentedComplex):
+    """Levels 0..2 of the cellular chains of the universal cover of the
+    Cayley-graph presentation complex of G, tensored with M; take it from
+    `resolve`.
+
+    The generators S of G give C_1 = M^S, and the non-tree edges (g, s) of
+    the BFS tree of `FiniteGroup.generator_words` give the relators
+    w(g) s w(gs)^{-1} of C_2 = M^R, |R| = |G| (|S| - 1) + 1.  The cover is
+    simply connected, so C_2 -> C_1 -> C_0 -> Z is exact, and H_0, H_1 and
+    the maps they induce are those of any resolution.  Row t * rank + j
+    of level i has the order of module generator j.
+    """
+
+    kind = "presentation complex"
+    top = 2
+
+    def __init__(self, M: GModule, budget: BarBudget):
+        super().__init__()
+        self.M = M
+        self.G = M.group
+        self.budget = budget
+        self._boundaries: dict[int, SparseCols] = {}
+        self._fox = None
+
+    def _cells(self, i) -> int:
+        """Free Z[G]-rank of level i."""
+        if not 0 <= i <= self.top:
+            raise ValueError(f"the {self.kind} has levels 0..{self.top}")
+        nsgen = len(self.G.generators)
+        return (1, nsgen, self.G.order * (nsgen - 1) + 1)[i]
+
+    def level_size(self, i) -> int:
+        return self.M.rank * self._cells(i)
+
+    def row_orders(self, i):
+        return self.M.orders * self._cells(i)
+
+    def fox(self) -> dict:
+        """{g: {t: matrix of m |-> m.(dw(g)/ds_t)}} for the tree word w(g)
+        of every element g, built once by prefix recursion along the BFS
+        tree: w(x s_t) = w(x) s_t gives d w(x s_t)/ds_t = d w(x)/ds_t + x.
+        """
+        if self._fox is not None:
+            return self._fox
+        words = self.M.words()
+        by_word = {w: g for g, w in words.items()}
+        fox = {}
+        for g, w in words.items():        # BFS order: prefixes come first
+            if not w:
+                fox[g] = {}
+                continue
+            x, t = by_word[w[:-1]], w[-1]
+            dg = dict(fox[x])
+            right = self.M.act_right(x)
+            dg[t] = _mat_add(dg[t], right) if t in dg else right
+            fox[g] = dg
+        if self._fox is None:
+            self._fox = fox
+        return self._fox
+
+    def boundary(self, i) -> SparseCols:
+        """d_i : C_i -> C_{i-1} as a SparseCols matrix."""
+        if i in self._boundaries:
+            return self._boundaries[i]
+        if not 1 <= i <= self.top:
+            raise ValueError("boundary index out of range")
+        self.budget.check(self, i)
+        rank = self.M.rank
+        gens = self.G.generators
+        cols = []
+        if i == 1:
+            # d_1(m e_s) = m.s - m
+            for s in gens:
+                right = self.M.act_right(s)
+                for j in range(rank):
+                    cols.append({a: right[a][j] - (a == j)
+                                 for a in range(rank)
+                                 if right[a][j] != (a == j)})
+        else:
+            # relator R = w(g) s w(gs)^{-1}:
+            # dR/dt = dw(g)/dt + [t = s] g - dw(gs)/dt
+            words = self.M.words()
+            fox = self.fox()
+            for g in self.G.elements:
+                for si, s in enumerate(gens):
+                    gs = self.G.mul(g, s)
+                    if words[gs] == words[g] + (si,):
+                        continue                # tree edge: no relator
+                    terms = [(t, m, 1) for t, m in fox[g].items()]
+                    terms += [(t, m, -1) for t, m in fox[gs].items()]
+                    terms.append((si, self.M.act_right(g), 1))
+                    for j in range(rank):
+                        col: dict[int, int] = {}
+                        for t, m, sign in terms:
+                            for a in range(rank):
+                                if m[a][j]:
+                                    k = t * rank + a
+                                    col[k] = col.get(k, 0) + sign * m[a][j]
+                        cols.append({k: v for k, v in col.items() if v})
+        d = SparseCols(self.level_size(i - 1), cols)
+        return self._boundaries.setdefault(i, d)
+
+    def chain_map(self, i, other: "PresentationComplex", group_map,
+                  mat) -> SparseCols:
+        """C_i(self) -> C_i(other) for i <= 1: f_0 = mat and
+        f_1(m e_s) = sum_t (mat.m).(dw'(group_map(s))/dt) e_t with w' the
+        tree words of other.  The fundamental formula of Fox calculus,
+        sum_t (dw/dt)(t - 1) = w - 1, gives d f_1 = f_0 d."""
+        rs, rt = self.M.rank, other.M.rank
+        if i == 0:
+            blocks = [[(0, mat)]]
+        elif i == 1:
+            ofox = other.fox()
+            blocks = [[(t, mat_mul(m, mat))
+                       for t, m in ofox[group_map(s)].items()]
+                      for s in self.G.generators]
+        else:
+            raise ValueError(
+                f"the {self.kind} has chain maps in levels 0 and 1 only")
+        cols = []
+        for prods in blocks:
+            for j in range(rs):
+                cols.append({t * rt + a: p[a][j]
+                             for t, p in prods for a in range(rt)
+                             if p[a][j]})
+        return SparseCols(other.level_size(i), cols)
+
+
+def _mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def resolve(M: GModule, budget: BarBudget, top: int | None = None):
+    """The one resolution of M under budget that reaches chain level top
+    (None: any level): the presentation complex for top <= 2, the bar
+    complex otherwise.  It is kept on M, keyed by kind and budget, so that
+    every caller shares its levels and homology."""
+    small = top is not None and top <= PresentationComplex.top
+    cls = PresentationComplex if small else BarComplex
+    key = (cls.kind, budget)
+    cx = M._complexes.get(key)
     if cx is None:
-        cx = M._complexes.setdefault(budget, BarComplex(M, budget))
+        cx = M._complexes.setdefault(key, cls(M, budget))
     return cx
 
 
 def bar_homology(M: GModule, i: int,
                  budget: BarBudget | None = None) -> FGAbelianGroup:
-    """H_i(G; M) via the normalized bar complex."""
+    """H_i(G; M): coinvariants for i = 0, else the homology of the
+    smallest resolution that reaches chain level i + 1."""
     if i == 0:
         return coinvariants(M)
-    return resolve(M, budget or BarBudget()).homology(i).group
+    return resolve(M, budget or BarBudget(), top=i + 1).homology(i).group
 
 
 # ----------------------------------------------------------------------
 # chain maps, stabilization and relative homology
 
 
-def _bar_chain_map(i, cx_src: BarComplex, cx_tgt: BarComplex, group_map,
-                  mat) -> SparseCols:
-    """C_i(src) -> C_i(tgt) sending m (x) [g1|...|gi] to
-    mat.m (x) [group_map(g1)|...|group_map(gi)]."""
-    rs, rt = cx_src.M.rank, cx_tgt.M.rank
-    cols = []
-    for bar in cx_src._tuples(i):
-        tgt = cx_tgt.tuple_index(tuple(group_map(g) for g in bar))
-        for j in range(rs):
-            cols.append({tgt * rt + a: mat[a][j]
-                         for a in range(rt) if mat[a][j]})
-    return SparseCols(cx_tgt.level_size(i), cols)
-
-
 @dataclass
 class StabilizationSetup:
     """The pair (phi: G_small -> G_big, s: M_small -> M_big) inducing a
-    chain map of bar complexes.
+    chain map of resolutions.
 
     phi is an injective homomorphism given element-by-element; s_matrix
     is an integer matrix equivariant over phi, i.e.
@@ -466,11 +631,11 @@ class StabilizationSetup:
                           self.phi.__getitem__,
                           "s is not equivariant over phi")
 
-    def chain_map(self, i, cx_small: BarComplex,
-                  cx_big: BarComplex) -> SparseCols:
-        """C_i(G_small; M_small) -> C_i(G_big; M_big)."""
-        return _bar_chain_map(i, cx_small, cx_big, self.phi.__getitem__,
-                             self.s_matrix)
+    def chain_map(self, i, cx_small, cx_big) -> SparseCols:
+        """C_i(G_small; M_small) -> C_i(G_big; M_big) between two
+        resolutions of one kind."""
+        return cx_small.chain_map(i, cx_big, self.phi.__getitem__,
+                                  self.s_matrix)
 
 
 def check_equivariant(s, src: GModule, dst: GModule, phi, message) -> None:
@@ -498,8 +663,8 @@ def stabilization_status(setup: StabilizationSetup, i: int,
                          budget: BarBudget | None = None) -> dict:
     """Classify H_i(G_small; M_small) -> H_i(G_big; M_big)."""
     budget = budget or BarBudget()
-    cx_s = resolve(setup.small, budget)
-    cx_b = resolve(setup.big, budget)
+    cx_s = resolve(setup.small, budget, top=i + 1)
+    cx_b = resolve(setup.big, budget, top=i + 1)
     # the big group first: it is the one a budget refuses
     hb = cx_b.homology(i)
     hs = cx_s.homology(i)
@@ -508,20 +673,22 @@ def stabilization_status(setup: StabilizationSetup, i: int,
 
 
 class MappingCone(PresentedComplex):
-    """Cone of the bar-level chain map of a StabilizationSetup.
+    """Cone of the chain map of a StabilizationSetup between the
+    resolutions that reach level top (None: the bar complexes).
 
     Cone_i = C_{i-1}(small) (+) C_i(big), d(x, y) = (-dx, f(x) + dy).
     H_i(Cone) is the relative homology of the stabilization pair; it
-    reads the bar levels up to i + 1 only.
+    reads the levels up to i + 1 only, and f up to level i.
     """
 
     kind = "mapping cone"
 
-    def __init__(self, setup: StabilizationSetup, budget: BarBudget):
+    def __init__(self, setup: StabilizationSetup, budget: BarBudget,
+                 top: int | None = None):
         super().__init__()
         self.setup = setup
-        self.cx_s = resolve(setup.small, budget)
-        self.cx_b = resolve(setup.big, budget)
+        self.cx_s = resolve(setup.small, budget, top)
+        self.cx_b = resolve(setup.big, budget, top)
         self._maps: dict[int, SparseCols] = {}
 
     def level_size(self, i) -> int:
@@ -564,7 +731,8 @@ class MappingCone(PresentedComplex):
 def relative_homology(setup: StabilizationSetup, i: int,
                       budget: BarBudget | None = None) -> FGAbelianGroup:
     """Rel_i = H_i of the mapping cone of the stabilization chain map."""
-    return MappingCone(setup, budget or BarBudget()).homology(i).group
+    return MappingCone(setup, budget or BarBudget(),
+                       top=i + 1).homology(i).group
 
 
 def exactness_defect(g_mat, f_mat, orders_a, orders_b, orders_c
@@ -590,7 +758,7 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     of stabilization_status read from the same induced map f_*:
     is_epi, is_iso, source, target and matrix.
     """
-    cone = MappingCone(setup, budget or BarBudget())
+    cone = MappingCone(setup, budget or BarBudget(), top=i + 1)
     cx_s, cx_b = cone.cx_s, cone.cx_b
     h_b_i = cx_b.homology(i)
     rel_i = cone.homology(i)
@@ -639,20 +807,20 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
 # conjugation invariance
 
 
-def conjugation_chain_map(M: GModule, h, i, cx: BarComplex) -> SparseCols:
+def conjugation_chain_map(M: GModule, h, i, cx) -> SparseCols:
     """Chain self-map of C_i(G; M) induced by the inner automorphism
     g |-> h g h^{-1} together with m |-> h.m."""
     G = M.group
     hinv = G.inv(h)
-    return _bar_chain_map(i, cx, cx, lambda g: G.mul(G.mul(h, g), hinv),
-                          M.act(h))
+    return cx.chain_map(i, cx, lambda g: G.mul(G.mul(h, g), hinv),
+                        M.act(h))
 
 
 def conjugation_acts_trivially(M: GModule, i: int,
                                budget: BarBudget | None = None) -> bool:
     """True iff every inner automorphism induces the identity on
     H_i(G; M).  Exhaustive over the group."""
-    cx = resolve(M, budget or BarBudget())
+    cx = resolve(M, budget or BarBudget(), top=i + 1)
     hq = cx.homology(i)
     orders = hq.gen_orders()
     ngen = len(orders)

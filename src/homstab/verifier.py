@@ -73,6 +73,7 @@ class FamilyConfig:
 
 
 ABELIAN_COEFFS = {"abelian_constant", "internalized_abelian"}
+THEOREMS = ("3.1", "3.4", "A", "4.20")
 
 
 def _require(obj, what: str, keys=()) -> dict:
@@ -84,6 +85,15 @@ def _require(obj, what: str, keys=()) -> dict:
         if key not in obj:
             raise ValueError(f"{what} lacks the key {key!r}")
     return obj
+
+
+def _theorems(value) -> list:
+    """value, checked to be a JSON list of theorem names."""
+    if not isinstance(value, list) or not all(
+            isinstance(t, str) and t in THEOREMS for t in value):
+        raise ValueError(f"theorems must be a list drawn from "
+                         f"{list(THEOREMS)}, not {json.dumps(value)}")
+    return list(value)
 
 
 def load_config(source) -> FamilyConfig:
@@ -108,7 +118,7 @@ def load_config(source) -> FamilyConfig:
         k=int(raw.get("k", 2)),
         n_max=int(raw.get("n_max", 4)),
         i_max=int(raw.get("i_max", 1)),
-        theorems=list(raw.get("theorems", ["3.1"])),
+        theorems=_theorems(raw.get("theorems", ["3.1"])),
         budgets=dict(_require(raw.get("budgets", {}), "budgets")),
     )
     if cfg.coeff_kind == "custom":
@@ -258,7 +268,7 @@ class RangePredicate:
 
 def predicted_ranges(theorem: str, k: int, r: int = 0, N: int = 0,
                      split: bool = False) -> RangePredicate:
-    if theorem not in ("3.1", "3.4", "A", "4.20"):
+    if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
     if theorem == "3.4" and k < 3:
         raise ValueError("Theorem 3.4 requires slope k >= 3")

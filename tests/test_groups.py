@@ -103,6 +103,33 @@ def test_quotient_group():
     Q, proj = quotient_group(G, G.commutator_subgroup())
     assert Q.order == 2
     assert proj[G.identity] == Q.identity
+    # both transpositions map to the one non-identity coset
+    assert Q.generators == (proj[G.generators[0]],) != (Q.identity,)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_alternating_generators_are_3_cycles(n):
+    G = alternating_group(n)
+    assert len(G.generators) == max(0, n - 2)
+    for k, g in enumerate(G.generators, start=2):
+        moved = [i for i in range(n) if g[i] != i]
+        assert (g[0], g[1], g[k]) == (1, k, 0) and len(moved) == 3
+    assert len(G.generator_words()) == G.order
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric_group(4),
+                                  lambda: alternating_group(5),
+                                  lambda: wreath_group(cyclic_group(2), 3)])
+def test_quotient_generators_are_images(make):
+    # the images of G's generators, deduplicated, without the identity,
+    # generate every quotient; the trivial quotient has none
+    G = make()
+    for N in (G.commutator_subgroup(), {G.identity}, set(G.elements)):
+        Q, proj = quotient_group(G, N)
+        images = [proj[g] for g in G.generators]
+        assert set(Q.generators) == set(images) - {Q.identity}
+        assert len(set(Q.generators)) == len(Q.generators)
+        assert len(Q.generator_words()) == Q.order
 
 
 def test_commutator_subgroup_of_s4():

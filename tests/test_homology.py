@@ -301,9 +301,12 @@ def test_budget_refusals():
     big = symmetric_group(6)
     with pytest.raises(BarBudgetExceeded):
         bar_homology(trivial_module(big), 2)
+    # H_1 reads level 2 of the presentation complex: 3! (2 - 1) + 1 = 7
+    # relators of Sym(3)
     small = symmetric_group(3)
-    with pytest.raises(BarBudgetExceeded):
-        bar_homology(trivial_module(small), 1, BarBudget(max_cells=10))
+    with pytest.raises(BarBudgetExceeded, match="presentation complex: "
+                       "chain level 2 needs 7 cells"):
+        bar_homology(trivial_module(small), 1, BarBudget(max_cells=6))
 
 
 def test_verify_action_rejects_broken_braid_relation():
@@ -340,19 +343,20 @@ def test_relative_homology_reads_levels_up_to_i_plus_1():
 
 
 def test_h0_stabilization_builds_chain_level_1_only():
-    # Sym(2) -> Sym(3), constant Z: H_0 reads bar level 1 (5 cells of
-    # Sym(3)); level 2 (25 cells) is first read by H_1 and refused there
+    # Sym(2) -> Sym(3), constant Z: H_0 reads presentation level 1 (2
+    # cells of Sym(3)); level 2 (7 cells) is first read by H_1 and refused
+    # there
     from homstab.bracket import BracketCategory
     from homstab.coeffsys import constant_system
     from homstab.groupoids import make_symmetric
     from homstab.homology_engine import stabilization_status
     setup = constant_system(BracketCategory(make_symmetric()), 0, 1, 3
                             ).stabilization_setup(2)
-    budget = BarBudget(max_cells=10)
+    budget = BarBudget(max_cells=6)
     st = stabilization_status(setup, 0, budget)
     assert (str(st["source"]), str(st["target"])) == ("Z", "Z")
     assert st["is_iso"]
-    with pytest.raises(BarBudgetExceeded, match="chain level 2 needs 25"):
+    with pytest.raises(BarBudgetExceeded, match="chain level 2 needs 7 "):
         stabilization_status(setup, 1, budget)
 
 
@@ -423,19 +427,20 @@ def test_mapping_cone_rejects_non_equivariant_map():
 
 
 def test_resolve_keeps_one_copy_across_threads():
-    # grid cells on --jobs threads race for one module's complex, levels
-    # and homology; every thread gets the one copy that is kept
+    # grid cells on --jobs threads race for one module's complex (bar or
+    # presentation), levels and homology; every thread gets the one copy
+    # that is kept
     import sys
     import threading
     budget = BarBudget()
 
-    def race(M, nthreads=8):
+    def race(M, top, nthreads=8):
         got = []
         start = threading.Barrier(nthreads, timeout=120)
 
         def work():
             start.wait()
-            cx = resolve(M, budget)
+            cx = resolve(M, budget, top)
             got.append((cx, cx.boundary(2), cx.homology(1)))
         threads = [threading.Thread(target=work) for _ in range(nthreads)]
         for t in threads:
@@ -448,8 +453,8 @@ def test_resolve_keeps_one_copy_across_threads():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            got = race(permutation_module(symmetric_group(4), 4))
+        for _, top in itertools.product(range(5), (None, 2)):
+            got = race(permutation_module(symmetric_group(4), 4), top)
             assert len(got) == 8
             assert all(a is b for row in got for a, b in zip(row, got[0]))
     finally:

@@ -107,8 +107,10 @@ def test_run_stability_constant_consistent():
 
 
 def test_run_stability_budget_starved():
+    # cell (2, 1) reads level 2 of the presentation complex of Sym(3),
+    # 7 cells
     cfg = _cfg(n_max=3, i_max=1)
-    cfg.budgets["bar_cells"] = 10
+    cfg.budgets["bar_cells"] = 6
     rep = run_stability(cfg)
     assert rep["summary"]["skipped"] > 0
     assert rep["summary"]["VIOLATION"] == 0
@@ -159,7 +161,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["stability", "--config", str(path)]) == 0
     capsys.readouterr()
     assert cli_main(["stability", "--config", str(path),
-                     "--budget-cells", "10"]) == 3
+                     "--budget-cells", "6"]) == 3
     capsys.readouterr()
 
 
@@ -227,16 +229,34 @@ def test_cli_malformed_config_exits_1(tmp_path, capsys, case, message):
     assert err == f"homstab: error: {message}\n"
 
 
+@pytest.mark.parametrize("theorems", [5, "A", "4.20", ["A", 4.2],
+                                      ["3.2"], None])
+def test_cli_rejects_malformed_theorems(tmp_path, capsys, theorems):
+    # only a list of known theorem names is read; a string is not taken
+    # for the list of its characters
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": {"kind": "symmetric",
+                                           "params": {}},
+                                "n_max": 2, "theorems": theorems}))
+    assert cli_main(["degree", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == ("homstab: error: theorems must be a list drawn from "
+                   "['3.1', '3.4', 'A', '4.20'], not "
+                   f"{json.dumps(theorems)}\n")
+
+
 def test_stability_run_builds_each_bar_level_once(monkeypatch):
-    # neighbouring cells resolve the same module F_{n+1}; every bar level
-    # of every module is budget-checked, hence built, exactly once
+    # neighbouring cells resolve the same module F_{n+1}; every level of
+    # every module's resolution is budget-checked, hence built, exactly
+    # once: levels 1 and 2 of the presentation complexes of F_0 .. F_4
     from homstab.homology_engine import BarBudget
     checked = []
     check = BarBudget.check
 
-    def counting(self, order, rank, level):
-        checked.append((order, rank, level))
-        return check(self, order, rank, level)
+    def counting(self, cx, level):
+        checked.append((cx, level))
+        return check(self, cx, level)
     monkeypatch.setattr(BarBudget, "check", counting)
     cfg = _cfg(coeff={"kind": "standard", "params": {"r_max": 2,
                                                      "N_max": 0}},
@@ -244,6 +264,8 @@ def test_stability_run_builds_each_bar_level_once(monkeypatch):
     rep = run_stability(cfg, jobs=1)
     assert rep["summary"]["VIOLATION"] == 0
     assert len(checked) == len(set(checked)) == 10
+    assert {cx.kind for cx, _ in checked} == {"presentation complex"}
+    assert all(level in cx._boundaries for cx, level in checked)
 
 
 def test_custom_coeff_loader(tmp_path, sym_cat):
