@@ -39,7 +39,8 @@ def workloads():
 
     from homstab.groups import symmetric_group
     from homstab.homology_engine import trivial_module, resolve, BarBudget
-    d2 = resolve(trivial_module(symmetric_group(5)), BarBudget()).boundary(2)
+    d2 = resolve(trivial_module(symmetric_group(5)), BarBudget(),
+                 top=3).boundary(2)
     yield "bar d2 of S5 (trivial Z)", (d2.nrows, d2.cols)
 
 

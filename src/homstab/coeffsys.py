@@ -31,7 +31,8 @@ from .exact_linalg import (FGAbelianGroup, SparseCols, identity_matrix,
                            induced_matrix, mat_mul, presented_subquotient,
                            reduce_rows, relation_columns, rows_congruent,
                            solve_integer)
-from .homology_engine import GModule, StabilizationSetup, check_equivariant
+from .homology_engine import (GModule, StabilizationSetup, check_equivariant,
+                              permutation_module)
 from . import laurent as lau
 
 
@@ -609,14 +610,6 @@ def constant_system(cat: BracketCategory, A: int, x: int, n_max: int,
                              [ident for _ in range(n_max)], name="const")
 
 
-def _perm_matrix(g):
-    n = len(g)
-    mat = [[0] * n for _ in range(n)]
-    for j in range(n):
-        mat[g[j]][j] = 1
-    return mat
-
-
 def standard_system(cat: BracketCategory, A: int, n_max: int
                     ) -> CoefficientSystem:
     """The permutation system Z^{A+n} over the symmetric groupoid, with
@@ -627,10 +620,7 @@ def standard_system(cat: BracketCategory, A: int, n_max: int
     mods, s_mats = [], []
     for n in range(n_max + 1):
         size = A + n
-        grp = cat.G.aut(size)
-        mods.append(GModule(grp, FGAbelianGroup(size, ()),
-                            {g: _perm_matrix(g) for g in grp.generators},
-                            name=f"std_{n}"))
+        mods.append(permutation_module(cat.G.aut(size), size))
         if n < n_max:
             s_mats.append([[1 if i == j else 0 for j in range(size)]
                            for i in range(size + 1)])

@@ -21,11 +21,27 @@ of that level of that resolution, and its boundaries and homology groups
 are kept, so neighbouring grid cells that resolve the same module share
 them.
 
+Both are a `FreeResolution`: a subclass lists the free Z[G]-cells of its
+levels and nothing else, and the base builds, budget-checks and keeps
+the levels of C = M (x) (resolution).  It gives
+
+  * cells(i): the number of Z[G]-cells of level i;
+  * differential(i): for each cell of level i in order, the terms
+    (t, c, mat) of its boundary, so d(m e_s) = sum c (mat.m) e_t over
+    cells t of level i - 1, with mat a matrix on module coordinates or
+    None for the identity;
+  * cell_map(i, other, group_map, mat): the same for the chain map
+    C_i(self) -> C_i(other) over a homomorphism group_map and a module
+    map mat equivariant over it.
+
+One function, `_tensor`, turns such terms into a matrix; it alone knows
+the row layout of a level, cell by cell and module generator within.
+
 Conventions (fixed once, and d^2 = 0 is asserted on every assembled
 complex so a sign slip cannot pass silently):
 
   * modules carry a LEFT action by integer matrices on a fixed generating
-    presentation; both complexes use the associated right action
+    presentation; every resolution uses the associated right action
     m.g := g^{-1}.m, extended linearly to Z[G];
   * bar complex: C_i = M (x) Z[Gbar^i] with Gbar = G \\ {e};
     d(m(x)[g1|...|gi]) = m.g1 (x) [g2|...|gi]
@@ -268,23 +284,7 @@ def group_ring_module(group: FiniteGroup, quotient: FiniteGroup,
 
 
 # ----------------------------------------------------------------------
-# coinvariants
-
-
-def coinvariants(M: GModule) -> FGAbelianGroup:
-    """M_G = M / span{g.m - m}, computed from group generators."""
-    cols = []
-    for g in M.group.generators:
-        moved = [[v - (i == j) for j, v in enumerate(row)]
-                 for i, row in enumerate(M.act(g))]
-        cols += SparseCols.from_dense(moved, M.rank).cols
-    return presented_subquotient(
-        SparseCols.zero(0, M.rank), SparseCols(M.rank, cols), [],
-        relation_columns(M.orders)).group
-
-
-# ----------------------------------------------------------------------
-# presented chain complexes: the two resolutions and the mapping cone
+# presented chain complexes: the free resolutions and the mapping cone
 
 
 class PresentedComplex:
@@ -292,10 +292,7 @@ class PresentedComplex:
     level_size(i) generators, row r of order row_orders(i)[r] (0 = Z).
 
     Subclasses give level_size(i), boundary(i) and row_orders(i); the
-    relations, the d^2 check and homology all come from those.  The two
-    resolutions also give chain_map(i, other, group_map, mat): the map
-    C_i(self) -> C_i(other) over a homomorphism group_map and a module map
-    mat equivariant over it, which induces the map on homology.  Homology
+    relations, the d^2 check and homology all come from those.  Homology
     is the subquotient {v : d v in relations} / (im d + relations), and
     is kept per degree.
     """
@@ -338,28 +335,89 @@ def _composite_vanishes(d_out: SparseCols, d_in: SparseCols,
     return True
 
 
-class BarComplex(PresentedComplex):
-    """Normalized bar complex of (G, M); take it from `resolve`.
+class FreeResolution(PresentedComplex):
+    """A free resolution of Z over Z[G], tensored with M; take it from
+    `resolve`.  A subclass lists its Z[G]-cells (module docstring):
+    cells(i), differential(i) and cell_map(i, other, group_map, mat).
 
-    Level i is generated by (bar tuple, module generator) pairs: row
-    t * rank + j has the order of module generator j.  Level i is built
-    by the first boundary(i), after the budget admits it.
+    Level i has rank * cells(i) rows, of the orders of the module
+    generators; boundary(i) builds it on first use, after the budget
+    admits it.  chain_map(i, other, group_map, mat) is the map
+    C_i(self) -> C_i(other) over a homomorphism group_map and a module
+    map mat equivariant over it, which induces the map on homology.
     """
 
-    kind = "bar complex"
+    top = None          # the highest chain level; None: unbounded
 
     def __init__(self, M: GModule, budget: BarBudget):
         super().__init__()
         self.M = M
         self.G = M.group
         self.budget = budget
-        self.nontriv = [g for g in self.G.elements
-                        if g != self.G.identity]
-        self.pos = {g: i for i, g in enumerate(self.nontriv)}
         self._boundaries: dict[int, SparseCols] = {}
 
     def level_size(self, i) -> int:
-        return self.M.rank * len(self.nontriv) ** i
+        return self.M.rank * self.cells(i)
+
+    def row_orders(self, i):
+        return self.M.orders * self.cells(i)
+
+    def boundary(self, i) -> SparseCols:
+        """d_i : C_i -> C_{i-1} as a SparseCols matrix."""
+        if i in self._boundaries:
+            return self._boundaries[i]
+        if i < 1 or self.top is not None and i > self.top:
+            raise ValueError("boundary index out of range")
+        self.budget.check(self, i)
+        d = _tensor(self.differential(i), self.M.rank, self.M.rank,
+                    self.level_size(i - 1))
+        return self._boundaries.setdefault(i, d)
+
+    def chain_map(self, i, other: "FreeResolution", group_map,
+                  mat) -> SparseCols:
+        return _tensor(self.cell_map(i, other, group_map, mat),
+                       self.M.rank, other.M.rank, other.level_size(i))
+
+
+def _tensor(terms, rank_src, rank_tgt, nrows) -> SparseCols:
+    """The matrix of a map of free Z[G]-modules tensored with modules.
+
+    terms yields, for each source cell s in order, the terms (t, c, mat)
+    of its image: m e_s |-> sum c (mat.m) e_t, mat None for the identity.
+    Generator j of cell s is column s * rank_src + j, and generator a of
+    target cell t is row t * rank_tgt + a.
+    """
+    cols = []
+    for image in terms:
+        for j in range(rank_src):
+            col: dict[int, int] = {}
+            for t, c, mat in image:
+                first = t * rank_tgt
+                if mat is None:
+                    col[first + j] = col.get(first + j, 0) + c
+                    continue
+                for a, row in enumerate(mat):
+                    if row[j]:
+                        col[first + a] = col.get(first + a, 0) + c * row[j]
+            cols.append({k: v for k, v in col.items() if v}
+                        if 0 in col.values() else col)
+    return SparseCols(nrows, cols)
+
+
+class BarComplex(FreeResolution):
+    """Normalized bar complex of (G, M): the cells of level i are the bar
+    tuples [g1|...|gi] of non-identity elements, in `tuple_index` order."""
+
+    kind = "bar complex"
+
+    def __init__(self, M: GModule, budget: BarBudget):
+        super().__init__(M, budget)
+        self.nontriv = [g for g in self.G.elements
+                        if g != self.G.identity]
+        self.pos = {g: i for i, g in enumerate(self.nontriv)}
+
+    def cells(self, i) -> int:
+        return len(self.nontriv) ** i
 
     def _tuples(self, i):
         if i == 0:
@@ -376,109 +434,50 @@ class BarComplex(PresentedComplex):
             t = t * g1 + self.pos[g]
         return t
 
-    def row_orders(self, i):
-        return self.M.orders * len(self.nontriv) ** i
-
-    def boundary(self, i) -> SparseCols:
-        """d_i : C_i -> C_{i-1} as a SparseCols matrix."""
-        if i in self._boundaries:
-            return self._boundaries[i]
-        if i < 1:
-            raise ValueError("boundary index out of range")
-        self.budget.check(self, i)
-        rank = self.M.rank
-        ident = self.G.identity
-        cols = []
+    def differential(self, i):
+        ident, mul = self.G.identity, self.G.mul
+        index, right = self.tuple_index, self.M.act_right
+        last = -1 if i % 2 else 1
         for bar in self._tuples(i):
-            base = []
-            # structural terms shared by all module generators
-            sign = -1 if i % 2 else 1
-            tail_idx = self.tuple_index(bar[:-1])
-            for j in range(rank):
-                col: dict[int, int] = {}
-                # leading face: twist the module by g1
-                head = self.tuple_index(bar[1:])
-                mat = self.M.act_right(bar[0])
-                for a in range(rank):
-                    v = mat[a][j]
-                    if v:
-                        col[head * rank + a] = col.get(head * rank + a, 0) + v
-                # middle faces
-                for s in range(1, i):
-                    prod = self.G.mul(bar[s - 1], bar[s])
-                    if prod == ident:
-                        continue
+            # leading face, twisted by g1; middle faces; trailing face
+            terms = [(index(bar[1:]), 1, right(bar[0]))]
+            for s in range(1, i):
+                prod = mul(bar[s - 1], bar[s])
+                if prod != ident:
                     merged = bar[:s - 1] + (prod,) + bar[s + 1:]
-                    k = self.tuple_index(merged) * rank + j
-                    msign = -1 if s % 2 else 1
-                    w = col.get(k, 0) + msign
-                    if w:
-                        col[k] = w
-                    else:
-                        col.pop(k, None)
-                # trailing face
-                k = tail_idx * rank + j
-                w = col.get(k, 0) + sign
-                if w:
-                    col[k] = w
-                else:
-                    col.pop(k, None)
-                base.append(col)
-            cols.extend(base)
-        d = SparseCols(self.level_size(i - 1), cols)
-        return self._boundaries.setdefault(i, d)
+                    terms.append((index(merged), -1 if s % 2 else 1, None))
+            terms.append((index(bar[:-1]), last, None))
+            yield terms
 
-
-    def chain_map(self, i, other: "BarComplex", group_map,
-                  mat) -> SparseCols:
-        """C_i(self) -> C_i(other) sending m (x) [g1|...|gi] to
-        mat.m (x) [group_map(g1)|...|group_map(gi)]."""
-        rs, rt = self.M.rank, other.M.rank
-        cols = []
+    def cell_map(self, i, other: "BarComplex", group_map, mat):
+        """m [g1|...|gi] |-> mat.m [group_map(g1)|...|group_map(gi)]."""
         for bar in self._tuples(i):
-            tgt = other.tuple_index(tuple(group_map(g) for g in bar))
-            for j in range(rs):
-                cols.append({tgt * rt + a: mat[a][j]
-                             for a in range(rt) if mat[a][j]})
-        return SparseCols(other.level_size(i), cols)
+            yield [(other.tuple_index(tuple(map(group_map, bar))), 1, mat)]
 
 
-class PresentationComplex(PresentedComplex):
+class PresentationComplex(FreeResolution):
     """Levels 0..2 of the cellular chains of the universal cover of the
-    Cayley-graph presentation complex of G, tensored with M; take it from
-    `resolve`.
+    Cayley-graph presentation complex of G, tensored with M.
 
-    The generators S of G give C_1 = M^S, and the non-tree edges (g, s) of
-    the BFS tree of `FiniteGroup.generator_words` give the relators
-    w(g) s w(gs)^{-1} of C_2 = M^R, |R| = |G| (|S| - 1) + 1.  The cover is
-    simply connected, so C_2 -> C_1 -> C_0 -> Z is exact, and H_0, H_1 and
-    the maps they induce are those of any resolution.  Row t * rank + j
-    of level i has the order of module generator j.
+    The generators S of G are the cells of level 1, and the non-tree
+    edges (g, s) of the BFS tree of `FiniteGroup.generator_words` give the
+    relators w(g) s w(gs)^{-1}, the |G| (|S| - 1) + 1 cells of level 2.
+    The cover is simply connected, so C_2 -> C_1 -> C_0 -> Z is exact,
+    and H_0, H_1 and the maps they induce are those of any resolution.
     """
 
     kind = "presentation complex"
     top = 2
 
     def __init__(self, M: GModule, budget: BarBudget):
-        super().__init__()
-        self.M = M
-        self.G = M.group
-        self.budget = budget
-        self._boundaries: dict[int, SparseCols] = {}
+        super().__init__(M, budget)
         self._fox = None
 
-    def _cells(self, i) -> int:
-        """Free Z[G]-rank of level i."""
+    def cells(self, i) -> int:
         if not 0 <= i <= self.top:
             raise ValueError(f"the {self.kind} has levels 0..{self.top}")
         nsgen = len(self.G.generators)
         return (1, nsgen, self.G.order * (nsgen - 1) + 1)[i]
-
-    def level_size(self, i) -> int:
-        return self.M.rank * self._cells(i)
-
-    def row_orders(self, i):
-        return self.M.orders * self._cells(i)
 
     def fox(self) -> dict:
         """{g: {t: matrix of m |-> m.(dw(g)/ds_t)}} for the tree word w(g)
@@ -503,84 +502,52 @@ class PresentationComplex(PresentedComplex):
             self._fox = fox
         return self._fox
 
-    def boundary(self, i) -> SparseCols:
-        """d_i : C_i -> C_{i-1} as a SparseCols matrix."""
-        if i in self._boundaries:
-            return self._boundaries[i]
-        if not 1 <= i <= self.top:
-            raise ValueError("boundary index out of range")
-        self.budget.check(self, i)
-        rank = self.M.rank
-        gens = self.G.generators
-        cols = []
+    def differential(self, i):
         if i == 1:
             # d_1(m e_s) = m.s - m
-            for s in gens:
-                right = self.M.act_right(s)
-                for j in range(rank):
-                    cols.append({a: right[a][j] - (a == j)
-                                 for a in range(rank)
-                                 if right[a][j] != (a == j)})
-        else:
-            # relator R = w(g) s w(gs)^{-1}:
-            # dR/dt = dw(g)/dt + [t = s] g - dw(gs)/dt
-            words = self.M.words()
-            fox = self.fox()
-            for g in self.G.elements:
-                for si, s in enumerate(gens):
-                    gs = self.G.mul(g, s)
-                    if words[gs] == words[g] + (si,):
-                        continue                # tree edge: no relator
-                    terms = [(t, m, 1) for t, m in fox[g].items()]
-                    terms += [(t, m, -1) for t, m in fox[gs].items()]
-                    terms.append((si, self.M.act_right(g), 1))
-                    for j in range(rank):
-                        col: dict[int, int] = {}
-                        for t, m, sign in terms:
-                            for a in range(rank):
-                                if m[a][j]:
-                                    k = t * rank + a
-                                    col[k] = col.get(k, 0) + sign * m[a][j]
-                        cols.append({k: v for k, v in col.items() if v})
-        d = SparseCols(self.level_size(i - 1), cols)
-        return self._boundaries.setdefault(i, d)
+            for s in self.G.generators:
+                yield [(0, 1, self.M.act_right(s)), (0, -1, None)]
+            return
+        # relator R = w(g) s w(gs)^{-1}:
+        # dR/dt = dw(g)/dt + [t = s] g - dw(gs)/dt
+        words = self.M.words()
+        fox = self.fox()
+        for g in self.G.elements:
+            for si, s in enumerate(self.G.generators):
+                gs = self.G.mul(g, s)
+                if words[gs] == words[g] + (si,):
+                    continue                # tree edge: no relator
+                terms = [(t, 1, m) for t, m in fox[g].items()]
+                terms += [(t, -1, m) for t, m in fox[gs].items()]
+                terms.append((si, 1, self.M.act_right(g)))
+                yield terms
 
-    def chain_map(self, i, other: "PresentationComplex", group_map,
-                  mat) -> SparseCols:
-        """C_i(self) -> C_i(other) for i <= 1: f_0 = mat and
-        f_1(m e_s) = sum_t (mat.m).(dw'(group_map(s))/dt) e_t with w' the
-        tree words of other.  The fundamental formula of Fox calculus,
-        sum_t (dw/dt)(t - 1) = w - 1, gives d f_1 = f_0 d."""
-        rs, rt = self.M.rank, other.M.rank
+    def cell_map(self, i, other: "PresentationComplex", group_map, mat):
+        """f_0 = mat and f_1(m e_s) = sum_t (mat.m).(dw'(group_map(s))/dt)
+        e_t with w' the tree words of other.  The fundamental formula of
+        Fox calculus, sum_t (dw/dt)(t - 1) = w - 1, gives d f_1 = f_0 d."""
         if i == 0:
-            blocks = [[(0, mat)]]
+            yield [(0, 1, mat)]
         elif i == 1:
             ofox = other.fox()
-            blocks = [[(t, mat_mul(m, mat))
+            for s in self.G.generators:
+                yield [(t, 1, mat_mul(m, mat))
                        for t, m in ofox[group_map(s)].items()]
-                      for s in self.G.generators]
         else:
             raise ValueError(
                 f"the {self.kind} has chain maps in levels 0 and 1 only")
-        cols = []
-        for prods in blocks:
-            for j in range(rs):
-                cols.append({t * rt + a: p[a][j]
-                             for t, p in prods for a in range(rt)
-                             if p[a][j]})
-        return SparseCols(other.level_size(i), cols)
 
 
 def _mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def resolve(M: GModule, budget: BarBudget, top: int | None = None):
-    """The one resolution of M under budget that reaches chain level top
-    (None: any level): the presentation complex for top <= 2, the bar
-    complex otherwise.  It is kept on M, keyed by kind and budget, so that
-    every caller shares its levels and homology."""
-    small = top is not None and top <= PresentationComplex.top
+def resolve(M: GModule, budget: BarBudget, top: int) -> FreeResolution:
+    """The one resolution of M under budget that reaches chain level top:
+    the presentation complex for top <= 2, the bar complex otherwise.  It
+    is kept on M, keyed by kind and budget, so that every caller shares
+    its levels and homology."""
+    small = top <= PresentationComplex.top
     cls = PresentationComplex if small else BarComplex
     key = (cls.kind, budget)
     cx = M._complexes.get(key)
@@ -591,11 +558,14 @@ def resolve(M: GModule, budget: BarBudget, top: int | None = None):
 
 def bar_homology(M: GModule, i: int,
                  budget: BarBudget | None = None) -> FGAbelianGroup:
-    """H_i(G; M): coinvariants for i = 0, else the homology of the
-    smallest resolution that reaches chain level i + 1."""
-    if i == 0:
-        return coinvariants(M)
+    """H_i(G; M), from the smallest resolution that reaches chain level
+    i + 1."""
     return resolve(M, budget or BarBudget(), top=i + 1).homology(i).group
+
+
+def coinvariants(M: GModule) -> FGAbelianGroup:
+    """M_G = H_0(G; M) = M / span{m.s - m : s a generator of G}."""
+    return resolve(M, BarBudget(), top=1).homology(0).group
 
 
 # ----------------------------------------------------------------------
@@ -674,7 +644,7 @@ def stabilization_status(setup: StabilizationSetup, i: int,
 
 class MappingCone(PresentedComplex):
     """Cone of the chain map of a StabilizationSetup between the
-    resolutions that reach level top (None: the bar complexes).
+    resolutions that reach level top.
 
     Cone_i = C_{i-1}(small) (+) C_i(big), d(x, y) = (-dx, f(x) + dy).
     H_i(Cone) is the relative homology of the stabilization pair; it
@@ -684,7 +654,7 @@ class MappingCone(PresentedComplex):
     kind = "mapping cone"
 
     def __init__(self, setup: StabilizationSetup, budget: BarBudget,
-                 top: int | None = None):
+                 top: int):
         super().__init__()
         self.setup = setup
         self.cx_s = resolve(setup.small, budget, top)
@@ -807,25 +777,20 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
 # conjugation invariance
 
 
-def conjugation_chain_map(M: GModule, h, i, cx) -> SparseCols:
-    """Chain self-map of C_i(G; M) induced by the inner automorphism
-    g |-> h g h^{-1} together with m |-> h.m."""
-    G = M.group
-    hinv = G.inv(h)
-    return cx.chain_map(i, cx, lambda g: G.mul(G.mul(h, g), hinv),
-                        M.act(h))
-
-
 def conjugation_acts_trivially(M: GModule, i: int,
                                budget: BarBudget | None = None) -> bool:
     """True iff every inner automorphism induces the identity on
     H_i(G; M).  Exhaustive over the group."""
+    G = M.group
     cx = resolve(M, budget or BarBudget(), top=i + 1)
     hq = cx.homology(i)
     orders = hq.gen_orders()
     ngen = len(orders)
-    for h in M.group.elements:
-        f = conjugation_chain_map(M, h, i, cx)
+    for h in G.elements:
+        # the chain self-map of g |-> h g h^{-1} together with m |-> h.m
+        hinv = G.inv(h)
+        f = cx.chain_map(i, cx, lambda g: G.mul(G.mul(h, g), hinv),
+                         M.act(h))
         Mc = induced_matrix(f, hq, hq)
         for r in range(ngen):
             for c in range(ngen):

@@ -390,6 +390,13 @@ def run_degree(cfg: FamilyConfig) -> dict:
     return out
 
 
+def _refusal(cfg: FamilyConfig, n: int, i: int,
+             exc: BarBudgetExceeded) -> dict:
+    """The report fields of grid cell (n, i), refused by a budget."""
+    return {"skipped": str(exc), "estimate": exc.estimate,
+            "repro": {"config_hash": config_hash(cfg), "n": n, "i": i}}
+
+
 def run_homology(cfg: FamilyConfig, jobs: int = 1) -> dict:
     inst = build_instance(cfg)
     cat = BracketCategory(inst)
@@ -405,10 +412,7 @@ def run_homology(cfg: FamilyConfig, jobs: int = 1) -> dict:
         try:
             h = bar_homology(system.modules[n], i, budget)
         except BarBudgetExceeded as exc:
-            return {"n": n, "i": i, "skipped": str(exc),
-                    "estimate": exc.estimate,
-                    "repro": {"config_hash": config_hash(cfg),
-                              "n": n, "i": i}}
+            return {"n": n, "i": i, **_refusal(cfg, n, i, exc)}
         return {"n": n, "i": i, "H": str(h)}
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
@@ -513,11 +517,7 @@ def run_stability(cfg: FamilyConfig, jobs: int = 1) -> dict:
                             out["verdict"] = "consistent"
         except BarBudgetExceeded as exc:
             out["verdict"] = "skipped"
-            out["skipped"] = str(exc)
-            out["estimate"] = exc.estimate
-            out["repro"] = {"config_hash": config_hash(cfg),
-                            "n": n, "i": i,
-                            "needed_bar_cells": exc.estimate}
+            out.update(_refusal(cfg, n, i, exc))
         if out.get("verdict") == "VIOLATION":
             out["repro"] = {"config_hash": config_hash(cfg), "n": n, "i": i}
         return out

@@ -111,7 +111,7 @@ def test_span_matches_int64_oracle(rows):
 def test_span_matches_int64_oracle_bar_d2(module):
     G = symmetric_group(4)
     M = trivial_module(G) if module == "trivial" else permutation_module(G, 4)
-    d2 = resolve(M, BarBudget()).boundary(2)
+    d2 = resolve(M, BarBudget(), top=3).boundary(2)
     span = _assert_span_matches_oracle(d2.cols, d2.nrows)
     assert span.rank() > 1
 

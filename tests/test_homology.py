@@ -334,7 +334,7 @@ def test_relative_homology_reads_levels_up_to_i_plus_1():
                             ).stabilization_setup(2)
     budget = BarBudget(max_cells=100)
     with pytest.raises(BarBudgetExceeded, match="chain level 3 needs 125"):
-        resolve(setup.big, budget).boundary(3)
+        resolve(setup.big, budget, top=3).boundary(3)
     rel = relative_homology(setup, 1, budget)
     assert str(rel) == str(relative_homology(setup, 1))
     les = les_exact_at_rel(setup, 1, budget)
@@ -423,7 +423,7 @@ def test_mapping_cone_rejects_non_equivariant_map():
     with pytest.raises(ValueError, match="not equivariant"):
         bad.verify()
     with pytest.raises(AssertionError, match=r"d\^2 != 0"):
-        MappingCone(bad, BarBudget()).homology(1)
+        MappingCone(bad, BarBudget(), top=3).homology(1)
 
 
 def test_resolve_keeps_one_copy_across_threads():
@@ -453,7 +453,7 @@ def test_resolve_keeps_one_copy_across_threads():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _, top in itertools.product(range(5), (None, 2)):
+        for _, top in itertools.product(range(5), (3, 2)):
             got = race(permutation_module(symmetric_group(4), 4), top)
             assert len(got) == 8
             assert all(a is b for row in got for a, b in zip(row, got[0]))
@@ -471,7 +471,7 @@ def test_z4_sign_module_d2_vanishes_only_mod_4():
     M = GModule(G, FGAbelianGroup(0, (4,)), {s: [[-1]]})
     M.verify_action()
     assert M.act(s) == [[3]]
-    cx = resolve(M, BarBudget())
+    cx = resolve(M, BarBudget(), top=3)
     assert cx.boundary(1).compose(cx.boundary(2)).cols == [{0: 8}]
     assert [str(cx.homology(i).group) for i in range(3)] == ["Z/2"] * 3
     assert str(bar_homology(M, 1)) == "Z/2"

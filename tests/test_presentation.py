@@ -198,7 +198,6 @@ def test_presentation_level_sizes_and_resolve():
     assert cx.boundary(2).ncols == 5 * 361
     assert resolve(M, BarBudget(), top=1) is cx
     assert isinstance(resolve(M, BarBudget(), top=3), BarComplex)
-    assert isinstance(resolve(M, BarBudget()), BarComplex)
     with pytest.raises(ValueError, match="levels 0..2"):
         cx.level_size(3)
     A = trivial_module(alternating_group(5))

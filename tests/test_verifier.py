@@ -119,6 +119,35 @@ def test_run_stability_budget_starved():
     assert all("repro" in c for c in skipped)
 
 
+def test_refused_cell_repro_names_the_cell_only():
+    # cell (2, 2) reads bar level 3 of Sym(3), which the order guard
+    # refuses: the estimate is |G| = 6, not a cell count, and the repro
+    # block holds the config and the cell only; homology cell (3, 2)
+    # is refused the same way
+    cfg = _cfg(n_max=3, i_max=2, budgets={"order_limit_deg2": 2})
+    want = {"skipped": "|G| = 6 > 2 refused at degree 2", "estimate": 6}
+    for run, cell in ((run_stability, (2, 2)), (run_homology, (3, 2))):
+        cells = {(c["n"], c["i"]): c for c in run(cfg)["cells"]}
+        got = cells[cell]
+        assert {key: got[key] for key in want} == want
+        assert got["repro"] == {"config_hash": config_hash(cfg),
+                                "n": cell[0], "i": cell[1]}
+
+
+def test_homology_budgets_h0_like_stability():
+    # H_0(Sym(4); Z^4) reads level 1 of the presentation complex, 3
+    # generators times rank 4; stability refuses cell (3, 0) for it too
+    cfg = _cfg(coeff={"kind": "standard", "params": {"r_max": 2,
+                                                     "N_max": 0}},
+               theorems=["A"], n_max=4, i_max=1, budgets={"bar_cells": 6})
+    refusal = "presentation complex: chain level 1 needs 12 cells (> 6)"
+    hom = {(c["n"], c["i"]): c for c in run_homology(cfg)["cells"]}
+    assert hom[(4, 0)]["skipped"] == refusal
+    assert hom[(3, 0)]["H"] == "Z"
+    stab = {(c["n"], c["i"]): c for c in run_stability(cfg)["cells"]}
+    assert stab[(3, 0)]["skipped"] == refusal
+
+
 def test_twisted_grid_with_la_420():
     cfg = _cfg(coeff={"kind": "standard", "params": {"r_max": 2,
                                                      "N_max": 0}},
