@@ -1,9 +1,10 @@
 """Command-line verifier.
 
 Subcommands: verify-axioms, connectivity, homology, degree, stability.
-Exit codes: 0 all checks clean; 1 the config or the run is invalid (one
-line "homstab: error: <message>" on stderr); 2 at least one violation or
-failed check; 3 budget-starved (some cells skipped, no violations).
+Exit codes: 0 all checks clean; 1 the config or the run is invalid, or a
+budget refuses the run outside a grid cell (one line "homstab: error:
+<message>" on stderr); 2 at least one violation or failed check; 3
+budget-starved (some cells skipped, no violations).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import sys
 
 from . import verifier
+from .groups import BudgetExceeded
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,17 +32,18 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("homology", "stability"):
             p.add_argument("--jobs", type=int, default=1,
                            help="worker threads for grid cells")
-            p.add_argument("--budget-cells", type=int, default=None,
-                           help="override budgets.bar_cells from the "
-                                "config")
+            p.add_argument("--budget-entries", type=int, default=None,
+                           help="override budgets.boundary_entries from "
+                                "the config")
     return parser
 
 
 def _run(args) -> dict:
     cfg = verifier.load_config(args.config)
-    if getattr(args, "budget_cells", None) is not None:
-        cfg.budgets["bar_cells"] = args.budget_cells
-        cfg.raw.setdefault("budgets", {})["bar_cells"] = args.budget_cells
+    if getattr(args, "budget_entries", None) is not None:
+        cfg.budgets["boundary_entries"] = args.budget_entries
+        cfg.raw.setdefault("budgets", {})["boundary_entries"] = \
+            args.budget_entries
     if args.command == "verify-axioms":
         return verifier.run_axioms(cfg)
     if args.command == "connectivity":
@@ -56,7 +59,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = _run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BudgetExceeded) as exc:
         print(f"homstab: error: {exc}", file=sys.stderr)
         return 1
     verifier.report_emit(report, args.format)

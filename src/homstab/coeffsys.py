@@ -283,8 +283,9 @@ def _trivial_from(F) -> int | None:
 
 
 def _check_window(n_max: int, r_max: int, N_max: int) -> None:
-    """A degree bound (r_max, N_max) needs n_max >= N_max + r_max + 1."""
-    need = N_max + max(r_max, 0) + 1
+    """A degree bound (r_max, N_max) needs n_max >= N_max + r_max + 1;
+    the recursion's last step, r_max = -1, needs n_max >= N_max."""
+    need = N_max + max(r_max, -1) + 1
     if n_max < need:
         raise ValueError(
             f"window too small for the requested degree bound: n_max "

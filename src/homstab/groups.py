@@ -4,7 +4,7 @@ Elements are hashable canonical tuples; three backends are provided:
 permutations (tuple of images, 0-indexed), matrices over Z/m (tuple of
 row tuples), and wreath products base ≀ Sym(n) (pair of a label tuple and
 a permutation).  Enumeration respects a configurable order budget and
-raises :class:`GroupBudgetExceeded` past it.
+raises :class:`BudgetExceeded`, with estimate |G|, past it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,22 @@ from .exact_linalg import SparseCols, smith_normal_form, FGAbelianGroup, xgcd
 DEFAULT_GROUP_BUDGET = 5040
 
 
-class GroupBudgetExceeded(Exception):
-    """Requested group enumeration exceeds the configured order budget."""
+class BudgetExceeded(Exception):
+    """A budget refuses a computation: a group too large to enumerate, or
+    a chain level whose boundary matrix has too many entries.  estimate
+    is the refused size (|G|, or the entries).  Not a ValueError, so that
+    a refusal is never taken for invalid input."""
+
+    def __init__(self, message, estimate):
+        super().__init__(message)
+        self.estimate = estimate
+
+
+def _check_order(name, order, budget) -> None:
+    """Refuse to enumerate the group name of the given order past budget."""
+    if order > budget:
+        raise BudgetExceeded(f"|{name}| = {order} exceeds budget {budget}",
+                             estimate=order)
 
 
 class FiniteGroup:
@@ -146,9 +160,7 @@ def perm_inv(g):
 
 
 def symmetric_group(n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
-    if math.factorial(n) > budget:
-        raise GroupBudgetExceeded(
-            f"|Sym({n})| = {math.factorial(n)} exceeds budget {budget}")
+    _check_order(f"Sym({n})", math.factorial(n), budget)
     elems = list(itertools.permutations(range(n)))
     gens = [tuple_swap(n, i) for i in range(n - 1)] if n > 1 else []
     return FiniteGroup(elems, perm_mul, perm_inv, perm_identity(n),
@@ -163,10 +175,8 @@ def tuple_swap(n, i):
 
 
 def alternating_group(n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
-    order = math.factorial(n) // 2 if n > 1 else 1
-    if order > budget:
-        raise GroupBudgetExceeded(
-            f"|Alt({n})| = {order} exceeds budget {budget}")
+    _check_order(f"Alt({n})", math.factorial(n) // 2 if n > 1 else 1,
+                 budget)
     elems = [p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1]
     # the 3-cycles (0 1 k), k = 2 .. n - 1, generate Alt(n)
     gens = []
@@ -297,9 +307,7 @@ def mat_inv_mod(a, m):
 def general_linear_group(n, m, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
     """GL_n(Z/m) (m need not be prime) as explicit matrices."""
     order = gln_order(n, m)
-    if order > budget:
-        raise GroupBudgetExceeded(
-            f"|GL_{n}(Z/{m})| = {order} exceeds budget {budget}")
+    _check_order(f"GL_{n}(Z/{m})", order, budget)
     elems = []
     for flat in itertools.product(range(m), repeat=n * n):
         a = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
@@ -379,10 +387,8 @@ def wreath_inv(base):
 
 
 def wreath_group(base: FiniteGroup, n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
-    order = base.order ** n * math.factorial(n)
-    if order > budget:
-        raise GroupBudgetExceeded(
-            f"|{base.name} wr Sym({n})| = {order} exceeds budget {budget}")
+    _check_order(f"{base.name} wr Sym({n})",
+                 base.order ** n * math.factorial(n), budget)
     elems = [(labels, p)
              for labels in itertools.product(base.elements, repeat=n)
              for p in itertools.permutations(range(n))]

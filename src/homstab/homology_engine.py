@@ -16,10 +16,10 @@ is the highest chain level it reads (H_i reads levels up to i + 1):
     rank * (|G| - 1)^i cells.
 
 `resolve` keeps one complex of each kind per module and budget.  Its
-levels are built on first use, each after one budget check on the size
-of that level of that resolution, and its boundaries and homology groups
-are kept, so neighbouring grid cells that resolve the same module share
-them.
+levels are built on first use, each after one budget check on the
+entries (rows x columns) of its boundary matrix, and its boundaries and
+homology groups are kept, so neighbouring grid cells that resolve the
+same module share them.
 
 Both are a `FreeResolution`: a subclass lists the free Z[G]-cells of its
 levels and nothing else, and the base builds, budget-checks and keeps
@@ -77,62 +77,35 @@ from .exact_linalg import (
 # not called here: perfbench/test_tracer.py checks that tracing patches
 # these names in every module that imports them
 from .exact_linalg import homology_of_pair, span_columns  # noqa: F401
-from .groups import FiniteGroup
-
-
-class BarBudgetExceeded(Exception):
-    """Raised when a chain level would exceed the configured cell budget
-    or a degree/order guard.  Carries the offending size estimate."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+from .groups import BudgetExceeded, FiniteGroup
 
 
 @dataclass(frozen=True)
 class BarBudget:
-    """Resource limits for assembling a resolution.
+    """The one resource limit for assembling a resolution: max_entries
+    bounds rows x columns of the boundary matrix d_level of any chain
+    level that is built, bar or presentation complex.
 
-    max_cells bounds the basis size of any single chain level of the
-    resolution that is built (bar or presentation complex).  The
-    degree/order guards refuse expensive homological degrees for large
-    groups unless explicitly raised; chain level i is first read by
-    homology in degree i - 1, so they fire only at levels >= 3, which
-    only the bar complex has.
+    Time and memory follow those entries, not the cell count: on a
+    2-CPU machine a 1.0e8-entry boundary (bar d_3 of Sym(4) on Z^4)
+    took 14 s, a 4.1e8-entry one (bar d_4 of Z/3 wr Sym(2)) 117 s and
+    0.9 GB, and a 3.4e9-entry one (bar d_4 of Sym(4)) did not finish in
+    600 s.  The default admits the first two and refuses the third.
     """
 
-    max_cells: int = 2_000_000
-    max_degree: int = 3
-    order_limit_deg2: int = 120
-    order_limit_deg3: int = 24
-
-    def __post_init__(self):
-        assert self.max_cells > 0 and self.max_degree > 0
+    max_entries: int = 1_000_000_000
 
     def check(self, cx, level: int) -> None:
-        """Refuse to build chain level `level` of the resolution cx.  A
-        refusal reads "chain level N needs C cells"; one from a
-        resolution other than the bar complex starts with its kind."""
-        degree = level - 1
-        group_order = cx.G.order
-        if degree > self.max_degree:
-            raise BarBudgetExceeded(
-                f"homological degree {degree} exceeds max_degree "
-                f"{self.max_degree}", estimate=degree)
-        if degree >= 2 and group_order > self.order_limit_deg2:
-            raise BarBudgetExceeded(
-                f"|G| = {group_order} > {self.order_limit_deg2} refused at "
-                f"degree {degree}", estimate=group_order)
-        if degree >= 3 and group_order > self.order_limit_deg3:
-            raise BarBudgetExceeded(
-                f"|G| = {group_order} > {self.order_limit_deg3} refused at "
-                f"degree {degree}", estimate=group_order)
-        cells = cx.level_size(level)
-        if cells > self.max_cells:
-            named = "" if cx.kind == BarComplex.kind else f"{cx.kind}: "
-            raise BarBudgetExceeded(
-                f"{named}chain level {level} needs {cells} cells "
-                f"(> {self.max_cells})", estimate=cells)
+        """Refuse to build chain level `level` of the resolution cx: the
+        refusal reads "<kind>: chain level N needs a R x C boundary (E
+        entries > B)", with estimate E."""
+        rows, cols = cx.level_size(level - 1), cx.level_size(level)
+        entries = rows * cols
+        if entries > self.max_entries:
+            raise BudgetExceeded(
+                f"{cx.kind}: chain level {level} needs a {rows} x {cols} "
+                f"boundary ({entries} entries > {self.max_entries})",
+                estimate=entries)
 
 
 # ----------------------------------------------------------------------

@@ -20,16 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .groups import cyclic_group, GroupBudgetExceeded
+from .groups import BudgetExceeded, DEFAULT_GROUP_BUDGET, cyclic_group
 from .groupoids import (make_symmetric, make_wreath, make_general_linear,
                         FiniteRing, verify_groupoid_axioms)
 from .bracket import BracketCategory
 from .simplicial import (build_W, build_S, lift_profile,
                          connectivity_certificate)
 from .exact_linalg import FGAbelianGroup
-from .homology_engine import (BarBudget, BarBudgetExceeded, GModule,
-                              bar_homology, stabilization_status,
-                              les_exact_at_rel)
+from .homology_engine import (BarBudget, GModule, bar_homology,
+                              stabilization_status, les_exact_at_rel)
 from .coeffsys import (CoefficientSystem, constant_system, standard_system,
                        tensor_power, abelian_constant_system, internalize,
                        abelianization_limit, BurauSystem, degree_profile,
@@ -59,21 +58,21 @@ class FamilyConfig:
     theorems: list
     budgets: dict
 
-    def group_budget(self) -> int:
-        return int(self.budgets.get("group_order", 5040))
+    def budget(self, key: str) -> int:
+        return int(self.budgets.get(key, BUDGETS[key]))
 
     def bar_budget(self) -> BarBudget:
-        return BarBudget(
-            max_cells=int(self.budgets.get("bar_cells", 2_000_000)),
-            order_limit_deg2=int(self.budgets.get("order_limit_deg2", 120)),
-            order_limit_deg3=int(self.budgets.get("order_limit_deg3", 24)))
-
-    def pi1_budget(self) -> int:
-        return int(self.budgets.get("pi1_steps", 10 ** 6))
+        return BarBudget(self.budget("boundary_entries"))
 
 
+# the budgets a config may set, with their defaults
+BUDGETS = {"group_order": DEFAULT_GROUP_BUDGET,
+           "boundary_entries": BarBudget.max_entries,
+           "pi1_steps": 10 ** 6}
 ABELIAN_COEFFS = {"abelian_constant", "internalized_abelian"}
 THEOREMS = ("3.1", "3.4", "A", "4.20")
+# the coefficient kinds a theorem is stated for; A and 4.20 take any
+THEOREM_COEFFS = {"3.1": {"constant"}, "3.4": {"constant"} | ABELIAN_COEFFS}
 
 
 def _require(obj, what: str, keys=()) -> dict:
@@ -121,6 +120,10 @@ def load_config(source) -> FamilyConfig:
         theorems=_theorems(raw.get("theorems", ["3.1"])),
         budgets=dict(_require(raw.get("budgets", {}), "budgets")),
     )
+    for key in cfg.budgets:
+        if key not in BUDGETS:
+            raise ValueError(f"unknown budgets key {key!r}; the budgets are "
+                             f"{list(BUDGETS)}")
     if cfg.coeff_kind == "custom":
         _require(cfg.coeff_params, "coeff custom params", ("path",))
     if cfg.A < 0 or cfg.X < 1:
@@ -139,7 +142,7 @@ def config_hash(cfg: FamilyConfig) -> str:
 
 
 def build_instance(cfg: FamilyConfig):
-    budget = cfg.group_budget()
+    budget = cfg.budget("group_order")
     kind = cfg.family_kind
     if kind == "symmetric":
         return make_symmetric(budget=budget)
@@ -286,6 +289,13 @@ def predicted_ranges(theorem: str, k: int, r: int = 0, N: int = 0,
 # runs
 
 
+def _refusal(cfg: FamilyConfig, exc: BudgetExceeded, **cell) -> dict:
+    """The report fields of a cell that a budget refused: the message,
+    the refused size and a repro block of the config hash and the cell."""
+    return {"skipped": str(exc), "estimate": exc.estimate,
+            "repro": {"config_hash": config_hash(cfg), **cell}}
+
+
 def run_axioms(cfg: FamilyConfig) -> dict:
     inst = build_instance(cfg)
     cat = BracketCategory(inst)
@@ -300,9 +310,10 @@ def run_axioms(cfg: FamilyConfig) -> dict:
         for n in range(m, top + 1):
             try:
                 h = cat.verify_homogeneity(m, n)
-            except GroupBudgetExceeded as exc:
+            except BudgetExceeded as exc:
                 checks.append({"name": f"homogeneity ({m},{n})",
-                               "passed": True, "skipped": str(exc)})
+                               "passed": True,
+                               **_refusal(cfg, exc, m=m, n=n)})
                 continue
             checks.append({"name": f"homogeneity ({m},{n})",
                            "passed": h["passed"],
@@ -332,12 +343,12 @@ def run_connectivity(cfg: FamilyConfig) -> dict:
         target = math.floor(Fraction(n - 2, cfg.k))
         try:
             W = build_W(cat, cfg.A, cfg.X, n)
-        except GroupBudgetExceeded as exc:
-            cells.append({"n": n, "skipped": str(exc)})
+        except BudgetExceeded as exc:
+            cells.append({"n": n, **_refusal(cfg, exc, n=n)})
             continue
         S = build_S(W)
         lp = lift_profile(W, S)
-        cert = connectivity_certificate(W, target, cfg.pi1_budget())
+        cert = connectivity_certificate(W, target, cfg.budget("pi1_steps"))
         cells.append({
             "n": n,
             "target": target,
@@ -390,13 +401,6 @@ def run_degree(cfg: FamilyConfig) -> dict:
     return out
 
 
-def _refusal(cfg: FamilyConfig, n: int, i: int,
-             exc: BarBudgetExceeded) -> dict:
-    """The report fields of grid cell (n, i), refused by a budget."""
-    return {"skipped": str(exc), "estimate": exc.estimate,
-            "repro": {"config_hash": config_hash(cfg), "n": n, "i": i}}
-
-
 def run_homology(cfg: FamilyConfig, jobs: int = 1) -> dict:
     inst = build_instance(cfg)
     cat = BracketCategory(inst)
@@ -411,8 +415,8 @@ def run_homology(cfg: FamilyConfig, jobs: int = 1) -> dict:
         n, i = args
         try:
             h = bar_homology(system.modules[n], i, budget)
-        except BarBudgetExceeded as exc:
-            return {"n": n, "i": i, **_refusal(cfg, n, i, exc)}
+        except BudgetExceeded as exc:
+            return {"n": n, "i": i, **_refusal(cfg, exc, n=n, i=i)}
         return {"n": n, "i": i, "H": str(h)}
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
@@ -451,6 +455,11 @@ def _classify_cell(status, preds, n, i):
 
 
 def run_stability(cfg: FamilyConfig, jobs: int = 1) -> dict:
+    for t in cfg.theorems:
+        kinds = THEOREM_COEFFS.get(t)
+        if kinds is not None and cfg.coeff_kind not in kinds:
+            raise ValueError(f"Theorem {t} is stated for the coeff kinds "
+                             f"{sorted(kinds)}, not {cfg.coeff_kind!r}")
     inst = build_instance(cfg)
     cat = BracketCategory(inst)
     system = build_system(cfg, cat)
@@ -515,9 +524,9 @@ def run_stability(cfg: FamilyConfig, jobs: int = 1) -> dict:
                             out["verdict"] = "VIOLATION"
                         elif out["verdict"] == "no claim":
                             out["verdict"] = "consistent"
-        except BarBudgetExceeded as exc:
+        except BudgetExceeded as exc:
             out["verdict"] = "skipped"
-            out.update(_refusal(cfg, n, i, exc))
+            out.update(_refusal(cfg, exc, n=n, i=i))
         if out.get("verdict") == "VIOLATION":
             out["repro"] = {"config_hash": config_hash(cfg), "n": n, "i": i}
         return out

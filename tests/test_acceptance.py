@@ -23,7 +23,7 @@ from homstab.coeffsys import (constant_system, standard_system,
 from homstab.laurent import lp, lm_eq
 from homstab import verifier
 from homstab.verifier import load_config, run_stability, report_emit
-from tests.test_homology import _hopf_h2, S4_RELATORS  # noqa: F401
+from tests.oracles import hopf_h2
 
 
 def _cfg(**over):
@@ -98,8 +98,7 @@ def test_criterion_06_connectivity_certificates(sym_cat, gl2_cat):
 
 
 def test_criterion_07_constant_coefficient_stability():
-    rep = run_stability(_cfg(n_max=6, i_max=1,
-                             budgets={"order_limit_deg2": 720}), jobs=2)
+    rep = run_stability(_cfg(n_max=6, i_max=1), jobs=2)
     assert rep["summary"]["VIOLATION"] == 0
     assert rep["summary"]["skipped"] == 0
     # H_1 oracle: abelianization gives Z/2 from n = 2 on
@@ -110,7 +109,7 @@ def test_criterion_07_constant_coefficient_stability():
     # H_2(Sigma_4) by bar complex, cross-checked by the Hopf oracle
     bar = bar_homology(trivial_module(symmetric_group(4)), 2)
     gens = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
-    hopf = _hopf_h2(symmetric_group(4), gens)
+    hopf = hopf_h2(symmetric_group(4), gens)
     assert str(bar) == str(hopf) == "Z/2"
 
 

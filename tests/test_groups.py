@@ -7,7 +7,7 @@ from homstab.groups import (
     FiniteGroup, symmetric_group, alternating_group, cyclic_group, wreath_group,
     general_linear_group, gln_order, perm_mul, perm_inv, perm_identity,
     perm_block_sum, perm_braiding, mat_mul_mod, mat_inv_mod, mat_identity,
-    mat_det_mod, quotient_group, abelianization, GroupBudgetExceeded,
+    mat_det_mod, quotient_group, abelianization, BudgetExceeded,
 )
 
 
@@ -150,8 +150,18 @@ def test_generator_words_cover_group():
 
 
 def test_budget_guard():
-    with pytest.raises(GroupBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"\|Sym\(8\)\| = 40320 "
+                       "exceeds budget 100") as exc:
         symmetric_group(8, budget=100)
+    assert exc.value.estimate == 40320
+    # a refusal is not invalid input: callers that catch ValueError
+    # (the groupoid generator check) must not swallow it
+    assert not isinstance(exc.value, ValueError)
+    for make in (lambda: alternating_group(6, budget=359),
+                 lambda: general_linear_group(2, 3, budget=47),
+                 lambda: wreath_group(cyclic_group(2), 3, budget=47)):
+        with pytest.raises(BudgetExceeded):
+            make()
 
 
 def _phi(m):

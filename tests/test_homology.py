@@ -3,130 +3,17 @@ import math
 
 import pytest
 
-from homstab.groups import (symmetric_group, alternating_group,
-                            cyclic_group, abelianization)
-from homstab.exact_linalg import FGAbelianGroup, SparseCols, homology_of_pair
+from homstab.groups import (BudgetExceeded, symmetric_group,
+                            alternating_group, cyclic_group, wreath_group,
+                            abelianization)
+from homstab.exact_linalg import FGAbelianGroup
 from homstab.pi1 import todd_coxeter_trivial
 from homstab.homology_engine import (
-    BarBudget, BarBudgetExceeded, GModule, trivial_module, sign_module,
+    BarBudget, GModule, trivial_module, sign_module,
     permutation_module, group_ring_module, bar_homology,
     coinvariants, conjugation_acts_trivially, resolve,
 )
-
-
-# ----------------------------------------------------------------------
-# Hopf-formula oracle: H_2(G) = (R cap [F,F]) / [F,R] for G = F/R,
-# computed with a Schreier transversal and Reidemeister rewriting.
-# Entirely independent of the bar-complex machinery.
-
-
-def _sign(letter):
-    return 1 if letter > 0 else -1
-
-
-def _hopf_h2(G, gen_images):
-    """H_2(G) from a surjection F(free on k letters) ->> G.
-
-    gen_images: images of the free generators.  R = kernel; R^ab is free
-    on the non-tree Schreier generators; [F,R] is spanned by the
-    commutator vectors; the exponent map lands in Z^k.
-    """
-    k = len(gen_images)
-    inv_images = [G.inv(g) for g in gen_images]
-
-    def step(state, letter):
-        img = gen_images[letter - 1] if letter > 0 else \
-            inv_images[-letter - 1]
-        return G.mul(state, img)
-
-    # BFS transversal: element -> word (tuple of signed letters)
-    transversal = {G.identity: ()}
-    frontier = [G.identity]
-    tree_edges = set()
-    while frontier:
-        nxt = []
-        for g in sorted(frontier, key=G.index.get):
-            for i in range(1, k + 1):
-                h = step(g, i)
-                if h not in transversal:
-                    transversal[h] = transversal[g] + (i,)
-                    tree_edges.add((g, i))
-                    nxt.append(h)
-        frontier = nxt
-    assert len(transversal) == G.order
-
-    # Schreier generators = non-tree edges (g, i)
-    schreier = {}
-    for g in G.elements:
-        for i in range(1, k + 1):
-            if (g, i) not in tree_edges:
-                schreier[(g, i)] = len(schreier)
-    assert len(schreier) == G.order * (k - 1) + 1
-
-    def rewrite(word, start):
-        """Express the R-element traced by `word` from coset `start`
-        as an exponent vector over the Schreier generators."""
-        vec = {}
-        state = start
-        for letter in word:
-            if letter > 0:
-                key = (state, letter)
-                state = step(state, letter)
-                if key in schreier:
-                    j = schreier[key]
-                    vec[j] = vec.get(j, 0) + 1
-            else:
-                state = step(state, letter)
-                key = (state, -letter)
-                if key in schreier:
-                    j = schreier[key]
-                    vec[j] = vec.get(j, 0) - 1
-        assert state == start, "word does not lie in R from this coset"
-        return vec
-
-    def gen_word(g, i):
-        # t_g x_i t_{g x_i}^{-1} as an explicit free word
-        h = step(g, i)
-        back = tuple(-x for x in reversed(transversal[h]))
-        return transversal[g] + (i,) + back
-
-    n = len(schreier)
-    # exponent map R^ab -> Z^k
-    phi_cols = []
-    words = {}
-    for (g, i), j in sorted(schreier.items(),
-                            key=lambda kv: kv[1]):
-        w = gen_word(g, i)
-        words[j] = w
-        col = {}
-        for letter in w:
-            idx = abs(letter) - 1
-            col[idx] = col.get(idx, 0) + _sign(letter)
-        phi_cols.append({r: c for r, c in col.items() if c})
-    d_out = SparseCols(k, phi_cols)
-
-    # [F,R] spanned by x w x^{-1} w^{-1} for Schreier gens w, letters x
-    comm_cols = []
-    for j in range(n):
-        w = words[j]
-        base = rewrite(w, G.identity)
-        for x in range(1, k + 1):
-            conj = (x,) + w + (-x,)
-            v = rewrite(conj, G.identity)
-            col = dict(v)
-            for key, c in base.items():
-                col[key] = col.get(key, 0) - c
-            col = {r: c for r, c in col.items() if c}
-            comm_cols.append(col)
-    assert len(comm_cols) == k * n
-    d_in = SparseCols(n, comm_cols)
-    return homology_of_pair(d_out, d_in).group
-
-
-S4_RELATORS = [
-    [1, 1], [2, 2], [3, 3],
-    [1, 2] * 3, [2, 3] * 3, [1, 3] * 2,
-]
+from tests.oracles import S4_RELATORS, hopf_h2
 
 
 def test_coxeter_presentation_presents_s4():
@@ -137,7 +24,7 @@ def test_coxeter_presentation_presents_s4():
 def test_h2_s4_hopf_oracle_vs_bar():
     G = symmetric_group(4)
     gens = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
-    hopf = _hopf_h2(G, gens)
+    hopf = hopf_h2(G, gens)
     assert str(hopf) == "Z/2"
     bar = bar_homology(trivial_module(G), 2)
     assert (bar.free_rank, bar.torsion) == (hopf.free_rank, hopf.torsion)
@@ -146,7 +33,7 @@ def test_h2_s4_hopf_oracle_vs_bar():
 def test_h2_s3_hopf_oracle_vs_bar():
     G = symmetric_group(3)
     gens = [(1, 0, 2), (0, 2, 1)]
-    hopf = _hopf_h2(G, gens)
+    hopf = hopf_h2(G, gens)
     assert hopf.is_trivial()
     assert bar_homology(trivial_module(G), 2).is_trivial()
 
@@ -298,15 +185,49 @@ def test_conjugation_acts_trivially():
 
 
 def test_budget_refusals():
+    # H_2(Sym(6)) reads bar level 3, a 719^2 x 719^3 boundary
     big = symmetric_group(6)
-    with pytest.raises(BarBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="bar complex: chain level 3 "
+                       "needs a 516961 x 371694959 boundary") as exc:
         bar_homology(trivial_module(big), 2)
+    assert exc.value.estimate == 719 ** 5
     # H_1 reads level 2 of the presentation complex: 3! (2 - 1) + 1 = 7
-    # relators of Sym(3)
+    # relators of Sym(3), over its 2 generators
     small = symmetric_group(3)
-    with pytest.raises(BarBudgetExceeded, match="presentation complex: "
-                       "chain level 2 needs 7 cells"):
-        bar_homology(trivial_module(small), 1, BarBudget(max_cells=6))
+    with pytest.raises(BudgetExceeded, match=r"presentation complex: "
+                       r"chain level 2 needs a 2 x 7 boundary \(14 entries "
+                       r"> 13\)") as exc:
+        bar_homology(trivial_module(small), 1, BarBudget(13))
+    assert exc.value.estimate == 14
+    assert str(bar_homology(trivial_module(small), 1, BarBudget(14))) \
+        == "Z/2"
+
+
+@pytest.mark.parametrize("group, rank, level, admitted", [
+    # bar d_3 of Sym(4) on Z^4: 1.0e8 entries, 14 s
+    (lambda: symmetric_group(4), 4, 3, True),
+    # bar d_3 of Z/2 wr Sym(3): 2.3e8 entries, 17 s
+    (lambda: wreath_group(cyclic_group(2), 3), 1, 3, True),
+    # presentation d_2 of Sym(7) on the tensor square, rank 49: 3.6e8
+    (lambda: symmetric_group(7), 49, 2, True),
+    # bar d_4 of Z/3 wr Sym(2): 4.1e8 entries, 117 s
+    (lambda: wreath_group(cyclic_group(3), 2), 1, 4, True),
+    # bar d_4 of Sym(4): 3.4e9 entries, not finished in 600 s
+    (lambda: symmetric_group(4), 1, 4, False),
+    # bar d_3 of Sym(5): 2.4e10 entries, over 900 s
+    (lambda: symmetric_group(5), 1, 3, False),
+])
+def test_default_budget_follows_the_calibration(group, rank, level,
+                                                admitted):
+    # the check reads only the level sizes, so nothing is built here
+    cx = resolve(trivial_module(group(), rank), BarBudget(), top=level)
+    if admitted:
+        BarBudget().check(cx, level)
+    else:
+        with pytest.raises(BudgetExceeded) as exc:
+            BarBudget().check(cx, level)
+        assert exc.value.estimate == (cx.level_size(level - 1)
+                                      * cx.level_size(level))
 
 
 def test_verify_action_rejects_broken_braid_relation():
@@ -324,16 +245,17 @@ def test_verify_action_rejects_broken_braid_relation():
 
 
 def test_relative_homology_reads_levels_up_to_i_plus_1():
-    # Sym(2) -> Sym(3), constant Z: the big bar complex has 25 cells at
-    # level 2 and 125 at level 3; Rel_1 and its LES need only level 2
+    # Sym(2) -> Sym(3), constant Z: bar d_3 of Sym(3) is 25 x 125, 3125
+    # entries; Rel_1 and its LES read only presentation level 2, 2 x 7
     from homstab.bracket import BracketCategory
     from homstab.coeffsys import constant_system
     from homstab.groupoids import make_symmetric
     from homstab.homology_engine import relative_homology, les_exact_at_rel
     setup = constant_system(BracketCategory(make_symmetric()), 0, 1, 3
                             ).stabilization_setup(2)
-    budget = BarBudget(max_cells=100)
-    with pytest.raises(BarBudgetExceeded, match="chain level 3 needs 125"):
+    budget = BarBudget(3124)
+    with pytest.raises(BudgetExceeded,
+                       match="chain level 3 needs a 25 x 125 boundary"):
         resolve(setup.big, budget, top=3).boundary(3)
     rel = relative_homology(setup, 1, budget)
     assert str(rel) == str(relative_homology(setup, 1))
@@ -343,20 +265,20 @@ def test_relative_homology_reads_levels_up_to_i_plus_1():
 
 
 def test_h0_stabilization_builds_chain_level_1_only():
-    # Sym(2) -> Sym(3), constant Z: H_0 reads presentation level 1 (2
-    # cells of Sym(3)); level 2 (7 cells) is first read by H_1 and refused
-    # there
+    # Sym(2) -> Sym(3), constant Z: H_0 reads presentation level 1 of
+    # Sym(3), a 1 x 2 boundary; level 2, 2 x 7, is first read by H_1 and
+    # refused there
     from homstab.bracket import BracketCategory
     from homstab.coeffsys import constant_system
     from homstab.groupoids import make_symmetric
     from homstab.homology_engine import stabilization_status
     setup = constant_system(BracketCategory(make_symmetric()), 0, 1, 3
                             ).stabilization_setup(2)
-    budget = BarBudget(max_cells=6)
+    budget = BarBudget(13)
     st = stabilization_status(setup, 0, budget)
     assert (str(st["source"]), str(st["target"])) == ("Z", "Z")
     assert st["is_iso"]
-    with pytest.raises(BarBudgetExceeded, match="chain level 2 needs 7 "):
+    with pytest.raises(BudgetExceeded, match="chain level 2 needs a 2 x 7 "):
         stabilization_status(setup, 1, budget)
 
 

@@ -17,7 +17,7 @@ def _cfg(**over):
         "coeff": {"kind": "constant", "params": {"rank": 1}},
         "k": 2, "n_max": 4, "i_max": 1,
         "theorems": ["3.1"],
-        "budgets": {"group_order": 5040, "bar_cells": 2_000_000,
+        "budgets": {"group_order": 5040, "boundary_entries": 10 ** 9,
                     "pi1_steps": 200_000},
         "seed": 0,
     }
@@ -108,9 +108,9 @@ def test_run_stability_constant_consistent():
 
 def test_run_stability_budget_starved():
     # cell (2, 1) reads level 2 of the presentation complex of Sym(3),
-    # 7 cells
+    # a 2 x 7 boundary
     cfg = _cfg(n_max=3, i_max=1)
-    cfg.budgets["bar_cells"] = 6
+    cfg.budgets["boundary_entries"] = 13
     rep = run_stability(cfg)
     assert rep["summary"]["skipped"] > 0
     assert rep["summary"]["VIOLATION"] == 0
@@ -120,27 +120,43 @@ def test_run_stability_budget_starved():
 
 
 def test_refused_cell_repro_names_the_cell_only():
-    # cell (2, 2) reads bar level 3 of Sym(3), which the order guard
-    # refuses: the estimate is |G| = 6, not a cell count, and the repro
-    # block holds the config and the cell only; homology cell (3, 2)
-    # is refused the same way
-    cfg = _cfg(n_max=3, i_max=2, budgets={"order_limit_deg2": 2})
-    want = {"skipped": "|G| = 6 > 2 refused at degree 2", "estimate": 6}
+    # cell (2, 2) reads bar level 3 of Sym(3), a 25 x 125 boundary, which
+    # the entries budget refuses: the estimate is its 3125 entries, and
+    # the repro block holds the config and the cell only; homology cell
+    # (3, 2) is refused the same way, and no other cell is
+    cfg = _cfg(n_max=3, i_max=2, budgets={"boundary_entries": 3124})
+    want = {"skipped": "bar complex: chain level 3 needs a 25 x 125 "
+                       "boundary (3125 entries > 3124)", "estimate": 3125}
     for run, cell in ((run_stability, (2, 2)), (run_homology, (3, 2))):
         cells = {(c["n"], c["i"]): c for c in run(cfg)["cells"]}
+        assert [key for key, c in cells.items() if "skipped" in c] == [cell]
         got = cells[cell]
         assert {key: got[key] for key in want} == want
         assert got["repro"] == {"config_hash": config_hash(cfg),
                                 "n": cell[0], "i": cell[1]}
 
 
+def test_connectivity_refusal_carries_estimate_and_repro():
+    # W_4 needs Aut(4) = Sym(4), over a group budget of 6
+    cfg = _cfg(budgets={"group_order": 6})
+    cells = {c["n"]: c for c in run_connectivity(cfg)["cells"]}
+    assert "skipped" not in cells[3]
+    assert {key: cells[4][key] for key in ("skipped", "estimate", "repro")
+            } == {"skipped": "|Sym(4)| = 24 exceeds budget 6",
+                  "estimate": 24,
+                  "repro": {"config_hash": config_hash(cfg), "n": 4}}
+
+
 def test_homology_budgets_h0_like_stability():
-    # H_0(Sym(4); Z^4) reads level 1 of the presentation complex, 3
-    # generators times rank 4; stability refuses cell (3, 0) for it too
+    # H_0(Sym(4); Z^4) reads level 1 of the presentation complex, a
+    # 4 x 12 boundary (3 generators times rank 4); H_0(Sym(3); Z^3) reads
+    # a 3 x 6 one; stability refuses cell (3, 0) for the former too
     cfg = _cfg(coeff={"kind": "standard", "params": {"r_max": 2,
                                                      "N_max": 0}},
-               theorems=["A"], n_max=4, i_max=1, budgets={"bar_cells": 6})
-    refusal = "presentation complex: chain level 1 needs 12 cells (> 6)"
+               theorems=["A"], n_max=4, i_max=1,
+               budgets={"boundary_entries": 40})
+    refusal = ("presentation complex: chain level 1 needs a 4 x 12 "
+               "boundary (48 entries > 40)")
     hom = {(c["n"], c["i"]): c for c in run_homology(cfg)["cells"]}
     assert hom[(4, 0)]["skipped"] == refusal
     assert hom[(3, 0)]["H"] == "Z"
@@ -190,7 +206,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["stability", "--config", str(path)]) == 0
     capsys.readouterr()
     assert cli_main(["stability", "--config", str(path),
-                     "--budget-cells", "6"]) == 3
+                     "--budget-entries", "13"]) == 3
     capsys.readouterr()
 
 
@@ -346,15 +362,16 @@ def test_cli_flags_per_subcommand():
     from homstab.cli import build_parser
     parser = build_parser()
     args = parser.parse_args(["stability", "--config", "c.json",
-                              "--jobs", "2", "--budget-cells", "10"])
-    assert (args.jobs, args.budget_cells) == (2, 10)
+                              "--jobs", "2", "--budget-entries", "10"])
+    assert (args.jobs, args.budget_entries) == (2, 10)
     args = parser.parse_args(["homology", "--config", "c.json",
                               "--jobs", "2"])
     assert args.jobs == 2
     for argv in (["homology", "--cache-dir", "d"],
                  ["stability", "--cache-dir", "d"],
                  ["degree", "--jobs", "2"],
-                 ["verify-axioms", "--budget-cells", "10"],
+                 ["verify-axioms", "--budget-entries", "10"],
+                 ["stability", "--budget-cells", "10"],
                  ["homology", "--seed", "1"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv[:1] + ["--config", "c.json"] + argv[1:])
@@ -364,3 +381,70 @@ def test_config_seed_is_hashed_not_read():
     cfg = _cfg()
     assert not hasattr(cfg, "seed")
     assert config_hash(cfg) != config_hash(_cfg(seed=1))
+
+
+@pytest.mark.parametrize("command", ["stability", "verify-axioms"])
+def test_cli_group_refusal_outside_a_cell_exits_1(tmp_path, capsys,
+                                                   command):
+    # Aut(8) = Sym(8) is past the default group budget before any grid
+    # cell runs: one error line, no traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": {"kind": "symmetric",
+                                           "params": {}}, "n_max": 8}))
+    assert cli_main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("homstab: error: |Sym(8)| = 40320 exceeds budget "
+                   "5040\n")
+
+
+def test_cli_rejects_unknown_budget_key(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": {"kind": "symmetric",
+                                           "params": {}}, "n_max": 2,
+                                "budgets": {"order_limit_deg2": 720}}))
+    assert cli_main(["homology", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("homstab: error: unknown budgets key 'order_limit_deg2'"
+                   "; the budgets are ['group_order', 'boundary_entries', "
+                   "'pi1_steps']\n")
+
+
+@pytest.mark.parametrize("theorem, coeff, k", [
+    ("3.1", "standard", 2), ("3.1", "abelian_constant", 3),
+    ("3.4", "standard", 3), ("3.4", "tensor", 3)])
+def test_cli_refuses_theorem_for_its_coefficients(tmp_path, capsys,
+                                                  theorem, coeff, k):
+    # Theorem 3.1 is stated for constant coefficients and 3.4 for
+    # constant or abelian ones; with twisted coefficients the parent
+    # marked Sigma standard cell (0, 0) a VIOLATION and exited 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "family": {"kind": "symmetric", "params": {}}, "k": k,
+        "n_max": 4, "i_max": 1, "theorems": [theorem],
+        "coeff": {"kind": coeff, "params": {}}}))
+    assert cli_main(["stability", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"homstab: error: Theorem {theorem} is stated "
+                          f"for the coeff kinds ")
+    assert err.endswith(f", not '{coeff}'\n")
+
+
+def test_cli_degree_window_admits_the_last_recursion_step(tmp_path,
+                                                          capsys):
+    # r_max 2, N_max 1 needs n_max >= 4; the recursion reaches r = -1 on
+    # the window 0..1, which needs only n_max >= N_max there
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "family": {"kind": "symmetric", "params": {}}, "n_max": 4,
+        "theorems": ["A", "4.20"],
+        "coeff": {"kind": "tensor", "params": {"power": 2, "r_max": 2,
+                                               "N_max": 1}}}))
+    assert cli_main(["stability", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["degree"] == {"r": 2, "N": 0, "split": True, "window": 4}
+    assert rep["summary"]["VIOLATION"] == 0
