@@ -14,7 +14,8 @@ morphisms.  The module implements:
   linear algebra (every kernel and cokernel is an
   `exact_linalg.presented_subquotient`);
 * internalization: twisting a system by maps s_n : G_n -> G_inf^ab into
-  a stably detected abelianization limit;
+  a stably detected abelianization limit, where G_n^ab is H_1(G_n; Z)
+  of the presentation complex and s_n is the Hurewicz map;
 * builtin systems (constant, standard/permutation, tensor powers,
   abelian-constant group rings) plus the Burau system over the braid
   family, handled with Laurent-polynomial matrices.
@@ -24,15 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import abelianization, coords_add
 from .groupoids import PresentedGroupFamily, braid_family
 from .bracket import BracketCategory, UMorphism
 from .exact_linalg import (FGAbelianGroup, SparseCols, identity_matrix,
                            induced_matrix, mat_mul, presented_subquotient,
                            reduce_rows, relation_columns, rows_congruent,
                            solve_integer)
-from .homology_engine import (GModule, StabilizationSetup, check_equivariant,
-                              permutation_module)
+from .homology_engine import (BarBudget, GModule, StabilizationSetup,
+                              check_equivariant, hurewicz, permutation_module,
+                              stabilization_status)
 from . import laurent as lau
 
 
@@ -438,7 +439,11 @@ class AbelianizationLimit:
     limit: FGAbelianGroup
     stable_from: int | None     # least n with ab_n -> ab_{n+1} iso onward
     certified: bool             # tail guaranteed by the stability range
-    s_maps: list                # per level n: {element of G_n: coords}
+    s_maps: list                # per level n: {generator of G_n: coords}
+
+
+def coords_add(x, y, factors):
+    return tuple((a + b) % d for a, b, d in zip(x, y, factors))
 
 
 def _coords_closure(gens, factors):
@@ -458,51 +463,47 @@ def _coords_closure(gens, factors):
 
 
 def abelianization_limit(cat: BracketCategory, A: int, x: int,
-                         n_probe: int, k: int) -> AbelianizationLimit:
+                         n_probe: int, k: int,
+                         budget: BarBudget | None = None
+                         ) -> AbelianizationLimit:
     """Detect the stable abelianization G_inf^ab along the suspension.
 
-    Computes Aut(A + n.x)^ab for n <= n_probe with the induced maps;
-    stable_from is the least level from which every consecutive map is
-    an isomorphism.  The tail beyond the probe window is certified by
-    the H_1 isomorphism range exactly when n_probe >= k + 1.
+    Aut(A + n.x)^ab is H_1 of the trivial module Z, read off the
+    presentation complex under budget, and ab_n -> ab_{n+1} is an
+    isomorphism exactly when stabilization_status says so at i = 1 on
+    the constant system's verified setup n -> n + 1.  stable_from is the
+    least level from which every consecutive map up to n_probe is an
+    isomorphism, None if the top one is not.  The tail beyond the probe
+    window is certified by the H_1 isomorphism range exactly when
+    n_probe >= k + 1.
+
+    s_maps[n] sends each generator of G_n to its image in the limit
+    H_1(G_top), top = n_probe, in canonical coordinates: push it up to
+    G_top and apply `homology_engine.hurewicz`.
     """
-    inst = cat.G
-    abs_, phis = [], []
-    for n in range(n_probe + 1):
-        grp, phi = abelianization(inst.aut(A + n * x))
-        abs_.append(grp)
-        phis.append(phi)
-    iso = []
-    for n in range(n_probe):
-        tgt = abs_[n + 1]
-        factors = tuple(tgt.torsion)
-        gens = [phis[n + 1][cat.sigma_upper_on_group(g, A + n * x, x)]
-                for g in inst.aut(A + n * x).generators]
-        image = _coords_closure(gens, factors)
-        iso.append(len(image) == tgt.order()
-                   and abs_[n].order() == tgt.order())
-    # least level from which every consecutive map up to the probe top
-    # is an isomorphism; the top map itself must be one
+    budget = budget or BarBudget()
+    const = constant_system(cat, A, x, n_probe)
     stable_from = n_probe
-    for n in range(n_probe - 1, -1, -1):
-        if iso[n]:
-            stable_from = n
-        else:
+    for n in range(n_probe - 1, -1, -1):    # the big group first
+        setup = const.stabilization_setup(n)
+        setup.verify()
+        if not stabilization_status(setup, 1, budget)["is_iso"]:
             break
+        stable_from = n
+    h1, phi = hurewicz(const.modules[n_probe], budget)
     if stable_from == n_probe:
-        return AbelianizationLimit(abs_[n_probe], None, False, [])
-    certified = n_probe >= k + 1
-    top = n_probe
+        return AbelianizationLimit(h1.group, None, False, [])
     s_maps = []
     for n in range(n_probe + 1):
         mp = {}
-        for g in inst.aut(A + n * x).elements:
+        for g in const.group(n).generators:
             h = g
-            for j in range(n, top):
+            for j in range(n, n_probe):
                 h = cat.sigma_upper_on_group(h, A + j * x, x)
-            mp[g] = phis[top][h]
+            mp[g] = phi(h)
         s_maps.append(mp)
-    return AbelianizationLimit(abs_[top], stable_from, certified, s_maps)
+    return AbelianizationLimit(h1.group, stable_from, n_probe >= k + 1,
+                               s_maps)
 
 
 class InternalizedSystem(CoefficientSystem):
@@ -562,15 +563,20 @@ def internalize(F: CoefficientSystem, limit: AbelianizationLimit,
     """Twist F by the translation action of G_inf^ab.
 
     ``star`` gives, per level n, one matrix on F_n for each canonical
-    generator of the limit; the internalized action of g on F_n is
-    act_n(g) followed by translation by s_n(g).  The structure maps are
-    unchanged.
+    generator of the limit; the internalized action of a generator g of
+    G_n on F_n is act_n(g) followed by translation by s_n(g).  The
+    structure maps are unchanged.
     """
     factors = list(limit.limit.torsion) + [0] * limit.limit.free_rank
     if limit.limit.free_rank:
         raise ValueError("internalization needs a finite limit")
     if not limit.s_maps:
         raise ValueError("abelianization limit was not detected")
+    if len(limit.s_maps) <= F.n_max:
+        raise ValueError(
+            f"the abelianization limit maps levels 0..{len(limit.s_maps) - 1}"
+            f" only; internalizing levels 0..{F.n_max} needs n_probe >= "
+            f"n_max")
 
     def star_word(n, coords):
         mat = identity_matrix(F.rank(n))
@@ -660,7 +666,9 @@ def abelian_constant_system(cat: BracketCategory, A: int, x: int,
                             n_max: int, limit: AbelianizationLimit,
                             subgroup=()):
     """The constant system Z[Q], Q = limit / <subgroup>, together with
-    the translation star-action used by internalization.
+    the translation star-action used by internalization.  Each subgroup
+    entry lists one integer per invariant factor of the limit: its
+    coordinates over the canonical generators of H_1(G_top).
 
     Returns (system, star) ready to feed ``internalize``.
     """
@@ -668,6 +676,13 @@ def abelian_constant_system(cat: BracketCategory, A: int, x: int,
     if fg.free_rank:
         raise ValueError("group-ring systems need a finite limit")
     factors = tuple(fg.torsion)
+    if not isinstance(subgroup, (list, tuple)) or not all(
+            isinstance(s, (list, tuple)) and len(s) == len(factors)
+            and all(type(c) is int for c in s) for s in subgroup):
+        raise ValueError(
+            f"subgroup {subgroup!r}: each entry must list "
+            f"{len(factors)} integers, one per invariant factor of the "
+            f"limit {fg}")
     elements = _coords_closure(
         [tuple(1 if i == j else 0 for i in range(len(factors)))
          for j in range(len(factors))], factors)

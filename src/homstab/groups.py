@@ -4,7 +4,9 @@ Elements are hashable canonical tuples; three backends are provided:
 permutations (tuple of images, 0-indexed), matrices over Z/m (tuple of
 row tuples), and wreath products base ≀ Sym(n) (pair of a label tuple and
 a permutation).  Enumeration respects a configurable order budget and
-raises :class:`BudgetExceeded`, with estimate |G|, past it.
+raises :class:`BudgetExceeded`, with estimate |G|, past it.  No group
+theory beyond enumeration and generator words lives here: G^ab is
+H_1(G; Z), which `homology_engine` computes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .exact_linalg import SparseCols, smith_normal_form, FGAbelianGroup, xgcd
+from .exact_linalg import xgcd
 
 DEFAULT_GROUP_BUDGET = 5040
 
@@ -42,15 +44,19 @@ class FiniteGroup:
     the sorted tuple fixes a deterministic indexing used everywhere
     downstream (canonical coset representatives, chain bases, caches).
 
-    `generators` must generate the group.  Module actions, coinvariants,
-    homomorphism checks and [G, G] cost one unit per generator, and the
+    `generators` must generate the group.  Module actions, coinvariants
+    and homomorphism checks cost one unit per generator, and the
     presentation complex has |G| (|S| - 1) + 1 relators, so every group
     here passes a small set: Coxeter transpositions for Sym(n), the
     3-cycles (0 1 k) for Alt(n), 1 for Z/m, transvections and diagonal
-    units for GL_n(Z/m), base generators in slot 0 plus Coxeter
-    transpositions for base wr Sym(n), and the images of the parent's
-    generators for a quotient.  Without `generators` every non-identity
-    element is a generator.
+    units for GL_n(Z/m), and base generators in slot 0 plus Coxeter
+    transpositions for base wr Sym(n).  Without `generators` every
+    non-identity element is a generator.
+
+    `generator_words` is computed once per group and shared by every
+    module over it: module actions, the Fox derivatives of the
+    presentation complex and the Hurewicz map G -> H_1(G; Z) all read
+    the same words.
     """
 
     def __init__(self, elements, mul, inv, identity, name="G",
@@ -63,6 +69,7 @@ class FiniteGroup:
         self.name = name
         self.generators = tuple(generators) if generators is not None else \
             tuple(g for g in self.elements if g != identity)
+        self._words = None
         assert identity in self.index
 
     @property
@@ -75,53 +82,13 @@ class FiniteGroup:
     def __contains__(self, g):
         return g in self.index
 
-    def conjugate(self, g, h):
-        """h g h^-1"""
-        return self.mul(h, self.mul(g, self.inv(h)))
-
-    def commutator(self, g, h):
-        return self.mul(g, self.mul(h, self.mul(self.inv(g), self.inv(h))))
-
-    def subgroup_closure(self, gens) -> set:
-        out = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = self.mul(x, s)
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return out
-
-    def commutator_subgroup(self) -> set:
-        """[G, G] as the normal closure of the commutators of the
-        generators, modulo which the generators commute.  Conjugates of
-        its generators by the group's generators join them until none is
-        new (conjugation by g^-1 is a power of conjugation by g)."""
-        gens = self.generators
-        ngens = list({self.commutator(a, b) for a in gens for b in gens})
-        out = self.subgroup_closure(ngens)
-        for x in ngens:             # ngens grows while it is scanned
-            for g in gens:
-                y = self.conjugate(x, g)
-                if y not in out:
-                    ngens.append(y)
-                    out = self.subgroup_closure(ngens)
-        return out
-
-    def is_subgroup(self, subset) -> bool:
-        s = set(subset)
-        return (self.identity in s
-                and all(self.mul(a, b) in s for a in s for b in s))
-
     def generator_words(self):
         """BFS words over the generators reaching every element; returns
-        {element: tuple of generator indices}.  Deterministic: generators
+        {element: tuple of generator indices} with g = s_{w_1} ... s_{w_k},
+        computed on the first call and kept.  Deterministic: generators
         tried in order, frontier kept sorted."""
+        if self._words is not None:
+            return self._words
         gens = self.generators
         words = {self.identity: ()}
         frontier = [self.identity]
@@ -136,6 +103,7 @@ class FiniteGroup:
             frontier = sorted(nxt)
         if len(words) != self.order:
             raise ValueError("generators do not generate the group")
+        self._words = words
         return words
 
 
@@ -416,84 +384,3 @@ def cyclic_group(m) -> FiniteGroup:
     return FiniteGroup(elems, lambda a, b: (a + b) % m,
                        lambda a: (-a) % m, 0, name=f"Z/{m}",
                        generators=[1 % m] if m > 1 else [])
-
-
-# ------------------------------------------------------------------
-# abelianization
-
-
-def quotient_group(G: FiniteGroup, normal_subgroup) -> tuple[FiniteGroup, dict]:
-    """Quotient by a normal subgroup; cosets are represented by their
-    minimum element, and Q is generated by the images of G's generators.
-    Returns (Q, coset_map element -> representative)."""
-    N = sorted(normal_subgroup)
-    assert G.is_subgroup(N)
-    rep = {}
-    for g in G.elements:
-        if g in rep:
-            continue
-        coset = sorted(G.mul(g, n) for n in N)
-        r = coset[0]
-        for x in coset:
-            rep[x] = r
-    reps = sorted(set(rep.values()))
-    mul = lambda a, b: rep[G.mul(a, b)]
-    inv = lambda a: rep[G.inv(a)]
-    ident = rep[G.identity]
-    gens = dict.fromkeys(rep[g] for g in G.generators if rep[g] != ident)
-    Q = FiniteGroup(reps, mul, inv, ident, name=f"{G.name}/N",
-                    generators=gens)
-    return Q, rep
-
-
-def abelian_invariants(Q: FiniteGroup):
-    """Invariant factors and explicit coordinates of a finite abelian
-    group.
-
-    Presents Q on all its elements with the full multiplication table as
-    relations, then reads the decomposition off the Smith normal form.
-    Returns (FGAbelianGroup, coords) with coords[g] a tuple over the
-    torsion factors.
-    """
-    k = Q.order
-    idx = Q.index
-    rel_cols = []
-    for a in Q.elements:
-        for b in Q.elements:
-            c = Q.mul(a, b)
-            col = {}
-            for key, sgn in ((idx[a], 1), (idx[b], 1), (idx[c], -1)):
-                col[key] = col.get(key, 0) + sgn
-            col = {i: v for i, v in col.items() if v}
-            if col:
-                rel_cols.append(col)
-    snf = smith_normal_form(
-        SparseCols(k, rel_cols) if rel_cols else SparseCols.zero(k, 0))
-    assert snf.rank == k, "finite abelian group must have full relation rank"
-    torsion_pos = [i for i, d in enumerate(snf.factors) if d > 1]
-    group = FGAbelianGroup(0, tuple(snf.factors[i] for i in torsion_pos))
-    U = snf.U
-    coords = {}
-    for g in Q.elements:
-        i = idx[g]
-        coords[g] = tuple(U[p][i] % snf.factors[p] for p in torsion_pos)
-    # coords must be a homomorphism onto the full group
-    assert len({coords[g] for g in Q.elements}) == group.order()
-    return group, coords
-
-
-def abelianization(G: FiniteGroup):
-    """G^ab with an explicit quotient homomorphism.
-
-    Returns (FGAbelianGroup, phi) where phi maps each element to its
-    coordinate tuple over the invariant factors.
-    """
-    N = G.commutator_subgroup()
-    Q, rep = quotient_group(G, N)
-    group, coords = abelian_invariants(Q)
-    phi = {g: coords[rep[g]] for g in G.elements}
-    return group, phi
-
-
-def coords_add(x, y, factors):
-    return tuple((a + b) % d for a, b, d in zip(x, y, factors))

@@ -2,8 +2,9 @@
 
 Two free resolutions of Z over Z[G], tensored with a finitely generated
 Z[G]-module M, plus what the stability verifier needs: coinvariants,
-stabilization chain maps, and relative homology as a mapping cone.
-Every group here is computed by `exact_linalg.presented_subquotient`.
+the Hurewicz map G -> H_1(G; Z) = G^ab, stabilization chain maps, and
+relative homology as a mapping cone.  Every group here is computed by
+`exact_linalg.presented_subquotient`.
 
 Every caller takes its complex from `resolve(M, budget, top)`, where top
 is the highest chain level it reads (H_i reads levels up to i + 1):
@@ -136,7 +137,6 @@ class GModule:
                 raise ValueError("action matrix missing for a generator")
         self._act_cache: dict = {group.identity: identity_matrix(self.rank)}
         self._right_cache: dict = {}
-        self._words = None
         self._complexes: dict = {}      # (kind, BarBudget) -> complex
 
     # -- presentation helpers
@@ -146,13 +146,6 @@ class GModule:
 
     # -- the action
 
-    def words(self) -> dict:
-        """The group's BFS generator words, computed once per module:
-        generator-index tuples with g = s_{w_1} ... s_{w_k}."""
-        if self._words is None:
-            self._words = self.group.generator_words()
-        return self._words
-
     def act(self, g):
         """Left-action matrix of g, memoized via generator words."""
         cached = self._act_cache.get(g)
@@ -160,7 +153,7 @@ class GModule:
             return cached
         gens = self.group.generators
         mat = identity_matrix(self.rank)
-        for gi in self.words()[g]:
+        for gi in self.group.generator_words()[g]:
             mat = self._product(
                 mat, reduce_rows(self.gen_action[gens[gi]], self.orders))
         self._act_cache[g] = mat
@@ -459,7 +452,7 @@ class PresentationComplex(FreeResolution):
         """
         if self._fox is not None:
             return self._fox
-        words = self.M.words()
+        words = self.G.generator_words()
         by_word = {w: g for g, w in words.items()}
         fox = {}
         for g, w in words.items():        # BFS order: prefixes come first
@@ -483,7 +476,7 @@ class PresentationComplex(FreeResolution):
             return
         # relator R = w(g) s w(gs)^{-1}:
         # dR/dt = dw(g)/dt + [t = s] g - dw(gs)/dt
-        words = self.M.words()
+        words = self.G.generator_words()
         fox = self.fox()
         for g in self.G.elements:
             for si, s in enumerate(self.G.generators):
@@ -539,6 +532,25 @@ def bar_homology(M: GModule, i: int,
 def coinvariants(M: GModule) -> FGAbelianGroup:
     """M_G = H_0(G; M) = M / span{m.s - m : s a generator of G}."""
     return resolve(M, BarBudget(), top=1).homology(0).group
+
+
+def hurewicz(M: GModule, budget: BarBudget | None = None):
+    """H_1(G; Z) = G^ab with the Hurewicz map G -> H_1(G; Z), for M the
+    trivial module Z over G.  The map takes g to the class of the letter
+    counts of its BFS word, a 1-cycle of the presentation complex (whose
+    d_1 vanishes on Z), in the canonical coordinates of H_1.  Returns
+    (H_1 as a Subquotient, the map)."""
+    if M.orders != [0] or any(a != [[1]] for a in M.gen_action.values()):
+        raise ValueError("the Hurewicz map needs the trivial module Z")
+    h1 = resolve(M, budget or BarBudget(), top=2).homology(1)
+    words = M.group.generator_words()
+
+    def phi(g) -> tuple[int, ...]:
+        counts: dict[int, int] = {}
+        for gi in words[g]:
+            counts[gi] = counts.get(gi, 0) + 1
+        return h1.project(counts)
+    return h1, phi
 
 
 # ----------------------------------------------------------------------

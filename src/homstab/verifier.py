@@ -70,6 +70,15 @@ BUDGETS = {"group_order": DEFAULT_GROUP_BUDGET,
            "boundary_entries": BarBudget.max_entries,
            "pi1_steps": 10 ** 6}
 ABELIAN_COEFFS = {"abelian_constant", "internalized_abelian"}
+# the params each family and coefficient kind reads; every coefficient
+# kind also takes r_max and N_max, the degree bound of A and 4.20
+FAMILY_PARAMS = {"symmetric": (), "wreath": ("cyclic_order",),
+                 "gl": ("modulus",)}
+COEFF_PARAMS = {"constant": ("rank", "torsion"), "standard": (),
+                "tensor": ("power",),
+                "abelian_constant": ("n_probe", "subgroup"),
+                "internalized_abelian": ("n_probe", "subgroup"),
+                "burau": (), "custom": ("path",)}
 THEOREMS = ("3.1", "3.4", "A", "4.20")
 # the coefficient kinds a theorem is stated for; A and 4.20 take any
 THEOREM_COEFFS = {"3.1": {"constant"}, "3.4": {"constant"} | ABELIAN_COEFFS}
@@ -124,6 +133,18 @@ def load_config(source) -> FamilyConfig:
         if key not in BUDGETS:
             raise ValueError(f"unknown budgets key {key!r}; the budgets are "
                              f"{list(BUDGETS)}")
+    for what, kind, params, table, common in (
+            ("family", cfg.family_kind, cfg.family_params, FAMILY_PARAMS,
+             ()),
+            ("coefficient", cfg.coeff_kind, cfg.coeff_params, COEFF_PARAMS,
+             ("r_max", "N_max"))):
+        if kind not in table:
+            raise ValueError(f"unknown {what} kind {kind!r}")
+        accepted = list(table[kind]) + list(common)
+        for key in params:
+            if key not in accepted:
+                raise ValueError(f"unknown {what} params key {key!r} for "
+                                 f"kind {kind!r}; it accepts {accepted}")
     if cfg.coeff_kind == "custom":
         _require(cfg.coeff_params, "coeff custom params", ("path",))
     if cfg.A < 0 or cfg.X < 1:
@@ -200,13 +221,15 @@ def build_system(cfg: FamilyConfig, cat: BracketCategory):
                             int(p.get("power", 2)))
     if kind in ABELIAN_COEFFS:
         probe = int(p.get("n_probe", cfg.n_max))
-        lim = abelianization_limit(cat, cfg.A, cfg.X, probe, cfg.k)
+        if probe < 0:
+            raise ValueError(f"n_probe must be at least 0, not {probe}")
+        lim = abelianization_limit(cat, cfg.A, cfg.X, probe, cfg.k,
+                                   cfg.bar_budget())
         if lim.stable_from is None:
             raise ValueError("abelianization limit undetermined on the "
                              "probe window")
-        sub = [tuple(s) for s in p.get("subgroup", [])]
-        system, star = abelian_constant_system(cat, cfg.A, cfg.X,
-                                               cfg.n_max, lim, sub)
+        system, star = abelian_constant_system(
+            cat, cfg.A, cfg.X, cfg.n_max, lim, p.get("subgroup", []))
         if kind == "abelian_constant":
             return system
         return internalize(system, lim, star)

@@ -4,9 +4,104 @@ hopf_h2 computes H_2(G) = (R cap [F,F]) / [F,R] for G = F/R by Hopf's
 formula, with a Schreier transversal and Reidemeister rewriting: no
 chain complex of G is built.  S4_RELATORS is the Coxeter presentation
 of Sym(4) on its three adjacent transpositions.
+
+abelianization computes G^ab group-theoretically: [G, G] by closure,
+the cosets of G / [G, G], then the invariant factors of that quotient
+from the Smith normal form of its multiplication table.  It is brute
+force and meant for test-sized groups.
 """
 
-from homstab.exact_linalg import SparseCols, homology_of_pair
+from homstab.exact_linalg import (FGAbelianGroup, SparseCols,
+                                  homology_of_pair, smith_normal_form)
+from homstab.groups import FiniteGroup
+
+
+def commutator(G, g, h):
+    """g h g^-1 h^-1"""
+    return G.mul(g, G.mul(h, G.mul(G.inv(g), G.inv(h))))
+
+
+def subgroup_closure(G, gens) -> set:
+    """The subgroup of G generated by gens; a generator already inside
+    is skipped, so few of many generators are multiplied through."""
+    out = {G.identity}
+    kept = []
+    for s in gens:
+        if s in out:
+            continue
+        kept.append(s)
+        frontier = list(out)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for t in kept:
+                    y = G.mul(x, t)
+                    if y not in out:
+                        out.add(y)
+                        nxt.append(y)
+            frontier = nxt
+    return out
+
+
+def commutator_subgroup(G) -> set:
+    """[G, G] as the subgroup generated by the [g, s], g in G and s a
+    generator.  It is normal, as x [y, s] x^-1 = [x y, s] [x, s]^-1, and
+    every s is central modulo it, so G modulo it is abelian."""
+    return subgroup_closure(G, sorted({commutator(G, g, s) for g in G
+                                       for s in G.generators}))
+
+
+def coords_span(gens, factors) -> set:
+    """The subgroup of Z/d_1 + ... + Z/d_k that the coordinate tuples
+    gens span, factors = (d_1, ..., d_k)."""
+    span = {tuple(0 for _ in factors)}
+    frontier = list(span)
+    while frontier:
+        frontier = [y for y in {tuple((a + b) % d for a, b, d in
+                                      zip(x, g, factors))
+                                for x in frontier for g in gens}
+                    if y not in span]
+        span.update(frontier)
+    return span
+
+
+def quotient_group(G, normal_subgroup):
+    """G / N with cosets represented by their least element; returns
+    (Q, element -> representative)."""
+    rep = {}
+    for g in G.elements:
+        if g not in rep:
+            coset = [G.mul(g, n) for n in normal_subgroup]
+            r = min(coset)
+            rep.update((x, r) for x in coset)
+    ident = rep[G.identity]
+    Q = FiniteGroup(set(rep.values()), lambda a, b: rep[G.mul(a, b)],
+                    lambda a: rep[G.inv(a)], ident, name=f"{G.name}/N",
+                    generators=dict.fromkeys(
+                        rep[g] for g in G.generators if rep[g] != ident))
+    return Q, rep
+
+
+def abelianization(G):
+    """(G^ab, phi) with phi: element -> coordinates over the invariant
+    factors, read off the Smith normal form of Q = G / [G, G] presented
+    on all its elements with its multiplication table as relations."""
+    Q, rep = quotient_group(G, commutator_subgroup(G))
+    idx = Q.index
+    cols = []
+    for a in Q.elements:
+        for b in Q.elements:
+            col = {}
+            for key, sgn in ((idx[a], 1), (idx[b], 1),
+                             (idx[Q.mul(a, b)], -1)):
+                col[key] = col.get(key, 0) + sgn
+            cols.append({i: v for i, v in col.items() if v})
+    snf = smith_normal_form(SparseCols(Q.order, cols))
+    assert snf.rank == Q.order
+    pos = [i for i, d in enumerate(snf.factors) if d > 1]
+    phi = {g: tuple(snf.U[p][idx[rep[g]]] % snf.factors[p] for p in pos)
+           for g in G.elements}
+    return FGAbelianGroup(0, tuple(snf.factors[p] for p in pos)), phi
 
 
 def _sign(letter):

@@ -1,6 +1,8 @@
 import pytest
 
-from homstab.groupoids import braid_family
+from homstab.bracket import BracketCategory
+from homstab.groupoids import braid_family, make_wreath
+from homstab.groups import cyclic_group
 from homstab.homology_engine import GModule, bar_homology
 from homstab.exact_linalg import FGAbelianGroup
 from homstab.laurent import lp, lm_eq
@@ -11,6 +13,7 @@ from homstab.coeffsys import (
     InternalizedSystem, BurauSystem, presented_abelianization,
 )
 from homstab.exact_linalg import identity_matrix, mat_mul
+from tests.oracles import abelianization, coords_span
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +135,45 @@ def test_abelianization_limit_wreath(wreath_cat):
     lim = abelianization_limit(wreath_cat, 0, 1, 3, 2)
     assert str(lim.limit) == "Z/2 + Z/2"
     assert lim.certified
+
+
+@pytest.mark.parametrize("family, top", [
+    ("sym_cat", 6), ("wreath_cat", 4), ("wreath3", 4), ("gl2_cat", 3)])
+def test_abelianization_limit_matches_oracle(request, family, top):
+    # the limit, stable_from and certified on every probe window up to
+    # top, against the group-theoretic G_n^ab and the maps between them
+    cat = (BracketCategory(make_wreath(cyclic_group(3))) if family ==
+           "wreath3" else request.getfixturevalue(family))
+    ab = [abelianization(cat.G.aut(n)) for n in range(top + 1)]
+    iso = []
+    for n in range(top):
+        (src, _), (tgt, phi) = ab[n], ab[n + 1]
+        images = [phi[cat.sigma_upper_on_group(g, n, 1)]
+                  for g in cat.G.aut(n).generators]
+        iso.append(src.order() == tgt.order()
+                   == len(coords_span(images, tgt.torsion)))
+    for n_probe in range(top + 1):
+        lim = abelianization_limit(cat, 0, 1, n_probe, 2)
+        least = min(n for n in range(n_probe + 1) if all(iso[n:n_probe]))
+        stable_from = None if least == n_probe else least
+        assert str(lim.limit) == str(ab[n_probe][0]), n_probe
+        assert lim.stable_from == stable_from, n_probe
+        assert lim.certified == (stable_from is not None and n_probe >= 3)
+    if family == "gl2_cat":
+        assert lim.stable_from is None
+
+
+def test_abelianization_limit_wreath_coordinates(wreath_cat):
+    # H_1(Z/2 wr Sym(n)) = Z/2 + Z/2 for n >= 2: its canonical generators
+    # are the classes of the base generator and of the transpositions,
+    # which is what coeff.params.subgroup refers to
+    lim = abelianization_limit(wreath_cat, 0, 1, 4, 3)
+    assert str(lim.limit) == "Z/2 + Z/2"
+    for n in range(1, 5):
+        base, *swaps = wreath_cat.G.aut(n).generators
+        assert lim.s_maps[n][base] == (1, 0)
+        assert all(lim.s_maps[n][s] == (0, 1) for s in swaps)
+    assert lim.s_maps[0] == {}
 
 
 def test_internalized_system_alternating_homology(sym_cat):

@@ -7,8 +7,17 @@ from homstab.groups import (
     FiniteGroup, symmetric_group, alternating_group, cyclic_group, wreath_group,
     general_linear_group, gln_order, perm_mul, perm_inv, perm_identity,
     perm_block_sum, perm_braiding, mat_mul_mod, mat_inv_mod, mat_identity,
-    mat_det_mod, quotient_group, abelianization, BudgetExceeded,
+    mat_det_mod, BudgetExceeded,
 )
+from homstab.homology_engine import hurewicz, trivial_module
+from tests.oracles import (abelianization, commutator, coords_span,
+                           subgroup_closure)
+
+
+def _hurewicz(G):
+    """H_1(G; Z) and the Hurewicz map on every element."""
+    h1, phi = hurewicz(trivial_module(G))
+    return h1.group, {g: phi(g) for g in G}
 
 
 def _is_group(G):
@@ -81,7 +90,7 @@ def test_wreath_group_order():
 
 def test_cyclic_abelianization():
     G = cyclic_group(6)
-    ab, phi = abelianization(G)
+    ab, phi = _hurewicz(G)
     assert ab.free_rank == 0 and ab.torsion == (6,)
     assert len(set(phi.values())) == 6
 
@@ -89,22 +98,23 @@ def test_cyclic_abelianization():
 @pytest.mark.parametrize("n,expect", [(3, (3,)), (4, (3,)), (5, ()),
                                       (6, ())])
 def test_alternating_abelianization(n, expect):
-    ab, _ = abelianization(alternating_group(n))
+    ab, _ = _hurewicz(alternating_group(n))
     assert ab.free_rank == 0 and ab.torsion == expect
 
 
 def test_symmetric_abelianization():
-    ab, _ = abelianization(symmetric_group(4))
+    ab, _ = _hurewicz(symmetric_group(4))
     assert ab.free_rank == 0 and ab.torsion == (2,)
 
 
 def test_quotient_group():
+    # G -> G^ab: Sym(3) has two classes, and both transpositions map to
+    # the nonzero one
     G = symmetric_group(3)
-    Q, proj = quotient_group(G, G.commutator_subgroup())
-    assert Q.order == 2
-    assert proj[G.identity] == Q.identity
-    # both transpositions map to the one non-identity coset
-    assert Q.generators == (proj[G.generators[0]],) != (Q.identity,)
+    ab, phi = _hurewicz(G)
+    assert ab.order() == 2 == len(set(phi.values()))
+    assert phi[G.identity] == (0,)
+    assert phi[G.generators[0]] == phi[G.generators[1]] == (1,)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -121,20 +131,18 @@ def test_alternating_generators_are_3_cycles(n):
                                   lambda: alternating_group(5),
                                   lambda: wreath_group(cyclic_group(2), 3)])
 def test_quotient_generators_are_images(make):
-    # the images of G's generators, deduplicated, without the identity,
-    # generate every quotient; the trivial quotient has none
+    # the images of G's generators generate G^ab, which is why the
+    # abelianization limit keeps the Hurewicz images of generators only
     G = make()
-    for N in (G.commutator_subgroup(), {G.identity}, set(G.elements)):
-        Q, proj = quotient_group(G, N)
-        images = [proj[g] for g in G.generators]
-        assert set(Q.generators) == set(images) - {Q.identity}
-        assert len(set(Q.generators)) == len(Q.generators)
-        assert len(Q.generator_words()) == Q.order
+    ab, phi = _hurewicz(G)
+    span = coords_span([phi[s] for s in G.generators], ab.torsion)
+    assert span == set(phi.values()) and len(span) == ab.order()
 
 
 def test_commutator_subgroup_of_s4():
     G = symmetric_group(4)
-    assert len(G.commutator_subgroup()) == 12
+    _, phi = _hurewicz(G)
+    assert sum(1 for g in G if phi[g] == (0,)) == 12
 
 
 def test_generator_words_cover_group():
@@ -190,7 +198,7 @@ def test_wreath_generators_generate(base, n):
 
 def _generated_by(G, gens, name):
     """The subgroup of G that `gens` generate, with those generators."""
-    return FiniteGroup(G.subgroup_closure(gens), G.mul, G.inv, G.identity,
+    return FiniteGroup(subgroup_closure(G, gens), G.mul, G.inv, G.identity,
                        name=name, generators=gens)
 
 
@@ -208,11 +216,26 @@ WREATH_CYCLIC = _generated_by(
 @pytest.mark.parametrize("G", [
     SYM4_TRANSPOSITION_4CYCLE, WREATH_CYCLIC,
     *(symmetric_group(n) for n in range(6)),
+    *(alternating_group(n) for n in range(7)),
+    *(cyclic_group(m) for m in range(1, 7)),
     wreath_group(cyclic_group(2), 3), wreath_group(cyclic_group(3), 2),
     *(general_linear_group(n, 2) for n in range(4)),
     *(general_linear_group(n, 4) for n in range(3)),
 ], ids=lambda G: G.name)
 def test_commutator_subgroup_matches_all_pairs(G):
-    all_pairs = G.subgroup_closure(
-        {G.commutator(g, h) for g in G for h in G})
-    assert G.commutator_subgroup() == all_pairs
+    # the Hurewicz map G -> H_1(G; Z) is a surjective homomorphism whose
+    # kernel is [G, G], generated by the commutators of all pairs, and
+    # H_1 is the oracle's G^ab
+    ab, phi = _hurewicz(G)
+    factors = ab.torsion
+    for g in G:
+        for s in G.generators:
+            assert phi[G.mul(g, s)] == tuple(
+                (a + b) % d for a, b, d in zip(phi[g], phi[s], factors))
+    assert len(set(phi.values())) == ab.order()
+    zero = phi[G.identity]
+    all_pairs = subgroup_closure(G, {commutator(G, g, h) for g in G
+                                     for h in G})
+    assert {g for g in G if phi[g] == zero} == all_pairs
+    oracle, _ = abelianization(G)
+    assert (ab.free_rank, ab.torsion) == (oracle.free_rank, oracle.torsion)

@@ -4,8 +4,7 @@ import math
 import pytest
 
 from homstab.groups import (BudgetExceeded, symmetric_group,
-                            alternating_group, cyclic_group, wreath_group,
-                            abelianization)
+                            alternating_group, cyclic_group, wreath_group)
 from homstab.exact_linalg import FGAbelianGroup
 from homstab.pi1 import todd_coxeter_trivial
 from homstab.homology_engine import (
@@ -13,7 +12,8 @@ from homstab.homology_engine import (
     permutation_module, group_ring_module, bar_homology,
     coinvariants, conjugation_acts_trivially, resolve,
 )
-from tests.oracles import S4_RELATORS, hopf_h2
+from tests.oracles import (S4_RELATORS, abelianization, hopf_h2,
+                           quotient_group)
 
 
 def test_coxeter_presentation_presents_s4():
@@ -164,17 +164,11 @@ def test_induced_module_matches_group_ring():
     # Z[S_3/A_3] as induced module from the trivial A_3-module
     G = symmetric_group(3)
     sub_elements = {g for g in G if _perm_sign(g) > 0}
-    M = group_ring_module(G, *(_quotient_by(G, sub_elements)))
+    M = group_ring_module(G, *quotient_group(G, sub_elements))
     for i in (0, 1, 2):
         h = bar_homology(M, i)
         oracle = bar_homology(trivial_module(alternating_group(3)), i)
         assert str(h) == str(oracle), i
-
-
-def _quotient_by(G, sub):
-    from homstab.groups import quotient_group
-    Q, rep = quotient_group(G, sub)
-    return Q, rep
 
 
 def test_conjugation_acts_trivially():

@@ -9,9 +9,10 @@ import homstab
 
 SRC = Path(homstab.__file__).parent
 
-# smith_normal_form may be called in exact_linalg and, outside it, only
-# here: these SNF coordinates are what coeff.params.subgroup refers to
-SNF_CALLERS = {"groups.abelian_invariants"}
+# smith_normal_form is called in exact_linalg only: G^ab, to whose
+# coordinates coeff.params.subgroup refers, is H_1(G; Z) of the
+# presentation complex, a presented_subquotient like every other group
+SNF_CALLERS = set()
 # these may be used in exact_linalg and kernels only
 PIECES = {"kernel_columns", "span_columns", "LatticeSpan",
           "assemble_subquotient"}

@@ -448,3 +448,73 @@ def test_cli_degree_window_admits_the_last_recursion_step(tmp_path,
     rep = json.loads(out)
     assert rep["degree"] == {"r": 2, "N": 0, "split": True, "window": 4}
     assert rep["summary"]["VIOLATION"] == 0
+
+
+@pytest.mark.parametrize("family, coeff, n_max, extra, message", [
+    # the limit's maps s_n stop at n_probe, and internalize read past them
+    # (an IndexError traceback)
+    ("symmetric", {"kind": "internalized_abelian", "params": {"n_probe": 3}},
+     4, {}, "the abelianization limit maps levels 0..3 only; internalizing "
+     "levels 0..4 needs n_probe >= n_max"),
+    ("symmetric", {"kind": "abelian_constant", "params": {"n_probe": -1}},
+     3, {}, "n_probe must be at least 0, not -1"),
+    # one coordinate for a limit with two invariant factors: zip cut the
+    # entry short and the run exited 0
+    ("wreath", {"kind": "abelian_constant", "params": {"subgroup": [[1]]}},
+     3, {}, "subgroup [[1]]: each entry must list 2 integers, one per "
+     "invariant factor of the limit Z/2 + Z/2"),
+    ("wreath", {"kind": "internalized_abelian",
+                "params": {"subgroup": [[1, 0], [1, 0, 0]]}},
+     3, {}, "subgroup [[1, 0], [1, 0, 0]]: each entry must list 2 "
+     "integers, one per invariant factor of the limit Z/2 + Z/2"),
+    ("symmetric", {"kind": "abelian_constant", "params": {"subgroup": 1}},
+     3, {}, "subgroup 1: each entry must list 1 integers, one per "
+     "invariant factor of the limit Z/2"),
+    # the limit reads H_1 of Sym(4) under the run's budget, outside any
+    # grid cell
+    ("symmetric", {"kind": "abelian_constant", "params": {}}, 4,
+     {"budgets": {"boundary_entries": 146}},
+     "presentation complex: chain level 2 needs a 3 x 49 boundary (147 "
+     "entries > 146)"),
+])
+def test_cli_abelian_params_exit_1(tmp_path, capsys, family, coeff, n_max,
+                                   extra, message):
+    path = tmp_path / "cfg.json"
+    params = {"cyclic_order": 2} if family == "wreath" else {}
+    path.write_text(json.dumps({
+        "family": {"kind": family, "params": params}, "k": 3,
+        "n_max": n_max, "i_max": 1, "theorems": ["3.4"], "coeff": coeff,
+        **extra}))
+    assert cli_main(["stability", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"homstab: error: {message}\n"
+
+
+@pytest.mark.parametrize("family, coeff, message", [
+    # a misspelt key ran with the default n_probe
+    ({"kind": "symmetric", "params": {}},
+     {"kind": "internalized_abelian", "params": {"n_prob": 2}},
+     "unknown coefficient params key 'n_prob' for kind "
+     "'internalized_abelian'; it accepts ['n_probe', 'subgroup', 'r_max', "
+     "'N_max']"),
+    ({"kind": "symmetric", "params": {}},
+     {"kind": "standard", "params": {"rank": 2}},
+     "unknown coefficient params key 'rank' for kind 'standard'; it "
+     "accepts ['r_max', 'N_max']"),
+    ({"kind": "wreath", "params": {"modulus": 3}},
+     {"kind": "constant", "params": {}},
+     "unknown family params key 'modulus' for kind 'wreath'; it accepts "
+     "['cyclic_order']"),
+    ({"kind": "braid", "params": {}}, {"kind": "constant", "params": {}},
+     "unknown family kind 'braid'"),
+])
+def test_cli_rejects_unknown_params_key(tmp_path, capsys, family, coeff,
+                                        message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": family, "k": 3, "n_max": 3,
+                                "coeff": coeff}))
+    assert cli_main(["degree", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"homstab: error: {message}\n"
