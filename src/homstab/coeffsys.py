@@ -294,13 +294,16 @@ def _check_window(n_max: int, r_max: int, N_max: int) -> None:
             f"n_max")
 
 
-def degree_profile(F, r_max: int, N_max: int) -> DegreeProfile:
+def degree_profile(F, r_max: int, N_max: int,
+                   split: bool = False) -> DegreeProfile:
     """Degree (r, N) of a coefficient system, computed recursively:
     degree -1 means vanishing from N on; otherwise ker sigma_X must
-    vanish from some N_K <= N_max and coker must have degree r-1.
+    vanish from some N_K <= N_max and coker must have degree r-1.  The
+    split degree asks instead for a `split_witness`, so N_K = 0.
 
     The answer is window-relative: each recursion level shrinks the
-    window by one, so n_max must be at least N_max + r_max + 1.
+    window by one, so n_max must be at least N_max + r_max + 1.  A
+    structural Laurent system gives its own profile, split either way.
     """
     if hasattr(F, "degree_profile"):
         return F.degree_profile(r_max, N_max)
@@ -308,15 +311,18 @@ def degree_profile(F, r_max: int, N_max: int) -> DegreeProfile:
     t = _trivial_from(F)
     if t is not None and t <= N_max:
         return DegreeProfile("ok", -1, t, F.n_max)
+    exceeds = DegreeProfile("exceeds", None, None, F.n_max)
     if r_max < 0:
-        return DegreeProfile("exceeds", None, None, F.n_max)
-    ker = F.kernel_system()
-    kt = _trivial_from(ker)
+        return exceeds
+    if split:
+        kt = 0 if split_witness(F) is not None else None
+    else:
+        kt = _trivial_from(F.kernel_system())
     if kt is None or kt > N_max:
-        return DegreeProfile("exceeds", None, None, F.n_max)
-    sub = degree_profile(F.cokernel_system(), r_max - 1, N_max)
+        return exceeds
+    sub = degree_profile(F.cokernel_system(), r_max - 1, N_max, split)
     if sub.status != "ok":
-        return DegreeProfile("exceeds", None, None, F.n_max)
+        return exceeds
     return DegreeProfile("ok", sub.r + 1, max(kt, sub.N), F.n_max)
 
 
@@ -413,21 +419,8 @@ def split_witness(F: CoefficientSystem):
 
 
 def split_degree_profile(F, r_max: int, N_max: int) -> DegreeProfile:
-    """Split degree: sigma_X must be split injective (witnessed by an
-    explicit system of retractions) and coker F of split degree r-1."""
-    if hasattr(F, "degree_profile"):
-        # structural Laurent systems certify splitness along the way
-        return F.degree_profile(r_max, N_max)
-    _check_window(F.n_max, r_max, N_max)
-    t = _trivial_from(F)
-    if t is not None and t <= N_max:
-        return DegreeProfile("ok", -1, t, F.n_max)
-    if r_max < 0 or split_witness(F) is None:
-        return DegreeProfile("exceeds", None, None, F.n_max)
-    sub = split_degree_profile(F.cokernel_system(), r_max - 1, N_max)
-    if sub.status != "ok":
-        return DegreeProfile("exceeds", None, None, F.n_max)
-    return DegreeProfile("ok", sub.r + 1, sub.N, F.n_max)
+    """The split degree: `degree_profile` with split=True."""
+    return degree_profile(F, r_max, N_max, split=True)
 
 
 # ----------------------------------------------------------------------

@@ -301,7 +301,7 @@ def verify_groupoid_axioms(G: BraidedGroupoidInstance,
     def homomorphism_failure():
         for k in range(0, n_max + 1):
             try:
-                G.aut(k).generator_words()
+                G.aut(k).tree()
             except ValueError:
                 return (k, "generators")
         for m in range(0, n_max + 1):

@@ -5,8 +5,8 @@ permutations (tuple of images, 0-indexed), matrices over Z/m (tuple of
 row tuples), and wreath products base ≀ Sym(n) (pair of a label tuple and
 a permutation).  Enumeration respects a configurable order budget and
 raises :class:`BudgetExceeded`, with estimate |G|, past it.  No group
-theory beyond enumeration and generator words lives here: G^ab is
-H_1(G; Z), which `homology_engine` computes.
+theory beyond enumeration and the spanning tree of the Cayley graph lives
+here: G^ab is H_1(G; Z), which `homology_engine` computes.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ class FiniteGroup:
     transpositions for base wr Sym(n).  Without `generators` every
     non-identity element is a generator.
 
-    `generator_words` is computed once per group and shared by every
-    module over it: module actions, the Fox derivatives of the
-    presentation complex and the Hurewicz map G -> H_1(G; Z) all read
-    the same words.
+    `tree()`, the one spanning tree of the Cayley graph, is kept and
+    shared by every module over the group; its non-tree edges are the
+    `relators()`.  Module actions and their check, the Fox derivatives
+    and the Hurewicz map all walk it, one step per element.
     """
 
     def __init__(self, elements, mul, inv, identity, name="G",
@@ -69,7 +69,7 @@ class FiniteGroup:
         self.name = name
         self.generators = tuple(generators) if generators is not None else \
             tuple(g for g in self.elements if g != identity)
-        self._words = None
+        self._tree = None
         assert identity in self.index
 
     @property
@@ -82,29 +82,39 @@ class FiniteGroup:
     def __contains__(self, g):
         return g in self.index
 
-    def generator_words(self):
-        """BFS words over the generators reaching every element; returns
-        {element: tuple of generator indices} with g = s_{w_1} ... s_{w_k},
-        computed on the first call and kept.  Deterministic: generators
-        tried in order, frontier kept sorted."""
-        if self._words is not None:
-            return self._words
-        gens = self.generators
-        words = {self.identity: ()}
+    def tree(self) -> dict:
+        """The BFS spanning tree of the Cayley graph, {g: (parent, i)}
+        with g = parent s_i and the identity mapped to None, in BFS order
+        (parents first); computed once.  Deterministic: generators tried
+        in order, frontier kept sorted."""
+        if self._tree is not None:
+            return self._tree
+        tree = {self.identity: None}
         frontier = [self.identity]
         while frontier:
             nxt = []
             for x in frontier:
-                for gi, s in enumerate(gens):
+                for i, s in enumerate(self.generators):
                     y = self.mul(x, s)
-                    if y not in words:
-                        words[y] = words[x] + (gi,)
+                    if y not in tree:
+                        tree[y] = (x, i)
                         nxt.append(y)
             frontier = sorted(nxt)
-        if len(words) != self.order:
+        if len(tree) != self.order:
             raise ValueError("generators do not generate the group")
-        self._words = words
-        return words
+        self._tree = tree
+        return tree
+
+    def relators(self):
+        """Yield the |G| (|S| - 1) + 1 non-tree edges (g, i, g s_i) of the
+        Cayley graph by g, then i: the relators w(g) s_i w(g s_i)^{-1},
+        with w(g) the tree path to g."""
+        tree = self.tree()
+        for g in self.elements:
+            for i, s in enumerate(self.generators):
+                gs = self.mul(g, s)
+                if tree[gs] != (g, i):
+                    yield g, i, gs
 
 
 # ------------------------------------------------------------------

@@ -50,8 +50,9 @@ complex so a sign slip cannot pass silently):
       + (-1)^i m (x) [g1|...|g_{i-1}],
     terms whose bar acquires an identity entry are dropped;
   * presentation complex: C_0 = M, C_1 = M^S, C_2 = M^R with one relator
-    w(g) s w(gs)^{-1} per non-tree edge (g, s) of the Cayley graph, w the
-    BFS tree words of `FiniteGroup.generator_words`;
+    w(g) s w(gs)^{-1} per non-tree edge (g, s) of the Cayley graph
+    (`FiniteGroup.relators`), w(g) the path to g in the spanning tree
+    `FiniteGroup.tree`;
     d_1(m e_s) = m.s - m and d_2(m e_R) = sum_t m.(dR/dt) e_t, with dR/dt
     the Fox derivative (Fox, Free differential calculus I, 1953).
 """
@@ -119,8 +120,8 @@ class GModule:
     The underlying abelian group is presented on `rank` generators with
     orders `orders` (0 = infinite, listed torsion-first to match
     FGAbelianGroup).  `gen_action` maps each group generator to an
-    integer matrix acting on coordinates from the left; actions of
-    arbitrary elements are obtained by word evaluation and memoized.
+    integer matrix acting on coordinates from the left; any other element
+    acts by one product along the group's spanning tree, memoized.
     """
 
     def __init__(self, group: FiniteGroup, underlying: FGAbelianGroup,
@@ -135,6 +136,8 @@ class GModule:
         for g in group.generators:
             if g not in self.gen_action:
                 raise ValueError("action matrix missing for a generator")
+        self._gen_mats = [reduce_rows(self.gen_action[s], self.orders)
+                          for s in group.generators]
         self._act_cache: dict = {group.identity: identity_matrix(self.rank)}
         self._right_cache: dict = {}
         self._complexes: dict = {}      # (kind, BarBudget) -> complex
@@ -147,16 +150,17 @@ class GModule:
     # -- the action
 
     def act(self, g):
-        """Left-action matrix of g, memoized via generator words."""
-        cached = self._act_cache.get(g)
-        if cached is not None:
-            return cached
-        gens = self.group.generators
-        mat = identity_matrix(self.rank)
-        for gi in self.group.generator_words()[g]:
-            mat = self._product(
-                mat, reduce_rows(self.gen_action[gens[gi]], self.orders))
-        self._act_cache[g] = mat
+        """Left-action matrix of g: up the spanning tree to the nearest
+        memoized ancestor, then down, one product and memo per element (a
+        loop: the tree of Z/m has depth m - 1)."""
+        cache, tree = self._act_cache, self.group.tree()
+        path = []
+        while g not in cache:
+            path.append(g)
+            g = tree[g][0]
+        mat = cache[g]
+        for h in reversed(path):
+            mat = cache[h] = self._product(mat, self._gen_mats[tree[h][1]])
         return mat
 
     def act_right(self, g):
@@ -169,12 +173,11 @@ class GModule:
 
     def verify_action(self) -> None:
         """Check the action descends to the presentation and is a
-        homomorphism: act(s) act(g) = act(s g) for every element g and
-        generator s.  That is |G| |S| products and exhaustive: induction
-        on the word length of h gives act(h) act(g) = act(h g)."""
-        ident = identity_matrix(self.rank)
-        for s in self.group.generators:
-            m = reduce_rows(self.gen_action[s], self.orders)
+        homomorphism: act(g) act(s) = act(g s) on every relator (g, s, g s)
+        of the group.  Tree edges hold by the construction of act, so the
+        identity holds on every edge, and induction on the tree depth of h
+        gives act(g) act(h) = act(g h), act(s) act(s^-1) = 1 included."""
+        for m in self._gen_mats:
             # relation columns must be preserved: o_j * (col j) = 0 in M
             for j, oj in enumerate(self.orders):
                 if not oj:
@@ -184,17 +187,11 @@ class GModule:
                     if (v % oi if oi else v) != 0:
                         raise ValueError(
                             "action does not descend to the presentation")
-            if not rows_congruent(
-                    self._product(m, self.act(self.group.inv(s))), ident,
-                    self.orders):
-                raise ValueError("generator action is not invertible")
-        for g in self.group.elements:
-            mg = self.act(g)
-            for s in self.group.generators:
-                lhs = self._product(self.act(s), mg)
-                if not rows_congruent(lhs, self.act(self.group.mul(s, g)),
-                                      self.orders):
-                    raise ValueError("action is not a homomorphism")
+        for g, i, gs in self.group.relators():
+            if not rows_congruent(self._product(self.act(g),
+                                                self._gen_mats[i]),
+                                  self.act(gs), self.orders):
+                raise ValueError("action is not a homomorphism")
 
     def content_hash(self) -> str:
         blob = {
@@ -425,9 +422,9 @@ class PresentationComplex(FreeResolution):
     """Levels 0..2 of the cellular chains of the universal cover of the
     Cayley-graph presentation complex of G, tensored with M.
 
-    The generators S of G are the cells of level 1, and the non-tree
-    edges (g, s) of the BFS tree of `FiniteGroup.generator_words` give the
-    relators w(g) s w(gs)^{-1}, the |G| (|S| - 1) + 1 cells of level 2.
+    The generators S of G are the cells of level 1, and the relators
+    w(g) s w(gs)^{-1} of `FiniteGroup.relators`, one per Cayley edge
+    (g, s) off the spanning tree, the |G| (|S| - 1) + 1 cells of level 2.
     The cover is simply connected, so C_2 -> C_1 -> C_0 -> Z is exact,
     and H_0, H_1 and the maps they induce are those of any resolution.
     """
@@ -446,20 +443,18 @@ class PresentationComplex(FreeResolution):
         return (1, nsgen, self.G.order * (nsgen - 1) + 1)[i]
 
     def fox(self) -> dict:
-        """{g: {t: matrix of m |-> m.(dw(g)/ds_t)}} for the tree word w(g)
-        of every element g, built once by prefix recursion along the BFS
-        tree: w(x s_t) = w(x) s_t gives d w(x s_t)/ds_t = d w(x)/ds_t + x.
+        """{g: {t: matrix of m |-> m.(dw(g)/ds_t)}} for the tree path w(g)
+        of every element g, built once down the spanning tree: the edge
+        g = x s_t gives dw(g)/ds_t = dw(x)/ds_t + x.
         """
         if self._fox is not None:
             return self._fox
-        words = self.G.generator_words()
-        by_word = {w: g for g, w in words.items()}
         fox = {}
-        for g, w in words.items():        # BFS order: prefixes come first
-            if not w:
+        for g, edge in self.G.tree().items():   # parents come first
+            if edge is None:
                 fox[g] = {}
                 continue
-            x, t = by_word[w[:-1]], w[-1]
+            x, t = edge
             dg = dict(fox[x])
             right = self.M.act_right(x)
             dg[t] = _mat_add(dg[t], right) if t in dg else right
@@ -476,21 +471,16 @@ class PresentationComplex(FreeResolution):
             return
         # relator R = w(g) s w(gs)^{-1}:
         # dR/dt = dw(g)/dt + [t = s] g - dw(gs)/dt
-        words = self.G.generator_words()
         fox = self.fox()
-        for g in self.G.elements:
-            for si, s in enumerate(self.G.generators):
-                gs = self.G.mul(g, s)
-                if words[gs] == words[g] + (si,):
-                    continue                # tree edge: no relator
-                terms = [(t, 1, m) for t, m in fox[g].items()]
-                terms += [(t, -1, m) for t, m in fox[gs].items()]
-                terms.append((si, 1, self.M.act_right(g)))
-                yield terms
+        for g, si, gs in self.G.relators():
+            terms = [(t, 1, m) for t, m in fox[g].items()]
+            terms += [(t, -1, m) for t, m in fox[gs].items()]
+            terms.append((si, 1, self.M.act_right(g)))
+            yield terms
 
     def cell_map(self, i, other: "PresentationComplex", group_map, mat):
         """f_0 = mat and f_1(m e_s) = sum_t (mat.m).(dw'(group_map(s))/dt)
-        e_t with w' the tree words of other.  The fundamental formula of
+        e_t with w' the tree paths of other.  The fundamental formula of
         Fox calculus, sum_t (dw/dt)(t - 1) = w - 1, gives d f_1 = f_0 d."""
         if i == 0:
             yield [(0, 1, mat)]
@@ -536,21 +526,16 @@ def coinvariants(M: GModule) -> FGAbelianGroup:
 
 def hurewicz(M: GModule, budget: BarBudget | None = None):
     """H_1(G; Z) = G^ab with the Hurewicz map G -> H_1(G; Z), for M the
-    trivial module Z over G.  The map takes g to the class of the letter
-    counts of its BFS word, a 1-cycle of the presentation complex (whose
-    d_1 vanishes on Z), in the canonical coordinates of H_1.  Returns
-    (H_1 as a Subquotient, the map)."""
+    trivial module Z over G.  The map takes g to the class of the Fox
+    derivatives of its tree path w(g), which on Z are the letter counts
+    of w(g): a 1-cycle of the presentation complex (whose d_1 vanishes on
+    Z), in the canonical coordinates of H_1.  Returns (H_1 as a
+    Subquotient, the map)."""
     if M.orders != [0] or any(a != [[1]] for a in M.gen_action.values()):
         raise ValueError("the Hurewicz map needs the trivial module Z")
-    h1 = resolve(M, budget or BarBudget(), top=2).homology(1)
-    words = M.group.generator_words()
-
-    def phi(g) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for gi in words[g]:
-            counts[gi] = counts.get(gi, 0) + 1
-        return h1.project(counts)
-    return h1, phi
+    cx = resolve(M, budget or BarBudget(), top=2)
+    h1, fox = cx.homology(1), cx.fox()
+    return h1, lambda g: h1.project({t: m[0][0] for t, m in fox[g].items()})
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import json
 import hashlib
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .groups import BudgetExceeded, DEFAULT_GROUP_BUDGET, cyclic_group
@@ -61,6 +59,12 @@ class FamilyConfig:
     def budget(self, key: str) -> int:
         return int(self.budgets.get(key, BUDGETS[key]))
 
+    def degree_bound(self) -> tuple[int, int]:
+        """(r_max, N_max): the degree bound that Theorems A and 4.20 and
+        the degree run ask of the coefficient system."""
+        return (self.coeff_params.get("r_max", 3),
+                self.coeff_params.get("N_max", 0))
+
     def bar_budget(self) -> BarBudget:
         return BarBudget(self.budget("boundary_entries"))
 
@@ -79,6 +83,9 @@ COEFF_PARAMS = {"constant": ("rank", "torsion"), "standard": (),
                 "abelian_constant": ("n_probe", "subgroup"),
                 "internalized_abelian": ("n_probe", "subgroup"),
                 "burau": (), "custom": ("path",)}
+# the integer params, with the least value each admits (None: any)
+INT_PARAMS = {"cyclic_order": 1, "modulus": 2, "rank": 0, "power": None,
+              "n_probe": 0, "r_max": None, "N_max": None}
 THEOREMS = ("3.1", "3.4", "A", "4.20")
 # the coefficient kinds a theorem is stated for; A and 4.20 take any
 THEOREM_COEFFS = {"3.1": {"constant"}, "3.4": {"constant"} | ABELIAN_COEFFS}
@@ -93,6 +100,17 @@ def _require(obj, what: str, keys=()) -> dict:
         if key not in obj:
             raise ValueError(f"{what} lacks the key {key!r}")
     return obj
+
+
+def _integer(value, key: str, least) -> int:
+    """value, checked to be a JSON integer, not a bool, and at least
+    least unless least is None."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, not "
+                         f"{json.dumps(value)}")
+    if least is not None and value < least:
+        raise ValueError(f"{key} must be at least {least}, not {value}")
+    return value
 
 
 def _theorems(value) -> list:
@@ -119,13 +137,13 @@ def load_config(source) -> FamilyConfig:
         raw=raw,
         family_kind=fam.get("kind", "symmetric"),
         family_params=_require(fam.get("params", {}), "family params"),
-        A=int(raw.get("A", 0)),
-        X=int(raw.get("X", 1)),
+        A=_integer(raw.get("A", 0), "A", 0),
+        X=_integer(raw.get("X", 1), "X", 1),
         coeff_kind=coeff.get("kind", "constant"),
         coeff_params=_require(coeff.get("params", {}), "coeff params"),
-        k=int(raw.get("k", 2)),
-        n_max=int(raw.get("n_max", 4)),
-        i_max=int(raw.get("i_max", 1)),
+        k=_integer(raw.get("k", 2), "k", 2),
+        n_max=_integer(raw.get("n_max", 4), "n_max", 0),
+        i_max=_integer(raw.get("i_max", 1), "i_max", 0),
         theorems=_theorems(raw.get("theorems", ["3.1"])),
         budgets=dict(_require(raw.get("budgets", {}), "budgets")),
     )
@@ -141,16 +159,14 @@ def load_config(source) -> FamilyConfig:
         if kind not in table:
             raise ValueError(f"unknown {what} kind {kind!r}")
         accepted = list(table[kind]) + list(common)
-        for key in params:
+        for key, value in params.items():
             if key not in accepted:
                 raise ValueError(f"unknown {what} params key {key!r} for "
                                  f"kind {kind!r}; it accepts {accepted}")
+            if key in INT_PARAMS:
+                _integer(value, key, INT_PARAMS[key])
     if cfg.coeff_kind == "custom":
         _require(cfg.coeff_params, "coeff custom params", ("path",))
-    if cfg.A < 0 or cfg.X < 1:
-        raise ValueError("need A >= 0 and X >= 1")
-    if cfg.k < 2:
-        raise ValueError("slope parameter k must be at least 2")
     wants_abelian = cfg.coeff_kind in ABELIAN_COEFFS or "3.4" in cfg.theorems
     if wants_abelian and cfg.k < 3:
         raise ValueError("abelian/internalized ranges require k >= 3")
@@ -168,10 +184,10 @@ def build_instance(cfg: FamilyConfig):
     if kind == "symmetric":
         return make_symmetric(budget=budget)
     if kind == "wreath":
-        m = int(cfg.family_params.get("cyclic_order", 2))
+        m = cfg.family_params.get("cyclic_order", 2)
         return make_wreath(cyclic_group(m), budget=budget)
     if kind == "gl":
-        q = int(cfg.family_params.get("modulus", 2))
+        q = cfg.family_params.get("modulus", 2)
         return make_general_linear(FiniteRing(q), budget=budget)
     raise ValueError(f"unknown family kind {kind!r}")
 
@@ -212,17 +228,15 @@ def build_system(cfg: FamilyConfig, cat: BracketCategory):
     p = cfg.coeff_params
     if kind == "constant":
         return constant_system(cat, cfg.A, cfg.X, cfg.n_max,
-                               rank=int(p.get("rank", 1)),
+                               rank=p.get("rank", 1),
                                torsion=tuple(p.get("torsion", [])))
     if kind == "standard":
         return standard_system(cat, cfg.A, cfg.n_max)
     if kind == "tensor":
         return tensor_power(standard_system(cat, cfg.A, cfg.n_max),
-                            int(p.get("power", 2)))
+                            p.get("power", 2))
     if kind in ABELIAN_COEFFS:
-        probe = int(p.get("n_probe", cfg.n_max))
-        if probe < 0:
-            raise ValueError(f"n_probe must be at least 0, not {probe}")
+        probe = p.get("n_probe", cfg.n_max)
         lim = abelianization_limit(cat, cfg.A, cfg.X, probe, cfg.k,
                                    cfg.bar_budget())
         if lim.stable_from is None:
@@ -259,29 +273,26 @@ class RangePredicate:
     N: int = 0
     split: bool = False
 
-    def _floor(self, num, den) -> int:
-        return math.floor(Fraction(num, den))
-
     @property
     def min_n_exclusive(self) -> int:
         return self.N if self.theorem == "A" else -1
 
     def epi_max(self, n: int):
         if self.theorem == "3.1":
-            return self._floor(n, self.k)
+            return n // self.k
         if self.theorem == "3.4":
-            return self._floor(n - self.k + 2, self.k)
+            return (n - self.k + 2) // self.k
         if self.theorem == "A":
-            return self._floor(n, self.k) - self.r
+            return n // self.k - self.r
         return None
 
     def iso_max(self, n: int):
         if self.theorem == "3.1":
-            return self._floor(n - 1, self.k)
+            return (n - 1) // self.k
         if self.theorem == "3.4":
-            return self._floor(n - self.k, self.k)
+            return (n - self.k) // self.k
         if self.theorem == "A":
-            return self._floor(n, self.k) - self.r - 1
+            return n // self.k - self.r - 1
         return None
 
     def rel_vanish_from(self, i: int):
@@ -363,7 +374,7 @@ def run_connectivity(cfg: FamilyConfig) -> dict:
     cat = BracketCategory(inst)
     cells = []
     for n in range(1, cfg.n_max + 1):
-        target = math.floor(Fraction(n - 2, cfg.k))
+        target = (n - 2) // cfg.k
         try:
             W = build_W(cat, cfg.A, cfg.X, n)
         except BudgetExceeded as exc:
@@ -397,8 +408,7 @@ def run_degree(cfg: FamilyConfig) -> dict:
     inst = build_instance(cfg)
     cat = BracketCategory(inst)
     system = build_system(cfg, cat)
-    r_max = int(cfg.coeff_params.get("r_max", 3))
-    n_cap = int(cfg.coeff_params.get("N_max", 0))
+    r_max, n_cap = cfg.degree_bound()
     out = {
         "command": "degree",
         "schema_version": SCHEMA_VERSION,
@@ -495,9 +505,7 @@ def run_stability(cfg: FamilyConfig, jobs: int = 1) -> dict:
     needs_degree = any(t in ("A", "4.20") for t in cfg.theorems)
     degree_info = None
     if needs_degree:
-        r_cap = int(cfg.coeff_params.get("r_max", 3))
-        n_cap = int(cfg.coeff_params.get("N_max", 0))
-        dp = degree_profile(system, r_cap, n_cap)
+        dp = degree_profile(system, *cfg.degree_bound())
         if dp.status != "ok":
             raise ValueError("degree exceeds the requested bound; cannot "
                              "build Theorem A / 4.20 predicates")

@@ -9,7 +9,10 @@ from homstab.groups import (
     perm_block_sum, perm_braiding, mat_mul_mod, mat_inv_mod, mat_identity,
     mat_det_mod, BudgetExceeded,
 )
-from homstab.homology_engine import hurewicz, trivial_module
+from homstab.homology_engine import (BarBudget, GModule,
+                                     PresentationComplex, bar_homology,
+                                     hurewicz, trivial_module)
+from homstab.exact_linalg import FGAbelianGroup
 from tests.oracles import (abelianization, commutator, coords_span,
                            subgroup_closure)
 
@@ -124,7 +127,7 @@ def test_alternating_generators_are_3_cycles(n):
     for k, g in enumerate(G.generators, start=2):
         moved = [i for i in range(n) if g[i] != i]
         assert (g[0], g[1], g[k]) == (1, k, 0) and len(moved) == 3
-    assert len(G.generator_words()) == G.order
+    assert len(G.tree()) == G.order
 
 
 @pytest.mark.parametrize("make", [lambda: symmetric_group(4),
@@ -145,16 +148,21 @@ def test_commutator_subgroup_of_s4():
     assert sum(1 for g in G if phi[g] == (0,)) == 12
 
 
-def test_generator_words_cover_group():
+def test_tree_covers_group():
+    # following the tree edges down from the identity reaches g
     G = symmetric_group(4)
-    words = G.generator_words()
-    assert len(words) == G.order
+    tree = G.tree()
+    assert len(tree) == G.order
     gens = G.generators
-    for g, w in words.items():
+    for g in G:
+        path, h = [], g
+        while tree[h] is not None:
+            h, i = tree[h]
+            path.append(i)
         acc = G.identity
-        for i in w:
+        for i in reversed(path):
             acc = G.mul(acc, gens[i])
-        assert acc == g
+        assert (h, acc) == (G.identity, g)
 
 
 def test_budget_guard():
@@ -181,7 +189,7 @@ def _phi(m):
 def test_gln_generators_generate(m, n):
     G = general_linear_group(n, m)
     assert len(G.generators) <= n * (n - 1) + _phi(m)
-    assert len(G.generator_words()) == G.order
+    assert len(G.tree()) == G.order
     assert all(g in G for g in G.generators)
 
 
@@ -193,7 +201,7 @@ def test_wreath_generators_generate(base, n):
     G = wreath_group(base, n)
     assert len(G.generators) == (len(base.generators) if n else 0) \
         + max(n - 1, 0)
-    assert len(G.generator_words()) == G.order
+    assert len(G.tree()) == G.order
 
 
 def _generated_by(G, gens, name):
@@ -239,3 +247,79 @@ def test_commutator_subgroup_matches_all_pairs(G):
     assert {g for g in G if phi[g] == zero} == all_pairs
     oracle, _ = abelianization(G)
     assert (ab.free_rank, ab.torsion) == (oracle.free_rank, oracle.torsion)
+
+
+# every group this file builds
+TREE_GROUPS = [
+    SYM4_TRANSPOSITION_4CYCLE, WREATH_CYCLIC,
+    *(symmetric_group(n) for n in range(6)),
+    *(alternating_group(n) for n in range(7)),
+    *(cyclic_group(m) for m in range(1, 7)),
+    *(wreath_group(base, n) for base in (cyclic_group(2), cyclic_group(3),
+                                          symmetric_group(3))
+      for n in range(4)),
+    *(general_linear_group(n, 2) for n in range(4)),
+    *(general_linear_group(n, m) for m in (3, 4, 6) for n in range(3)),
+]
+
+
+@pytest.mark.parametrize("G", TREE_GROUPS, ids=lambda G: G.name)
+def test_tree_is_a_spanning_tree(G):
+    tree = G.tree()
+    roots = [g for g, edge in tree.items() if edge is None]
+    assert roots == [G.identity] == list(tree)[:1]
+    seen = set()
+    for g, edge in tree.items():
+        if edge is not None:
+            parent, i = edge
+            assert parent in seen            # parents come first
+            assert G.mul(parent, G.generators[i]) == g
+        seen.add(g)
+    assert seen == set(G.elements)
+    # the relators are the other edges of the Cayley graph, one level-2
+    # cell each
+    rels = list(G.relators())
+    assert len(rels) == PresentationComplex(
+        trivial_module(G), BarBudget()).cells(2)
+    assert len(rels) + len(tree) - 1 == G.order * len(G.generators)
+    for g, i, gs in rels:
+        assert gs == G.mul(g, G.generators[i]) and tree[gs] != (g, i)
+    # without its last generator the set may not generate; the tree
+    # refuses it then
+    gens = G.generators[:-1]
+    H = FiniteGroup(G.elements, G.mul, G.inv, G.identity, name=G.name,
+                    generators=gens)
+    if len(subgroup_closure(G, gens)) < G.order:
+        with pytest.raises(ValueError, match="do not generate"):
+            H.tree()
+    else:
+        assert len(H.tree()) == G.order
+
+
+@pytest.mark.parametrize("s1, s2", [([[-1]], [[1]]),
+                                    ([[0, 1], [1, 0]], [[-1, 0], [0, 1]])],
+                         ids=["sign on s1", "dihedral of order 8"])
+def test_verify_action_catches_one_wrong_relation(s1, s2):
+    # both generators act by involutions, so s_i^2 = 1 holds and only the
+    # braid relation (s1 s2)^3 = 1 fails.  No module given by generator
+    # matrices fails on a single Cayley relator of Sym(3): each of the 7
+    # follows from the other 6.  (s1 s2)^3 shows on exactly 2 of them
+    G = symmetric_group(3)
+    M = GModule(G, FGAbelianGroup(len(s1)), dict(zip(G.generators,
+                                                     (s1, s2))))
+    wrong = [(g, i) for g, i, gs in G.relators()
+             if M._product(M.act(g), M.act(G.generators[i])) != M.act(gs)]
+    assert len(wrong) == 2
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        M.verify_action()
+
+
+def test_deep_tree_action():
+    # the tree of Z/5000 is one path of depth 4999; the action of its
+    # deepest element, asked for first, walks all of it.  A recursive walk
+    # raises RecursionError here
+    G = cyclic_group(5000)
+    rot = GModule(G, FGAbelianGroup(2), {1: [[0, -1], [1, 0]]})
+    assert rot.act(4999) == [[0, 1], [-1, 0]]        # rotation^(4999 % 4)
+    rot.verify_action()
+    assert str(bar_homology(trivial_module(G), 1)) == "Z/5000"

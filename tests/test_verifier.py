@@ -518,3 +518,57 @@ def test_cli_rejects_unknown_params_key(tmp_path, capsys, family, coeff,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"homstab: error: {message}\n"
+
+
+@pytest.mark.parametrize("patch, message", [
+    # a TypeError traceback each
+    ({"k": None}, "k must be an integer, not null"),
+    ({"X": [1]}, "X must be an integer, not [1]"),
+    # ran as A = 1, k = 3 and n_max = 1 under the hash of the given value
+    ({"A": 1.5}, "A must be an integer, not 1.5"),
+    ({"k": "3"}, 'k must be an integer, not "3"'),
+    ({"n_max": True}, "n_max must be an integer, not true"),
+    # exited 0 with no cells, and with "modules/s_mats length mismatch"
+    ({"i_max": -1}, "i_max must be at least 0, not -1"),
+    ({"n_max": -2}, "n_max must be at least 0, not -2"),
+    ({"A": -1}, "A must be at least 0, not -1"),
+    ({"k": 1}, "k must be at least 2, not 1"),
+    # AssertionError tracebacks
+    ({"family": {"kind": "wreath", "params": {"cyclic_order": 0}}},
+     "cyclic_order must be at least 1, not 0"),
+    ({"family": {"kind": "gl", "params": {"modulus": 1}}},
+     "modulus must be at least 2, not 1"),
+    ({"family": {"kind": "gl", "params": {"modulus": 2.0}}},
+     "modulus must be an integer, not 2.0"),
+    # ran as the zero module
+    ({"coeff": {"kind": "constant", "params": {"rank": -1}}},
+     "rank must be at least 0, not -1"),
+    ({"coeff": {"kind": "tensor", "params": {"power": False}}},
+     "power must be an integer, not false"),
+    ({"coeff": {"kind": "abelian_constant", "params": {"n_probe": "4"}}},
+     'n_probe must be an integer, not "4"'),
+    ({"coeff": {"kind": "standard", "params": {"r_max": 2.5}}},
+     "r_max must be an integer, not 2.5"),
+    ({"coeff": {"kind": "standard", "params": {"N_max": None}}},
+     "N_max must be an integer, not null"),
+])
+@pytest.mark.parametrize("command", ["homology", "stability"])
+def test_cli_rejects_malformed_integer(tmp_path, capsys, patch, message,
+                                       command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "family": {"kind": "symmetric", "params": {}}, "k": 3, "n_max": 2,
+        "theorems": ["A"], "coeff": {"kind": "constant", "params": {}},
+        **patch}))
+    assert cli_main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"homstab: error: {message}\n"
+
+
+def test_degree_bound_defaults():
+    # Theorems A and 4.20 and the degree run read one bound, (3, 0) by
+    # default
+    assert _cfg().degree_bound() == (3, 0)
+    cfg = _cfg(coeff={"kind": "standard", "params": {"r_max": 2}})
+    assert cfg.degree_bound() == (2, 0)
