@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .exact_linalg import xgcd
 
@@ -231,10 +232,9 @@ def mat_identity(n):
 
 
 def mat_mul_mod(a, b, m):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n))
-        for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) % m for col in cols)
+                 for row in a)
 
 
 def mat_det_mod(a, m):

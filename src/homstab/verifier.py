@@ -113,6 +113,24 @@ def _integer(value, key: str, least) -> int:
     return value
 
 
+def _torsion(value, key: str, most=None) -> tuple:
+    """value, checked to be a JSON list of invariant factors: integers,
+    not bools, each at least 2 and dividing the next, and at most most
+    of them unless most is None."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of integers, not "
+                         f"{json.dumps(value)}")
+    for d in value:
+        _integer(d, f"{key} entry", 2)
+    if any(b % a for a, b in zip(value, value[1:])):
+        raise ValueError(f"{key} entries must each divide the next, not "
+                         f"{json.dumps(value)}")
+    if most is not None and len(value) > most:
+        raise ValueError(f"{key} must have at most {most} entries (the "
+                         f"rank), not {json.dumps(value)}")
+    return tuple(value)
+
+
 def _theorems(value) -> list:
     """value, checked to be a JSON list of theorem names."""
     if not isinstance(value, list) or not all(
@@ -165,6 +183,9 @@ def load_config(source) -> FamilyConfig:
                                  f"kind {kind!r}; it accepts {accepted}")
             if key in INT_PARAMS:
                 _integer(value, key, INT_PARAMS[key])
+    if cfg.coeff_kind == "constant":
+        _torsion(cfg.coeff_params.get("torsion", []), "torsion",
+                 cfg.coeff_params.get("rank", 1))
     if cfg.coeff_kind == "custom":
         _require(cfg.coeff_params, "coeff custom params", ("path",))
     wants_abelian = cfg.coeff_kind in ABELIAN_COEFFS or "3.4" in cfg.theorems
@@ -202,13 +223,15 @@ def _custom_system(cat: BracketCategory, cfg: FamilyConfig):
     with open(cfg.coeff_params["path"]) as fh:
         desc = _require(json.load(fh), "custom description",
                         ("n_max", "modules", "s_mats"))
-    n_max = int(desc["n_max"])
+    n_max = _integer(desc["n_max"], "custom n_max", 0)
     mods = []
     for n, md in enumerate(desc["modules"]):
-        _require(md, f"custom module {n}", ("actions",))
+        what = f"custom module {n}"
+        _require(md, what, ("actions",))
         grp = cat.G.aut(cfg.A + n * cfg.X)
-        under = FGAbelianGroup(int(md.get("free_rank", 0)),
-                               tuple(md.get("torsion", [])))
+        under = FGAbelianGroup(
+            _integer(md.get("free_rank", 0), f"{what} free_rank", 0),
+            _torsion(md.get("torsion", []), f"{what} torsion"))
         actions = md["actions"]
         if len(actions) != len(grp.generators):
             raise ValueError(f"level {n}: expected one action matrix per "

@@ -196,8 +196,30 @@ def _local_standardness_unmemoized(cat, A, x, n_max):
     (lambda: make_general_linear(FiniteRing(4)), 0, 2),
     (make_symmetric, 0, 4),
     (make_symmetric, 1, 3),
-], ids=["GL(Z/4)", "Sym", "Sym A=1"])
+    (lambda: make_general_linear(FiniteRing(2)), 0, 3),
+    (lambda: make_general_linear(FiniteRing(3)), 0, 2),
+    (lambda: make_wreath(cyclic_group(3)), 0, 3),
+], ids=["GL(Z/4)", "Sym", "Sym A=1", "GL(F2)", "GL(F3)", "Z/3 wr Sym"])
 def test_local_standardness_matches_unmemoized(make, A, n_max):
     cat = BracketCategory(make())
     assert cat.verify_local_standardness(A, 1, n_max) == \
         _local_standardness_unmemoized(cat, A, 1, n_max)
+
+
+@pytest.mark.parametrize("make,n_top", [
+    (make_symmetric, 4),
+    (lambda: make_wreath(cyclic_group(3)), 3),
+    (lambda: make_general_linear(FiniteRing(2)), 3),
+    (lambda: make_general_linear(FiniteRing(3)), 2),
+    (lambda: make_general_linear(FiniteRing(4)), 2),
+], ids=["Sym", "Z/3 wr Sym", "GL(F2)", "GL(F3)", "GL(Z/4)"])
+def test_stabilizer_matches_scan(make, n_top):
+    # the conjugated left block is the stabilizer a scan of Aut(n) finds,
+    # for every morphism m -> n
+    cat = BracketCategory(make())
+    for n in range(n_top + 1):
+        for m in range(n + 1):
+            for u in cat.hom_set(m, n):
+                scan = {p for p in cat.G.aut(n)
+                        if cat.post_compose(p, u) == u}
+                assert cat.stabilizer(u) == scan, u

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -65,6 +66,34 @@ def test_mat_inverse_mod():
     a = ((1, 1), (0, 1))
     inv = mat_inv_mod(a, 5)
     assert mat_mul_mod(a, inv, 5) == mat_identity(2)
+
+
+def _mat_mul_naive(a, b, m):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+            out[i][j] %= m
+    return tuple(tuple(row) for row in out)
+
+
+def test_mat_mul_mod_matches_triple_loop():
+    # every pair of 2x2 matrices over Z/4, singular ones included
+    mats = [((a, b), (c, d))
+            for a, b, c, d in itertools.product(range(4), repeat=4)]
+    for x in mats:
+        for y in mats:
+            assert mat_mul_mod(x, y, 4) == _mat_mul_naive(x, y, 4)
+    # seeded random 3x3 and 4x4 over Z/4 and Z/6, and the 0x0 case
+    rng = random.Random(14)
+    for n, m in itertools.product((3, 4), (4, 6)):
+        for _ in range(200):
+            x, y = (tuple(tuple(rng.randrange(m) for _ in range(n))
+                          for _ in range(n)) for _ in range(2))
+            assert mat_mul_mod(x, y, m) == _mat_mul_naive(x, y, m)
+    assert mat_mul_mod((), (), 4) == _mat_mul_naive((), (), 4) == ()
 
 
 def test_mat_det_mod_matches_leibniz():

@@ -551,6 +551,32 @@ def test_cli_rejects_unknown_params_key(tmp_path, capsys, family, coeff,
      "r_max must be an integer, not 2.5"),
     ({"coeff": {"kind": "standard", "params": {"N_max": None}}},
      "N_max must be an integer, not null"),
+    # constant torsion: IndexError tracebacks, more factors than the rank
+    ({"coeff": {"kind": "constant", "params": {"rank": 0, "torsion": [2]}}},
+     "torsion must have at most 0 entries (the rank), not [2]"),
+    ({"coeff": {"kind": "constant", "params": {"torsion": [2, 4]}}},
+     "torsion must have at most 1 entries (the rank), not [2, 4]"),
+    # AssertionError tracebacks
+    ({"coeff": {"kind": "constant",
+                "params": {"rank": 2, "torsion": [2, 3]}}},
+     "torsion entries must each divide the next, not [2, 3]"),
+    ({"coeff": {"kind": "constant",
+                "params": {"rank": 2, "torsion": [4, 2]}}},
+     "torsion entries must each divide the next, not [4, 2]"),
+    ({"coeff": {"kind": "constant", "params": {"torsion": [0]}}},
+     "torsion entry must be at least 2, not 0"),
+    ({"coeff": {"kind": "constant", "params": {"torsion": [1]}}},
+     "torsion entry must be at least 2, not 1"),
+    ({"coeff": {"kind": "constant", "params": {"torsion": [-2]}}},
+     "torsion entry must be at least 2, not -2"),
+    ({"coeff": {"kind": "constant", "params": {"torsion": [True]}}},
+     "torsion entry must be an integer, not true"),
+    # a TypeError traceback
+    ({"coeff": {"kind": "constant", "params": {"torsion": "2"}}},
+     'torsion must be a list of integers, not "2"'),
+    # exited 0
+    ({"coeff": {"kind": "constant", "params": {"torsion": [2.5]}}},
+     "torsion entry must be an integer, not 2.5"),
 ])
 @pytest.mark.parametrize("command", ["homology", "stability"])
 def test_cli_rejects_malformed_integer(tmp_path, capsys, patch, message,
@@ -561,6 +587,50 @@ def test_cli_rejects_malformed_integer(tmp_path, capsys, patch, message,
         "theorems": ["A"], "coeff": {"kind": "constant", "params": {}},
         **patch}))
     assert cli_main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"homstab: error: {message}\n"
+
+
+def test_cli_accepts_torsion_up_to_rank(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "family": {"kind": "symmetric", "params": {}}, "n_max": 2,
+        "coeff": {"kind": "constant",
+                  "params": {"rank": 2, "torsion": [2, 4]}}}))
+    assert cli_main(["homology", "--config", str(path)]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert cells[0]["H"] == "Z/2 + Z/4"
+
+
+_MODULE = {"free_rank": 1, "actions": []}
+
+
+@pytest.mark.parametrize("patch, message", [
+    # an AssertionError traceback
+    ({"modules": [{**_MODULE, "torsion": [0]}, _MODULE]},
+     "custom module 0 torsion entry must be at least 2, not 0"),
+    ({"modules": [_MODULE, {**_MODULE, "torsion": [3, 2]}]},
+     "custom module 1 torsion entries must each divide the next, not [3, 2]"),
+    # ran as free rank 1
+    ({"modules": [{**_MODULE, "free_rank": 1.7}, _MODULE]},
+     "custom module 0 free_rank must be an integer, not 1.7"),
+    ({"modules": [{**_MODULE, "free_rank": -1}, _MODULE]},
+     "custom module 0 free_rank must be at least 0, not -1"),
+    ({"n_max": 1.0}, "custom n_max must be an integer, not 1.0"),
+    # "modules/s_mats length mismatch"
+    ({"n_max": -1}, "custom n_max must be at least 0, not -1"),
+])
+def test_cli_rejects_malformed_custom_system(tmp_path, capsys, patch,
+                                             message):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps({"n_max": 1, "s_mats": [[[1]]],
+                                    "modules": [_MODULE] * 2, **patch}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "family": {"kind": "symmetric", "params": {}}, "n_max": 1,
+        "coeff": {"kind": "custom", "params": {"path": str(sys_path)}}}))
+    assert cli_main(["homology", "--config", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"homstab: error: {message}\n"
