@@ -654,15 +654,14 @@ def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
     return assemble_subquotient(n, kbasis, leads, image)
 
 
-def homology_of_pair(d_out: SparseCols, d_in: SparseCols,
-                     check_composition: bool = True) -> Subquotient:
+def homology_of_pair(d_out: SparseCols, d_in: SparseCols) -> Subquotient:
     """ker(d_out) / im(d_in) where d_out: Z^n -> Z^m, d_in: Z^p -> Z^n.
 
-    Asserts d_out @ d_in == 0 when check_composition is set.
+    Asserts d_out @ d_in == 0.
     """
     if d_in.nrows != d_out.ncols:
         raise ValueError("chain level dimension mismatch")
-    if check_composition and not d_out.compose(d_in).is_zero():
+    if not d_out.compose(d_in).is_zero():
         raise ValueError("boundary of boundary is nonzero")
     return presented_subquotient(d_out, d_in, [], [])
 

@@ -21,29 +21,15 @@ class TwoSkeleton:
     #                        orientation e01 * e12 = e02
 
 
-def two_skeleton_from_complex(S) -> TwoSkeleton:
-    edges = S.by_dimension(1)
-    eidx = {e: i for i, e in enumerate(edges)}
-    tris = []
-    for (a, b, c) in S.by_dimension(2):
-        tris.append((eidx[(a, b)], eidx[(b, c)], eidx[(a, c)]))
-    return TwoSkeleton(S.n_vertices, list(edges), tris)
-
-
 def two_skeleton_from_semisimplicial(W) -> TwoSkeleton:
     # edge s has endpoints (d_1 s, d_0 s); triangle t contributes
-    # d_2 t * d_0 t = d_1 t on edge paths
-    nv = len(W.levels[0])
-    edges = []
-    if len(W.levels) > 1:
-        for s in range(len(W.levels[1])):
-            edges.append((W.faces[1][1][s], W.faces[1][0][s]))
-    tris = []
-    if len(W.levels) > 2:
-        for t in range(len(W.levels[2])):
-            tris.append((W.faces[2][2][t], W.faces[2][0][t],
-                         W.faces[2][1][t]))
-    return TwoSkeleton(nv, edges, tris)
+    # d_2 t * d_0 t = d_1 t on edge paths.  On a simplicial complex the
+    # edge (a, b), a < b, runs from a to b and the triangle (a, b, c)
+    # reads (a, b) * (b, c) = (a, c)
+    d = W.faces
+    edges = list(zip(d[1][1], d[1][0])) if len(W.levels) > 1 else []
+    tris = list(zip(d[2][2], d[2][0], d[2][1])) if len(W.levels) > 2 else []
+    return TwoSkeleton(len(W.levels[0]) if W.levels else 0, edges, tris)
 
 
 def edge_path_presentation(skel: TwoSkeleton):

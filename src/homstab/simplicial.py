@@ -1,6 +1,12 @@
 """Semi-simplicial sets W_n(A,X), simplicial complexes S_n(A,X), chain
 complexes, links, weak Cohen-Macaulay reports and connectivity
-certificates."""
+certificates.
+
+A simplicial complex is the semi-simplicial set of its sorted simplices
+(face i drops vertex i), so W_n and S_n share one chain complex, one
+2-skeleton and one certificate.  Chain levels are built when first read:
+a certificate up to degree t reads levels 0..t+1 only.
+"""
 
 from __future__ import annotations
 
@@ -62,23 +68,23 @@ class SemiSimplicialSet:
         return tuple(out)
 
     def chain_complex(self) -> "ChainComplex":
-        sizes = self.level_sizes()
-        boundaries = [SparseCols(1, [{0: 1} for _ in range(sizes[0])])
-                      if sizes else SparseCols.zero(1, 0)]
-        for p in range(1, len(sizes)):
-            cols = []
-            for s in range(sizes[p]):
-                col = {}
-                for i in range(p + 1):
-                    t = self.faces[p][i][s]
-                    col[t] = col.get(t, 0) + (-1) ** i
-                cols.append({k: v for k, v in col.items() if v})
-            boundaries.append(SparseCols(sizes[p - 1], cols))
-        return ChainComplex(boundaries)
+        return ChainComplex(self)
 
 
-class SimplicialComplex:
-    """Vertices 0..nv-1 and a downward-closed set of sorted tuples."""
+def _tuple_faces(levels):
+    """Face arrays of levels of vertex tuples: d_i drops entry i."""
+    faces = [None]
+    for p in range(1, len(levels)):
+        idx = {t: i for i, t in enumerate(levels[p - 1])}
+        faces.append([[idx[t[:i] + t[i + 1:]] for t in levels[p]]
+                      for i in range(p + 1)])
+    return faces
+
+
+class SimplicialComplex(SemiSimplicialSet):
+    """Vertices 0..nv-1 and a downward-closed set of sorted tuples, as the
+    semi-simplicial set of its sorted simplices: levels[p] holds the
+    p-simplices in sorted order, so vertex v is simplex v of level 0."""
 
     def __init__(self, n_vertices, maximal_or_all):
         self.n_vertices = n_vertices
@@ -86,74 +92,69 @@ class SimplicialComplex:
         for s in maximal_or_all:
             t = tuple(sorted(set(s)))
             assert len(t) == len(s), f"degenerate simplex {s}"
+            if t and not (0 <= t[0] and t[-1] < n_vertices):
+                raise ValueError(f"simplex {tuple(s)} has a vertex outside "
+                                 f"0..{n_vertices - 1}")
             for r in range(1, len(t) + 1):
                 simplices.update(itertools.combinations(t, r))
         simplices.update((v,) for v in range(n_vertices))
         self.simplices = simplices
+        levels = [list(lv) for _, lv in itertools.groupby(
+            sorted(simplices, key=lambda s: (len(s), s)), len)]
+        super().__init__(levels, _tuple_faces(levels))
 
     def by_dimension(self, p):
-        return sorted(s for s in self.simplices if len(s) == p + 1)
-
-    @property
-    def dimension(self):
-        return max((len(s) - 1 for s in self.simplices), default=-1)
-
-    def f_vector(self):
-        return [len(self.by_dimension(p)) for p in range(self.dimension + 1)]
+        return self.levels[p] if 0 <= p < len(self.levels) else []
 
     def has(self, s):
         return tuple(sorted(s)) in self.simplices
 
-    def chain_complex(self) -> "ChainComplex":
-        levels = [self.by_dimension(p) for p in range(self.dimension + 1)]
-        if not levels:
-            return ChainComplex([SparseCols.zero(1, 0)])
-        index = [{s: i for i, s in enumerate(lv)} for lv in levels]
-        boundaries = [SparseCols(1, [{0: 1} for _ in levels[0]])]
-        for p in range(1, len(levels)):
-            cols = []
-            for s in levels[p]:
-                col = {}
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    col[index[p - 1][face]] = (-1) ** i
-                cols.append(col)
-            boundaries.append(SparseCols(len(levels[p - 1]), cols))
-        return ChainComplex(boundaries)
-
-    def is_empty(self):
-        return self.n_vertices == 0
-
 
 class ChainComplex:
-    """Augmented integer chain complex; boundaries[0] is the augmentation
-    C_0 -> Z and boundaries[p]: C_p -> C_{p-1}.  d d = 0 is asserted."""
+    """Augmented integer chain complex of a semi-simplicial set X:
+    boundary(0) is the augmentation C_0 -> Z and boundary(p): C_p ->
+    C_{p-1} is the alternating sum of the faces.
 
-    def __init__(self, boundaries):
-        self.boundaries = boundaries
-        for p in range(1, len(boundaries)):
-            assert boundaries[p - 1].compose(boundaries[p]).is_zero(), \
-                "boundary squared is nonzero"
+    A boundary is built when it is first read and kept in `built`.  d d = 0
+    needs no check of its own: it follows from the face identities that
+    X asserted, and homology_of_pair checks each pair it reads.
+    """
+
+    def __init__(self, X: SemiSimplicialSet):
+        self.X = X
+        self.built = {}
 
     def level_dim(self, p):
-        if p < 0 or p >= len(self.boundaries):
-            return 0
-        return self.boundaries[p].ncols
+        return len(self.X.levels[p]) if 0 <= p < len(self.X.levels) else 0
 
     def boundary(self, p) -> SparseCols:
-        if 0 <= p < len(self.boundaries):
-            return self.boundaries[p]
-        return SparseCols.zero(self.level_dim(p - 1), 0)
+        if p not in self.built:
+            self.built[p] = self._build(p)
+        return self.built[p]
+
+    def _build(self, p) -> SparseCols:
+        if p == 0:
+            return SparseCols(1, [{0: 1} for _ in range(self.level_dim(0))])
+        cols = []
+        if p < len(self.X.levels):
+            faces = self.X.faces[p]
+            for s in range(len(self.X.levels[p])):
+                col = {}
+                for i in range(p + 1):
+                    t = faces[i][s]
+                    col[t] = col.get(t, 0) + (-1) ** i
+                cols.append({k: v for k, v in col.items() if v})
+        return SparseCols(self.level_dim(p - 1), cols)
 
     def reduced_homology(self, up_to):
-        """H-tilde_i for 0 <= i <= up_to (augmented complex)."""
+        """H-tilde_i for 0 <= i <= up_to (augmented complex); reads
+        boundaries 0..up_to+1 and builds no other."""
         out = []
         for i in range(up_to + 1):
             if self.level_dim(i) == 0:
                 out.append(FGAbelianGroup(0))
                 continue
-            sq = homology_of_pair(self.boundary(i), self.boundary(i + 1),
-                                  check_composition=False)
+            sq = homology_of_pair(self.boundary(i), self.boundary(i + 1))
             out.append(sq.group)
         return out
 
@@ -184,17 +185,21 @@ def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
     return SemiSimplicialSet(levels, faces)
 
 
+def _distinct_vertex_tuples(W: SemiSimplicialSet):
+    """The vertex tuples of the W-simplices whose vertices are distinct."""
+    for p, level in enumerate(W.levels):
+        for s in range(len(level)):
+            vt = W.vertex_tuple(p, s)
+            if len(set(vt)) == p + 1:
+                yield vt
+
+
 def build_S(W: SemiSimplicialSet) -> SimplicialComplex:
     """Vertices = W level 0; a vertex set spans iff some W-simplex has
     exactly that vertex set."""
     nv = len(W.levels[0]) if W.levels else 0
-    spanning = []
-    for p in range(len(W.levels)):
-        for s in range(len(W.levels[p])):
-            vs = set(W.vertex_tuple(p, s))
-            if len(vs) == p + 1:
-                spanning.append(tuple(sorted(vs)))
-    return SimplicialComplex(nv, spanning)
+    return SimplicialComplex(
+        nv, {tuple(sorted(vt)) for vt in _distinct_vertex_tuples(W)})
 
 
 @dataclass
@@ -203,19 +208,19 @@ class LiftProfile:
     condition: str        # "A" | "B" | "neither"
 
 
-def lift_profile(W: SemiSimplicialSet, S: SimplicialComplex) -> LiftProfile:
+def lift_profile(W: SemiSimplicialSet) -> LiftProfile:
     """For every S-simplex, |pi_p^{-1}(sigma)|; condition (A) requires
     every ordering of the vertex set to occur exactly once ((p+1)! lifts),
-    condition (B) a single lift."""
-    counts = {s: 0 for s in S.simplices}
-    orderings = {s: set() for s in S.simplices}
-    for p in range(len(W.levels)):
-        for i in range(len(W.levels[p])):
-            vt = W.vertex_tuple(p, i)
-            key = tuple(sorted(set(vt)))
-            if len(set(vt)) == p + 1 and key in counts:
-                counts[key] += 1
-                orderings[key].add(vt)
+    condition (B) a single lift.
+
+    No S_n is built: its simplices are exactly the vertex sets of the
+    W-simplices with distinct vertices, as W is closed under faces, so
+    every S-simplex has at least one lift and is a key here."""
+    counts, orderings = {}, {}
+    for vt in _distinct_vertex_tuples(W):
+        key = tuple(sorted(vt))
+        counts[key] = counts.get(key, 0) + 1
+        orderings.setdefault(key, set()).add(vt)
     cond_a = all(
         counts[s] == math.factorial(len(s))
         and len(orderings[s]) == counts[s]
@@ -243,7 +248,7 @@ def link(S: SimplicialComplex, sigma) -> SimplicialComplex:
 def complexes_isomorphic(S1: SimplicialComplex, S2: SimplicialComplex):
     """Backtracking isomorphism search; returns a vertex bijection or
     None.  Fine at desk scale (tens of vertices)."""
-    if S1.n_vertices != S2.n_vertices or S1.f_vector() != S2.f_vector():
+    if S1.level_sizes() != S2.level_sizes():
         return None
 
     def profile(S, v):
@@ -255,7 +260,6 @@ def complexes_isomorphic(S1: SimplicialComplex, S2: SimplicialComplex):
     cands = {v: [w for w in range(S2.n_vertices) if p2[w] == p1[v]]
              for v in range(S1.n_vertices)}
     order = sorted(range(S1.n_vertices), key=lambda v: len(cands[v]))
-    max_dim = S1.dimension
     s1_by_v = {v: [s for s in S1.simplices if v in s]
                for v in range(S1.n_vertices)}
 
@@ -275,8 +279,6 @@ def complexes_isomorphic(S1: SimplicialComplex, S2: SimplicialComplex):
             return True
         v = order[i]
         for w in cands[v]:
-            if w in used and mapping.get(v) != w:
-                continue
             if w in used:
                 continue
             if consistent(v, w):
@@ -296,20 +298,9 @@ def complexes_isomorphic(S1: SimplicialComplex, S2: SimplicialComplex):
 
 def ord_of_complex(S: SimplicialComplex) -> SemiSimplicialSet:
     """Y^ord: one p-simplex per (p-simplex, vertex ordering)."""
-    levels = []
-    for p in range(S.dimension + 1):
-        lv = []
-        for s in S.by_dimension(p):
-            lv.extend(itertools.permutations(s))
-        levels.append(sorted(lv))
-    faces = [None]
-    for p in range(1, len(levels)):
-        idx = {t: i for i, t in enumerate(levels[p - 1])}
-        per_i = []
-        for i in range(p + 1):
-            per_i.append([idx[t[:i] + t[i + 1:]] for t in levels[p]])
-        faces.append(per_i)
-    return SemiSimplicialSet(levels, faces)
+    levels = [sorted(t for s in lv for t in itertools.permutations(s))
+              for lv in S.levels]
+    return SemiSimplicialSet(levels, _tuple_faces(levels))
 
 
 def w_isomorphic_to_ord(W: SemiSimplicialSet, ordW: SemiSimplicialSet) -> bool:
@@ -350,7 +341,7 @@ class ConnectivityCertificate:
     meets_target_homological: bool    # homology vanishing reaches target
 
 
-def connectivity_certificate(X, target: int,
+def connectivity_certificate(X: SemiSimplicialSet, target: int,
                              pi1_budget: int = 10 ** 6) -> ConnectivityCertificate:
     """Certify that X is target-connected.
 
@@ -362,20 +353,14 @@ def connectivity_certificate(X, target: int,
     """
     from . import pi1 as pi1mod
 
-    if isinstance(X, SemiSimplicialSet):
-        empty = not X.levels or not X.levels[0]
-    else:
-        empty = X.is_empty()
-
-    if empty:
+    if not X.levels or not X.levels[0]:
         return ConnectivityCertificate(
             components=0, homology_vanishing_up_to=10 ** 9,
             pi1_status="trivial (empty)", certified_connectivity=-2,
             mode="topological", target=target,
             meets_target=target <= -2, meets_target_homological=target <= -2)
 
-    cc = X.chain_complex()
-    hom = cc.reduced_homology(max(target, 0))
+    hom = X.chain_complex().reduced_homology(max(target, 0))
     vanish = -1
     for i, h in enumerate(hom):
         if h.is_trivial():
@@ -386,10 +371,7 @@ def connectivity_certificate(X, target: int,
 
     pi1_status = "not attempted"
     if vanish >= 1 and target >= 1:
-        if isinstance(X, SemiSimplicialSet):
-            skel = pi1mod.two_skeleton_from_semisimplicial(X)
-        else:
-            skel = pi1mod.two_skeleton_from_complex(X)
+        skel = pi1mod.two_skeleton_from_semisimplicial(X)
         pi1_status, _ = pi1mod.pi1_triviality(skel, pi1_budget)
 
     # Hurewicz: without a trivial pi1 a topological claim is safe only up

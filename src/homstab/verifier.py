@@ -22,8 +22,7 @@ from .groups import BudgetExceeded, DEFAULT_GROUP_BUDGET, cyclic_group
 from .groupoids import (make_symmetric, make_wreath, make_general_linear,
                         FiniteRing, verify_groupoid_axioms)
 from .bracket import BracketCategory
-from .simplicial import (build_W, build_S, lift_profile,
-                         connectivity_certificate)
+from .simplicial import build_W, lift_profile, connectivity_certificate
 from .exact_linalg import FGAbelianGroup
 from .homology_engine import (BarBudget, GModule, bar_homology,
                               stabilization_status, les_exact_at_rel)
@@ -131,6 +130,26 @@ def _torsion(value, key: str, most=None) -> tuple:
     return tuple(value)
 
 
+def _list(value, what: str) -> list:
+    """value, checked to be a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {json.dumps(value)}")
+    return value
+
+
+def _matrix(value, rows: int, cols: int, what: str) -> list:
+    """value, checked to be a JSON list of rows lists of cols integers,
+    none of them a bool."""
+    if not (isinstance(value, list) and len(value) == rows and all(
+            isinstance(row, list) and len(row) == cols for row in value)):
+        raise ValueError(f"{what} must be a {rows} x {cols} matrix, not "
+                         f"{json.dumps(value)}")
+    for row in value:
+        for entry in row:
+            _integer(entry, f"{what} entry", None)
+    return value
+
+
 def _theorems(value) -> list:
     """value, checked to be a JSON list of theorem names."""
     if not isinstance(value, list) or not all(
@@ -218,30 +237,38 @@ def _custom_system(cat: BracketCategory, cfg: FamilyConfig):
 
     Schema: {"n_max", "modules": [{"free_rank", "torsion", "actions":
     [matrix per generator of Aut(A + n X), in generator order]}],
-    "s_mats": [matrix]}.
+    "s_mats": [matrix]}.  Matrices are lists of rows of integers: an
+    action at level n is rank_n x rank_n, s_mats[n] is rank_{n+1} x
+    rank_n.
     """
     with open(cfg.coeff_params["path"]) as fh:
         desc = _require(json.load(fh), "custom description",
                         ("n_max", "modules", "s_mats"))
     n_max = _integer(desc["n_max"], "custom n_max", 0)
     mods = []
-    for n, md in enumerate(desc["modules"]):
+    for n, md in enumerate(_list(desc["modules"], "custom modules")):
         what = f"custom module {n}"
         _require(md, what, ("actions",))
         grp = cat.G.aut(cfg.A + n * cfg.X)
         under = FGAbelianGroup(
             _integer(md.get("free_rank", 0), f"{what} free_rank", 0),
             _torsion(md.get("torsion", []), f"{what} torsion"))
-        actions = md["actions"]
+        actions = _list(md["actions"], f"{what} actions")
         if len(actions) != len(grp.generators):
             raise ValueError(f"level {n}: expected one action matrix per "
                              f"group generator")
+        rank = under.free_rank + len(under.torsion)
+        for j, mat in enumerate(actions):
+            _matrix(mat, rank, rank, f"{what} action {j}")
         mods.append(GModule(grp, under,
                             dict(zip(grp.generators, actions)),
                             name=f"custom_{n}"))
         mods[-1].verify_action()
-    system = CoefficientSystem(cat, cfg.A, cfg.X, n_max, mods,
-                               desc["s_mats"], name="custom")
+    s_mats = _list(desc["s_mats"], "custom s_mats")
+    for n, (mat, lo, hi) in enumerate(zip(s_mats, mods, mods[1:])):
+        _matrix(mat, hi.rank, lo.rank, f"custom s_mats {n}")
+    system = CoefficientSystem(cat, cfg.A, cfg.X, n_max, mods, s_mats,
+                               name="custom")
     system.verify()
     return system
 
@@ -403,8 +430,7 @@ def run_connectivity(cfg: FamilyConfig) -> dict:
         except BudgetExceeded as exc:
             cells.append({"n": n, **_refusal(cfg, exc, n=n)})
             continue
-        S = build_S(W)
-        lp = lift_profile(W, S)
+        lp = lift_profile(W)
         cert = connectivity_certificate(W, target, cfg.budget("pi1_steps"))
         cells.append({
             "n": n,

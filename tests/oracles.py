@@ -9,11 +9,20 @@ abelianization computes G^ab group-theoretically: [G, G] by closure,
 the cosets of G / [G, G], then the invariant factors of that quotient
 from the Smith normal form of its multiplication table.  It is brute
 force and meant for test-sized groups.
+
+The complex oracles build what simplicial and pi1 build, the older way:
+every chain level at once, a simplicial complex's boundaries and
+2-skeleton from its set of sorted tuples rather than from face arrays,
+and lift profiles keyed by a given S_n.
 """
+
+import math
 
 from homstab.exact_linalg import (FGAbelianGroup, SparseCols,
                                   homology_of_pair, smith_normal_form)
 from homstab.groups import FiniteGroup
+from homstab.pi1 import TwoSkeleton
+from homstab.simplicial import LiftProfile
 
 
 def commutator(G, g, h):
@@ -211,3 +220,102 @@ S4_RELATORS = [
     [1, 1], [2, 2], [3, 3],
     [1, 2] * 3, [2, 3] * 3, [1, 3] * 2,
 ]
+
+
+# ------------------------------------------------------------------
+# complex oracles
+
+
+def _sorted_levels(S):
+    top = max((len(s) for s in S.simplices), default=0)
+    return [sorted(s for s in S.simplices if len(s) == p + 1)
+            for p in range(top)]
+
+
+def _checked(boundaries):
+    for p in range(1, len(boundaries)):
+        assert boundaries[p - 1].compose(boundaries[p]).is_zero(), \
+            "boundary squared is nonzero"
+    return boundaries
+
+
+def semisimplicial_boundaries(X):
+    """Every augmented boundary of X from its face arrays, d d = 0
+    asserted on each pair: boundaries[0] is C_0 -> Z."""
+    sizes = X.level_sizes()
+    boundaries = [SparseCols(1, [{0: 1} for _ in range(sizes[0])])
+                  if sizes else SparseCols.zero(1, 0)]
+    for p in range(1, len(sizes)):
+        cols = []
+        for s in range(sizes[p]):
+            col = {}
+            for i in range(p + 1):
+                t = X.faces[p][i][s]
+                col[t] = col.get(t, 0) + (-1) ** i
+            cols.append({k: v for k, v in col.items() if v})
+        boundaries.append(SparseCols(sizes[p - 1], cols))
+    return _checked(boundaries)
+
+
+def complex_boundaries(S):
+    """Every augmented boundary of a simplicial complex from its sorted
+    tuples: the face of s without entry i has sign (-1)^i."""
+    levels = _sorted_levels(S)
+    if not levels:
+        return [SparseCols.zero(1, 0)]
+    index = [{s: i for i, s in enumerate(lv)} for lv in levels]
+    boundaries = [SparseCols(1, [{0: 1} for _ in levels[0]])]
+    for p in range(1, len(levels)):
+        cols = []
+        for s in levels[p]:
+            col = {}
+            for i in range(len(s)):
+                col[index[p - 1][s[:i] + s[i + 1:]]] = (-1) ** i
+            cols.append(col)
+        boundaries.append(SparseCols(len(levels[p - 1]), cols))
+    return _checked(boundaries)
+
+
+def reduced_homology(boundaries, up_to):
+    """H-tilde_i, 0 <= i <= up_to, of the augmented complex with these
+    boundaries."""
+    out = []
+    for i in range(up_to + 1):
+        if i >= len(boundaries) or boundaries[i].ncols == 0:
+            out.append(FGAbelianGroup(0))
+            continue
+        d_in = boundaries[i + 1] if i + 1 < len(boundaries) else \
+            SparseCols.zero(boundaries[i].ncols, 0)
+        out.append(homology_of_pair(boundaries[i], d_in).group)
+    return out
+
+
+def two_skeleton_from_complex(S) -> TwoSkeleton:
+    """Edges (a, b), a < b, in sorted order; the triangle (a, b, c) reads
+    (a, b) * (b, c) = (a, c)."""
+    edges = sorted(s for s in S.simplices if len(s) == 2)
+    eidx = {e: i for i, e in enumerate(edges)}
+    tris = [(eidx[(a, b)], eidx[(b, c)], eidx[(a, c)])
+            for (a, b, c) in sorted(s for s in S.simplices if len(s) == 3)]
+    return TwoSkeleton(S.n_vertices, edges, tris)
+
+
+def lift_profile(W, S) -> LiftProfile:
+    """The W-lifts of every simplex of a given S, counted by vertex
+    tuple, with the conditions (A) and (B) of simplicial.lift_profile."""
+    counts = {s: 0 for s in S.simplices}
+    orderings = {s: set() for s in S.simplices}
+    for p in range(len(W.levels)):
+        for i in range(len(W.levels[p])):
+            vt = W.vertex_tuple(p, i)
+            key = tuple(sorted(set(vt)))
+            if len(set(vt)) == p + 1 and key in counts:
+                counts[key] += 1
+                orderings[key].add(vt)
+    cond_a = all(
+        counts[s] == math.factorial(len(s))
+        and len(orderings[s]) == counts[s]
+        for s in counts)
+    cond_b = all(c == 1 for c in counts.values())
+    condition = "A" if cond_a else ("B" if cond_b else "neither")
+    return LiftProfile(counts, condition)

@@ -56,7 +56,7 @@ def test_criterion_02_simplex_identification(sym_cat):
 def test_criterion_03_condition_A_lift_counts(sym_cat):
     for n in range(1, 7):
         W = build_W(sym_cat, 0, 1, n)
-        lp_ = lift_profile(W, build_S(W))
+        lp_ = lift_profile(W)
         assert lp_.condition == "A", n
         for simplex, count in lp_.counts.items():
             p = len(simplex) - 1

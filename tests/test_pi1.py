@@ -1,7 +1,6 @@
 from homstab.simplicial import SimplicialComplex, build_W
 from homstab.pi1 import (
-    two_skeleton_from_complex, two_skeleton_from_semisimplicial,
-    edge_path_presentation, todd_coxeter_trivial, pi1_triviality,
+    two_skeleton_from_semisimplicial, edge_path_presentation, todd_coxeter_trivial, pi1_triviality,
 )
 
 
@@ -10,7 +9,7 @@ def _full_simplex(n):
 
 
 def test_simplex_pi1_trivial():
-    skel = two_skeleton_from_complex(_full_simplex(4))
+    skel = two_skeleton_from_semisimplicial(_full_simplex(4))
     status, _ = pi1_triviality(skel)
     assert status == "trivial"
 
@@ -18,7 +17,7 @@ def test_simplex_pi1_trivial():
 def test_circle_pi1_nontrivial():
     # triangle boundary: pi1 = Z, coset enumeration cannot collapse
     circle = SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)])
-    skel = two_skeleton_from_complex(circle)
+    skel = two_skeleton_from_semisimplicial(circle)
     status, _ = pi1_triviality(skel, budget_rows=10_000)
     assert status != "trivial"
 
@@ -26,7 +25,7 @@ def test_circle_pi1_nontrivial():
 def test_disconnected_pi1_not_connected():
     # two disjoint edges: the 1-skeleton has two components
     pair = SimplicialComplex(4, [(0, 1), (2, 3)])
-    skel = two_skeleton_from_complex(pair)
+    skel = two_skeleton_from_semisimplicial(pair)
     status, detail = pi1_triviality(skel)
     assert status == "not connected"
     assert detail == {"note": "disconnected 1-skeleton"}
@@ -36,14 +35,14 @@ def test_sphere_trivial():
     # boundary of a tetrahedron: simply connected
     sphere = SimplicialComplex(4, [
         (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    skel = two_skeleton_from_complex(sphere)
+    skel = two_skeleton_from_semisimplicial(sphere)
     assert pi1_triviality(skel)[0] == "trivial"
 
 
 def test_presentation_shape():
     # circle: 3 edge generators, 2 tree relators, no triangles
     circle = SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)])
-    skel = two_skeleton_from_complex(circle)
+    skel = two_skeleton_from_semisimplicial(circle)
     n_gens, relators = edge_path_presentation(skel)
     assert n_gens == 3
     assert sum(1 for r in relators if len(r) == 1) == 2

@@ -32,8 +32,8 @@ def test_S_is_full_simplex(sym_cat, n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_lift_profile_condition_A(sym_cat, n):
     W = build_W(sym_cat, 0, 1, n)
-    S = build_S(W)
-    lp = lift_profile(W, S)
+    lp = lift_profile(W)
+    assert set(lp.counts) == build_S(W).simplices
     assert lp.condition == "A"
     for simplex, count in lp.counts.items():
         assert count == math.factorial(len(simplex))
@@ -43,8 +43,8 @@ def test_lift_counts_exact_factorial(sym_cat):
     # exactly (p+1)! lifts per p-simplex, p <= 4, n <= 6
     for n in range(1, 7):
         W = build_W(sym_cat, 0, 1, n)
-        S = build_S(W)
-        lp = lift_profile(W, S)
+        lp = lift_profile(W)
+        assert set(lp.counts) == build_S(W).simplices
         for simplex, count in lp.counts.items():
             p = len(simplex) - 1
             if p > 4:

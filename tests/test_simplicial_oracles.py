@@ -1,0 +1,101 @@
+"""W_n and S_n against the complex oracles: boundaries matrix for matrix,
+2-skeletons edge for edge, reduced homology and lift profiles, on every
+W_n and S_n the suite builds; and the invariants of the one
+semi-simplicial type."""
+
+import pytest
+
+from homstab.bracket import BracketCategory
+from homstab.exact_linalg import SparseCols
+from homstab.groupoids import make_wreath
+from homstab.groups import cyclic_group
+from homstab.pi1 import two_skeleton_from_semisimplicial
+from homstab.simplicial import (SemiSimplicialSet, SimplicialComplex,
+                                build_S, build_W, connectivity_certificate,
+                                lift_profile, link)
+from tests import oracles
+
+# (category fixture, A, n_max): X = 1 throughout
+FAMILIES = [("sym_cat", 0, 6), ("z3_wreath_cat", 0, 4), ("gl2_cat", 1, 3)]
+
+# reduced homology is compared through the top dimension up to this many
+# simplices, through degree 0 above it: H-tilde_1 of W_3 over GL_4(F_2)
+# (23,640 simplices) alone takes over 20 s, and its connectivity cell
+# reads degree 0
+FULL_HOMOLOGY_SIMPLICES = 3000
+
+
+@pytest.fixture(scope="module")
+def z3_wreath_cat():
+    return BracketCategory(make_wreath(cyclic_group(3)))
+
+
+def _assert_chain_matches(X, boundaries):
+    cc = X.chain_complex()
+    for p in range(len(boundaries) + 1):
+        got = cc.boundary(p)
+        want = boundaries[p] if p < len(boundaries) else \
+            SparseCols.zero(boundaries[-1].ncols, 0)
+        assert (got.nrows, got.cols) == (want.nrows, want.cols), p
+    up_to = X.dimension + 1 \
+        if sum(X.level_sizes()) <= FULL_HOMOLOGY_SIMPLICES else 0
+    assert cc.reduced_homology(up_to) == \
+        oracles.reduced_homology(boundaries, up_to)
+
+
+def _assert_complex_matches(S):
+    _assert_chain_matches(S, oracles.complex_boundaries(S))
+    assert two_skeleton_from_semisimplicial(S) == \
+        oracles.two_skeleton_from_complex(S)
+
+
+@pytest.mark.parametrize("family, A, n_max", FAMILIES)
+def test_W_and_S_match_oracles(request, family, A, n_max):
+    cat = request.getfixturevalue(family)
+    for n in range(n_max + 1):
+        W = build_W(cat, A, 1, n)
+        S = build_S(W)
+        _assert_chain_matches(W, oracles.semisimplicial_boundaries(W))
+        _assert_complex_matches(S)
+        lp, old = lift_profile(W), oracles.lift_profile(W, S)
+        assert lp.counts == old.counts and lp.condition == old.condition
+        assert set(lp.counts) == S.simplices
+
+
+def test_links_match_oracles(sym_cat):
+    # the links of test_link_recursion
+    for n in range(2, 7):
+        S = build_S(build_W(sym_cat, 0, 1, n))
+        for p in range(n - 1):
+            _assert_complex_matches(link(S, tuple(range(p + 1))))
+
+
+def test_chain_levels_built_on_first_read(sym_cat):
+    W = build_W(sym_cat, 0, 1, 5)
+    for k in range(W.dimension):
+        cc = W.chain_complex()
+        cc.reduced_homology(k)
+        assert sorted(cc.built) == list(range(k + 2))
+
+
+@pytest.mark.parametrize("n_vertices, simplices", [
+    (2, [(0, 5)]), (3, [(-1, 0)]), (0, [(0,)])])
+def test_simplicial_complex_rejects_vertex_out_of_range(n_vertices,
+                                                         simplices):
+    with pytest.raises(ValueError):
+        SimplicialComplex(n_vertices, simplices)
+
+
+def test_certificate_same_as_plain_semisimplicial_set(sym_cat):
+    complexes = [
+        SimplicialComplex(0, []),
+        SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)]),
+        SimplicialComplex(4, [(0, 1), (2, 3)]),
+        SimplicialComplex(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+        build_S(build_W(sym_cat, 0, 1, 5)),
+    ]
+    for S in complexes:
+        plain = SemiSimplicialSet(S.levels, S.faces)
+        for target in range(-2, 4):
+            assert connectivity_certificate(S, target) == \
+                connectivity_certificate(plain, target), (S.levels, target)

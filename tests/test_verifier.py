@@ -606,6 +606,13 @@ def test_cli_accepts_torsion_up_to_rank(tmp_path, capsys):
 _MODULE = {"free_rank": 1, "actions": []}
 
 
+def _sym2(actions=((1,),), s_mats=((1,),)):
+    """A rank-1 custom system on Sym(0), Sym(1), Sym(2): one action
+    matrix, for the transposition of Sym(2), and s_mats[0] = [[1]]."""
+    return {"n_max": 2, "s_mats": [[[1]], s_mats],
+            "modules": [_MODULE, _MODULE, {**_MODULE, "actions": [actions]}]}
+
+
 @pytest.mark.parametrize("patch, message", [
     # an AssertionError traceback
     ({"modules": [{**_MODULE, "torsion": [0]}, _MODULE]},
@@ -620,6 +627,35 @@ _MODULE = {"free_rank": 1, "actions": []}
     ({"n_max": 1.0}, "custom n_max must be an integer, not 1.0"),
     # "modules/s_mats length mismatch"
     ({"n_max": -1}, "custom n_max must be at least 0, not -1"),
+    # ran and exited 0
+    (_sym2(actions=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "custom module 2 action 0 must be a 1 x 1 matrix, not "
+     "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+    (_sym2(actions=[[1, 2]]),
+     "custom module 2 action 0 must be a 1 x 1 matrix, not [[1, 2]]"),
+    (_sym2(s_mats=[[1, 1]]),
+     "custom s_mats 1 must be a 1 x 1 matrix, not [[1, 1]]"),
+    (_sym2(s_mats=[[1], [0]]),
+     "custom s_mats 1 must be a 1 x 1 matrix, not [[1], [0]]"),
+    (_sym2(actions=[[True]]),
+     "custom module 2 action 0 entry must be an integer, not true"),
+    # "action is not a homomorphism"
+    (_sym2(actions=[[1.5]]),
+     "custom module 2 action 0 entry must be an integer, not 1.5"),
+    # an IndexError traceback
+    (_sym2(actions=[[]]),
+     "custom module 2 action 0 must be a 1 x 1 matrix, not [[]]"),
+    # TypeError tracebacks
+    ({**_sym2(), "modules": [_MODULE, _MODULE, {**_MODULE, "actions": 3}]},
+     "custom module 2 actions must be a list, not 3"),
+    ({**_sym2(), "s_mats": 3}, "custom s_mats must be a list, not 3"),
+    ({"modules": 3}, "custom modules must be a list, not 3"),
+    ({**_sym2(), "s_mats": [3, [[1]]]},
+     "custom s_mats 0 must be a 1 x 1 matrix, not 3"),
+    (_sym2(s_mats=[["a"]]),
+     'custom s_mats 1 entry must be an integer, not "a"'),
+    (_sym2(actions=[["a"]]),
+     'custom module 2 action 0 entry must be an integer, not "a"'),
 ])
 def test_cli_rejects_malformed_custom_system(tmp_path, capsys, patch,
                                              message):
