@@ -71,6 +71,12 @@ class BraidedGroupoidInstance:
     def inv(self, a):
         raise NotImplementedError
 
+    def permute(self, f, order):
+        """f times the permutation element of Aut(len(order)) that sends
+        slot j to slot order[j]: slot j of the result is slot order[j]
+        of f.  No product is formed."""
+        raise NotImplementedError
+
     def braiding_inv(self, m: int, n: int):
         return self.inv(self.braiding(m, n))
 
@@ -116,6 +122,9 @@ class SymmetricGroupoid(BraidedGroupoidInstance):
     def inv(self, a):
         return gr.perm_inv(a)
 
+    def permute(self, f, order):
+        return tuple([f[j] for j in order])
+
     def _make_aut(self, n):
         return gr.symmetric_group(n, budget=self.budget)
 
@@ -145,6 +154,12 @@ class WreathGroupoid(BraidedGroupoidInstance):
 
     def inv(self, a):
         return self._inv(a)
+
+    def permute(self, f, order):
+        # a permutation element carries identity labels, so the product
+        # keeps the labels of f and reorders its permutation
+        labels, s = f
+        return (labels, tuple([s[j] for j in order]))
 
     def _make_aut(self, n):
         return gr.wreath_group(self.base, n, budget=self.budget)
@@ -190,6 +205,10 @@ class GeneralLinearGroupoid(BraidedGroupoidInstance):
 
     def inv(self, a):
         return gr.mat_inv_mod(a, self.ring.modulus)
+
+    def permute(self, f, order):
+        # column j of a permutation matrix is the unit vector e_order[j]
+        return tuple(tuple([row[j] for j in order]) for row in f)
 
     def _make_aut(self, n):
         return gr.general_linear_group(n, self.ring.modulus,

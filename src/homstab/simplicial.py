@@ -23,7 +23,8 @@ class SemiSimplicialSet:
 
     levels[p] is a duplicate-free list; faces[p][i][s] is the index in
     levels[p-1] of d_i applied to simplex s of level p.  The identities
-    d_i d_j = d_{j-1} d_i (i < j) are asserted at construction.
+    d_i d_j = d_{j-1} d_i (i < j) are checked at construction, also under
+    python -O: a violation raises AssertionError.
     """
 
     def __init__(self, levels, faces):
@@ -38,7 +39,11 @@ class SemiSimplicialSet:
                     for i in range(j):
                         a = self.faces[p - 1][i][self.faces[p][j][s]]
                         b = self.faces[p - 1][j - 1][self.faces[p][i][s]]
-                        assert a == b, "semi-simplicial identity violated"
+                        if a != b:
+                            raise AssertionError(
+                                f"semi-simplicial identity d_{i} d_{j} = "
+                                f"d_{j - 1} d_{i} violated on simplex {s} "
+                                f"of level {p}")
 
     @property
     def dimension(self):
@@ -165,7 +170,8 @@ class ChainComplex:
 
 def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
     """W_n(A,X): p-simplices are Hom(X^{p+1}, A + nX) for p < n; face i
-    forgets slot i."""
+    forgets slot i (`BracketCategory.face`: a slot permutation, then the
+    coset minimum)."""
     obj = A + n * x
     levels = []
     for p in range(n):
@@ -176,12 +182,9 @@ def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
         levels.pop()
     faces = [None]
     for p in range(1, len(levels)):
-        idx = {f: i for i, f in enumerate(levels[p - 1])}
-        per_i = []
-        for i in range(p + 1):
-            inc = U.face_inclusion(p, i, x)
-            per_i.append([idx[U.compose(f, inc)] for f in levels[p]])
-        faces.append(per_i)
+        idx = {f.rep: i for i, f in enumerate(levels[p - 1])}
+        faces.append([[idx[U.face(f, i, x).rep] for f in levels[p]]
+                      for i in range(p + 1)])
     return SemiSimplicialSet(levels, faces)
 
 
@@ -243,86 +246,6 @@ def link(S: SimplicialComplex, sigma) -> SimplicialComplex:
     relab = {v: i for i, v in enumerate(verts)}
     return SimplicialComplex(
         len(verts), [tuple(relab[v] for v in s) for s in members])
-
-
-def complexes_isomorphic(S1: SimplicialComplex, S2: SimplicialComplex):
-    """Backtracking isomorphism search; returns a vertex bijection or
-    None.  Fine at desk scale (tens of vertices)."""
-    if S1.level_sizes() != S2.level_sizes():
-        return None
-
-    def profile(S, v):
-        return tuple(sorted(
-            len(s) for s in S.simplices if v in s))
-
-    p1 = {v: profile(S1, v) for v in range(S1.n_vertices)}
-    p2 = {v: profile(S2, v) for v in range(S2.n_vertices)}
-    cands = {v: [w for w in range(S2.n_vertices) if p2[w] == p1[v]]
-             for v in range(S1.n_vertices)}
-    order = sorted(range(S1.n_vertices), key=lambda v: len(cands[v]))
-    s1_by_v = {v: [s for s in S1.simplices if v in s]
-               for v in range(S1.n_vertices)}
-
-    mapping = {}
-    used = set()
-
-    def consistent(v, w):
-        for s in s1_by_v[v]:
-            if all(u in mapping or u == v for u in s):
-                img = tuple(sorted(mapping.get(u, w) for u in s))
-                if not S2.has(img):
-                    return False
-        return True
-
-    def rec(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in cands[v]:
-            if w in used:
-                continue
-            if consistent(v, w):
-                mapping[v] = w
-                used.add(w)
-                if rec(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    if rec(0):
-        # a bijection preserving all simplices both ways (counts equal)
-        return dict(mapping)
-    return None
-
-
-def ord_of_complex(S: SimplicialComplex) -> SemiSimplicialSet:
-    """Y^ord: one p-simplex per (p-simplex, vertex ordering)."""
-    levels = [sorted(t for s in lv for t in itertools.permutations(s))
-              for lv in S.levels]
-    return SemiSimplicialSet(levels, _tuple_faces(levels))
-
-
-def w_isomorphic_to_ord(W: SemiSimplicialSet, ordW: SemiSimplicialSet) -> bool:
-    """The natural map sending a W-simplex to its ordered vertex tuple is
-    an isomorphism iff it is injective levelwise with equal counts (it
-    commutes with faces by construction); checked directly."""
-    if W.level_sizes() != ordW.level_sizes():
-        return False
-    for p in range(len(W.levels)):
-        tuples = [W.vertex_tuple(p, s) for s in range(len(W.levels[p]))]
-        if len(set(tuples)) != len(tuples):
-            return False
-        if any(len(set(t)) != p + 1 for t in tuples):
-            return False
-        # face compatibility: d_i of the tuple = tuple of d_i
-        if p:
-            for s, t in enumerate(tuples):
-                for i in range(p + 1):
-                    ft = W.vertex_tuple(p - 1, W.faces[p][i][s])
-                    if ft != t[:i] + t[i + 1:]:
-                        return False
-    return True
 
 
 # ------------------------------------------------------------------

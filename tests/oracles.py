@@ -14,15 +14,23 @@ The complex oracles build what simplicial and pi1 build, the older way:
 every chain level at once, a simplicial complex's boundaries and
 2-skeleton from its set of sorted tuples rather than from face arrays,
 and lift profiles keyed by a given S_n.
+
+The W_n oracle computes every face in the bracket category, as the
+composite f delta_i with the face inclusion delta_i built from monoidal
+sums; simplicial.build_W reorders slots instead.  The complex
+comparisons (isomorphism search, Y^ord) check W_n and S_n against the
+paper's descriptions of them.
 """
 
+import itertools
 import math
 
 from homstab.exact_linalg import (FGAbelianGroup, SparseCols,
                                   homology_of_pair, smith_normal_form)
 from homstab.groups import FiniteGroup
 from homstab.pi1 import TwoSkeleton
-from homstab.simplicial import LiftProfile
+from homstab.simplicial import (LiftProfile, SemiSimplicialSet,
+                                SimplicialComplex, _tuple_faces)
 
 
 def commutator(G, g, h):
@@ -319,3 +327,111 @@ def lift_profile(W, S) -> LiftProfile:
     cond_b = all(c == 1 for c in counts.values())
     condition = "A" if cond_a else ("B" if cond_b else "neither")
     return LiftProfile(counts, condition)
+
+
+# ------------------------------------------------------------------
+# W_n in the bracket category, and complex comparisons
+
+
+def face_inclusion(U, p: int, i: int, x: int):
+    """X^p -> X^{p+1} inserting iota_X in slot i (0 <= i <= p)."""
+    if not 0 <= i <= p:
+        raise ValueError("face index out of range")
+    left = U.identity_mor(i * x)
+    mid = U.monoidal_sum(left, U.iota(x))
+    return U.monoidal_sum(mid, U.identity_mor((p - i) * x))
+
+
+def build_W(U, A: int, x: int, n: int) -> SemiSimplicialSet:
+    """W_n(A,X) with face i the composite f delta_i in U."""
+    obj = A + n * x
+    levels = [list(U.hom_set((p + 1) * x, obj)) for p in range(n)]
+    while levels and not levels[-1]:
+        levels.pop()
+    faces = [None]
+    for p in range(1, len(levels)):
+        idx = {f: i for i, f in enumerate(levels[p - 1])}
+        incs = [face_inclusion(U, p, i, x) for i in range(p + 1)]
+        faces.append([[idx[U.compose(f, inc)] for f in levels[p]]
+                      for inc in incs])
+    return SemiSimplicialSet(levels, faces)
+
+
+def complexes_isomorphic(S1: SimplicialComplex, S2: SimplicialComplex):
+    """Backtracking isomorphism search; returns a vertex bijection or
+    None.  Fine at desk scale (tens of vertices)."""
+    if S1.level_sizes() != S2.level_sizes():
+        return None
+
+    def profile(S, v):
+        return tuple(sorted(
+            len(s) for s in S.simplices if v in s))
+
+    p1 = {v: profile(S1, v) for v in range(S1.n_vertices)}
+    p2 = {v: profile(S2, v) for v in range(S2.n_vertices)}
+    cands = {v: [w for w in range(S2.n_vertices) if p2[w] == p1[v]]
+             for v in range(S1.n_vertices)}
+    order = sorted(range(S1.n_vertices), key=lambda v: len(cands[v]))
+    s1_by_v = {v: [s for s in S1.simplices if v in s]
+               for v in range(S1.n_vertices)}
+
+    mapping = {}
+    used = set()
+
+    def consistent(v, w):
+        for s in s1_by_v[v]:
+            if all(u in mapping or u == v for u in s):
+                img = tuple(sorted(mapping.get(u, w) for u in s))
+                if not S2.has(img):
+                    return False
+        return True
+
+    def rec(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in cands[v]:
+            if w in used:
+                continue
+            if consistent(v, w):
+                mapping[v] = w
+                used.add(w)
+                if rec(i + 1):
+                    return True
+                del mapping[v]
+                used.discard(w)
+        return False
+
+    if rec(0):
+        # a bijection preserving all simplices both ways (counts equal)
+        return dict(mapping)
+    return None
+
+
+def ord_of_complex(S: SimplicialComplex) -> SemiSimplicialSet:
+    """Y^ord: one p-simplex per (p-simplex, vertex ordering)."""
+    levels = [sorted(t for s in lv for t in itertools.permutations(s))
+              for lv in S.levels]
+    return SemiSimplicialSet(levels, _tuple_faces(levels))
+
+
+def w_isomorphic_to_ord(W: SemiSimplicialSet, ordW: SemiSimplicialSet) -> bool:
+    """The natural map sending a W-simplex to its ordered vertex tuple is
+    an isomorphism iff it is injective levelwise with equal counts (it
+    commutes with faces by construction); checked directly."""
+    if W.level_sizes() != ordW.level_sizes():
+        return False
+    for p in range(len(W.levels)):
+        tuples = [W.vertex_tuple(p, s) for s in range(len(W.levels[p]))]
+        if len(set(tuples)) != len(tuples):
+            return False
+        if any(len(set(t)) != p + 1 for t in tuples):
+            return False
+        # face compatibility: d_i of the tuple = tuple of d_i
+        if p:
+            for s, t in enumerate(tuples):
+                for i in range(p + 1):
+                    ft = W.vertex_tuple(p - 1, W.faces[p][i][s])
+                    if ft != t[:i] + t[i + 1:]:
+                        return False
+    return True

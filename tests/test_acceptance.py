@@ -9,7 +9,6 @@ import math
 
 from homstab.groups import symmetric_group, alternating_group
 from homstab.simplicial import (build_W, build_S, lift_profile, link,
-                                complexes_isomorphic,
                                 connectivity_certificate,
                                 SimplicialComplex)
 from homstab.homology_engine import (trivial_module, permutation_module,
@@ -22,7 +21,7 @@ from homstab.coeffsys import (constant_system, standard_system,
 from homstab.laurent import lp, lm_eq
 from homstab import verifier
 from homstab.verifier import load_config, run_stability, report_emit
-from tests.oracles import abelianization, hopf_h2
+from tests.oracles import abelianization, complexes_isomorphic, hopf_h2
 
 
 def _cfg(**over):

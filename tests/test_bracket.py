@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import types
 
 import pytest
@@ -7,8 +11,10 @@ from homstab.bracket import BracketCategory
 from homstab.groupoids import (
     BraidedGroupoidInstance, FiniteRing, make_general_linear, make_symmetric,
     make_wreath)
-from homstab.groups import FiniteGroup, cyclic_group, symmetric_group
-from homstab.simplicial import build_W
+from homstab.groups import (BudgetExceeded, FiniteGroup, cyclic_group,
+                            symmetric_group)
+from homstab.simplicial import SemiSimplicialSet, build_W
+from tests import oracles
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for n in range(0, 7)
@@ -100,10 +106,12 @@ def test_face_inclusions_satisfy_simplicial_identity(sym_cat):
         for i in range(p + 1):
             for j in range(i):
                 # d_j d_i = d_{i-1} d_j on inclusions (dual identity)
-                lhs = cat.compose(cat.face_inclusion(p, i, x),
-                                  cat.face_inclusion(p - 1, j, x))
-                rhs = cat.compose(cat.face_inclusion(p, j, x),
-                                  cat.face_inclusion(p - 1, i - 1, x))
+                lhs = cat.compose(
+                    oracles.face_inclusion(cat, p, i, x),
+                    oracles.face_inclusion(cat, p - 1, j, x))
+                rhs = cat.compose(
+                    oracles.face_inclusion(cat, p, j, x),
+                    oracles.face_inclusion(cat, p - 1, i - 1, x))
                 assert lhs == rhs
 
 
@@ -178,8 +186,8 @@ def _local_standardness_unmemoized(cat, A, x, n_max):
     for n in range(2, n_max + 1):
         G_n = cat.G.aut(A + n * x)
         for f in cat.hom_set(2 * x, A + n * x):
-            d0 = cat.compose(f, cat.face_inclusion(1, 0, x))
-            d1 = cat.compose(f, cat.face_inclusion(1, 1, x))
+            d0 = cat.compose(f, oracles.face_inclusion(cat, 1, 0, x))
+            d1 = cat.compose(f, oracles.face_inclusion(cat, 1, 1, x))
             stab_f = {p for p in G_n if cat.post_compose(p, f) == f}
             stab_faces = {p for p in G_n
                           if cat.post_compose(p, d0) == d0
@@ -223,3 +231,110 @@ def test_stabilizer_matches_scan(make, n_top):
                 scan = {p for p in cat.G.aut(n)
                         if cat.post_compose(p, u) == u}
                 assert cat.stabilizer(u) == scan, u
+
+
+# (A, X) of the W_n that the face tests build
+W_SHAPES = [(0, 1), (1, 1), (0, 2)]
+
+
+def _largest_object(G):
+    """The largest n whose Aut(n) the group budget admits."""
+    n = 0
+    while True:
+        try:
+            G.aut(n + 1)
+        except BudgetExceeded:
+            return n
+        n += 1
+
+
+def _face_mismatches(cat, A, x, top):
+    """Where build_W and BracketCategory.face disagree with the bracket
+    composite f delta_i, over every W_n(A, X) with A + nX <= top."""
+    out = []
+    for n in range((top - A) // x + 1):
+        W, want = build_W(cat, A, x, n), oracles.build_W(cat, A, x, n)
+        if W.levels != want.levels or W.faces != want.faces:
+            out.append(("build_W", n))
+        for p, level in enumerate(W.levels):
+            for i in range(p + 1):
+                inc = oracles.face_inclusion(cat, p, i, x)
+                out += [("face", n, p, i, f) for f in level
+                        if cat.face(f, i, x) != cat.compose(f, inc)]
+    return out
+
+
+@pytest.mark.parametrize("name,make,n_max", COSET_CASES,
+                         ids=[c[0] for c in COSET_CASES])
+@pytest.mark.parametrize("A,x", W_SHAPES, ids=["A0X1", "A1X1", "A0X2"])
+def test_faces_match_bracket_composite(name, make, n_max, A, x):
+    cat = BracketCategory(make())
+    assert _face_mismatches(cat, A, x, _largest_object(cat.G)) == []
+
+
+class _MirroredFaces(BracketCategory):
+    """Face i reorders block p - i instead of block i."""
+
+    def face(self, f, i, x):
+        return super().face(f, f.source // x - 1 - i, x)
+
+
+@pytest.mark.parametrize("make", [
+    make_symmetric, lambda: make_wreath(cyclic_group(3)),
+    lambda: make_general_linear(FiniteRing(2))],
+    ids=["Sym", "Z/3 wr Sym", "GL(F_2)"])
+def test_face_comparison_catches_wrong_block(make):
+    # reversing the face order keeps the semi-simplicial identities, so
+    # only the comparison with the composite can see it
+    assert _face_mismatches(_MirroredFaces(make()), 0, 1, 3)
+
+
+def _broken_face_arrays():
+    # two edges on three vertices: d_0 d_1 of the triangle is vertex 1,
+    # through edge 0, but d_0 d_0 is vertex 2, through edge 1
+    levels = [[0, 1, 2], [(0, 1), (1, 2)], [(0, 1, 2)]]
+    faces = [None, [[1, 2], [0, 1]], [[1], [0], [0]]]
+    return levels, faces
+
+
+def test_semisimplicial_identity_violation_raises():
+    with pytest.raises(AssertionError, match="semi-simplicial identity"):
+        SemiSimplicialSet(*_broken_face_arrays())
+
+
+def test_hom_set_count_violation_raises():
+    # a coset minimum that returns f itself leaves Aut(1) + id unquotiented
+    G = make_symmetric()
+    G.coset_min = lambda c, f: f
+    with pytest.raises(AssertionError, match="hom set"):
+        BracketCategory(G).hom_set(1, 3)
+
+
+def test_checks_survive_optimized_python():
+    code = textwrap.dedent("""
+        from homstab.bracket import BracketCategory
+        from homstab.groupoids import make_symmetric
+        from homstab.simplicial import SemiSimplicialSet
+        from tests.test_bracket import _broken_face_arrays
+
+        assert False, "not running under python -O"
+        try:
+            SemiSimplicialSet(*_broken_face_arrays())
+        except AssertionError as exc:
+            print(exc)
+        G = make_symmetric()
+        G.coset_min = lambda c, f: f
+        try:
+            BracketCategory(G).hom_set(1, 3)
+        except AssertionError as exc:
+            print(exc)
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), root]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert "semi-simplicial identity" in lines[0]
+    assert "hom set" in lines[1]
