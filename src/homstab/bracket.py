@@ -10,6 +10,17 @@ closed form, with no group products; GL over a composite modulus by the
 generic minimum over the |Aut(c)| coset elements, which is also the
 oracle the closed forms are tested against.
 
+Hom(m, n) is the list of those minima (`hom_reps`).  The symmetric and
+wreath instances write it down in closed form, without Aut(n): an
+injective word t of length m, the last m slots, after the sorted points
+it misses, and for G wr Sym any base labels at the points of t and the
+least label elsewhere.  GL over any modulus scans Aut(n), one coset
+minimum per element; that scan is the oracle of the closed forms.
+`hom_set` checks the count against |Aut(n)| / |Aut(n-m)| (`aut_order`:
+the order formula for the closed forms, so that no group is built) and
+refuses an Aut(n) past the group budget as the group constructor does:
+the top level of W_n(0, X) has |Aut(n)| simplices.
+
 The same coset gives the stabilizer of a morphism without a scan:
 Stab([X^c, f]) = f (Aut(c) + id_m) f^-1, which local standardness reads
 for every edge of W_n.
@@ -18,7 +29,8 @@ Faces of W_n need no composition either.  Face i of f = [X^c, r]:
 X^{p+1} -> n is f (id_c + delta_i), and id_c + delta_i is a slot
 permutation: it moves block i of the tail (the source slots) next to the
 complement.  So the face is r with its slots reordered (`permute`, no
-product), then the coset minimum for the complement c + x.
+product), then the coset minimum for the complement c + x
+(`face_reps`, on reps, which `face` and `simplicial.build_W` share).
 """
 
 from __future__ import annotations
@@ -80,23 +92,24 @@ class BracketCategory:
         return self.canonicalize(0, n, self.G.identity(n))
 
     def hom_set(self, m: int, n: int) -> tuple[UMorphism, ...]:
-        """All morphisms m -> n, duplicate-free, sorted by rep."""
+        """All morphisms m -> n, duplicate-free, sorted by rep: the
+        instance's `hom_reps`, checked against |Aut(n)| / |Aut(n-m)| (also
+        under python -O).  |Aut(n)| passes the group budget first, so a
+        hom set past it is refused before it is listed."""
         if m > n:
             return ()
         key = (m, n)
         if key not in self._hom_cache:
-            seen = {}
-            for f in self.G.aut(n):
-                u = self.canonicalize(m, n, f)
-                seen[u.rep] = u
-            out = tuple(seen[r] for r in sorted(seen))
-            expected, rem = divmod(self.G.aut(n).order,
-                                   self.G.aut(n - m).order)
-            if rem or len(out) != expected:
+            G = self.G
+            expected, rem = divmod(G.aut_order(n), G.aut_order(n - m))
+            reps = G.hom_reps(m, n)
+            if rem or len(reps) != expected:
                 raise AssertionError(
-                    f"hom set ({m},{n}) has {len(out)} morphisms, not "
+                    f"hom set ({m},{n}) has {len(reps)} morphisms, not "
                     f"|Aut(n)| / |Aut(n-m)|")
-            self._hom_cache[key] = out
+            if len(set(reps)) != len(reps):
+                raise AssertionError(f"hom set ({m},{n}) lists a rep twice")
+            self._hom_cache[key] = tuple(UMorphism(m, n, r) for r in reps)
         return self._hom_cache[key]
 
     # -- categorical structure --------------------------------------
@@ -110,18 +123,23 @@ class BracketCategory:
         raw = G.mul(g.rep, G.block_sum(G.identity(c2), f.rep, c2, f.target))
         return self.canonicalize(f.source, g.target, raw)
 
-    def face(self, f: UMorphism, i: int, x: int) -> UMorphism:
-        """d_i f = f (id_c + delta_i) for f: X^{p+1} -> n, where delta_i:
+    def face_reps(self, m: int, n: int, reps, i: int, x: int) -> list:
+        """The reps of d_i [X^c, r] for each r in reps, morphisms
+        X^{p+1} = m -> n: d_i f = f (id_c + delta_i), where delta_i:
         X^p -> X^{p+1} inserts iota_X in slot i.  id_c + delta_i is the
         slot permutation that moves block i of the tail next to the
-        complement, so d_i f is the coset minimum of f.rep permuted."""
-        c = f.complement
-        if not 0 <= i < f.source // x:
+        complement, so d_i f is the coset minimum of r permuted."""
+        if not 0 <= i < m // x:
             raise ValueError("face index out of range")
         G = self.G
-        order = _face_order(c, i, x, f.target)
-        return UMorphism(f.source - x, f.target,
-                         G.coset_min(c + x, G.permute(f.rep, order)))
+        c = n - m
+        order = _face_order(c, i, x, n)
+        return [G.coset_min(c + x, G.permute(r, order)) for r in reps]
+
+    def face(self, f: UMorphism, i: int, x: int) -> UMorphism:
+        """d_i f for f: X^{p+1} -> n (`face_reps`)."""
+        rep, = self.face_reps(f.source, f.target, [f.rep], i, x)
+        return UMorphism(f.source - x, f.target, rep)
 
     def post_compose(self, phi, f: UMorphism) -> UMorphism:
         """Automorphism phi in Aut(f.target) acting on f."""

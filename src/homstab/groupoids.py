@@ -37,7 +37,9 @@ class BraidedGroupoidInstance:
     Subclasses provide `_make_aut`, `block_sum` and `braiding`; Aut(n)
     construction is memoized and budget-guarded.  Subclasses with a
     closed form for the minimum of a left-block coset override
-    `coset_min`.
+    `coset_min`; those that can list the coset minima of Hom(m, n)
+    without Aut(n) override `hom_reps`, and `aut_order` with the order
+    formula and budget check of their group constructor.
     """
 
     symmetric_flag = False
@@ -55,6 +57,11 @@ class BraidedGroupoidInstance:
 
     def _make_aut(self, n: int) -> FiniteGroup:
         raise NotImplementedError
+
+    def aut_order(self, n: int) -> int:
+        """|Aut(n)|, refused past the budget as `aut` refuses it.
+        Generic: the order of the enumerated group."""
+        return self.aut(n).order
 
     def block_sum(self, g, h, m: int, n: int):
         """g + h in Aut(m+n) with g in Aut(m), h in Aut(n)."""
@@ -99,17 +106,39 @@ class BraidedGroupoidInstance:
 
         Generic: |Aut(c)| products.  It is the fallback for instances
         without a closed form and the oracle the closed forms are tested
-        against.  When c is the degree of f the coset is all of Aut(c),
-        whose minimum is its first element.
+        against.  When c is 0 the coset is {f}; when c is the degree of f
+        it is all of Aut(c), whose minimum is its first element.
         """
+        if c == 0:
+            return f
         n = self.degree(f)
         if c == n:
             return self.aut(n).elements[0]
         block = self.left_block(c, n - c)
         return min(self.mul(f, b) for b in block)
 
+    def hom_reps(self, m: int, n: int) -> list:
+        """The coset minima of Hom(m, n), sorted: coset_min(n - m, f) for
+        f in Aut(n).
+
+        Generic: one `coset_min` per element of Aut(n).  It is the
+        fallback for instances without a closed form and the oracle the
+        closed forms are tested against.
+        """
+        return sorted({self.coset_min(n - m, f) for f in self.aut(n)})
+
     def identity(self, n: int):
         return self.aut(n).identity
+
+
+def _injective_words(m: int, n: int) -> list:
+    """The injective words t of length m in 0..n-1, each with the sorted
+    tuple of the points it misses: [(t, complement)]."""
+    words = [((), tuple(range(n)))]
+    for _ in range(m):
+        words = [(t + (r[j],), r[:j] + r[j + 1:])
+                 for t, r in words for j in range(len(r))]
+    return words
 
 
 class SymmetricGroupoid(BraidedGroupoidInstance):
@@ -134,9 +163,17 @@ class SymmetricGroupoid(BraidedGroupoidInstance):
     def braiding(self, m, n):
         return gr.perm_braiding(m, n)
 
+    def aut_order(self, n):
+        return gr.symmetric_order(n, self.budget)
+
     def coset_min(self, c, f):
         # right multiplication by Aut(c) + id permutes the first c images
         return tuple(sorted(f[:c])) + f[c:]
+
+    def hom_reps(self, m, n):
+        # a coset is fixed by its injective tail t, the last m images, and
+        # its minimum lists the points t misses first, sorted
+        return sorted(r + t for t, r in _injective_words(m, n))
 
 
 class WreathGroupoid(BraidedGroupoidInstance):
@@ -186,6 +223,26 @@ class WreathGroupoid(BraidedGroupoidInstance):
         for i in moved:
             labels[i] = least
         return (tuple(labels), tuple(sorted(moved)) + s[c:])
+
+    def aut_order(self, n):
+        return gr.wreath_order(self.base, n, self.budget)
+
+    def hom_reps(self, m, n):
+        # the minima that coset_min gives: an injective tail t, any base
+        # labels at its points and the least label at the points it misses
+        elements = self.base.elements
+        least = elements[0]
+        labellings = [()]
+        for _ in range(m):
+            labellings = [lab + (b,) for lab in labellings for b in elements]
+        out = []
+        for t, r in _injective_words(m, n):
+            for lab in labellings:
+                labels = [least] * n
+                for i, b in zip(t, lab):
+                    labels[i] = b
+                out.append((tuple(labels), r + t))
+        return sorted(out)
 
 
 class GeneralLinearGroupoid(BraidedGroupoidInstance):

@@ -138,8 +138,15 @@ def perm_inv(g):
     return tuple(out)
 
 
+def symmetric_order(n, budget=DEFAULT_GROUP_BUDGET) -> int:
+    """|Sym(n)|, refused past budget as `symmetric_group` refuses it."""
+    order = math.factorial(n)
+    _check_order(f"Sym({n})", order, budget)
+    return order
+
+
 def symmetric_group(n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
-    _check_order(f"Sym({n})", math.factorial(n), budget)
+    symmetric_order(n, budget)
     elems = list(itertools.permutations(range(n)))
     gens = [tuple_swap(n, i) for i in range(n - 1)] if n > 1 else []
     return FiniteGroup(elems, perm_mul, perm_inv, perm_identity(n),
@@ -364,9 +371,15 @@ def wreath_inv(base):
     return inv
 
 
+def wreath_order(base: FiniteGroup, n, budget=DEFAULT_GROUP_BUDGET) -> int:
+    """|base wr Sym(n)|, refused past budget as `wreath_group` refuses it."""
+    order = base.order ** n * math.factorial(n)
+    _check_order(f"{base.name} wr Sym({n})", order, budget)
+    return order
+
+
 def wreath_group(base: FiniteGroup, n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
-    _check_order(f"{base.name} wr Sym({n})",
-                 base.order ** n * math.factorial(n), budget)
+    wreath_order(base, n, budget)
     elems = [(labels, p)
              for labels in itertools.product(base.elements, repeat=n)
              for p in itertools.permutations(range(n))]

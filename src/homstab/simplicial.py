@@ -33,17 +33,24 @@ class SemiSimplicialSet:
         self._check_identities()
 
     def _check_identities(self):
+        """Each identity is compared on a whole level at once; a
+        violation names the first simplex, then the first j and i."""
         for p in range(2, len(self.levels)):
-            for s in range(len(self.levels[p])):
-                for j in range(1, p + 1):
-                    for i in range(j):
-                        a = self.faces[p - 1][i][self.faces[p][j][s]]
-                        b = self.faces[p - 1][j - 1][self.faces[p][i][s]]
-                        if a != b:
-                            raise AssertionError(
-                                f"semi-simplicial identity d_{i} d_{j} = "
-                                f"d_{j - 1} d_{i} violated on simplex {s} "
-                                f"of level {p}")
+            top, below = self.faces[p], self.faces[p - 1]
+            bad = []
+            for j in range(1, p + 1):
+                for i in range(j):
+                    a = [below[i][t] for t in top[j]]
+                    b = [below[j - 1][t] for t in top[i]]
+                    if a != b:
+                        s = next(s for s, (u, v) in enumerate(zip(a, b))
+                                 if u != v)
+                        bad.append((s, j, i))
+            if bad:
+                s, j, i = min(bad)
+                raise AssertionError(
+                    f"semi-simplicial identity d_{i} d_{j} = "
+                    f"d_{j - 1} d_{i} violated on simplex {s} of level {p}")
 
     @property
     def dimension(self):
@@ -52,25 +59,18 @@ class SemiSimplicialSet:
     def level_sizes(self):
         return [len(l) for l in self.levels]
 
-    def vertex_tuple(self, p, s):
-        """Ordered vertex indices of simplex s in level p: entry i is the
-        vertex obtained by dropping all slots except i."""
-        out = []
-        for i in range(p + 1):
-            idx = s
-            # repeatedly remove the last slot, then the front ones, so
-            # that slot i survives: apply d_j for j != i from the top
-            q = p
-            pos = i
-            while q > 0:
-                if pos < q:
-                    idx = self.faces[q][q][idx]
-                else:
-                    idx = self.faces[q][0][idx]
-                    pos -= 1
-                q -= 1
-            out.append(idx)
-        return tuple(out)
+    def vertex_tuples(self):
+        """The ordered vertex indices of every simplex, level by level:
+        entry i of simplex s is the vertex that survives when every slot
+        but i is dropped.  Vertex p of s is the last vertex of d_0 s, and
+        the others are the vertices of d_p s."""
+        out = [[(v,) for v in range(len(self.levels[0]))]] \
+            if self.levels else []
+        for p in range(1, len(self.levels)):
+            below = out[-1]
+            out.append([below[last] + below[first][-1:] for last, first
+                        in zip(self.faces[p][p], self.faces[p][0])])
+        return out
 
     def chain_complex(self) -> "ChainComplex":
         return ChainComplex(self)
@@ -170,8 +170,8 @@ class ChainComplex:
 
 def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
     """W_n(A,X): p-simplices are Hom(X^{p+1}, A + nX) for p < n; face i
-    forgets slot i (`BracketCategory.face`: a slot permutation, then the
-    coset minimum)."""
+    forgets slot i (`BracketCategory.face_reps`: a slot permutation, then
+    the coset minimum), computed on the reps of a whole level."""
     obj = A + n * x
     levels = []
     for p in range(n):
@@ -183,16 +183,17 @@ def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
     faces = [None]
     for p in range(1, len(levels)):
         idx = {f.rep: i for i, f in enumerate(levels[p - 1])}
-        faces.append([[idx[U.face(f, i, x).rep] for f in levels[p]]
+        reps = [f.rep for f in levels[p]]
+        faces.append([[idx[r] for r in
+                       U.face_reps((p + 1) * x, obj, reps, i, x)]
                       for i in range(p + 1)])
     return SemiSimplicialSet(levels, faces)
 
 
 def _distinct_vertex_tuples(W: SemiSimplicialSet):
     """The vertex tuples of the W-simplices whose vertices are distinct."""
-    for p, level in enumerate(W.levels):
-        for s in range(len(level)):
-            vt = W.vertex_tuple(p, s)
+    for p, level in enumerate(W.vertex_tuples()):
+        for vt in level:
             if len(set(vt)) == p + 1:
                 yield vt
 

@@ -15,18 +15,23 @@ every chain level at once, a simplicial complex's boundaries and
 2-skeleton from its set of sorted tuples rather than from face arrays,
 and lift profiles keyed by a given S_n.
 
-The W_n oracle computes every face in the bracket category, as the
-composite f delta_i with the face inclusion delta_i built from monoidal
-sums; simplicial.build_W reorders slots instead.  The complex
-comparisons (isomorphism search, Y^ord) check W_n and S_n against the
-paper's descriptions of them.
+The W_n oracle lists every level by the generic scan of Aut(A + nX)
+and computes every face in the bracket category, as the composite
+f delta_i with the face inclusion delta_i built from monoidal sums;
+simplicial.build_W reads the closed-form hom sets and reorders slots
+instead.  vertex_tuple walks the faces down to each vertex, where
+SemiSimplicialSet.vertex_tuples builds the tuples level by level.  The
+complex comparisons (isomorphism search, Y^ord) check W_n and S_n
+against the paper's descriptions of them.
 """
 
 import itertools
 import math
 
+from homstab.bracket import UMorphism
 from homstab.exact_linalg import (FGAbelianGroup, SparseCols,
                                   homology_of_pair, smith_normal_form)
+from homstab.groupoids import BraidedGroupoidInstance
 from homstab.groups import FiniteGroup
 from homstab.pi1 import TwoSkeleton
 from homstab.simplicial import (LiftProfile, SemiSimplicialSet,
@@ -308,6 +313,43 @@ def two_skeleton_from_complex(S) -> TwoSkeleton:
     return TwoSkeleton(S.n_vertices, edges, tris)
 
 
+def first_identity_violation(X):
+    """The message SemiSimplicialSet raises for the first identity
+    d_i d_j = d_{j-1} d_i (i < j) that X violates, scanning simplex by
+    simplex, or None."""
+    for p in range(2, len(X.levels)):
+        for s in range(len(X.levels[p])):
+            for j in range(1, p + 1):
+                for i in range(j):
+                    if X.faces[p - 1][i][X.faces[p][j][s]] != \
+                            X.faces[p - 1][j - 1][X.faces[p][i][s]]:
+                        return (f"semi-simplicial identity d_{i} d_{j} = "
+                                f"d_{j - 1} d_{i} violated on simplex {s} "
+                                f"of level {p}")
+    return None
+
+
+def vertex_tuple(X, p, s):
+    """Ordered vertex indices of simplex s in level p: entry i is the
+    vertex obtained by dropping all slots except i, one face at a time."""
+    out = []
+    for i in range(p + 1):
+        idx = s
+        # repeatedly remove the last slot, then the front ones, so
+        # that slot i survives: apply d_j for j != i from the top
+        q = p
+        pos = i
+        while q > 0:
+            if pos < q:
+                idx = X.faces[q][q][idx]
+            else:
+                idx = X.faces[q][0][idx]
+                pos -= 1
+            q -= 1
+        out.append(idx)
+    return tuple(out)
+
+
 def lift_profile(W, S) -> LiftProfile:
     """The W-lifts of every simplex of a given S, counted by vertex
     tuple, with the conditions (A) and (B) of simplicial.lift_profile."""
@@ -315,7 +357,7 @@ def lift_profile(W, S) -> LiftProfile:
     orderings = {s: set() for s in S.simplices}
     for p in range(len(W.levels)):
         for i in range(len(W.levels[p])):
-            vt = W.vertex_tuple(p, i)
+            vt = vertex_tuple(W, p, i)
             key = tuple(sorted(set(vt)))
             if len(set(vt)) == p + 1 and key in counts:
                 counts[key] += 1
@@ -343,9 +385,13 @@ def face_inclusion(U, p: int, i: int, x: int):
 
 
 def build_W(U, A: int, x: int, n: int) -> SemiSimplicialSet:
-    """W_n(A,X) with face i the composite f delta_i in U."""
+    """W_n(A,X) with levels from the generic scan of Aut(A + nX)
+    (`BraidedGroupoidInstance.hom_reps`) and face i the composite
+    f delta_i in U."""
     obj = A + n * x
-    levels = [list(U.hom_set((p + 1) * x, obj)) for p in range(n)]
+    levels = [[UMorphism((p + 1) * x, obj, r) for r in
+               BraidedGroupoidInstance.hom_reps(U.G, (p + 1) * x, obj)]
+              for p in range(n)]
     while levels and not levels[-1]:
         levels.pop()
     faces = [None]
@@ -422,7 +468,8 @@ def w_isomorphic_to_ord(W: SemiSimplicialSet, ordW: SemiSimplicialSet) -> bool:
     if W.level_sizes() != ordW.level_sizes():
         return False
     for p in range(len(W.levels)):
-        tuples = [W.vertex_tuple(p, s) for s in range(len(W.levels[p]))]
+        tuples = [vertex_tuple(W, p, s)
+                  for s in range(len(W.levels[p]))]
         if len(set(tuples)) != len(tuples):
             return False
         if any(len(set(t)) != p + 1 for t in tuples):
@@ -431,7 +478,7 @@ def w_isomorphic_to_ord(W: SemiSimplicialSet, ordW: SemiSimplicialSet) -> bool:
         if p:
             for s, t in enumerate(tuples):
                 for i in range(p + 1):
-                    ft = W.vertex_tuple(p - 1, W.faces[p][i][s])
+                    ft = vertex_tuple(W, p - 1, W.faces[p][i][s])
                     if ft != t[:i] + t[i + 1:]:
                         return False
     return True

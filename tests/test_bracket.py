@@ -9,8 +9,8 @@ import pytest
 
 from homstab.bracket import BracketCategory
 from homstab.groupoids import (
-    BraidedGroupoidInstance, FiniteRing, make_general_linear, make_symmetric,
-    make_wreath)
+    BraidedGroupoidInstance, FiniteRing, SymmetricGroupoid, WreathGroupoid,
+    make_general_linear, make_symmetric, make_wreath)
 from homstab.groups import (BudgetExceeded, FiniteGroup, cyclic_group,
                             symmetric_group)
 from homstab.simplicial import SemiSimplicialSet, build_W
@@ -153,11 +153,55 @@ def test_canonicalize_matches_coset_minimum(name, make, n_max):
                 assert cat.canonicalize(n - c, n, f).rep == expect, (n, c, f)
 
 
+# (A, X) of the W_n that the face tests build
+W_SHAPES = [(0, 1), (1, 1), (0, 2)]
+
+
+def _largest_object(G):
+    """The largest n whose Aut(n) the group budget admits."""
+    n = 0
+    while True:
+        try:
+            G.aut(n + 1)
+        except BudgetExceeded:
+            return n
+        n += 1
+
+
+@pytest.mark.parametrize("name,make,n_max", COSET_CASES,
+                         ids=[c[0] for c in COSET_CASES])
+def test_hom_reps_match_scan(name, make, n_max):
+    # the closed-form hom sets against the generic scan of Aut(n), for
+    # every 0 <= m <= n up to the largest object the group budget admits;
+    # the order formula against the enumerated order, and its refusal
+    # against the group constructor's
+    G = make()
+    closed_form = not name.startswith("GL")
+    assert (type(G).hom_reps is not BraidedGroupoidInstance.hom_reps) \
+        == closed_form
+    assert (type(G).aut_order is not BraidedGroupoidInstance.aut_order) \
+        == closed_form
+    top = _largest_object(G)
+    assert top >= n_max
+    for n in range(top + 1):
+        assert G.aut_order(n) == G.aut(n).order
+        for m in range(n + 1):
+            assert G.hom_reps(m, n) == \
+                BraidedGroupoidInstance.hom_reps(G, m, n), (m, n)
+    with pytest.raises(BudgetExceeded) as formula:
+        G.aut_order(top + 1)
+    with pytest.raises(BudgetExceeded) as enumeration:
+        G.aut(top + 1)
+    assert (str(formula.value), formula.value.estimate) == \
+        (str(enumeration.value), enumeration.value.estimate)
+
+
 def test_W_levels_match_generic_coset_minimum():
     closed = make_wreath(cyclic_group(3))
     generic = make_wreath(cyclic_group(3))
-    generic.coset_min = types.MethodType(BraidedGroupoidInstance.coset_min,
-                                         generic)
+    for method in ("coset_min", "hom_reps", "aut_order"):
+        setattr(generic, method, types.MethodType(
+            getattr(BraidedGroupoidInstance, method), generic))
     W = build_W(BracketCategory(closed), 0, 1, 3)
     W_generic = build_W(BracketCategory(generic), 0, 1, 3)
     assert W.levels == W_generic.levels
@@ -233,21 +277,6 @@ def test_stabilizer_matches_scan(make, n_top):
                 assert cat.stabilizer(u) == scan, u
 
 
-# (A, X) of the W_n that the face tests build
-W_SHAPES = [(0, 1), (1, 1), (0, 2)]
-
-
-def _largest_object(G):
-    """The largest n whose Aut(n) the group budget admits."""
-    n = 0
-    while True:
-        try:
-            G.aut(n + 1)
-        except BudgetExceeded:
-            return n
-        n += 1
-
-
 def _face_mismatches(cat, A, x, top):
     """Where build_W and BracketCategory.face disagree with the bracket
     composite f delta_i, over every W_n(A, X) with A + nX <= top."""
@@ -273,10 +302,11 @@ def test_faces_match_bracket_composite(name, make, n_max, A, x):
 
 
 class _MirroredFaces(BracketCategory):
-    """Face i reorders block p - i instead of block i."""
+    """Face i reorders block p - i instead of block i, in build_W and in
+    face alike."""
 
-    def face(self, f, i, x):
-        return super().face(f, f.source // x - 1 - i, x)
+    def face_reps(self, m, n, reps, i, x):
+        return super().face_reps(m, n, reps, m // x - 1 - i, x)
 
 
 @pytest.mark.parametrize("make", [
@@ -286,7 +316,9 @@ class _MirroredFaces(BracketCategory):
 def test_face_comparison_catches_wrong_block(make):
     # reversing the face order keeps the semi-simplicial identities, so
     # only the comparison with the composite can see it
-    assert _face_mismatches(_MirroredFaces(make()), 0, 1, 3)
+    out = _face_mismatches(_MirroredFaces(make()), 0, 1, 3)
+    assert {("build_W", 2), ("build_W", 3)} <= set(out)
+    assert any(m[0] == "face" for m in out)
 
 
 def _broken_face_arrays():
@@ -303,31 +335,60 @@ def test_semisimplicial_identity_violation_raises():
 
 
 def test_hom_set_count_violation_raises():
-    # a coset minimum that returns f itself leaves Aut(1) + id unquotiented
-    G = make_symmetric()
+    # GL(Z/4) lists its hom sets by scanning Aut(n) with coset_min; one
+    # that returns f itself leaves Aut(1) + id unquotiented
+    G = make_general_linear(FiniteRing(4))
     G.coset_min = lambda c, f: f
-    with pytest.raises(AssertionError, match="hom set"):
-        BracketCategory(G).hom_set(1, 3)
+    with pytest.raises(AssertionError, match=r"hom set \(1,2\) has 96"):
+        BracketCategory(G).hom_set(1, 2)
+
+
+def _broken_closed_forms():
+    """(instance, m, n, message) for closed-form hom sets that break the
+    check: Sym with one rep dropped, Z/3 wr Sym with the first rep in
+    place of the second."""
+    sym = make_symmetric()
+    sym.hom_reps = lambda m, n: SymmetricGroupoid.hom_reps(sym, m, n)[1:]
+    wreath = make_wreath(cyclic_group(3))
+
+    def repeated(m, n):
+        reps = WreathGroupoid.hom_reps(wreath, m, n)
+        return reps[:1] + reps[:1] + reps[2:]
+
+    wreath.hom_reps = repeated
+    return [(sym, 1, 3, "hom set (1,3) has 2 morphisms"),
+            (wreath, 1, 3, "hom set (1,3) lists a rep twice")]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["Sym drops", "Z/3 wr repeats"])
+def test_closed_form_hom_set_violation_raises(case):
+    G, m, n, message = _broken_closed_forms()[case]
+    with pytest.raises(AssertionError) as exc:
+        BracketCategory(G).hom_set(m, n)
+    assert str(exc.value).startswith(message)
 
 
 def test_checks_survive_optimized_python():
     code = textwrap.dedent("""
         from homstab.bracket import BracketCategory
-        from homstab.groupoids import make_symmetric
+        from homstab.groupoids import FiniteRing, make_general_linear
         from homstab.simplicial import SemiSimplicialSet
-        from tests.test_bracket import _broken_face_arrays
+        from tests.test_bracket import (_broken_closed_forms,
+                                        _broken_face_arrays)
 
         assert False, "not running under python -O"
         try:
             SemiSimplicialSet(*_broken_face_arrays())
         except AssertionError as exc:
             print(exc)
-        G = make_symmetric()
+        G = make_general_linear(FiniteRing(4))
         G.coset_min = lambda c, f: f
-        try:
-            BracketCategory(G).hom_set(1, 3)
-        except AssertionError as exc:
-            print(exc)
+        cases = [(G, 1, 2, None)] + _broken_closed_forms()
+        for G, m, n, _ in cases:
+            try:
+                BracketCategory(G).hom_set(m, n)
+            except AssertionError as exc:
+                print(exc)
     """)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -335,6 +396,8 @@ def test_checks_survive_optimized_python():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 4
     assert "semi-simplicial identity" in lines[0]
-    assert "hom set" in lines[1]
+    assert lines[1].startswith("hom set (1,2) has 96 morphisms")
+    for line, case in zip(lines[2:], _broken_closed_forms()):
+        assert line.startswith(case[3])

@@ -1,7 +1,9 @@
 """W_n and S_n against the complex oracles: boundaries matrix for matrix,
-2-skeletons edge for edge, reduced homology and lift profiles, on every
-W_n and S_n the suite builds; and the invariants of the one
-semi-simplicial type."""
+2-skeletons edge for edge, reduced homology, lift profiles and vertex
+tuples, on every W_n and S_n the suite builds; and the invariants of the
+one semi-simplicial type."""
+
+import types
 
 import pytest
 
@@ -68,6 +70,48 @@ def test_links_match_oracles(sym_cat):
         S = build_S(build_W(sym_cat, 0, 1, n))
         for p in range(n - 1):
             _assert_complex_matches(link(S, tuple(range(p + 1))))
+
+
+def _assert_vertex_tuples_match(X):
+    assert X.vertex_tuples() == [
+        [oracles.vertex_tuple(X, p, s) for s in range(len(level))]
+        for p, level in enumerate(X.levels)]
+
+
+@pytest.mark.parametrize("family, A, n_max", FAMILIES)
+def test_vertex_tuples_match_oracle(request, family, A, n_max):
+    cat = request.getfixturevalue(family)
+    for n in range(n_max + 1):
+        W = build_W(cat, A, 1, n)
+        _assert_vertex_tuples_match(W)
+        _assert_vertex_tuples_match(build_S(W))
+
+
+def test_link_vertex_tuples_match_oracle(sym_cat):
+    for n in range(2, 7):
+        S = build_S(build_W(sym_cat, 0, 1, n))
+        for p in range(n - 1):
+            _assert_vertex_tuples_match(link(S, tuple(range(p + 1))))
+
+
+@pytest.mark.parametrize("moved", [
+    [(2, 2, 5)], [(2, 0, 0)], [(3, 1, 119)],
+    [(2, 0, 30), (2, 2, 4)], [(3, 0, 50), (3, 3, 20)]])
+def test_identity_violation_names_first_simplex(sym_cat, moved):
+    # faces (p, k, s) of W_5 over Sym moved to the next simplex of the
+    # level below; the level-wide check names the simplex, j and i that a
+    # scan simplex by simplex meets first, also when a later simplex
+    # breaks an earlier identity
+    W = build_W(sym_cat, 0, 1, 5)
+    faces = [None] + [[list(row) for row in level] for level in W.faces[1:]]
+    for p, k, s in moved:
+        faces[p][k][s] = (faces[p][k][s] + 1) % len(W.levels[p - 1])
+    broken = types.SimpleNamespace(levels=W.levels, faces=faces)
+    message = oracles.first_identity_violation(broken)
+    assert message is not None
+    with pytest.raises(AssertionError) as exc:
+        SemiSimplicialSet(W.levels, faces)
+    assert str(exc.value) == message
 
 
 def test_chain_levels_built_on_first_read(sym_cat):
