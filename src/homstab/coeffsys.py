@@ -837,17 +837,3 @@ class BurauSystem:
             if not (e2.kernel_trivial() and e2.cokernel_rank() == 0):
                 return DegreeProfile("exceeds", None, None, self.n_max)
         return DegreeProfile("ok", 1, 0, self.n_max)
-
-
-def presented_abelianization(family: PresentedGroupFamily,
-                             n: int) -> FGAbelianGroup:
-    """Abelianization of G_n from relator exponent sums."""
-    g = family.gens(n)
-    cols = []
-    for word in family.relators(n):
-        col = [0] * g
-        for letter in word:
-            col[abs(letter) - 1] += 1 if letter > 0 else -1
-        cols.append({i: v for i, v in enumerate(col) if v})
-    return presented_subquotient(SparseCols.zero(0, g), SparseCols(g, cols),
-                                 [], []).group

@@ -7,7 +7,8 @@ normal form keeps only the row transforms U and Uinv.
 
 `presented_subquotient` is the one routine for presented abelian groups:
 every homology group, kernel, cokernel and subquotient, and every epi/iso
-verdict of `classify_induced`, is computed by it.
+verdict of `classify_induced`, is computed by it.  `reduce_unit_pairs`
+shrinks a chain complex by its +-1 pairs before it gets there.
 """
 
 from __future__ import annotations
@@ -654,16 +655,80 @@ def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
     return assemble_subquotient(n, kbasis, leads, image)
 
 
+def check_composable(d_out: SparseCols, d_in: SparseCols) -> None:
+    """Raise ValueError unless d_out @ d_in is defined and zero."""
+    if d_in.nrows != d_out.ncols:
+        raise ValueError("chain level dimension mismatch")
+    if any(map(d_out.apply, d_in.cols)):
+        raise ValueError("boundary of boundary is nonzero")
+
+
 def homology_of_pair(d_out: SparseCols, d_in: SparseCols) -> Subquotient:
     """ker(d_out) / im(d_in) where d_out: Z^n -> Z^m, d_in: Z^p -> Z^n.
 
     Asserts d_out @ d_in == 0.
     """
-    if d_in.nrows != d_out.ncols:
-        raise ValueError("chain level dimension mismatch")
-    if not d_out.compose(d_in).is_zero():
-        raise ValueError("boundary of boundary is nonzero")
+    check_composable(d_out, d_in)
     return presented_subquotient(d_out, d_in, [], [])
+
+
+def reduce_unit_pairs(boundaries: list[SparseCols]) -> None:
+    """Reduce a chain complex in place to a smaller one with the same
+    homology.
+
+    boundaries[p] is d_p: C_p -> C_{p-1} with d_{p-1} d_p = 0, no two
+    columns the same dict; the complex is read as ending at C_m, m =
+    len(boundaries) - 1, so its homology is kept in degrees below m.
+    Level by level from the bottom, a pair (b in C_p, a in C_{p-1}) with
+    <d b, a> = u = +-1 is removed (Kaczynski-Mrozek-Slusarek): every
+    other c of C_p with <d c, a> = lam != 0 gets d c -= lam * u * d b,
+    and b's row leaves d_{p+1}.  Rows a are taken with the fewest cofaces
+    first (Markowitz order) and b with the fewest faces, so fill-in stays
+    small.  Non-unit entries are never pivots: what they carry is left
+    to the Hermite form.  On return boundaries[p] maps the surviving
+    cells of C_p, in their old order, to those of C_{p-1}.
+    """
+    # paired[p + 1]: the cells of C_p removed so far
+    paired = [set() for _ in range(len(boundaries) + 1)]
+    for p, d in enumerate(boundaries):
+        level, rows = d.cols, paired[p]   # rows: the b of one level down
+        cofaces = [[] for _ in range(d.nrows)]
+        for j, c in enumerate(level):
+            if rows:
+                for r in rows.intersection(c):
+                    del c[r]
+            for r in c:
+                cofaces[r].append(j)
+        heap = [(len(cf), a) for a, cf in enumerate(cofaces) if cf]
+        heapq.heapify(heap)
+        while heap:
+            n, a = heapq.heappop(heap)
+            live = [j for j in dict.fromkeys(cofaces[a]) if a in level[j]]
+            cofaces[a] = live
+            if len(live) != n:   # fill-in or cancellation since pushed
+                if live:
+                    heapq.heappush(heap, (len(live), a))
+                continue
+            units = [j for j in live if level[j][a] in (1, -1)]
+            if not units:
+                continue
+            b = min(units, key=lambda j: len(level[j]))
+            db, u = level[b], level[b][a]
+            for j in live:
+                if j != b:
+                    c = level[j]
+                    for r in db.keys() - c.keys():
+                        cofaces[r].append(j)
+                    _submul(c, db, c[a] * u)
+            db.clear()
+            rows.add(a)
+            paired[p + 1].add(b)
+    for p, d in enumerate(boundaries):
+        pos = {r: i for i, r in enumerate(
+            r for r in range(d.nrows) if r not in paired[p])}
+        d.nrows = len(pos)
+        d.cols = [{pos[r]: v for r, v in c.items()} if c else c
+                  for j, c in enumerate(d.cols) if j not in paired[p + 1]]
 
 
 def assemble_subquotient(n: int, kbasis, leads,

@@ -741,32 +741,3 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
             h_b_im1.gen_orders())
     out["exact"] = all(d.is_trivial() for d in out["defects"].values())
     return out
-
-
-# ----------------------------------------------------------------------
-# conjugation invariance
-
-
-def conjugation_acts_trivially(M: GModule, i: int,
-                               budget: BarBudget | None = None) -> bool:
-    """True iff every inner automorphism induces the identity on
-    H_i(G; M).  Exhaustive over the group."""
-    G = M.group
-    cx = resolve(M, budget or BarBudget(), top=i + 1)
-    hq = cx.homology(i)
-    orders = hq.gen_orders()
-    ngen = len(orders)
-    for h in G.elements:
-        # the chain self-map of g |-> h g h^{-1} together with m |-> h.m
-        hinv = G.inv(h)
-        f = cx.chain_map(i, cx, lambda g: G.mul(G.mul(h, g), hinv),
-                         M.act(h))
-        Mc = induced_matrix(f, hq, hq)
-        for r in range(ngen):
-            for c in range(ngen):
-                want = 1 if r == c else 0
-                d = Mc[r][c] - want
-                o = orders[r]
-                if (d % o if o else d) != 0:
-                    return False
-    return True

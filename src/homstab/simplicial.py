@@ -4,8 +4,9 @@ certificates.
 
 A simplicial complex is the semi-simplicial set of its sorted simplices
 (face i drops vertex i), so W_n and S_n share one chain complex, one
-2-skeleton and one certificate.  Chain levels are built when first read:
-a certificate up to degree t reads levels 0..t+1 only.
+2-skeleton and one certificate.  A certificate up to degree t builds
+chain levels 0..t+1 only and cancels their unit pairs before any
+Hermite form.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .bracket import BracketCategory
-from .exact_linalg import SparseCols, homology_of_pair, FGAbelianGroup
+from .exact_linalg import (FGAbelianGroup, SparseCols, check_composable,
+                           homology_of_pair, reduce_unit_pairs)
 
 
 class SemiSimplicialSet:
@@ -120,24 +122,21 @@ class ChainComplex:
     boundary(0) is the augmentation C_0 -> Z and boundary(p): C_p ->
     C_{p-1} is the alternating sum of the faces.
 
-    A boundary is built when it is first read and kept in `built`.  d d = 0
-    needs no check of its own: it follows from the face identities that
-    X asserted, and homology_of_pair checks each pair it reads.
+    boundary(p) builds d_p afresh from the face arrays and records p in
+    `built`.  d d = 0 follows from the face identities that X asserted;
+    `reduced` checks it again on each pair it builds, before the
+    reduction overwrites them.
     """
 
     def __init__(self, X: SemiSimplicialSet):
         self.X = X
-        self.built = {}
+        self.built = set()
 
     def level_dim(self, p):
         return len(self.X.levels[p]) if 0 <= p < len(self.X.levels) else 0
 
     def boundary(self, p) -> SparseCols:
-        if p not in self.built:
-            self.built[p] = self._build(p)
-        return self.built[p]
-
-    def _build(self, p) -> SparseCols:
+        self.built.add(p)
         if p == 0:
             return SparseCols(1, [{0: 1} for _ in range(self.level_dim(0))])
         cols = []
@@ -151,16 +150,29 @@ class ChainComplex:
                 cols.append({k: v for k, v in col.items() if v})
         return SparseCols(self.level_dim(p - 1), cols)
 
+    def reduced(self, up_to) -> list[SparseCols]:
+        """Boundaries 0..up_to+1, or fewer when X ends below up_to, with
+        d d = 0 checked on each pair and then reduced by unit pairs
+        (`reduce_unit_pairs`): a complex with the reduced homology of X
+        in degrees 0..up_to.  Builds no other boundary."""
+        top = min(up_to + 1, len(self.X.levels))
+        ds = [self.boundary(p) for p in range(top + 1)]
+        for d_out, d_in in zip(ds, ds[1:]):
+            check_composable(d_out, d_in)
+        reduce_unit_pairs(ds)
+        return ds
+
     def reduced_homology(self, up_to):
-        """H-tilde_i for 0 <= i <= up_to (augmented complex); reads
-        boundaries 0..up_to+1 and builds no other."""
+        """H-tilde_i for 0 <= i <= up_to (augmented complex): the
+        homology of the reduced complex, by Hermite and Smith forms only
+        where a level it reads is not empty."""
+        ds = self.reduced(up_to)
         out = []
         for i in range(up_to + 1):
-            if self.level_dim(i) == 0:
+            if i + 1 >= len(ds) or ds[i].ncols == 0:
                 out.append(FGAbelianGroup(0))
-                continue
-            sq = homology_of_pair(self.boundary(i), self.boundary(i + 1))
-            out.append(sq.group)
+            else:
+                out.append(homology_of_pair(ds[i], ds[i + 1]).group)
         return out
 
 

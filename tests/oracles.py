@@ -23,6 +23,10 @@ instead.  vertex_tuple walks the faces down to each vertex, where
 SemiSimplicialSet.vertex_tuples builds the tuples level by level.  The
 complex comparisons (isomorphism search, Y^ord) check W_n and S_n
 against the paper's descriptions of them.
+
+conjugation_acts_trivially checks H_i(G; M) against every inner
+automorphism of G, and presented_abelianization reads G_n^ab off the
+exponent sums of a family's relators; src has no caller of either.
 """
 
 import itertools
@@ -30,9 +34,11 @@ import math
 
 from homstab.bracket import UMorphism
 from homstab.exact_linalg import (FGAbelianGroup, SparseCols,
-                                  homology_of_pair, smith_normal_form)
-from homstab.groupoids import BraidedGroupoidInstance
+                                  homology_of_pair, induced_matrix,
+                                  presented_subquotient, smith_normal_form)
+from homstab.groupoids import BraidedGroupoidInstance, PresentedGroupFamily
 from homstab.groups import FiniteGroup
+from homstab.homology_engine import BarBudget, GModule, resolve
 from homstab.pi1 import TwoSkeleton
 from homstab.simplicial import (LiftProfile, SemiSimplicialSet,
                                 SimplicialComplex, _tuple_faces)
@@ -482,3 +488,42 @@ def w_isomorphic_to_ord(W: SemiSimplicialSet, ordW: SemiSimplicialSet) -> bool:
                     if ft != t[:i] + t[i + 1:]:
                         return False
     return True
+
+
+def conjugation_acts_trivially(M: GModule, i: int,
+                               budget: BarBudget | None = None) -> bool:
+    """True iff every inner automorphism induces the identity on
+    H_i(G; M).  Exhaustive over the group."""
+    G = M.group
+    cx = resolve(M, budget or BarBudget(), top=i + 1)
+    hq = cx.homology(i)
+    orders = hq.gen_orders()
+    ngen = len(orders)
+    for h in G.elements:
+        # the chain self-map of g |-> h g h^{-1} together with m |-> h.m
+        hinv = G.inv(h)
+        f = cx.chain_map(i, cx, lambda g: G.mul(G.mul(h, g), hinv),
+                         M.act(h))
+        Mc = induced_matrix(f, hq, hq)
+        for r in range(ngen):
+            for c in range(ngen):
+                want = 1 if r == c else 0
+                d = Mc[r][c] - want
+                o = orders[r]
+                if (d % o if o else d) != 0:
+                    return False
+    return True
+
+
+def presented_abelianization(family: PresentedGroupFamily,
+                             n: int) -> FGAbelianGroup:
+    """Abelianization of G_n from relator exponent sums."""
+    g = family.gens(n)
+    cols = []
+    for word in family.relators(n):
+        col = [0] * g
+        for letter in word:
+            col[abs(letter) - 1] += 1 if letter > 0 else -1
+        cols.append({i: v for i, v in enumerate(col) if v})
+    return presented_subquotient(SparseCols.zero(0, g), SparseCols(g, cols),
+                                 [], []).group

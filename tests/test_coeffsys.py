@@ -10,10 +10,11 @@ from homstab.coeffsys import (
     CoefficientSystem, constant_system, standard_system, tensor_power,
     degree_profile, split_witness, split_degree_profile,
     abelianization_limit, abelian_constant_system, internalize,
-    InternalizedSystem, BurauSystem, presented_abelianization,
+    InternalizedSystem, BurauSystem,
 )
 from homstab.exact_linalg import identity_matrix, mat_mul
-from tests.oracles import abelianization, coords_span
+from tests.oracles import (abelianization, coords_span,
+                           presented_abelianization)
 
 
 @pytest.fixture(scope="module")

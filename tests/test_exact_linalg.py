@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from homstab.exact_linalg import (
     smith_normal_form, SparseCols, LatticeSpan, span_columns,
     kernel_columns, solve_integer, FGAbelianGroup, homology_of_pair,
-    induced_matrix, classify_induced, relation_columns,
+    induced_matrix, classify_induced, relation_columns, reduce_unit_pairs,
 )
 from homstab import kernels
 from homstab.groups import symmetric_group
@@ -211,6 +211,47 @@ def test_homology_of_pair_circle():
     d2 = SparseCols.zero(3, 0)
     sq = homology_of_pair(d1, d2)
     assert sq.group.free_rank == 1 and sq.group.torsion == ()
+
+
+def test_reduce_unit_pairs_keeps_non_unit_entry():
+    # Z --2--> Z: 2 is no pivot, so both cells stay
+    ds = [SparseCols(1, [{0: 2}])]
+    reduce_unit_pairs(ds)
+    assert (ds[0].nrows, ds[0].cols) == (1, [{0: 2}])
+
+
+def test_reduce_unit_pairs_updates_non_unit_coface():
+    # both rows have two cofaces, so row 0 is the pivot row and column 0
+    # (its only unit) the pivot column; column 1 becomes (3, 1) - 3 (1, 1)
+    ds = [SparseCols.from_dense([[1, 3], [1, 1]], 2)]
+    reduce_unit_pairs(ds)
+    assert (ds[0].nrows, ds[0].cols) == (1, [{0: -2}])
+
+
+def test_reduce_unit_pairs_drops_pivot_rows_one_level_up():
+    # the triangle boundary: C_1 pairs off against C_0 but one edge, and
+    # the rows of the paired edges leave the empty d_2
+    d1 = SparseCols.from_dense([[-1, 0, -1], [1, -1, 0], [0, 1, 1]], 3)
+    ds = [SparseCols(1, [{0: 1}, {0: 1}, {0: 1}]), d1, SparseCols.zero(3, 0)]
+    reduce_unit_pairs(ds)
+    assert [(d.nrows, d.ncols) for d in ds] == [(0, 0), (0, 1), (1, 0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=-2, max_value=2),
+                         min_size=1, max_size=5), min_size=1, max_size=5))
+def test_reduce_unit_pairs_keeps_kernel_and_cokernel(rows):
+    # a single matrix is the complex 0 -> C_0 -> C_{-1} -> 0, so the
+    # reduction keeps both its kernel and its cokernel
+    width = min(len(r) for r in rows)
+    d = SparseCols.from_dense([r[:width] for r in rows], width)
+    ds = [SparseCols(d.nrows, [dict(c) for c in d.cols])]
+    reduce_unit_pairs(ds)
+
+    def groups(m):
+        return (homology_of_pair(m, SparseCols.zero(m.ncols, 0)).group,
+                homology_of_pair(SparseCols.zero(0, m.nrows), m).group)
+    assert groups(ds[0]) == groups(d)
 
 
 def test_subquotient_project_lift_roundtrip():

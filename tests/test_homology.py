@@ -10,9 +10,10 @@ from homstab.pi1 import todd_coxeter_trivial
 from homstab.homology_engine import (
     BarBudget, GModule, trivial_module, sign_module,
     permutation_module, group_ring_module, bar_homology,
-    coinvariants, conjugation_acts_trivially, resolve,
+    coinvariants, resolve,
 )
-from tests.oracles import (S4_RELATORS, abelianization, hopf_h2,
+from tests.oracles import (S4_RELATORS, abelianization,
+                           conjugation_acts_trivially, hopf_h2,
                            quotient_group)
 
 

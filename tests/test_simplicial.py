@@ -3,6 +3,7 @@ import math
 import pytest
 
 from homstab import pi1
+from homstab.exact_linalg import FGAbelianGroup
 from homstab.simplicial import (
     build_W, build_S, lift_profile, link, connectivity_certificate,
     weakly_cm_report, SimplicialComplex,
@@ -28,6 +29,22 @@ def test_S_is_full_simplex(sym_cat, n):
     assert complexes_isomorphic(S, full) is not None
     hom = S.chain_complex().reduced_homology(n - 1)
     assert all(h.is_trivial() for h in hom)
+
+
+# the 6-vertex real projective plane (the hemi-icosahedron)
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+       (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+
+def test_rp2_torsion_survives_reduction():
+    S = SimplicialComplex(6, RP2)
+    assert S.chain_complex().reduced_homology(2) == \
+        [FGAbelianGroup(0), FGAbelianGroup(0, (2,)), FGAbelianGroup(0)]
+    # every unit pairs off: one edge and one triangle are left, and the
+    # boundary between them is the non-unit 2
+    ds = S.chain_complex().reduced(2)
+    assert [d.ncols for d in ds] == [0, 1, 1, 0]
+    assert ds[2].cols in ([{0: 2}], [{0: -2}])
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -1,7 +1,8 @@
 """W_n and S_n against the complex oracles: boundaries matrix for matrix,
 2-skeletons edge for edge, reduced homology, lift profiles and vertex
-tuples, on every W_n and S_n the suite builds; and the invariants of the
-one semi-simplicial type."""
+tuples, on every W_n and S_n the suite builds; the invariants of the
+unit-pair reduction on each of them; and the invariants of the one
+semi-simplicial type."""
 
 import types
 
@@ -45,8 +46,29 @@ def _assert_chain_matches(X, boundaries):
         oracles.reduced_homology(boundaries, up_to)
 
 
+def _assert_reduction_invariants(X):
+    """For every degree the differential test reads: the reduced complex
+    has d d = 0 and the alternating cell count of the levels it keeps,
+    and no level above up_to + 1 is built or paired."""
+    up_to = X.dimension + 1 \
+        if sum(X.level_sizes()) <= FULL_HOMOLOGY_SIMPLICES else 0
+    for t in range(up_to + 1):
+        cc = X.chain_complex()
+        ds = cc.reduced(t)
+        top = min(t + 1, len(X.levels))
+        assert cc.built == set(range(top + 1)) and len(ds) == top + 1
+        for d_out, d_in in zip(ds, ds[1:]):
+            assert d_in.nrows == d_out.ncols
+            assert d_out.compose(d_in).is_zero()
+        before = [1] + [cc.level_dim(p) for p in range(top + 1)]
+        after = [ds[0].nrows] + [d.ncols for d in ds]
+        assert sum((-1) ** p * (b - a) for p, (b, a)
+                   in enumerate(zip(before, after))) == 0
+
+
 def _assert_complex_matches(S):
     _assert_chain_matches(S, oracles.complex_boundaries(S))
+    _assert_reduction_invariants(S)
     assert two_skeleton_from_semisimplicial(S) == \
         oracles.two_skeleton_from_complex(S)
 
@@ -58,6 +80,7 @@ def test_W_and_S_match_oracles(request, family, A, n_max):
         W = build_W(cat, A, 1, n)
         S = build_S(W)
         _assert_chain_matches(W, oracles.semisimplicial_boundaries(W))
+        _assert_reduction_invariants(W)
         _assert_complex_matches(S)
         lp, old = lift_profile(W), oracles.lift_profile(W, S)
         assert lp.counts == old.counts and lp.condition == old.condition
