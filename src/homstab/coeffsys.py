@@ -12,7 +12,8 @@ morphisms.  The module implements:
 * kernel and cokernel systems of sigma_X, degree profiles (including the
   split variant), and explicit split witnesses found by exact integer
   linear algebra (every kernel and cokernel is an
-  `exact_linalg.presented_subquotient`);
+  `exact_linalg.map_homology` of sigma_X, and the split witness one
+  `exact_linalg.solve_integer`, each given the levels' orders);
 * internalization: twisting a system by maps s_n : G_n -> G_inf^ab into
   a stably detected abelianization limit, where G_n^ab is H_1(G_n; Z)
   of the presentation complex and s_n is the Hurewicz map;
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 from .groupoids import PresentedGroupFamily, braid_family
 from .bracket import BracketCategory, UMorphism
 from .exact_linalg import (FGAbelianGroup, SparseCols, identity_matrix,
-                           induced_matrix, mat_mul, presented_subquotient,
-                           reduce_rows, relation_columns, rows_congruent,
-                           solve_integer)
+                           induced_matrix, map_homology, mat_mul,
+                           product_mod, rows_congruent, solve_integer)
 from .homology_engine import (BarBudget, GModule, StabilizationSetup,
                               check_equivariant, hurewicz, permutation_module,
                               stabilization_status)
@@ -101,7 +101,7 @@ class CoefficientSystem:
         """Composite structure map F_m -> F_n (identity when m == n)."""
         mat = identity_matrix(self.rank(m))
         for j in range(m, n):
-            mat = reduce_rows(mat_mul(self.s_mats[j], mat), self.orders(j + 1))
+            mat = product_mod(self.s_mats[j], mat, self.orders(j + 1))
         return mat
 
     def cchain(self, m: int, n: int):
@@ -113,7 +113,7 @@ class CoefficientSystem:
         for j in range(m, n):
             b = self.inst.braiding(self.obj(j), self.x)
             step = mat_mul(self.modules[j + 1].act(b), self.s_mats[j])
-            mat = reduce_rows(mat_mul(step, mat), self.orders(j + 1))
+            mat = product_mod(step, mat, self.orders(j + 1))
         return mat
 
     def _steps(self, size: int) -> int:
@@ -128,9 +128,8 @@ class CoefficientSystem:
         n = self._steps(mor.target)
         if n > self.n_max:
             raise ValueError("morphism target outside the window")
-        return reduce_rows(
-            mat_mul(self.modules[n].act(mor.rep), self.cchain(m, n)),
-            self.orders(n))
+        return product_mod(self.modules[n].act(mor.rep), self.cchain(m, n),
+                           self.orders(n))
 
     def sigma_mor(self, n: int) -> UMorphism:
         return self.cat.lower_suspension(self.A, self.x, n)
@@ -185,7 +184,7 @@ class CoefficientSystem:
                 f = hf[rng.randrange(len(hf))]
                 g = hg[rng.randrange(len(hg))]
                 lhs = self.evaluate(cat.compose(g, f))
-                rhs = reduce_rows(mat_mul(self.evaluate(g), self.evaluate(f)),
+                rhs = product_mod(self.evaluate(g), self.evaluate(f),
                                   self.orders(q))
                 if not rows_congruent(lhs, rhs, self.orders(q)):
                     raise ValueError("functoriality fails on a sample")
@@ -233,20 +232,15 @@ class CoefficientSystem:
 
     def kernel_system(self) -> "CoefficientSystem":
         """ker(sigma_X : F -> Sigma F) on the window 0..n_max-1."""
-        sqs = [presented_subquotient(
-                   SparseCols.from_dense(self.sigma_mat(n), self.rank(n)),
-                   SparseCols.zero(self.rank(n), 0),
-                   relation_columns(self.orders(n + 1)),
-                   relation_columns(self.orders(n)))
+        sqs = [map_homology([], self.sigma_mat(n), [], self.orders(n),
+                            self.orders(n + 1))
                for n in range(self.n_max)]
         return self._subquotient_system("ker", self, sqs)
 
     def cokernel_system(self) -> "CoefficientSystem":
         """coker(sigma_X : F -> Sigma F) on the window 0..n_max-1."""
-        sqs = [presented_subquotient(
-                   SparseCols.zero(0, self.rank(n + 1)),
-                   SparseCols.from_dense(self.sigma_mat(n), self.rank(n)),
-                   [], relation_columns(self.orders(n + 1)))
+        sqs = [map_homology(self.sigma_mat(n), [], self.orders(n),
+                            self.orders(n + 1), [])
                for n in range(self.n_max)]
         return self._subquotient_system("coker", self.suspend(), sqs)
 
@@ -346,68 +340,57 @@ def split_witness(F: CoefficientSystem):
     def var(n, i, j):
         return offs[n] + i * F.rank(n + 1) + j
 
-    # one sparse column per variable, one row per equation; an equation
-    # modulo m is the relation column m * e_row
+    # one sparse column per variable, one row per equation, each row
+    # modulo the order of its entry's row
     cols = [{} for _ in range(total)]
-    rhs, rel = [], []
+    rhs, orders = [], []
 
-    def add_eq(coeffs: dict, target: int, modulus: int):
-        e = len(rhs)
-        for v, c in coeffs.items():
-            if c:
-                cols[v][e] = c
-        if modulus:
-            rel.append({e: modulus})
-        rhs.append(target)
-
-    def add_matrix_eq(n_rho_left, left_pre, n_rho_right, right_post,
-                      target_mat, orders, shape):
-        """sum_k pre[i][k] rho_L[k][j'] - sum_k rho_R[i][k] post[k][j]
-        = target[i][j] (mod orders[i]); either side may be absent."""
-        ri, rj = shape
-        for i in range(ri):
-            for j in range(rj):
+    def add_equations(terms, target, row_orders):
+        """sum of c . left . rho_n . right over the terms (c, left, n,
+        right) = target, row i modulo row_orders[i]: one equation per
+        entry of target, row by row."""
+        ncols = len(target[0]) if target else 0
+        parts = [(c, n, [[(a, y) for a, y in enumerate(row) if y]
+                         for row in left],
+                  [[(b, row[j]) for b, row in enumerate(right) if row[j]]
+                   for j in range(ncols)])
+                 for c, left, n, right in terms]
+        for i, row in enumerate(target):
+            for j, t in enumerate(row):
+                e = len(rhs)
                 coeffs: dict[int, int] = {}
-                if n_rho_left is not None:
-                    nL = n_rho_left
-                    for k in range(F.rank(nL)):
-                        c = left_pre[i][k]
-                        if c:
-                            v = var(nL, k, j)
-                            coeffs[v] = coeffs.get(v, 0) + c
-                if n_rho_right is not None:
-                    nR = n_rho_right
-                    for k in range(F.rank(nR + 1)):
-                        c = right_post[k][j]
-                        if c:
-                            v = var(nR, i, k)
-                            coeffs[v] = coeffs.get(v, 0) - c
-                add_eq(coeffs, target_mat[i][j] if target_mat else 0,
-                       orders[i])
+                for c, n, lrows, rcols in parts:
+                    for a, y in lrows[i]:
+                        for b, z in rcols[j]:
+                            v = var(n, a, b)
+                            coeffs[v] = coeffs.get(v, 0) + c * y * z
+                for v, c in coeffs.items():
+                    if c:
+                        cols[v][e] = c
+                rhs.append(t)
+                orders.append(row_orders[i])
 
     susp = F.suspend() if W >= 2 else None
     for n in range(W):
-        lam = F.sigma_mat(n)
         rn, rn1 = F.rank(n), F.rank(n + 1)
-        ident = identity_matrix(rn)
+        id_n, id_n1 = identity_matrix(rn), identity_matrix(rn1)
+        zero = [[0] * rn1 for _ in range(rn)]
         # (a) rho_n . lam_n = id  (mod orders_n)
-        for i in range(rn):
-            for j in range(rn):
-                coeffs = {var(n, i, k): lam[k][j]
-                          for k in range(rn1) if lam[k][j]}
-                add_eq(coeffs, ident[i][j], F.orders(n)[i])
-        # (b) rho_n . act_{n+1}(Sigma_X g) = act_n(g) . rho_n
+        add_equations([(1, id_n, n, F.sigma_mat(n))], id_n, F.orders(n))
+        # (b) act_n(g) . rho_n - rho_n . act_{n+1}(Sigma_X g) = 0
         for g in F.group(n).generators:
             tw = F.modules[n + 1].act(
                 cat.sigma_lower_on_group(g, A, x, n))
-            ag = F.modules[n].act(g)
-            add_matrix_eq(n, ag, n, tw, None, F.orders(n), (rn, rn1))
-    # (c) naturality: s_n . rho_n = rho_{n+1} . s'_n
+            add_equations([(1, F.modules[n].act(g), n, id_n1),
+                           (-1, id_n, n, tw)], zero, F.orders(n))
+    # (c) naturality: s_n . rho_n - rho_{n+1} . s'_n = 0
     for n in range(W - 1):
-        sp = susp.s_mats[n]
-        add_matrix_eq(n, F.s_mats[n], n + 1, sp, None, F.orders(n + 1),
-                      (F.rank(n + 1), F.rank(n + 1)))
-    sol = solve_integer(cols, rhs, len(rhs), rel)
+        r = F.rank(n + 1)
+        id_r = identity_matrix(r)
+        add_equations([(1, F.s_mats[n], n, id_r),
+                       (-1, id_r, n + 1, susp.s_mats[n])],
+                      [[0] * r for _ in range(r)], F.orders(n + 1))
+    sol = solve_integer(cols, rhs, len(rhs), orders)
     if sol is None:
         return None
     out = []
@@ -560,7 +543,7 @@ def internalize(F: CoefficientSystem, limit: AbelianizationLimit,
     G_n on F_n is act_n(g) followed by translation by s_n(g).  The
     structure maps are unchanged.
     """
-    factors = list(limit.limit.torsion) + [0] * limit.limit.free_rank
+    factors = limit.limit.orders
     if limit.limit.free_rank:
         raise ValueError("internalization needs a finite limit")
     if not limit.s_maps:
@@ -576,14 +559,14 @@ def internalize(F: CoefficientSystem, limit: AbelianizationLimit,
         for kk, c in enumerate(coords):
             e = c % factors[kk]
             for _ in range(e):
-                mat = reduce_rows(mat_mul(star[n][kk], mat), F.orders(n))
+                mat = product_mod(star[n][kk], mat, F.orders(n))
         return mat
 
     mods = []
     for n in range(F.n_max + 1):
         smap = limit.s_maps[n]
         gen_action = {
-            g: reduce_rows(mat_mul(F.modules[n].act(g), star_word(n, smap[g])),
+            g: product_mod(F.modules[n].act(g), star_word(n, smap[g]),
                            F.orders(n))
             for g in F.group(n).generators}
         mods.append(GModule(F.group(n), F.modules[n].underlying,
@@ -598,8 +581,7 @@ def internalize(F: CoefficientSystem, limit: AbelianizationLimit,
 def constant_system(cat: BracketCategory, A: int, x: int, n_max: int,
                     rank: int = 1, torsion: tuple = ()) -> CoefficientSystem:
     under = FGAbelianGroup(rank - len(torsion), tuple(torsion))
-    total = len(under.torsion) + under.free_rank
-    ident = identity_matrix(total)
+    ident = identity_matrix(under.rank)
     mods = []
     for n in range(n_max + 1):
         grp = cat.G.aut(A + n * x)

@@ -5,9 +5,17 @@ solves are one sparse row Hermite form (`LatticeSpan`): a kernel or a
 solve reads the span of the tagged columns (A e_j ; e_j).  The Smith
 normal form keeps only the row transforms U and Uinv.
 
+A presented abelian group is given by its orders: generator i has order
+orders[i], 0 meaning Z, as in `FGAbelianGroup.orders` (torsion first,
+then 0 per free generator).  Callers pass orders, never relations; the
+relations orders[i] * e_i = 0 are built here alone.  Omitted orders
+mean Z in every row.
+
 `presented_subquotient` is the one routine for presented abelian groups:
-every homology group, kernel, cokernel and subquotient, and every epi/iso
-verdict of `classify_induced`, is computed by it.  `reduce_unit_pairs`
+every homology group, kernel, cokernel and subquotient is computed by
+it.  `map_homology` is its form for dense maps A --f--> B --g--> C: the
+LES defects, the kernels and cokernels of coefficient systems and the
+epi/iso verdicts of `classify_induced` all read it.  `reduce_unit_pairs`
 shrinks a chain complex by its +-1 pairs before it gets there.
 """
 
@@ -132,6 +140,11 @@ def reduce_rows(mat, orders):
             for row, o in zip(mat, orders)]
 
 
+def product_mod(A, B, orders):
+    """A @ B with row i reduced modulo orders[i]."""
+    return reduce_rows(mat_mul(A, B), orders)
+
+
 def rows_congruent(a, b, orders) -> bool:
     """a == b with row i compared modulo orders[i]."""
     for o, ra, rb in zip(orders, a, b):
@@ -142,10 +155,10 @@ def rows_congruent(a, b, orders) -> bool:
     return True
 
 
-def relation_columns(orders) -> list[dict[int, int]]:
+def _relation_columns(orders) -> list[dict[int, int]]:
     """The relations orders[i] * e_i = 0 of a presented group, as sparse
-    columns in row order (free rows give none)."""
-    return [{i: o} for i, o in enumerate(orders) if o]
+    columns in row order (free rows give none; None: no rows)."""
+    return [{i: o} for i, o in enumerate(orders or ()) if o]
 
 
 # ------------------------------------------------------------------
@@ -447,17 +460,18 @@ def span_columns(mat, dim: int | None = None) -> LatticeSpan:
 # kernels and integer solves from one tagged span
 
 
-def _tagged_span(cols, nrows: int, rel) -> LatticeSpan:
+def _tagged_span(cols, nrows: int, orders) -> LatticeSpan:
     """Span of (c_j ; e_j) for the columns c_j of cols and (r ; 0) for
-    the relations r, inside Z^(nrows + len(cols))."""
+    the relations r of orders, inside Z^(nrows + len(cols))."""
     tagged = [{**c, nrows + j: 1} for j, c in enumerate(cols)]
-    return span_columns(tagged + list(rel), dim=nrows + len(cols))
+    return span_columns(tagged + _relation_columns(orders),
+                        dim=nrows + len(cols))
 
 
-def kernel_columns(mat: SparseCols, rel=()) -> tuple[list[dict[int, int]],
-                                                   list[int]]:
-    """Lattice of the v in Z^ncols with mat(v) in the span of the columns
-    rel: the kernel of mat when rel is empty.
+def kernel_columns(mat: SparseCols, orders=None
+                   ) -> tuple[list[dict[int, int]], list[int]]:
+    """Lattice of the v in Z^ncols with mat(v) = 0, row i of the target
+    taken modulo orders[i]: the kernel of mat when orders is omitted.
 
     Returns (basis, leads): the reduced HNF basis of that lattice as
     sparse dicts over column indices, with basis[t][leads[t]] > 0 the
@@ -467,21 +481,21 @@ def kernel_columns(mat: SparseCols, rel=()) -> tuple[list[dict[int, int]],
     :func:`triangular_coords`).
     """
     m = mat.nrows
-    rows = _tagged_span(mat.cols, m, rel).rows
+    rows = _tagged_span(mat.cols, m, orders).rows
     leads = [p for p in sorted(rows) if p >= m]
     return ([{i - m: x for i, x in rows[p].items()} for p in leads],
             [p - m for p in leads])
 
 
-def solve_integer(cols, rhs, nrows: int, rel=()) -> list[int] | None:
-    """One x over Z with sum_j x_j cols[j] = rhs modulo the span of rel,
+def solve_integer(cols, rhs, nrows: int, orders=None) -> list[int] | None:
+    """One x over Z with sum_j x_j cols[j] = rhs, row i modulo orders[i],
     or None if there is none.
 
-    cols and rel are sparse columns in Z^nrows, rhs a dense vector.
-    Reducing (rhs ; 0) by the tagged span of :func:`kernel_columns`
-    leaves (0 ; -x) exactly when the system is solvable.
+    cols are sparse columns in Z^nrows, rhs a dense vector.  Reducing
+    (rhs ; 0) by the tagged span of :func:`kernel_columns` leaves
+    (0 ; -x) exactly when the system is solvable.
     """
-    resid = _tagged_span(cols, nrows, rel).reduce(
+    resid = _tagged_span(cols, nrows, orders).reduce(
         {i: b for i, b in enumerate(rhs) if b})
     if any(i < nrows for i in resid):
         return None
@@ -556,6 +570,17 @@ class FGAbelianGroup:
             assert d > 1, "torsion factors must exceed 1"
             if i:
                 assert d % self.torsion[i - 1] == 0, "need d_i | d_{i+1}"
+
+    @property
+    def orders(self) -> list[int]:
+        """Order of each canonical generator, torsion first, then 0 (Z)
+        for each free one: the presentation every caller passes."""
+        return list(self.torsion) + [0] * self.free_rank
+
+    @property
+    def rank(self) -> int:
+        """Number of canonical generators."""
+        return len(self.torsion) + self.free_rank
 
     def order(self):
         if self.free_rank:
@@ -632,35 +657,51 @@ class Subquotient:
                         out.pop(i, None)
         return out
 
-    def gen_orders(self) -> list[int]:
-        """Order of each canonical generator (0 for infinite)."""
-        return ([self.factors[p] for p in self.torsion_pos]
-                + [0] * len(self.free_pos))
-
 
 def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
-                          rel_out, rel_here) -> Subquotient:
+                          orders_out=None, orders_here=None) -> Subquotient:
     """ker/im homology where the chain levels are presented groups.
 
-    With d_out: Z^n -> Z^m and d_in: Z^p -> Z^n, cycles are the v with
-    d_out(v) in the span of the columns rel_out, and boundaries are
-    im(d_in) together with the columns rel_here.  Kernels (d_in zero),
-    cokernels (d_out zero) and homology are all special cases.
+    With d_out: Z^n -> Z^m and d_in: Z^p -> Z^n, the target of d_out
+    presented by orders_out and the middle level by orders_here (either
+    omitted: Z in every row), cycles are the v with d_out(v) = 0 and
+    boundaries are im(d_in), both modulo the relations.  Kernels (d_in
+    zero), cokernels (d_out zero) and homology are all special cases.
     """
     n = d_out.ncols
     if d_in.nrows != n:
         raise ValueError("chain level dimension mismatch")
-    kbasis, leads = kernel_columns(d_out, rel_out)
-    image = span_columns(SparseCols(n, list(d_in.cols) + list(rel_here)))
+    kbasis, leads = kernel_columns(d_out, orders_out)
+    image = span_columns(SparseCols(
+        n, list(d_in.cols) + _relation_columns(orders_here)))
     return assemble_subquotient(n, kbasis, leads, image)
 
 
-def check_composable(d_out: SparseCols, d_in: SparseCols) -> None:
-    """Raise ValueError unless d_out @ d_in is defined and zero."""
+def map_homology(f, g, orders_a, orders_b, orders_c) -> Subquotient:
+    """Homology ker g / im f at B of A --f--> B --g--> C, for dense
+    integer matrices f and g (lists of rows; [] is the zero map) between
+    the groups presented by orders_a, orders_b and orders_c.
+
+    The sequence is exact at B iff the group is trivial; the kernel of g
+    is the case A = 0 and the cokernel of f the case C = 0.
+    """
+    nb = len(orders_b)
+    d_in = SparseCols(nb, SparseCols.from_dense(f, len(orders_a)).cols)
+    d_out = SparseCols(len(orders_c), SparseCols.from_dense(g, nb).cols)
+    return presented_subquotient(d_out, d_in, orders_c, orders_b)
+
+
+def check_composable(d_out: SparseCols, d_in: SparseCols,
+                     orders=None) -> None:
+    """Raise ValueError unless d_out @ d_in is defined and zero, row r of
+    its target taken modulo orders[r] (omitted: Z in every row)."""
     if d_in.nrows != d_out.ncols:
         raise ValueError("chain level dimension mismatch")
-    if any(map(d_out.apply, d_in.cols)):
-        raise ValueError("boundary of boundary is nonzero")
+    orders = orders or [0] * d_out.nrows
+    for col in d_in.cols:
+        for r, v in d_out.apply(col).items():
+            if v % orders[r] if orders[r] else v:
+                raise ValueError("boundary of boundary is nonzero")
 
 
 def homology_of_pair(d_out: SparseCols, d_in: SparseCols) -> Subquotient:
@@ -769,15 +810,10 @@ def induced_matrix(f: SparseCols, src: Subquotient, dst: Subquotient):
     """
     if f.ncols != src.ambient_dim or f.nrows != dst.ambient_dim:
         raise ValueError("ambient dimension mismatch for induced map")
-    ngen_src = len(src.torsion_pos) + len(src.free_pos)
-    cols = []
-    for g in range(ngen_src):
-        z = src.lift(g)
-        fz = f.apply(z)
-        cols.append(dst.project(fz))
-    ngen_dst = len(dst.torsion_pos) + len(dst.free_pos)
+    cols = [dst.project(f.apply(src.lift(g)))
+            for g in range(src.group.rank)]
     # rows = dst generators, cols = src generators
-    return [[cols[j][i] for j in range(ngen_src)] for i in range(ngen_dst)]
+    return [[col[i] for col in cols] for i in range(dst.group.rank)]
 
 
 def classify_induced(M, src_orders, dst_orders) -> dict:
@@ -787,12 +823,8 @@ def classify_induced(M, src_orders, dst_orders) -> dict:
     Epi iff the cokernel is trivial, iso iff the kernel is trivial too.
     Returns {'matrix', 'is_epi', 'is_iso'}; exact, no heuristics.
     """
-    ns, nd = len(src_orders), len(dst_orders)
-    f = SparseCols.from_dense(M, ns)
-    rel_dst = relation_columns(dst_orders)
-    coker = presented_subquotient(SparseCols.zero(0, nd), f, [], rel_dst)
-    is_epi = coker.group.is_trivial()
-    is_iso = is_epi and presented_subquotient(
-        f, SparseCols.zero(ns, 0), rel_dst,
-        relation_columns(src_orders)).group.is_trivial()
+    is_epi = map_homology(M, [], src_orders, dst_orders,
+                          []).group.is_trivial()
+    is_iso = is_epi and map_homology([], M, [], src_orders,
+                                     dst_orders).group.is_trivial()
     return {"matrix": M, "is_epi": is_epi, "is_iso": is_iso}

@@ -4,7 +4,12 @@ Two free resolutions of Z over Z[G], tensored with a finitely generated
 Z[G]-module M, plus what the stability verifier needs: coinvariants,
 the Hurewicz map G -> H_1(G; Z) = G^ab, stabilization chain maps, and
 relative homology as a mapping cone.  Every group here is computed by
-`exact_linalg.presented_subquotient`.
+`exact_linalg`, which alone knows how a presented group is encoded:
+callers pass orders (0 = Z), read from `FGAbelianGroup.orders`.  A
+complex's homology is one `presented_subquotient`, after one
+`check_composable` of d o d modulo the orders; the homology at each node
+of the long exact sequence of a pair is one `map_homology` of the
+induced maps.
 
 Every caller takes its complex from `resolve(M, budget, top)`, where top
 is the highest chain level it reads (H_i reads levels up to i + 1):
@@ -67,13 +72,15 @@ from .exact_linalg import (
     FGAbelianGroup,
     SparseCols,
     Subquotient,
+    check_composable,
     classify_induced,
     identity_matrix,
     induced_matrix,
+    map_homology,
     mat_mul,
     presented_subquotient,
+    product_mod,
     reduce_rows,
-    relation_columns,
     rows_congruent,
 )
 # not called here: perfbench/test_tracer.py checks that tracing patches
@@ -118,18 +125,18 @@ class GModule:
     """A finitely generated Z[G]-module.
 
     The underlying abelian group is presented on `rank` generators with
-    orders `orders` (0 = infinite, listed torsion-first to match
-    FGAbelianGroup).  `gen_action` maps each group generator to an
-    integer matrix acting on coordinates from the left; any other element
-    acts by one product along the group's spanning tree, memoized.
+    orders `orders`, those of `underlying` (`FGAbelianGroup.orders`).
+    `gen_action` maps each group generator to an integer matrix acting on
+    coordinates from the left; any other element acts by one product
+    along the group's spanning tree, memoized.
     """
 
     def __init__(self, group: FiniteGroup, underlying: FGAbelianGroup,
                  gen_action: dict, name: str = ""):
         self.group = group
         self.underlying = underlying
-        self.orders = list(underlying.torsion) + [0] * underlying.free_rank
-        self.rank = len(self.orders)
+        self.orders = underlying.orders
+        self.rank = underlying.rank
         self.name = name
         self.gen_action = {g: [row[:] for row in m]
                            for g, m in gen_action.items()}
@@ -141,11 +148,6 @@ class GModule:
         self._act_cache: dict = {group.identity: identity_matrix(self.rank)}
         self._right_cache: dict = {}
         self._complexes: dict = {}      # (kind, BarBudget) -> complex
-
-    # -- presentation helpers
-
-    def _product(self, a, b):
-        return reduce_rows(mat_mul(a, b), self.orders)
 
     # -- the action
 
@@ -160,7 +162,8 @@ class GModule:
             g = tree[g][0]
         mat = cache[g]
         for h in reversed(path):
-            mat = cache[h] = self._product(mat, self._gen_mats[tree[h][1]])
+            mat = cache[h] = product_mod(mat, self._gen_mats[tree[h][1]],
+                                         self.orders)
         return mat
 
     def act_right(self, g):
@@ -188,8 +191,8 @@ class GModule:
                         raise ValueError(
                             "action does not descend to the presentation")
         for g, i, gs in self.group.relators():
-            if not rows_congruent(self._product(self.act(g),
-                                                self._gen_mats[i]),
+            if not rows_congruent(product_mod(self.act(g), self._gen_mats[i],
+                                              self.orders),
                                   self.act(gs), self.orders):
                 raise ValueError("action is not a homomorphism")
 
@@ -207,7 +210,7 @@ class GModule:
 def trivial_module(group: FiniteGroup, rank: int = 1,
                    torsion: tuple = ()) -> GModule:
     under = FGAbelianGroup(rank - len(torsion), tuple(torsion))
-    ident = identity_matrix(rank)
+    ident = identity_matrix(under.rank)
     return GModule(group, under,
                    {g: ident for g in group.generators}, name="trivial")
 
@@ -255,9 +258,8 @@ class PresentedComplex:
     level_size(i) generators, row r of order row_orders(i)[r] (0 = Z).
 
     Subclasses give level_size(i), boundary(i) and row_orders(i); the
-    relations, the d^2 check and homology all come from those.  Homology
-    is the subquotient {v : d v in relations} / (im d + relations), and
-    is kept per degree.
+    d^2 check and homology come from those.  Homology is the subquotient
+    {v : d v = 0} / im d modulo the orders, and is kept per degree.
     """
 
     kind = "complex"
@@ -270,32 +272,17 @@ class PresentedComplex:
             return self._homology[i]
         # level i + 1 first: it is the larger one, which a budget refuses
         d_in = self.boundary(i + 1)
-        d_out = self.boundary(i) if i >= 1 else SparseCols.zero(
-            0, self.level_size(0))
-        rel_out = []
         if i >= 1:
-            orders_out = self.row_orders(i - 1)
-            if not _composite_vanishes(d_out, d_in, orders_out):
-                raise AssertionError(f"{self.kind}: d^2 != 0")
-            rel_out = relation_columns(orders_out)
-        h = presented_subquotient(d_out, d_in, rel_out,
-                                  relation_columns(self.row_orders(i)))
+            d_out, orders_out = self.boundary(i), self.row_orders(i - 1)
+            try:
+                check_composable(d_out, d_in, orders_out)
+            except ValueError as exc:
+                raise AssertionError(f"{self.kind}: d^2 != 0") from exc
+        else:
+            d_out, orders_out = SparseCols.zero(0, self.level_size(0)), None
+        h = presented_subquotient(d_out, d_in, orders_out,
+                                  self.row_orders(i))
         return self._homology.setdefault(i, h)
-
-
-def _composite_vanishes(d_out: SparseCols, d_in: SparseCols,
-                        orders) -> bool:
-    """d_out o d_in == 0 modulo the relations orders[r] * e_r of the
-    target level."""
-    comp = d_out.compose(d_in)
-    if not any(orders):
-        return comp.is_zero()
-    for col in comp.cols:
-        for r, v in col.items():
-            o = orders[r]
-            if (v % o if o else v) != 0:
-                return False
-    return True
 
 
 class FreeResolution(PresentedComplex):
@@ -589,7 +576,7 @@ def check_equivariant(s, src: GModule, dst: GModule, phi, message) -> None:
 
 def _stabilization_verdict(M, hs: Subquotient, hb: Subquotient) -> dict:
     """Epi/iso verdict of the induced map M : hs -> hb."""
-    verdict = classify_induced(M, hs.gen_orders(), hb.gen_orders())
+    verdict = classify_induced(M, hs.group.orders, hb.group.orders)
     return {
         "is_epi": verdict["is_epi"],
         "is_iso": verdict["is_iso"],
@@ -675,26 +662,14 @@ def relative_homology(setup: StabilizationSetup, i: int,
                        top=i + 1).homology(i).group
 
 
-def exactness_defect(g_mat, f_mat, orders_a, orders_b, orders_c
-                     ) -> FGAbelianGroup:
-    """Homology at B of A --f--> B --g--> C between presented groups.
-
-    Exactness at B is equivalent to the result being trivial; everything
-    is exact integer arithmetic, no rank heuristics.
-    """
-    d_out = SparseCols.from_dense(g_mat, len(orders_b))
-    d_in = SparseCols.from_dense(f_mat, len(orders_a))
-    return presented_subquotient(d_out, d_in, relation_columns(orders_c),
-                                 relation_columns(orders_b)).group
-
-
 def les_exact_at_rel(setup: StabilizationSetup, i: int,
                      budget: BarBudget | None = None) -> dict:
     """Check exactness of H_i(big) -> Rel_i -> H_{i-1}(small) -> H_{i-1}(big)
     at the Rel_i and H_{i-1}(small) nodes, plus j o f = 0 at H_i(big).
 
-    Returns the computed groups and per-node defects (all trivial iff the
-    long exact sequence holds at these nodes), together with the verdict
+    Returns the computed groups and per-node defects, the `map_homology`
+    of each node (all trivial iff the long exact sequence holds at these
+    nodes), together with the verdict
     of stabilization_status read from the same induced map f_*:
     is_epi, is_iso, source, target and matrix.
     """
@@ -720,9 +695,12 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
         "defects": {},
         **_stabilization_verdict(Mf, h_s_i, h_b_i),
     }
+
+    def defect(f, g, a, b, c):
+        return map_homology(f, g, a.group.orders, b.group.orders,
+                            c.group.orders).group
     # exactness at H_i(big): ker j = im f
-    out["defects"]["at_H_i_big"] = exactness_defect(
-        Mj, Mf, h_s_i.gen_orders(), h_b_i.gen_orders(), rel_i.gen_orders())
+    out["defects"]["at_H_i_big"] = defect(Mf, Mj, h_s_i, h_b_i, rel_i)
     if i >= 1:
         # connecting map: Cone_i -> C_{i-1}(small) is (x, y) |-> x
         d_cols = []
@@ -733,11 +711,8 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
         Mf_prev = induced_matrix(cone.chain_map(i - 1), h_s_im1, h_b_im1)
         out["H_im1_small"] = h_s_im1.group
         out["H_im1_big"] = h_b_im1.group
-        out["defects"]["at_Rel_i"] = exactness_defect(
-            Md, Mj, h_b_i.gen_orders(), rel_i.gen_orders(),
-            h_s_im1.gen_orders())
-        out["defects"]["at_H_im1_small"] = exactness_defect(
-            Mf_prev, Md, rel_i.gen_orders(), h_s_im1.gen_orders(),
-            h_b_im1.gen_orders())
+        out["defects"]["at_Rel_i"] = defect(Mj, Md, h_b_i, rel_i, h_s_im1)
+        out["defects"]["at_H_im1_small"] = defect(Md, Mf_prev, rel_i,
+                                                  h_s_im1, h_b_im1)
     out["exact"] = all(d.is_trivial() for d in out["defects"].values())
     return out

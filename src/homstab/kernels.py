@@ -12,22 +12,12 @@ guard trip the kernel reports overflow instead of a basis.
 
 import numpy as np
 
-from .exact_linalg import LatticeSpan
+from .exact_linalg import LatticeSpan, xgcd
 
 # every scaled row operation is admitted only when the float estimate of
 # |c1|*max|row1| + |c2|*max|row2| stays below LIMIT; 2**60 leaves a 4x
 # margin below int64 capacity to absorb float rounding of the estimate
 LIMIT = float(1 << 60)
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b != 0:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def _maxabs(row):
@@ -99,7 +89,7 @@ def _span_insert(H, present, v, dim):
             r = v[i]
             if r != 0:
                 # combine row and vector so the pivot becomes gcd(a, r)
-                g, x, y = _xgcd(a, r)
+                g, x, y = xgcd(a, r)
                 mh = _maxabs(H[i, i:])
                 mv = _maxabs(v[i:])
                 if not (_combine_ok(x, mh, y, mv)

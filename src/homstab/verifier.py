@@ -56,7 +56,7 @@ class FamilyConfig:
     budgets: dict
 
     def budget(self, key: str) -> int:
-        return int(self.budgets.get(key, BUDGETS[key]))
+        return self.budgets.get(key, BUDGETS[key])
 
     def degree_bound(self) -> tuple[int, int]:
         """(r_max, N_max): the degree bound that Theorems A and 4.20 and
@@ -184,15 +184,19 @@ def load_config(source) -> FamilyConfig:
         theorems=_theorems(raw.get("theorems", ["3.1"])),
         budgets=dict(_require(raw.get("budgets", {}), "budgets")),
     )
-    for key in cfg.budgets:
+    for key, value in cfg.budgets.items():
         if key not in BUDGETS:
             raise ValueError(f"unknown budgets key {key!r}; the budgets are "
                              f"{list(BUDGETS)}")
+        _integer(value, key, 1)
     for what, kind, params, table, common in (
             ("family", cfg.family_kind, cfg.family_params, FAMILY_PARAMS,
              ()),
             ("coefficient", cfg.coeff_kind, cfg.coeff_params, COEFF_PARAMS,
              ("r_max", "N_max"))):
+        if not isinstance(kind, str):
+            raise ValueError(f"{what} kind must be a string, not "
+                             f"{json.dumps(kind)}")
         if kind not in table:
             raise ValueError(f"unknown {what} kind {kind!r}")
         accepted = list(table[kind]) + list(common)
@@ -257,9 +261,8 @@ def _custom_system(cat: BracketCategory, cfg: FamilyConfig):
         if len(actions) != len(grp.generators):
             raise ValueError(f"level {n}: expected one action matrix per "
                              f"group generator")
-        rank = under.free_rank + len(under.torsion)
         for j, mat in enumerate(actions):
-            _matrix(mat, rank, rank, f"{what} action {j}")
+            _matrix(mat, under.rank, under.rank, f"{what} action {j}")
         mods.append(GModule(grp, under,
                             dict(zip(grp.generators, actions)),
                             name=f"custom_{n}"))

@@ -497,7 +497,7 @@ def conjugation_acts_trivially(M: GModule, i: int,
     G = M.group
     cx = resolve(M, budget or BarBudget(), top=i + 1)
     hq = cx.homology(i)
-    orders = hq.gen_orders()
+    orders = hq.group.orders
     ngen = len(orders)
     for h in G.elements:
         # the chain self-map of g |-> h g h^{-1} together with m |-> h.m

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from homstab.exact_linalg import (
     smith_normal_form, SparseCols, LatticeSpan, span_columns,
     kernel_columns, solve_integer, FGAbelianGroup, homology_of_pair,
-    induced_matrix, classify_induced, relation_columns, reduce_unit_pairs,
+    induced_matrix, classify_induced, map_homology, reduce_unit_pairs,
 )
 from homstab import kernels
 from homstab.groups import symmetric_group
@@ -149,7 +149,7 @@ def test_kernel_columns_modulo_relations(case):
     rows, orders = case
     n = len(rows[0])
     mat = SparseCols.from_dense(rows, n)
-    basis, leads = kernel_columns(mat, relation_columns(orders))
+    basis, leads = kernel_columns(mat, orders)
     assert leads == sorted(set(leads))
     for v, lead in zip(basis, leads):
         assert min(v) == lead and v[lead] > 0
@@ -187,7 +187,7 @@ def test_solve_integer_matches_snf_criterion(case, data):
         rhs = data.draw(st.lists(st.integers(-9, 9), min_size=m,
                                  max_size=m))
     cols = SparseCols.from_dense(rows, n).cols
-    x = solve_integer(cols, rhs, m, relation_columns(orders))
+    x = solve_integer(cols, rhs, m, orders)
     assert (x is not None) == _solvable_by_snf(rows, rhs, orders)
     if x is not None:
         assert len(x) == n
@@ -259,7 +259,7 @@ def test_subquotient_project_lift_roundtrip():
     d_in = SparseCols.from_dense([[2, 0], [0, 3]], 2)  # quotient Z/2 + Z/3
     sq = homology_of_pair(d_out, d_in)
     assert sq.group.order() == 6
-    for k in range(len(sq.gen_orders())):
+    for k in range(len(sq.group.orders)):
         vec = sq.lift(k)
         coords = sq.project(vec)
         expect = tuple(1 if j == k else 0 for j in range(len(coords)))
@@ -273,11 +273,11 @@ def test_induced_matrix_and_classification():
     dst = homology_of_pair(d_out, d_in)
     ident = SparseCols.from_dense([[1]], 1)
     M = induced_matrix(ident, src, dst)
-    cls = classify_induced(M, src.gen_orders(), dst.gen_orders())
+    cls = classify_induced(M, src.group.orders, dst.group.orders)
     assert cls["is_epi"] and cls["is_iso"]
     zero = SparseCols.from_dense([[0]], 1)
     M0 = induced_matrix(zero, src, dst)
-    cls0 = classify_induced(M0, src.gen_orders(), dst.gen_orders())
+    cls0 = classify_induced(M0, src.group.orders, dst.group.orders)
     assert not cls0["is_epi"] and not cls0["is_iso"]
 
 
@@ -333,6 +333,35 @@ def test_classify_induced_matches_brute_force(case):
 def test_classify_induced_free_cases(M, src, dst, epi, iso):
     cls = classify_induced(M, src, dst)
     assert (cls["is_epi"], cls["is_iso"]) == (epi, iso)
+
+
+@pytest.mark.parametrize("f, g, a, b, c, group", [
+    ([[2]], [[0]], [0], [0], [0], "Z/2"),        # Z -2-> Z -0-> Z
+    ([[2]], [[1]], [0], [4], [2], "0"),          # Z -2-> Z/4 -1-> Z/2
+    ([[4]], [[1]], [0], [8], [2], "Z/2"),        # Z -4-> Z/8 -1-> Z/2
+    # x |-> 2x from Z/6 to Z/4: kernel 3Z/6Z, cokernel Z/4 / 2
+    ([], [[2]], [], [6], [4], "Z/3"),
+    ([[2]], [], [6], [4], [], "Z/2"),
+    # Z/2 + Z -> Z/4 + Z by [[2, 1], [0, 2]]: injective, cokernel Z/4
+    ([], [[2, 1], [0, 2]], [], [2, 0], [4, 0], "0"),
+    ([[2, 1], [0, 2]], [], [2, 0], [4, 0], [], "Z/4"),
+])
+def test_map_homology_cases(f, g, a, b, c, group):
+    assert str(map_homology(f, g, a, b, c).group) == group
+
+
+@given(torsion_maps())
+@settings(max_examples=100, deadline=None)
+def test_map_homology_kernel_and_cokernel_orders(case):
+    # finite groups: |ker M| |im M| = |src| and |coker M| |im M| = |dst|
+    M, src, dst = case
+    image = {tuple(sum(r * x for r, x in zip(row, v)) % b
+                   for row, b in zip(M, dst))
+             for v in itertools.product(*[range(a) for a in src])}
+    kernel = map_homology([], M, [], src, dst).group
+    coker = map_homology(M, [], src, dst, []).group
+    assert kernel.order() * len(image) == math.prod(src)
+    assert coker.order() * len(image) == math.prod(dst)
 
 
 def test_lattice_span_insert_reduce():

@@ -60,7 +60,7 @@ def test_periodic_trivial_coefficients(m):
     # the chain map of m |-> -m over the identity induces -1
     for i, order in ((0, 0), (1, m), (3, m)):
         h = cx.homology(i)
-        assert h.gen_orders() == [order]
+        assert h.group.orders == [order]
         ((v,),) = induced_matrix(
             cx.chain_map(i, cx, lambda g: g, [[-1]]), h, h)
         assert (v + 1) % m == 0 if order else v == -1

@@ -13,7 +13,7 @@ from homstab.groups import (
 from homstab.homology_engine import (BarBudget, GModule,
                                      PresentationComplex, bar_homology,
                                      hurewicz, trivial_module)
-from homstab.exact_linalg import FGAbelianGroup
+from homstab.exact_linalg import FGAbelianGroup, product_mod
 from tests.oracles import (abelianization, commutator, coords_span,
                            subgroup_closure)
 
@@ -337,7 +337,8 @@ def test_verify_action_catches_one_wrong_relation(s1, s2):
     M = GModule(G, FGAbelianGroup(len(s1)), dict(zip(G.generators,
                                                      (s1, s2))))
     wrong = [(g, i) for g, i, gs in G.relators()
-             if M._product(M.act(g), M.act(G.generators[i])) != M.act(gs)]
+             if product_mod(M.act(g), M.act(G.generators[i]),
+                            M.orders) != M.act(gs)]
     assert len(wrong) == 2
     with pytest.raises(ValueError, match="not a homomorphism"):
         M.verify_action()

@@ -577,6 +577,23 @@ def test_cli_rejects_unknown_params_key(tmp_path, capsys, family, coeff,
     # exited 0
     ({"coeff": {"kind": "constant", "params": {"torsion": [2.5]}}},
      "torsion entry must be an integer, not 2.5"),
+    # TypeError tracebacks: unhashable kinds
+    ({"family": {"kind": ["symmetric"], "params": {}}},
+     'family kind must be a string, not ["symmetric"]'),
+    ({"coeff": {"kind": ["constant"], "params": {}}},
+     'coefficient kind must be a string, not ["constant"]'),
+    # budgets: a TypeError traceback, int()'s own message, and two runs
+    # that read 2.5 as 2 and true as 1
+    ({"budgets": {"group_order": [1]}},
+     "group_order must be an integer, not [1]"),
+    ({"budgets": {"group_order": "x"}},
+     'group_order must be an integer, not "x"'),
+    ({"budgets": {"group_order": 2.5}},
+     "group_order must be an integer, not 2.5"),
+    ({"budgets": {"pi1_steps": True}},
+     "pi1_steps must be an integer, not true"),
+    ({"budgets": {"boundary_entries": 0}},
+     "boundary_entries must be at least 1, not 0"),
 ])
 @pytest.mark.parametrize("command", ["homology", "stability"])
 def test_cli_rejects_malformed_integer(tmp_path, capsys, patch, message,
