@@ -32,18 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("homology", "stability"):
             p.add_argument("--jobs", type=int, default=1,
                            help="worker threads for grid cells")
-            p.add_argument("--budget-entries", type=int, default=None,
-                           help="override budgets.boundary_entries from "
-                                "the config")
     return parser
 
 
 def _run(args) -> dict:
     cfg = verifier.load_config(args.config)
-    if getattr(args, "budget_entries", None) is not None:
-        cfg.budgets["boundary_entries"] = args.budget_entries
-        cfg.raw.setdefault("budgets", {})["boundary_entries"] = \
-            args.budget_entries
     if args.command == "verify-axioms":
         return verifier.run_axioms(cfg)
     if args.command == "connectivity":

@@ -247,11 +247,12 @@ class CoefficientSystem:
     # -- stability plumbing
 
     def stabilization_setup(self, n: int) -> StabilizationSetup:
-        """(G_n -> G_{n+1}, s_n) as a bar-complex stabilization setup."""
-        phi = {g: self.cat.sigma_upper_on_group(g, self.obj(n), self.x)
-               for g in self.group(n).elements}
+        """(G_n -> G_{n+1}, s_n), phi the upper suspension g |-> g + id_x
+        given on the generators of G_n."""
+        gens = tuple(self.cat.sigma_upper_on_group(g, self.obj(n), self.x)
+                     for g in self.group(n).generators)
         return StabilizationSetup(self.modules[n], self.modules[n + 1],
-                                  phi, self.s_mats[n])
+                                  gens, self.s_mats[n])
 
 
 # ----------------------------------------------------------------------

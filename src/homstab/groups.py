@@ -56,8 +56,9 @@ class FiniteGroup:
 
     `tree()`, the one spanning tree of the Cayley graph, is kept and
     shared by every module over the group; its non-tree edges are the
-    `relators()`.  Module actions and their check, the Fox derivatives
-    and the Hurewicz map all walk it, one step per element.
+    `relators()`.  `walk` is the one way down it: module actions, the Fox
+    derivatives and homomorphisms given on generators are read on
+    elements by it, one step per element.
     """
 
     def __init__(self, elements, mul, inv, identity, name="G",
@@ -105,6 +106,21 @@ class FiniteGroup:
             raise ValueError("generators do not generate the group")
         self._tree = tree
         return tree
+
+    def walk(self, g, memo: dict, step):
+        """f(g) for f given by memo, holding f(identity), and f(x s_i) =
+        step(f(x), x, i): up the tree to the nearest memoized ancestor,
+        then down, one step and memo entry per element (a loop: the tree
+        of Z/m has depth m - 1)."""
+        tree = self.tree()
+        path = []
+        while g not in memo:
+            path.append(g)
+            g = tree[g][0]
+        value = memo[g]
+        for h in reversed(path):
+            value = memo[h] = step(value, *tree[h])
+        return value
 
     def relators(self):
         """Yield the |G| (|S| - 1) + 1 non-tree edges (g, i, g s_i) of the

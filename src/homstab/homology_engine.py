@@ -11,6 +11,12 @@ complex's homology is one `presented_subquotient`, after one
 of the long exact sequence of a pair is one `map_homology` of the
 induced maps.
 
+A module's action, the Fox derivatives of the tree paths and the
+stabilization map phi are given on generators and read on elements by
+one `FiniteGroup.walk` down the spanning tree.  A `StabilizationSetup`
+is verified once (phi on the relators, injective; s equivariant) and
+keeps its chain maps.
+
 Every caller takes its complex from `resolve(M, budget, top)`, where top
 is the highest chain level it reads (H_i reads levels up to i + 1):
 
@@ -128,7 +134,7 @@ class GModule:
     orders `orders`, those of `underlying` (`FGAbelianGroup.orders`).
     `gen_action` maps each group generator to an integer matrix acting on
     coordinates from the left; any other element acts by one product
-    along the group's spanning tree, memoized.
+    per element down the group's spanning tree (`FiniteGroup.walk`).
     """
 
     def __init__(self, group: FiniteGroup, underlying: FGAbelianGroup,
@@ -152,19 +158,11 @@ class GModule:
     # -- the action
 
     def act(self, g):
-        """Left-action matrix of g: up the spanning tree to the nearest
-        memoized ancestor, then down, one product and memo per element (a
-        loop: the tree of Z/m has depth m - 1)."""
-        cache, tree = self._act_cache, self.group.tree()
-        path = []
-        while g not in cache:
-            path.append(g)
-            g = tree[g][0]
-        mat = cache[g]
-        for h in reversed(path):
-            mat = cache[h] = product_mod(mat, self._gen_mats[tree[h][1]],
-                                         self.orders)
-        return mat
+        """Left-action matrix of g: act(x s_i) = act(x) act(s_i)."""
+        return self.group.walk(g, self._act_cache, self._act_step)
+
+    def _act_step(self, mat, x, i):
+        return product_mod(mat, self._gen_mats[i], self.orders)
 
     def act_right(self, g):
         """Right-action matrix: m.g = g^{-1}.m."""
@@ -421,7 +419,7 @@ class PresentationComplex(FreeResolution):
 
     def __init__(self, M: GModule, budget: BarBudget):
         super().__init__(M, budget)
-        self._fox = None
+        self._fox: dict = {self.G.identity: {}}
 
     def cells(self, i) -> int:
         if not 0 <= i <= self.top:
@@ -429,26 +427,17 @@ class PresentationComplex(FreeResolution):
         nsgen = len(self.G.generators)
         return (1, nsgen, self.G.order * (nsgen - 1) + 1)[i]
 
-    def fox(self) -> dict:
-        """{g: {t: matrix of m |-> m.(dw(g)/ds_t)}} for the tree path w(g)
-        of every element g, built once down the spanning tree: the edge
-        g = x s_t gives dw(g)/ds_t = dw(x)/ds_t + x.
-        """
-        if self._fox is not None:
-            return self._fox
-        fox = {}
-        for g, edge in self.G.tree().items():   # parents come first
-            if edge is None:
-                fox[g] = {}
-                continue
-            x, t = edge
-            dg = dict(fox[x])
-            right = self.M.act_right(x)
-            dg[t] = _mat_add(dg[t], right) if t in dg else right
-            fox[g] = dg
-        if self._fox is None:
-            self._fox = fox
-        return self._fox
+    def fox(self, g) -> dict:
+        """{t: matrix of m |-> m.(dw(g)/ds_t)} for the tree path w(g) of
+        g, down the spanning tree (`FiniteGroup.walk`): the edge
+        g = x s_t gives dw(g)/ds_t = dw(x)/ds_t + x."""
+        return self.G.walk(g, self._fox, self._fox_step)
+
+    def _fox_step(self, dx, x, t):
+        dg = dict(dx)
+        right = self.M.act_right(x)
+        dg[t] = _mat_add(dg[t], right) if t in dg else right
+        return dg
 
     def differential(self, i):
         if i == 1:
@@ -458,10 +447,9 @@ class PresentationComplex(FreeResolution):
             return
         # relator R = w(g) s w(gs)^{-1}:
         # dR/dt = dw(g)/dt + [t = s] g - dw(gs)/dt
-        fox = self.fox()
         for g, si, gs in self.G.relators():
-            terms = [(t, 1, m) for t, m in fox[g].items()]
-            terms += [(t, -1, m) for t, m in fox[gs].items()]
+            terms = [(t, 1, m) for t, m in self.fox(g).items()]
+            terms += [(t, -1, m) for t, m in self.fox(gs).items()]
             terms.append((si, 1, self.M.act_right(g)))
             yield terms
 
@@ -472,10 +460,9 @@ class PresentationComplex(FreeResolution):
         if i == 0:
             yield [(0, 1, mat)]
         elif i == 1:
-            ofox = other.fox()
             for s in self.G.generators:
                 yield [(t, 1, mat_mul(m, mat))
-                       for t, m in ofox[group_map(s)].items()]
+                       for t, m in other.fox(group_map(s)).items()]
         else:
             raise ValueError(
                 f"the {self.kind} has chain maps in levels 0 and 1 only")
@@ -521,8 +508,8 @@ def hurewicz(M: GModule, budget: BarBudget | None = None):
     if M.orders != [0] or any(a != [[1]] for a in M.gen_action.values()):
         raise ValueError("the Hurewicz map needs the trivial module Z")
     cx = resolve(M, budget or BarBudget(), top=2)
-    h1, fox = cx.homology(1), cx.fox()
-    return h1, lambda g: h1.project({t: m[0][0] for t, m in fox[g].items()})
+    h1, fox = cx.homology(1), cx.fox
+    return h1, lambda g: h1.project({t: m[0][0] for t, m in fox(g).items()})
 
 
 # ----------------------------------------------------------------------
@@ -534,35 +521,54 @@ class StabilizationSetup:
     """The pair (phi: G_small -> G_big, s: M_small -> M_big) inducing a
     chain map of resolutions.
 
-    phi is an injective homomorphism given element-by-element; s_matrix
-    is an integer matrix equivariant over phi, i.e.
+    phi is given on generators: gen_images holds the images of
+    small.group.generators in order, and phi(g) is their product along
+    the tree path of g (`FiniteGroup.walk`).  verify() certifies that
+    phi is an injective homomorphism and that the integer matrix
+    s_matrix is equivariant over it, i.e.
     s . act_small(g) == act_big(phi(g)) . s  on the presentations.
+    The chain maps are kept per level and pair of resolutions, one copy
+    for every grid cell and thread that reads them.
     """
 
     small: GModule
     big: GModule
-    phi: dict
+    gen_images: tuple
     s_matrix: list
 
+    def __post_init__(self):
+        self._phi = {self.small.group.identity: self.big.group.identity}
+        self._maps: dict = {}
+
+    def phi(self, g):
+        return self.small.group.walk(g, self._phi, self._phi_step)
+
+    def _phi_step(self, value, x, i):
+        return self.big.group.mul(value, self.gen_images[i])
+
     def verify(self) -> None:
-        Gs, Gb = self.small.group, self.big.group
-        ident = Gb.identity
-        assert self.phi[Gs.identity] == ident
-        for a in Gs.generators:
-            for b in Gs.elements:
-                assert self.phi[Gs.mul(a, b)] == Gb.mul(
-                    self.phi[a], self.phi[b]), "phi is not a homomorphism"
-        assert len(set(self.phi.values())) == len(self.phi), \
-            "phi is not injective"
-        check_equivariant(self.s_matrix, self.small, self.big,
-                          self.phi.__getitem__,
+        """Raise AssertionError (kept under python -O) unless phi is an
+        injective homomorphism, ValueError unless s is equivariant over
+        it.  phi(g) phi(s_i) = phi(g s_i) holds on tree edges by
+        construction and is checked on every relator (g, i, g s_i); then
+        induction on the tree depth of h gives phi(g h) = phi(g) phi(h)."""
+        Gs, mul = self.small.group, self.big.group.mul
+        for g, i, gs in Gs.relators():
+            if mul(self.phi(g), self.gen_images[i]) != self.phi(gs):
+                raise AssertionError("phi is not a homomorphism")
+        if len({self.phi(g) for g in Gs.elements}) != Gs.order:
+            raise AssertionError("phi is not injective")
+        check_equivariant(self.s_matrix, self.small, self.big, self.phi,
                           "s is not equivariant over phi")
 
     def chain_map(self, i, cx_small, cx_big) -> SparseCols:
         """C_i(G_small; M_small) -> C_i(G_big; M_big) between two
-        resolutions of one kind."""
-        return cx_small.chain_map(i, cx_big, self.phi.__getitem__,
-                                  self.s_matrix)
+        resolutions of one kind, built once."""
+        key = (i, cx_small, cx_big)
+        if key not in self._maps:
+            self._maps.setdefault(key, cx_small.chain_map(
+                i, cx_big, self.phi, self.s_matrix))
+        return self._maps[key]
 
 
 def check_equivariant(s, src: GModule, dst: GModule, phi, message) -> None:
@@ -616,7 +622,6 @@ class MappingCone(PresentedComplex):
         self.setup = setup
         self.cx_s = resolve(setup.small, budget, top)
         self.cx_b = resolve(setup.big, budget, top)
-        self._maps: dict[int, SparseCols] = {}
 
     def level_size(self, i) -> int:
         return self.offset(i) + self.cx_b.level_size(i)
@@ -629,19 +634,13 @@ class MappingCone(PresentedComplex):
         small = self.cx_s.row_orders(i - 1) if i >= 1 else []
         return small + self.cx_b.row_orders(i)
 
-    def chain_map(self, i) -> SparseCols:
-        """The stabilization chain map f at level i, built once."""
-        if i not in self._maps:
-            self._maps[i] = self.setup.chain_map(i, self.cx_s, self.cx_b)
-        return self._maps[i]
-
     def boundary(self, i) -> SparseCols:
         ns_out = self.offset(i - 1)
         cols = []
         db = self.cx_b.boundary(i)
         if i >= 1:
             ds = self.cx_s.boundary(i - 1) if i >= 2 else None
-            f = self.chain_map(i - 1)
+            f = self.setup.chain_map(i - 1, self.cx_s, self.cx_b)
             for c in range(self.cx_s.level_size(i - 1)):
                 col = {}
                 if ds is not None:
@@ -687,7 +686,7 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     j_amb = SparseCols(cone.level_size(i), j_cols)
     Mj = induced_matrix(j_amb, h_b_i, rel_i)
 
-    Mf = induced_matrix(cone.chain_map(i), h_s_i, h_b_i)
+    Mf = induced_matrix(setup.chain_map(i, cx_s, cx_b), h_s_i, h_b_i)
 
     out = {
         "H_i_small": h_s_i.group, "H_i_big": h_b_i.group,
@@ -708,7 +707,8 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
             d_cols.append({c: 1} if c < off else {})
         d_amb = SparseCols(cx_s.level_size(i - 1), d_cols)
         Md = induced_matrix(d_amb, rel_i, h_s_im1)
-        Mf_prev = induced_matrix(cone.chain_map(i - 1), h_s_im1, h_b_im1)
+        Mf_prev = induced_matrix(setup.chain_map(i - 1, cx_s, cx_b),
+                                 h_s_im1, h_b_im1)
         out["H_im1_small"] = h_s_im1.group
         out["H_im1_big"] = h_b_im1.group
         out["defects"]["at_Rel_i"] = defect(Mj, Md, h_b_i, rel_i, h_s_im1)

@@ -215,21 +215,6 @@ def pi1_triviality(skel: TwoSkeleton, budget_rows: int = 10 ** 6):
         return "not connected", {"note": "disconnected 1-skeleton"}
     if n_gens == 0:
         return "trivial", {"note": "no edges"}
-    # fast pre-pass: tree edges are trivial; a triangle with two trivial
-    # edges kills the third; if everything dies, pi1 is trivial
-    trivial_gen = {r[0] - 1 for r in relators if len(r) == 1 and r[0] > 0}
-    changed = True
-    while changed:
-        changed = False
-        for (e01, e12, e02) in skel.triangles:
-            known = [e in trivial_gen for e in (e01, e12, e02)]
-            if sum(known) == 2:
-                for e, k in zip((e01, e12, e02), known):
-                    if not k and e not in trivial_gen:
-                        trivial_gen.add(e)
-                        changed = True
-    if len(trivial_gen) == n_gens:
-        return "trivial", {"note": "edge propagation"}
     verdict, n = todd_coxeter_trivial(n_gens, relators, budget_rows)
     if verdict == "trivial":
         return "trivial", {"cosets": n}

@@ -570,13 +570,16 @@ def run_stability(cfg: FamilyConfig, jobs: int = 1) -> dict:
     wants_rel = any(p.theorem == "4.20" for p in preds)
     grid = [(n, i) for n in range(cfg.n_max)
             for i in range(cfg.i_max + 1)]
+    # one verified setup per level; its cells share its chain maps
+    setups = [system.stabilization_setup(n) for n in range(cfg.n_max)]
+    for setup in setups:
+        setup.verify()
 
     def cell(args):
         n, i = args
         out = {"n": n, "i": i}
+        setup = setups[n]
         try:
-            setup = system.stabilization_setup(n)
-            setup.verify()
             # a 4.20 cell reads the stabilization verdict off its LES pass
             if wants_rel:
                 st = les_exact_at_rel(setup, i, budget)

@@ -375,6 +375,7 @@ def test_checks_survive_optimized_python():
         from homstab.simplicial import SemiSimplicialSet
         from tests.test_bracket import (_broken_closed_forms,
                                         _broken_face_arrays)
+        from tests.test_homology import _broken_phi_setups
 
         assert False, "not running under python -O"
         try:
@@ -389,6 +390,11 @@ def test_checks_survive_optimized_python():
                 BracketCategory(G).hom_set(m, n)
             except AssertionError as exc:
                 print(exc)
+        for setup, _ in _broken_phi_setups():
+            try:
+                setup.verify()
+            except AssertionError as exc:
+                print(exc)
     """)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -396,8 +402,9 @@ def test_checks_survive_optimized_python():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 6
     assert "semi-simplicial identity" in lines[0]
     assert lines[1].startswith("hom set (1,2) has 96 morphisms")
-    for line, case in zip(lines[2:], _broken_closed_forms()):
+    for line, case in zip(lines[2:4], _broken_closed_forms()):
         assert line.startswith(case[3])
+    assert lines[4:] == ["phi is not a homomorphism", "phi is not injective"]

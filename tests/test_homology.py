@@ -278,18 +278,22 @@ def test_h0_stabilization_builds_chain_level_1_only():
 
 
 def test_les_pass_builds_each_chain_map_once(sym_cat, monkeypatch):
-    # the cone's boundaries and the LES's induced maps share f_0 and f_1
+    # the cone's boundaries and the LES's induced maps share f_0 and f_1,
+    # which the setup keeps for the next cell that reads them
     from homstab.coeffsys import standard_system
-    from homstab.homology_engine import StabilizationSetup, les_exact_at_rel
+    from homstab.homology_engine import (FreeResolution, les_exact_at_rel,
+                                         stabilization_status)
     built = {}
-    chain_map = StabilizationSetup.chain_map
+    chain_map = FreeResolution.chain_map
 
     def counting(self, i, *args):
         built[i] = built.get(i, 0) + 1
         return chain_map(self, i, *args)
-    monkeypatch.setattr(StabilizationSetup, "chain_map", counting)
+    monkeypatch.setattr(FreeResolution, "chain_map", counting)
     setup = standard_system(sym_cat, 0, 3).stabilization_setup(2)
     assert les_exact_at_rel(setup, 1)["exact"]
+    assert les_exact_at_rel(setup, 0)["exact"]
+    stabilization_status(setup, 1)
     assert built == {0: 1, 1: 1}
 
 
@@ -343,39 +347,117 @@ def test_mapping_cone_rejects_non_equivariant_map():
         MappingCone(bad, BarBudget(), top=3).homology(1)
 
 
-def test_resolve_keeps_one_copy_across_threads():
-    # grid cells on --jobs threads race for one module's complex (bar or
-    # presentation), levels and homology; every thread gets the one copy
-    # that is kept
+@pytest.mark.parametrize("family,n_top", [
+    ("Sym", 5), ("Z/2 wr Sym", 3), ("Z/3 wr Sym", 2), ("GL(F_2)", 2),
+    ("GL(F_3)", 1), ("GL(Z/4)", 1)])
+def test_phi_folded_from_generators_is_upper_suspension(family, n_top):
+    # phi(g), the product of the generator images along the tree path of
+    # g, is g + id_x on every element of G_n, and the certificate holds
+    from homstab.bracket import BracketCategory
+    from homstab.coeffsys import constant_system
+    from homstab.groupoids import (FiniteRing, make_general_linear,
+                                   make_symmetric, make_wreath)
+    inst = {"Sym": make_symmetric,
+            "Z/2 wr Sym": lambda: make_wreath(cyclic_group(2)),
+            "Z/3 wr Sym": lambda: make_wreath(cyclic_group(3)),
+            "GL(F_2)": lambda: make_general_linear(FiniteRing(2)),
+            "GL(F_3)": lambda: make_general_linear(FiniteRing(3)),
+            "GL(Z/4)": lambda: make_general_linear(FiniteRing(4))}[family]()
+    cat = BracketCategory(inst)
+    system = constant_system(cat, 0, 1, n_top + 1)
+    for n in range(n_top + 1):
+        setup = system.stabilization_setup(n)
+        setup.verify()
+        for g in setup.small.group:
+            assert setup.phi(g) == cat.sigma_upper_on_group(g, n, 1), (n, g)
+
+
+def _broken_phi_setups():
+    """Sym(4) -> Sym(5) setups whose phi the certificate refuses, with
+    the message each raises: the images of s_0 and s_1 swapped, which
+    breaks (s_0 s_2)^2, and every generator sent to the identity."""
+    from dataclasses import replace
+    from homstab.bracket import BracketCategory
+    from homstab.coeffsys import constant_system
+    from homstab.groupoids import make_symmetric
+    setup = constant_system(BracketCategory(make_symmetric()), 0, 1, 5
+                            ).stabilization_setup(4)
+    a, b, c = setup.gen_images
+    ident = setup.big.group.identity
+    return [(replace(setup, gen_images=(b, a, c)),
+             "phi is not a homomorphism"),
+            (replace(setup, gen_images=(ident,) * 3),
+             "phi is not injective")]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["swapped", "trivial"])
+def test_phi_certificate_refuses(case):
+    setup, message = _broken_phi_setups()[case]
+    with pytest.raises(AssertionError, match=message):
+        setup.verify()
+
+
+def _race(work, nthreads=8):
+    """work() on nthreads threads released at once, with a 1 us switch
+    interval; the list of their results."""
     import sys
     import threading
-    budget = BarBudget()
+    got = []
+    start = threading.Barrier(nthreads, timeout=120)
 
-    def race(M, top, nthreads=8):
-        got = []
-        start = threading.Barrier(nthreads, timeout=120)
-
-        def work():
-            start.wait()
-            cx = resolve(M, budget, top)
-            got.append((cx, cx.boundary(2), cx.homology(1)))
-        threads = [threading.Thread(target=work) for _ in range(nthreads)]
+    def run():
+        start.wait()
+        got.append(work())
+    threads = [threading.Thread(target=run) for _ in range(nthreads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=120)
-        assert not any(t.is_alive() for t in threads)
-        return got
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _, top in itertools.product(range(5), (3, 2)):
-            got = race(permutation_module(symmetric_group(4), 4), top)
-            assert len(got) == 8
-            assert all(a is b for row in got for a, b in zip(row, got[0]))
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == nthreads
+    return got
+
+
+def test_resolve_keeps_one_copy_across_threads():
+    # grid cells on --jobs threads race for one module's complex (bar or
+    # presentation), levels and homology; every thread gets the one copy
+    # that is kept
+    budget = BarBudget()
+
+    def work(M, top):
+        cx = resolve(M, budget, top)
+        return cx, cx.boundary(2), cx.homology(1)
+
+    for _, top in itertools.product(range(5), (3, 2)):
+        M = permutation_module(symmetric_group(4), 4)
+        got = _race(lambda: work(M, top))
+        assert all(a is b for row in got for a, b in zip(row, got[0]))
+
+
+def test_setup_keeps_one_chain_map_across_threads(sym_cat):
+    # the cells of one level race for its setup's phi and chain maps; phi
+    # agrees on every element and every thread gets the one f_i kept
+    from homstab.coeffsys import standard_system
+    budget = BarBudget()
+
+    def work(setup):
+        maps = []
+        for top in (2, 3):
+            cx_s = resolve(setup.small, budget, top)
+            cx_b = resolve(setup.big, budget, top)
+            maps += [setup.chain_map(i, cx_s, cx_b) for i in range(2)]
+        return maps, [setup.phi(g) for g in setup.small.group]
+
+    for _ in range(5):
+        setup = standard_system(sym_cat, 0, 4).stabilization_setup(3)
+        got = _race(lambda: work(setup))
+        assert all(a is b for maps, _ in got for a, b in zip(maps, got[0][0]))
+        assert all(phis == got[0][1] for _, phis in got)
 
 
 def test_z4_sign_module_d2_vanishes_only_mod_4():

@@ -214,11 +214,12 @@ def test_wrong_fox_column_fails_d2():
     # that element no longer close up under d_1
     M = permutation_module(symmetric_group(3), 3)
     cx = PresentationComplex(M, BarBudget())
-    fox = cx.fox()
-    g = next(g for g in M.group.elements if fox[g])
-    t, mat = next(iter(fox[g].items()))
-    fox[g] = {**fox[g], t: [[x + (a == b) for b, x in enumerate(row)]
-                            for a, row in enumerate(mat)]}
+    for g in M.group.elements:      # every derivative right, then one off
+        cx.fox(g)
+    g = next(g for g in M.group.elements if cx.fox(g))
+    t, mat = next(iter(cx.fox(g).items()))
+    cx._fox[g] = {**cx.fox(g), t: [[x + (a == b) for b, x in enumerate(row)]
+                                   for a, row in enumerate(mat)]}
     with pytest.raises(AssertionError, match=r"presentation complex: d\^2"):
         cx.homology(1)
 

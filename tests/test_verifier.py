@@ -205,8 +205,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     }))
     assert cli_main(["stability", "--config", str(path)]) == 0
     capsys.readouterr()
-    assert cli_main(["stability", "--config", str(path),
-                     "--budget-entries", "13"]) == 3
+    config = json.loads(path.read_text())
+    config["budgets"] = {"boundary_entries": 13}
+    path.write_text(json.dumps(config))
+    assert cli_main(["stability", "--config", str(path)]) == 3
     capsys.readouterr()
 
 
@@ -361,20 +363,36 @@ def test_custom_coeff_loader_rejects_broken_relation(tmp_path, sym_cat):
 def test_cli_flags_per_subcommand():
     from homstab.cli import build_parser
     parser = build_parser()
-    args = parser.parse_args(["stability", "--config", "c.json",
-                              "--jobs", "2", "--budget-entries", "10"])
-    assert (args.jobs, args.budget_entries) == (2, 10)
-    args = parser.parse_args(["homology", "--config", "c.json",
-                              "--jobs", "2"])
-    assert args.jobs == 2
-    for argv in (["homology", "--cache-dir", "d"],
-                 ["stability", "--cache-dir", "d"],
-                 ["degree", "--jobs", "2"],
-                 ["verify-axioms", "--budget-entries", "10"],
-                 ["stability", "--budget-cells", "10"],
-                 ["homology", "--seed", "1"]):
+    for command in ("stability", "homology"):
+        args = parser.parse_args([command, "--config", "c.json",
+                                  "--jobs", "2"])
+        assert args.jobs == 2
+    # budgets come from the config alone, where load_config checks them
+    refused = [[command, "--budget-entries", "10"] for command in
+               ("verify-axioms", "connectivity", "homology", "degree",
+                "stability")]
+    for argv in refused + [["homology", "--cache-dir", "d"],
+                           ["stability", "--cache-dir", "d"],
+                           ["degree", "--jobs", "2"],
+                           ["stability", "--budget-cells", "10"],
+                           ["homology", "--seed", "1"]]:
         with pytest.raises(SystemExit):
             parser.parse_args(argv[:1] + ["--config", "c.json"] + argv[1:])
+
+
+def test_stability_verifies_each_level_once(monkeypatch):
+    # the setup of level n is certified before the grid, not per cell
+    from homstab.homology_engine import StabilizationSetup
+    calls = []
+    verify = StabilizationSetup.verify
+
+    def counting(self):
+        calls.append(self.small.group.order)
+        verify(self)
+    monkeypatch.setattr(StabilizationSetup, "verify", counting)
+    report = run_stability(_cfg(n_max=3, i_max=2), jobs=2)
+    assert len(report["cells"]) == 9
+    assert calls == [1, 1, 2]
 
 
 def test_config_seed_is_hashed_not_read():
