@@ -28,14 +28,17 @@ for every edge of W_n.
 Faces of W_n need no composition either.  Face i of f = [X^c, r]:
 X^{p+1} -> n is f (id_c + delta_i), and id_c + delta_i is a slot
 permutation: it moves block i of the tail (the source slots) next to the
-complement.  So the face is r with its slots reordered (`permute`, no
-product), then the coset minimum for the complement c + x
-(`face_reps`, on reps, which `face` and `simplicial.build_W` share).
+complement.  So the face is the coset minimum, for the complement c + x,
+of r with its slots reordered (`face_reps`, on reps, which `face` and
+`simplicial.build_W` share).  The instance computes it
+(`BraidedGroupoidInstance.face_reps`): the symmetric and wreath
+instances in one step, the moved block joining the sorted complement;
+GL by `permute` and then `coset_min`, which is also the oracle of the
+one-step forms.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .groupoids import BraidedGroupoidInstance
@@ -53,14 +56,6 @@ class UMorphism:
 
     def __repr__(self):
         return f"U({self.source}->{self.target}; {self.rep})"
-
-
-@functools.lru_cache(maxsize=None)
-def _face_order(c: int, i: int, x: int, n: int) -> tuple:
-    """The slots of id_c + delta_i on n = c + (p+1)x: the complement,
-    then block i of the tail, then the other blocks in order."""
-    lo = c + i * x
-    return (*range(c), *range(lo, lo + x), *range(c, lo), *range(lo + x, n))
 
 
 class BracketCategory:
@@ -128,13 +123,11 @@ class BracketCategory:
         X^{p+1} = m -> n: d_i f = f (id_c + delta_i), where delta_i:
         X^p -> X^{p+1} inserts iota_X in slot i.  id_c + delta_i is the
         slot permutation that moves block i of the tail next to the
-        complement, so d_i f is the coset minimum of r permuted."""
+        complement, so d_i f is the coset minimum of r permuted
+        (`BraidedGroupoidInstance.face_reps`)."""
         if not 0 <= i < m // x:
             raise ValueError("face index out of range")
-        G = self.G
-        c = n - m
-        order = _face_order(c, i, x, n)
-        return [G.coset_min(c + x, G.permute(r, order)) for r in reps]
+        return self.G.face_reps(n - m, i, x, reps)
 
     def face(self, f: UMorphism, i: int, x: int) -> UMorphism:
         """d_i f for f: X^{p+1} -> n (`face_reps`)."""

@@ -8,6 +8,7 @@ witnesses.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import groups as gr
@@ -37,9 +38,10 @@ class BraidedGroupoidInstance:
     Subclasses provide `_make_aut`, `block_sum` and `braiding`; Aut(n)
     construction is memoized and budget-guarded.  Subclasses with a
     closed form for the minimum of a left-block coset override
-    `coset_min`; those that can list the coset minima of Hom(m, n)
-    without Aut(n) override `hom_reps`, and `aut_order` with the order
-    formula and budget check of their group constructor.
+    `coset_min`, and `face_reps` where a face has one too; those that
+    can list the coset minima of Hom(m, n) without Aut(n) override
+    `hom_reps`, and `aut_order` with the order formula and budget check
+    of their group constructor.
     """
 
     symmetric_flag = False
@@ -117,6 +119,21 @@ class BraidedGroupoidInstance:
         block = self.left_block(c, n - c)
         return min(self.mul(f, b) for b in block)
 
+    def face_reps(self, c: int, i: int, x: int, reps) -> list:
+        """For each r in reps, the minimum of the coset r s (Aut(c + x) +
+        id), s the slot permutation that moves block i of the tail, slots
+        c + ix .. c + (i+1)x - 1, next to the first c slots: the rep of
+        face i of [X^c, r] (`bracket.BracketCategory.face_reps`).
+
+        Generic: `permute`, then `coset_min`.  It is the fallback for
+        instances without a closed form and the oracle the closed forms
+        are tested against.
+        """
+        if not reps:
+            return []
+        order = _face_order(c, i, x, self.degree(reps[0]))
+        return [self.coset_min(c + x, self.permute(r, order)) for r in reps]
+
     def hom_reps(self, m: int, n: int) -> list:
         """The coset minima of Hom(m, n), sorted: coset_min(n - m, f) for
         f in Aut(n).
@@ -129,6 +146,14 @@ class BraidedGroupoidInstance:
 
     def identity(self, n: int):
         return self.aut(n).identity
+
+
+@functools.lru_cache(maxsize=None)
+def _face_order(c: int, i: int, x: int, n: int) -> tuple:
+    """The slots of id_c + delta_i on n = c + (p+1)x: the complement,
+    then block i of the tail, then the other blocks in order."""
+    lo = c + i * x
+    return (*range(c), *range(lo, lo + x), *range(c, lo), *range(lo + x, n))
 
 
 def _injective_words(m: int, n: int) -> list:
@@ -169,6 +194,12 @@ class SymmetricGroupoid(BraidedGroupoidInstance):
     def coset_min(self, c, f):
         # right multiplication by Aut(c) + id permutes the first c images
         return tuple(sorted(f[:c])) + f[c:]
+
+    def face_reps(self, c, i, x, reps):
+        # the moved block joins the complement, which is sorted again
+        lo, hi = c + i * x, c + (i + 1) * x
+        return [tuple(sorted(r[:c] + r[lo:hi])) + r[c:lo] + r[hi:]
+                for r in reps]
 
     def hom_reps(self, m, n):
         # a coset is fixed by its injective tail t, the last m images, and
@@ -223,6 +254,22 @@ class WreathGroupoid(BraidedGroupoidInstance):
         for i in moved:
             labels[i] = least
         return (tuple(labels), tuple(sorted(moved)) + s[c:])
+
+    def face_reps(self, c, i, x, reps):
+        # coset_min after permute: the moved block joins the complement,
+        # which is sorted again, and the labels at its points drop to the
+        # least base element
+        lo, hi = c + i * x, c + (i + 1) * x
+        least = self.base.elements[0]
+        out = []
+        for a, s in reps:
+            moved = s[:c] + s[lo:hi]
+            labels = list(a)
+            for j in moved:
+                labels[j] = least
+            out.append((tuple(labels),
+                        tuple(sorted(moved)) + s[c:lo] + s[hi:]))
+        return out
 
     def aut_order(self, n):
         return gr.wreath_order(self.base, n, self.budget)

@@ -527,8 +527,9 @@ class StabilizationSetup:
     phi is an injective homomorphism and that the integer matrix
     s_matrix is equivariant over it, i.e.
     s . act_small(g) == act_big(phi(g)) . s  on the presentations.
-    The chain maps are kept per level and pair of resolutions, one copy
-    for every grid cell and thread that reads them.
+    The chain maps are kept per level and pair of resolutions, and the
+    mapping cones per pair of resolutions, one copy for every grid cell
+    and thread that reads them.
     """
 
     small: GModule
@@ -539,6 +540,7 @@ class StabilizationSetup:
     def __post_init__(self):
         self._phi = {self.small.group.identity: self.big.group.identity}
         self._maps: dict = {}
+        self._cones: dict = {}
 
     def phi(self, g):
         return self.small.group.walk(g, self._phi, self._phi_step)
@@ -569,6 +571,15 @@ class StabilizationSetup:
             self._maps.setdefault(key, cx_small.chain_map(
                 i, cx_big, self.phi, self.s_matrix))
         return self._maps[key]
+
+    def cone(self, budget: BarBudget, top: int) -> "MappingCone":
+        """The mapping cone of the chain map between the resolutions
+        that reach level top, built once."""
+        key = (resolve(self.small, budget, top),
+               resolve(self.big, budget, top))
+        if key not in self._cones:
+            self._cones.setdefault(key, MappingCone(self, budget, top))
+        return self._cones[key]
 
 
 def check_equivariant(s, src: GModule, dst: GModule, phi, message) -> None:
@@ -611,7 +622,9 @@ class MappingCone(PresentedComplex):
 
     Cone_i = C_{i-1}(small) (+) C_i(big), d(x, y) = (-dx, f(x) + dy).
     H_i(Cone) is the relative homology of the stabilization pair; it
-    reads the levels up to i + 1 only, and f up to level i.
+    reads the levels up to i + 1 only, and f up to level i.  Boundaries
+    are built on first use and kept; take a cone from
+    `StabilizationSetup.cone` to share them.
     """
 
     kind = "mapping cone"
@@ -622,6 +635,7 @@ class MappingCone(PresentedComplex):
         self.setup = setup
         self.cx_s = resolve(setup.small, budget, top)
         self.cx_b = resolve(setup.big, budget, top)
+        self._boundaries: dict[int, SparseCols] = {}
 
     def level_size(self, i) -> int:
         return self.offset(i) + self.cx_b.level_size(i)
@@ -635,6 +649,8 @@ class MappingCone(PresentedComplex):
         return small + self.cx_b.row_orders(i)
 
     def boundary(self, i) -> SparseCols:
+        if i in self._boundaries:
+            return self._boundaries[i]
         ns_out = self.offset(i - 1)
         cols = []
         db = self.cx_b.boundary(i)
@@ -651,14 +667,14 @@ class MappingCone(PresentedComplex):
                 cols.append(col)
         for c in range(self.cx_b.level_size(i)):
             cols.append({ns_out + r: v for r, v in db.cols[c].items()})
-        return SparseCols(self.level_size(i - 1), cols)
+        return self._boundaries.setdefault(
+            i, SparseCols(self.level_size(i - 1), cols))
 
 
 def relative_homology(setup: StabilizationSetup, i: int,
                       budget: BarBudget | None = None) -> FGAbelianGroup:
     """Rel_i = H_i of the mapping cone of the stabilization chain map."""
-    return MappingCone(setup, budget or BarBudget(),
-                       top=i + 1).homology(i).group
+    return setup.cone(budget or BarBudget(), top=i + 1).homology(i).group
 
 
 def les_exact_at_rel(setup: StabilizationSetup, i: int,
@@ -672,7 +688,7 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     of stabilization_status read from the same induced map f_*:
     is_epi, is_iso, source, target and matrix.
     """
-    cone = MappingCone(setup, budget or BarBudget(), top=i + 1)
+    cone = setup.cone(budget or BarBudget(), top=i + 1)
     cx_s, cx_b = cone.cx_s, cone.cx_b
     h_b_i = cx_b.homology(i)
     rel_i = cone.homology(i)

@@ -26,9 +26,9 @@ def two_skeleton_from_semisimplicial(W) -> TwoSkeleton:
     # d_2 t * d_0 t = d_1 t on edge paths.  On a simplicial complex the
     # edge (a, b), a < b, runs from a to b and the triangle (a, b, c)
     # reads (a, b) * (b, c) = (a, c)
-    d = W.faces
-    edges = list(zip(d[1][1], d[1][0])) if len(W.levels) > 1 else []
-    tris = list(zip(d[2][2], d[2][0], d[2][1])) if len(W.levels) > 2 else []
+    d = W.face
+    edges = list(zip(d(1, 1), d(1, 0))) if len(W.levels) > 1 else []
+    tris = list(zip(d(2, 2), d(2, 0), d(2, 1))) if len(W.levels) > 2 else []
     return TwoSkeleton(len(W.levels[0]) if W.levels else 0, edges, tris)
 
 

@@ -7,10 +7,17 @@ A simplicial complex is the semi-simplicial set of its sorted simplices
 2-skeleton and one certificate.  A certificate up to degree t builds
 chain levels 0..t+1 only and cancels their unit pairs before any
 Hermite form.
+
+build_W lists every level of W_n but computes a face array only when a
+reader first asks for it: the certificate reads every face of levels
+1..t+1, the 2-skeleton those of levels 1 and 2, and the lift profile
+d_0 and d_p of every level.  Each semi-simplicial identity is checked
+once its last array is computed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,36 +30,47 @@ from .exact_linalg import (FGAbelianGroup, SparseCols, check_composable,
 class SemiSimplicialSet:
     """Levels of p-simplices with face index arrays.
 
-    levels[p] is a duplicate-free list; faces[p][i][s] is the index in
-    levels[p-1] of d_i applied to simplex s of level p.  The identities
-    d_i d_j = d_{j-1} d_i (i < j) are checked at construction, also under
-    python -O: a violation raises AssertionError.
+    levels[p] is a duplicate-free list; face(p, i)[s] is the index in
+    levels[p-1] of d_i applied to simplex s of level p.  `faces` is
+    either every array, faces[p][i] for p >= 1, or a function
+    faces(p, i) that `face` calls on the first read of array (p, i) and
+    whose result it keeps.
+
+    The identities d_i d_j = d_{j-1} d_i (i < j) are checked also under
+    python -O: a violation raises AssertionError.  Arrays passed whole
+    are checked at construction.  Otherwise each identity is checked as
+    soon as the last of its arrays is computed, before that array
+    reaches its reader, so every array a reader receives has passed
+    every identity whose arrays exist.
     """
 
     def __init__(self, levels, faces):
         self.levels = levels
-        self.faces = faces
-        self._check_identities()
+        if callable(faces):
+            self._compute = faces
+            self._faces = {}
+        else:
+            self._faces = {(p, i): faces[p][i]
+                           for p in range(1, len(levels))
+                           for i in range(p + 1)}
+            for p in range(2, len(levels)):
+                _check_identities(p, [ji for ji, _ in _identities(p)],
+                                  self._faces)
 
-    def _check_identities(self):
-        """Each identity is compared on a whole level at once; a
-        violation names the first simplex, then the first j and i."""
-        for p in range(2, len(self.levels)):
-            top, below = self.faces[p], self.faces[p - 1]
-            bad = []
-            for j in range(1, p + 1):
-                for i in range(j):
-                    a = [below[i][t] for t in top[j]]
-                    b = [below[j - 1][t] for t in top[i]]
-                    if a != b:
-                        s = next(s for s, (u, v) in enumerate(zip(a, b))
-                                 if u != v)
-                        bad.append((s, j, i))
-            if bad:
-                s, j, i = min(bad)
-                raise AssertionError(
-                    f"semi-simplicial identity d_{i} d_{j} = "
-                    f"d_{j - 1} d_{i} violated on simplex {s} of level {p}")
+    def face(self, p, i):
+        """The array of d_i on level p, computed on its first read."""
+        arr = self._faces.get((p, i))
+        if arr is None:
+            arr = self._compute(p, i)
+            done = {**self._faces, (p, i): arr}
+            for q in (p, p + 1):
+                if 2 <= q < len(self.levels):
+                    _check_identities(q, [ji for ji, arrays
+                                          in _identities(q)
+                                          if (p, i) in arrays
+                                          and arrays <= done.keys()], done)
+            self._faces[p, i] = arr
+        return arr
 
     @property
     def dimension(self):
@@ -71,11 +89,36 @@ class SemiSimplicialSet:
         for p in range(1, len(self.levels)):
             below = out[-1]
             out.append([below[last] + below[first][-1:] for last, first
-                        in zip(self.faces[p][p], self.faces[p][0])])
+                        in zip(self.face(p, p), self.face(p, 0))])
         return out
 
     def chain_complex(self) -> "ChainComplex":
         return ChainComplex(self)
+
+
+def _identities(p):
+    """The identities d_i d_j = d_{j-1} d_i (i < j) on level p: (j, i)
+    with the set of face arrays each compares."""
+    return [((j, i), {(p, j), (p, i), (p - 1, i), (p - 1, j - 1)})
+            for j in range(1, p + 1) for i in range(j)]
+
+
+def _check_identities(p, pairs, faces):
+    """The identities (j, i) on level p, each compared on the whole
+    level; a violation names the first simplex, then the first j
+    and i."""
+    bad = []
+    for j, i in pairs:
+        a = list(map(faces[p - 1, i].__getitem__, faces[p, j]))
+        b = list(map(faces[p - 1, j - 1].__getitem__, faces[p, i]))
+        if a != b:
+            s = next(s for s, (u, v) in enumerate(zip(a, b)) if u != v)
+            bad.append((s, j, i))
+    if bad:
+        s, j, i = min(bad)
+        raise AssertionError(
+            f"semi-simplicial identity d_{i} d_{j} = "
+            f"d_{j - 1} d_{i} violated on simplex {s} of level {p}")
 
 
 def _tuple_faces(levels):
@@ -123,7 +166,7 @@ class ChainComplex:
     C_{p-1} is the alternating sum of the faces.
 
     boundary(p) builds d_p afresh from the face arrays and records p in
-    `built`.  d d = 0 follows from the face identities that X asserted;
+    `built`.  d d = 0 follows from the face identities that X checks;
     `reduced` checks it again on each pair it builds, before the
     reduction overwrites them.
     """
@@ -141,7 +184,7 @@ class ChainComplex:
             return SparseCols(1, [{0: 1} for _ in range(self.level_dim(0))])
         cols = []
         if p < len(self.X.levels):
-            faces = self.X.faces[p]
+            faces = [self.X.face(p, i) for i in range(p + 1)]
             for s in range(len(self.X.levels[p])):
                 col = {}
                 for i in range(p + 1):
@@ -182,8 +225,9 @@ class ChainComplex:
 
 def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
     """W_n(A,X): p-simplices are Hom(X^{p+1}, A + nX) for p < n; face i
-    forgets slot i (`BracketCategory.face_reps`: a slot permutation, then
-    the coset minimum), computed on the reps of a whole level."""
+    forgets slot i (`BracketCategory.face_reps`, on the reps of a whole
+    level).  Every level is listed here; a face array is computed when a
+    reader first asks for it."""
     obj = A + n * x
     levels = []
     for p in range(n):
@@ -192,14 +236,20 @@ def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
     # drop trailing empty levels so dimension reflects content
     while levels and not levels[-1]:
         levels.pop()
-    faces = [None]
-    for p in range(1, len(levels)):
-        idx = {f.rep: i for i, f in enumerate(levels[p - 1])}
-        reps = [f.rep for f in levels[p]]
-        faces.append([[idx[r] for r in
-                       U.face_reps((p + 1) * x, obj, reps, i, x)]
-                      for i in range(p + 1)])
-    return SemiSimplicialSet(levels, faces)
+
+    @functools.cache
+    def reps(p):
+        return [f.rep for f in levels[p]]
+
+    @functools.cache
+    def index(p):
+        return {r: s for s, r in enumerate(reps(p))}
+
+    def face(p, i):
+        idx = index(p - 1)
+        return [idx[r] for r in U.face_reps((p + 1) * x, obj, reps(p), i, x)]
+
+    return SemiSimplicialSet(levels, face)
 
 
 def _distinct_vertex_tuples(W: SemiSimplicialSet):

@@ -269,7 +269,7 @@ def semisimplicial_boundaries(X):
         for s in range(sizes[p]):
             col = {}
             for i in range(p + 1):
-                t = X.faces[p][i][s]
+                t = X.face(p, i)[s]
                 col[t] = col.get(t, 0) + (-1) ** i
             cols.append({k: v for k, v in col.items() if v})
         boundaries.append(SparseCols(sizes[p - 1], cols))
@@ -319,16 +319,23 @@ def two_skeleton_from_complex(S) -> TwoSkeleton:
     return TwoSkeleton(S.n_vertices, edges, tris)
 
 
-def first_identity_violation(X):
+def face_arrays(X):
+    """Every face array of X, read through `face`: [None, [d_0, d_1] of
+    level 1, ...], the form SemiSimplicialSet takes them whole in."""
+    return [None] + [[X.face(p, i) for i in range(p + 1)]
+                     for p in range(1, len(X.levels))]
+
+
+def first_identity_violation(levels, faces):
     """The message SemiSimplicialSet raises for the first identity
-    d_i d_j = d_{j-1} d_i (i < j) that X violates, scanning simplex by
-    simplex, or None."""
-    for p in range(2, len(X.levels)):
-        for s in range(len(X.levels[p])):
+    d_i d_j = d_{j-1} d_i (i < j) that the face arrays violate, scanning
+    simplex by simplex, or None."""
+    for p in range(2, len(levels)):
+        for s in range(len(levels[p])):
             for j in range(1, p + 1):
                 for i in range(j):
-                    if X.faces[p - 1][i][X.faces[p][j][s]] != \
-                            X.faces[p - 1][j - 1][X.faces[p][i][s]]:
+                    if faces[p - 1][i][faces[p][j][s]] != \
+                            faces[p - 1][j - 1][faces[p][i][s]]:
                         return (f"semi-simplicial identity d_{i} d_{j} = "
                                 f"d_{j - 1} d_{i} violated on simplex {s} "
                                 f"of level {p}")
@@ -347,9 +354,9 @@ def vertex_tuple(X, p, s):
         pos = i
         while q > 0:
             if pos < q:
-                idx = X.faces[q][q][idx]
+                idx = X.face(q, q)[idx]
             else:
-                idx = X.faces[q][0][idx]
+                idx = X.face(q, 0)[idx]
                 pos -= 1
             q -= 1
         out.append(idx)
@@ -484,7 +491,7 @@ def w_isomorphic_to_ord(W: SemiSimplicialSet, ordW: SemiSimplicialSet) -> bool:
         if p:
             for s, t in enumerate(tuples):
                 for i in range(p + 1):
-                    ft = vertex_tuple(W, p - 1, W.faces[p][i][s])
+                    ft = vertex_tuple(W, p - 1, W.face(p, i)[s])
                     if ft != t[:i] + t[i + 1:]:
                         return False
     return True

@@ -347,6 +347,37 @@ def test_mapping_cone_rejects_non_equivariant_map():
         MappingCone(bad, BarBudget(), top=3).homology(1)
 
 
+def test_mapping_cone_built_once_per_pair(monkeypatch):
+    # Sym standard, n_max 4, theorems A and 4.20: the cells (n, 0) and
+    # (n, 1) both read the cone of one stabilization pair and its
+    # boundaries, so 4 cones are built and 12 boundary reads build 8
+    from homstab.homology_engine import MappingCone
+    from homstab.verifier import load_config, run_stability
+    cones, boundaries = [], []
+    init, boundary = MappingCone.__init__, MappingCone.boundary
+
+    def counted_init(self, *args):
+        cones.append(self)
+        init(self, *args)
+
+    def counted_boundary(self, i):
+        d = boundary(self, i)
+        boundaries.append((self, i, d))
+        return d
+
+    monkeypatch.setattr(MappingCone, "__init__", counted_init)
+    monkeypatch.setattr(MappingCone, "boundary", counted_boundary)
+    cfg = load_config({
+        "family": {"kind": "symmetric", "params": {}}, "A": 0, "X": 1,
+        "coeff": {"kind": "standard", "params": {"r_max": 2, "N_max": 0}},
+        "k": 2, "n_max": 4, "i_max": 1, "theorems": ["A", "4.20"]})
+    run_stability(cfg, jobs=1)
+    built = {id(d) for _, _, d in boundaries}
+    assert len(cones) == 4
+    assert len(boundaries) == 12
+    assert len(built) == len({(id(c), i) for c, i, _ in boundaries}) == 8
+
+
 @pytest.mark.parametrize("family,n_top", [
     ("Sym", 5), ("Z/2 wr Sym", 3), ("Z/3 wr Sym", 2), ("GL(F_2)", 2),
     ("GL(F_3)", 1), ("GL(Z/4)", 1)])

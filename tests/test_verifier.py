@@ -7,6 +7,7 @@ from homstab.verifier import (
     run_connectivity, run_degree, run_homology, run_stability,
     report_emit, exit_code,
 )
+from homstab.bracket import BracketCategory
 from homstab.cli import main as cli_main
 
 
@@ -79,6 +80,50 @@ def test_run_connectivity_symmetric():
     assert rep["passed"]
     for cell in rep["cells"]:
         assert cell["meets_target_topological"]
+
+
+WREATH3 = {"kind": "wreath", "params": {"cyclic_order": 3}}
+
+
+def _faces_read(monkeypatch, swap=None):
+    """Run connectivity on Z/3 wr Sym, n_max 4, with every face array
+    that build_W computes recorded as (n, p, i).  swap = (p, i) swaps
+    the first two entries of that array of W_4."""
+    computed = []
+    face_reps = BracketCategory.face_reps
+
+    def recorded(self, m, n, reps, i, x):
+        computed.append((n, m - 1, i))
+        out = face_reps(self, m, n, reps, i, x)
+        if (n, m - 1, i) == (4, *(swap or ())):
+            out[0], out[1] = out[1], out[0]
+        return out
+
+    monkeypatch.setattr(BracketCategory, "face_reps", recorded)
+    rep = run_connectivity(_cfg(family=WREATH3, n_max=4))
+    return rep, computed
+
+
+def test_connectivity_computes_only_the_faces_it_reads(monkeypatch):
+    # W_n's certificate reads chain levels 0..t+1, t = (n - 2) // 2, and
+    # pi_1 (attempted from t = 1 on) the 2-skeleton; above them the lift
+    # profile reads d_0 and d_p alone.  Each array is computed once.
+    rep, computed = _faces_read(monkeypatch)
+    assert rep["passed"]
+    assert rep["cells"][3]["pi1_status"] == "trivial"
+    full = {2: 1, 3: 1, 4: 2}
+    want = [(n, p, i) for n in range(2, 5) for p in range(1, n)
+            for i in range(p + 1) if p <= full[n] or i in (0, p)]
+    assert sorted(computed) == want
+
+
+@pytest.mark.parametrize("swap", [(3, 0), (3, 3)], ids=["d0", "d3"])
+def test_connectivity_checks_the_faces_it_reads(monkeypatch, swap):
+    # the lift profile is all that reads W_4's top level, through d_0 and
+    # d_3; swapping two of their entries breaks d_0 d_3 = d_2 d_0, which
+    # is checked before either array reaches it
+    with pytest.raises(AssertionError, match="semi-simplicial identity"):
+        _faces_read(monkeypatch, swap)
 
 
 def test_run_degree_constant():
