@@ -16,10 +16,11 @@ injective word t of length m, the last m slots, after the sorted points
 it misses, and for G wr Sym any base labels at the points of t and the
 least label elsewhere.  GL over any modulus scans Aut(n), one coset
 minimum per element; that scan is the oracle of the closed forms.
-`hom_set` checks the count against |Aut(n)| / |Aut(n-m)| (`aut_order`:
-the order formula for the closed forms, so that no group is built) and
-refuses an Aut(n) past the group budget as the group constructor does:
-the top level of W_n(0, X) has |Aut(n)| simplices.
+`BracketCategory.hom_reps` checks the count against |Aut(n)| /
+|Aut(n-m)| (`aut_order`: the order formula for the closed forms, so
+that no group is built) and refuses an Aut(n) past the group budget as
+the group constructor does: the top level of W_n(0, X) has |Aut(n)|
+simplices.  `build_W` lists those reps; `hom_set` keeps them wrapped.
 
 The same coset gives the stabilizer of a morphism without a scan:
 Stab([X^c, f]) = f (Aut(c) + id_m) f^-1, which local standardness reads
@@ -86,25 +87,30 @@ class BracketCategory:
         """The unique morphism 0 -> n."""
         return self.canonicalize(0, n, self.G.identity(n))
 
-    def hom_set(self, m: int, n: int) -> tuple[UMorphism, ...]:
-        """All morphisms m -> n, duplicate-free, sorted by rep: the
-        instance's `hom_reps`, checked against |Aut(n)| / |Aut(n-m)| (also
-        under python -O).  |Aut(n)| passes the group budget first, so a
-        hom set past it is refused before it is listed."""
+    def hom_reps(self, m: int, n: int) -> list:
+        """The reps of all morphisms m -> n, sorted: the instance's
+        `hom_reps`, checked duplicate-free and against |Aut(n)| /
+        |Aut(n-m)| (also under python -O), after |Aut(n)| passes the
+        group budget.  Not kept: `build_W` reads each level once."""
         if m > n:
-            return ()
+            return []
+        G = self.G
+        expected, rem = divmod(G.aut_order(n), G.aut_order(n - m))
+        reps = G.hom_reps(m, n)
+        if rem or len(reps) != expected:
+            raise AssertionError(
+                f"hom set ({m},{n}) has {len(reps)} morphisms, not "
+                f"|Aut(n)| / |Aut(n-m)|")
+        if len(set(reps)) != len(reps):
+            raise AssertionError(f"hom set ({m},{n}) lists a rep twice")
+        return reps
+
+    def hom_set(self, m: int, n: int) -> tuple[UMorphism, ...]:
+        """All morphisms m -> n (`hom_reps`), kept per (m, n)."""
         key = (m, n)
         if key not in self._hom_cache:
-            G = self.G
-            expected, rem = divmod(G.aut_order(n), G.aut_order(n - m))
-            reps = G.hom_reps(m, n)
-            if rem or len(reps) != expected:
-                raise AssertionError(
-                    f"hom set ({m},{n}) has {len(reps)} morphisms, not "
-                    f"|Aut(n)| / |Aut(n-m)|")
-            if len(set(reps)) != len(reps):
-                raise AssertionError(f"hom set ({m},{n}) lists a rep twice")
-            self._hom_cache[key] = tuple(UMorphism(m, n, r) for r in reps)
+            self._hom_cache[key] = tuple(UMorphism(m, n, r)
+                                         for r in self.hom_reps(m, n))
         return self._hom_cache[key]
 
     # -- categorical structure --------------------------------------

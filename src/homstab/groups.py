@@ -5,8 +5,9 @@ permutations (tuple of images, 0-indexed), matrices over Z/m (tuple of
 row tuples), and wreath products base ≀ Sym(n) (pair of a label tuple and
 a permutation).  Enumeration respects a configurable order budget and
 raises :class:`BudgetExceeded`, with estimate |G|, past it.  No group
-theory beyond enumeration and the spanning tree of the Cayley graph lives
-here: G^ab is H_1(G; Z), which `homology_engine` computes.
+theory beyond enumeration, the spanning tree of the Cayley graph and
+relator words lives here: G^ab is H_1(G; Z), which `homology_engine`
+computes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from functools import reduce
 
 from .exact_linalg import xgcd
 
@@ -46,23 +48,27 @@ class FiniteGroup:
     downstream (canonical coset representatives, chain bases, caches).
 
     `generators` must generate the group.  Module actions, coinvariants
-    and homomorphism checks cost one unit per generator, and the
-    presentation complex has |G| (|S| - 1) + 1 relators, so every group
+    and homomorphism checks cost one unit per generator, so every group
     here passes a small set: Coxeter transpositions for Sym(n), the
     3-cycles (0 1 k) for Alt(n), 1 for Z/m, transvections and diagonal
     units for GL_n(Z/m), and base generators in slot 0 plus Coxeter
     transpositions for base wr Sym(n).  Without `generators` every
     non-identity element is a generator.
 
+    `relators` are words presenting G on them, as signed 1-based
+    generator indices (the convention of `pi1.todd_coxeter_trivial`):
+    Sym(n), base wr Sym(n) and Z/m pass short ones, and without them
+    `relators()` are the |G| (|S| - 1) + 1 Cayley words.
+
     `tree()`, the one spanning tree of the Cayley graph, is kept and
-    shared by every module over the group; its non-tree edges are the
-    `relators()`.  `walk` is the one way down it: module actions, the Fox
-    derivatives and homomorphisms given on generators are read on
-    elements by it, one step per element.
+    shared by every module over the group.  `walk` is the one way down
+    it: module actions, the Fox derivatives of tree paths and
+    homomorphisms given on generators are read on elements by it, one
+    step per element.
     """
 
     def __init__(self, elements, mul, inv, identity, name="G",
-                 generators=None):
+                 generators=None, relators=None):
         self.elements = tuple(sorted(elements))
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.mul = mul
@@ -71,7 +77,13 @@ class FiniteGroup:
         self.name = name
         self.generators = tuple(generators) if generators is not None else \
             tuple(g for g in self.elements if g != identity)
-        self._tree = None
+        self._tree, self._times = None, {}
+        # given words are checked here, once; Cayley words on first read
+        self._relators = None if relators is None else \
+            [tuple(w) for w in relators]
+        for w in self._relators or ():
+            if reduce(self.times, w, identity) != identity:
+                raise ValueError(f"relator {w} does not hold in {name}")
         assert identity in self.index
 
     @property
@@ -122,16 +134,38 @@ class FiniteGroup:
             value = memo[h] = step(value, *tree[h])
         return value
 
-    def relators(self):
-        """Yield the |G| (|S| - 1) + 1 non-tree edges (g, i, g s_i) of the
-        Cayley graph by g, then i: the relators w(g) s_i w(g s_i)^{-1},
-        with w(g) the tree path to g."""
-        tree = self.tree()
+    def times(self, g, x):
+        """g s_x, or g s_{-x}^{-1} for x < 0, kept: Cayley words share
+        their prefixes, tree paths."""
+        if (g, x) not in self._times:
+            s = self.generators[abs(x) - 1]
+            self._times[g, x] = self.mul(g, s if x > 0 else self.inv(s))
+        return self._times[g, x]
+
+    def relators(self) -> list:
+        """The given relator words, each checked to be the identity in G
+        (ValueError otherwise), or else `cayley_relators()`."""
+        if self._relators is None:
+            self._relators = self.cayley_relators()
+        return self._relators
+
+    def cayley_relators(self) -> list:
+        """The words w(g) s_i w(g s_i)^{-1}, w(g) the tree path to g, one
+        per edge (g, i) of the Cayley graph off the spanning tree, by g
+        and then i: |G| (|S| - 1) + 1 words presenting G on any
+        generating set.  Their steps are kept for `times`."""
+        tree, w, times, out = self.tree(), {}, self._times, []
+        for g, edge in tree.items():        # parents first
+            w[g] = () if edge is None else w[edge[0]] + (edge[1] + 1,)
+            if edge is not None:
+                times[g, -edge[1] - 1] = edge[0]
         for g in self.elements:
             for i, s in enumerate(self.generators):
-                gs = self.mul(g, s)
+                gs = times[g, i + 1] = self.mul(g, s)
                 if tree[gs] != (g, i):
-                    yield g, i, gs
+                    out.append(w[g] + (i + 1,) +
+                               tuple(-x for x in w[gs][::-1]))
+        return out
 
 
 # ------------------------------------------------------------------
@@ -166,7 +200,17 @@ def symmetric_group(n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
     elems = list(itertools.permutations(range(n)))
     gens = [tuple_swap(n, i) for i in range(n - 1)] if n > 1 else []
     return FiniteGroup(elems, perm_mul, perm_inv, perm_identity(n),
-                       name=f"Sym({n})", generators=gens)
+                       name=f"Sym({n})", generators=gens,
+                       relators=coxeter_relators(n))
+
+
+def coxeter_relators(n, shift=0) -> list:
+    """The Coxeter presentation of Sym(n) on s_i = (i, i+1), letter
+    shift + i + 1 (Moore, 1897): s_i^2, (s_i s_{i+1})^3 and (s_i s_j)^2
+    for j >= i + 2."""
+    s = [shift + i + 1 for i in range(n - 1)]
+    return ([(a, a) for a in s] + [(a, b) * 3 for a, b in zip(s, s[1:])] +
+            [(a, b) * 2 for i, a in enumerate(s) for b in s[i + 2:]])
 
 
 def tuple_swap(n, i):
@@ -403,8 +447,18 @@ def wreath_group(base: FiniteGroup, n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGro
     labels, perm = ident
     gens = [((s,) + labels[1:], perm) for s in base.generators] if n else []
     gens += [(labels, tuple_swap(n, i)) for i in range(n - 1)]
+    # the base's words on slot 0, the Coxeter words, s_j (j >= 1) fixing
+    # slot 0, and slots 0 and 1 = s_0 (slot 0) s_0 commuting
+    k = len(gens) - max(n - 1, 0)
+    b, s = range(1, k + 1), range(k + 1, len(gens) + 1)
+    words = list(base.relators()) if n else []
+    words += coxeter_relators(n, k)
+    words += [(x, t, -x, -t) for x in b for t in s[1:]]
+    words += [(x, s[0], y, s[0], -x, -s[0], -y, -s[0])
+              for x in b for y in b] if n > 1 else []
     return FiniteGroup(elems, wreath_mul(base), wreath_inv(base), ident,
-                       name=f"{base.name} wr Sym({n})", generators=gens)
+                       name=f"{base.name} wr Sym({n})", generators=gens,
+                       relators=words)
 
 
 def wreath_block_sum(base, g, h):
@@ -422,4 +476,5 @@ def cyclic_group(m) -> FiniteGroup:
     elems = list(range(m))
     return FiniteGroup(elems, lambda a, b: (a + b) % m,
                        lambda a: (-a) % m, 0, name=f"Z/{m}",
-                       generators=[1 % m] if m > 1 else [])
+                       generators=[1 % m] if m > 1 else [],
+                       relators=[(1,) * m] if m > 1 else [])

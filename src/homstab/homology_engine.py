@@ -13,17 +13,17 @@ induced maps.
 
 A module's action, the Fox derivatives of the tree paths and the
 stabilization map phi are given on generators and read on elements by
-one `FiniteGroup.walk` down the spanning tree.  A `StabilizationSetup`
-is verified once (phi on the relators, injective; s equivariant) and
-keeps its chain maps.
+one `FiniteGroup.walk` down the spanning tree, and checked on the
+group's relator words.  A `StabilizationSetup` is verified once (phi on
+the relators, injective; s equivariant) and keeps its chain maps.
 
 Every caller takes its complex from `resolve(M, budget, top)`, where top
 is the highest chain level it reads (H_i reads levels up to i + 1):
 
   * top <= 2 (H_0, H_1, Rel_1): the presentation complex, the cellular
-    chains of the universal cover of the Cayley-graph presentation
-    complex of G.  Level 2 has rank * (|G| (|S| - 1) + 1) cells for a
-    generating set S.
+    chains of the universal cover of the presentation complex of G on
+    its generators S and relator words R: level 2 has rank * |R| cells,
+    |R| = n (n - 1) / 2 for Sym(n), |G| (|S| - 1) + 1 for Cayley words.
   * otherwise: the normalized bar complex, whose level i has
     rank * (|G| - 1)^i cells.
 
@@ -60,10 +60,8 @@ complex so a sign slip cannot pass silently):
       + sum_{s=1..i-1} (-1)^s m (x) [g1|..|g_s g_{s+1}|..|gi]
       + (-1)^i m (x) [g1|...|g_{i-1}],
     terms whose bar acquires an identity entry are dropped;
-  * presentation complex: C_0 = M, C_1 = M^S, C_2 = M^R with one relator
-    w(g) s w(gs)^{-1} per non-tree edge (g, s) of the Cayley graph
-    (`FiniteGroup.relators`), w(g) the path to g in the spanning tree
-    `FiniteGroup.tree`;
+  * presentation complex: C_0 = M, C_1 = M^S, C_2 = M^R with one cell
+    per relator word R (`FiniteGroup.relators`);
     d_1(m e_s) = m.s - m and d_2(m e_R) = sum_t m.(dR/dt) e_t, with dR/dt
     the Fox derivative (Fox, Free differential calculus I, 1953).
 """
@@ -73,6 +71,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 from .exact_linalg import (
     FGAbelianGroup,
@@ -174,10 +173,10 @@ class GModule:
 
     def verify_action(self) -> None:
         """Check the action descends to the presentation and is a
-        homomorphism: act(g) act(s) = act(g s) on every relator (g, s, g s)
-        of the group.  Tree edges hold by the construction of act, so the
-        identity holds on every edge, and induction on the tree depth of h
-        gives act(g) act(h) = act(g h), act(s) act(s^-1) = 1 included."""
+        homomorphism: every relator word of the group, and s s^-1 for each
+        generator s, acts as 1, letter s^-1 acting by act(s^-1).  Then
+        act(s^-1) inverts act(s), so the action of the free group factors
+        through G, and act, the product along tree paths, is that map."""
         for m in self._gen_mats:
             # relation columns must be preserved: o_j * (col j) = 0 in M
             for j, oj in enumerate(self.orders):
@@ -188,10 +187,14 @@ class GModule:
                     if (v % oi if oi else v) != 0:
                         raise ValueError(
                             "action does not descend to the presentation")
-        for g, i, gs in self.group.relators():
-            if not rows_congruent(product_mod(self.act(g), self._gen_mats[i],
-                                              self.orders),
-                                  self.act(gs), self.orders):
+        G, one = self.group, identity_matrix(self.rank)
+        images = dict(enumerate(self._gen_mats, 1))
+        images.update((-i, self.act_right(s)) for i, s in
+                      enumerate(G.generators, 1))
+        for word in G.relators() + [(i, -i) for i in images if i > 0]:
+            value = reduce(lambda a, x: product_mod(a, images[x],
+                                                    self.orders), word, one)
+            if not rows_congruent(value, one, self.orders):
                 raise ValueError("action is not a homomorphism")
 
     def content_hash(self) -> str:
@@ -405,13 +408,14 @@ class BarComplex(FreeResolution):
 
 class PresentationComplex(FreeResolution):
     """Levels 0..2 of the cellular chains of the universal cover of the
-    Cayley-graph presentation complex of G, tensored with M.
+    presentation complex of G, tensored with M.
 
-    The generators S of G are the cells of level 1, and the relators
-    w(g) s w(gs)^{-1} of `FiniteGroup.relators`, one per Cayley edge
-    (g, s) off the spanning tree, the |G| (|S| - 1) + 1 cells of level 2.
-    The cover is simply connected, so C_2 -> C_1 -> C_0 -> Z is exact,
-    and H_0, H_1 and the maps they induce are those of any resolution.
+    The generators S of G are the cells of level 1, and the relator words
+    of `FiniteGroup.relators` the cells of level 2, d_2 their Fox
+    derivatives (`word_fox`).  The words present G, so the cover is
+    simply connected, C_2 -> C_1 -> C_0 -> Z is exact, and H_0, H_1 and
+    the maps they induce are those of any resolution.  The chain map f_1
+    reads the Fox derivatives of tree paths (`fox`).
     """
 
     kind = "presentation complex"
@@ -424,8 +428,8 @@ class PresentationComplex(FreeResolution):
     def cells(self, i) -> int:
         if not 0 <= i <= self.top:
             raise ValueError(f"the {self.kind} has levels 0..{self.top}")
-        nsgen = len(self.G.generators)
-        return (1, nsgen, self.G.order * (nsgen - 1) + 1)[i]
+        return len(self.G.relators()) if i == 2 else \
+            (1, len(self.G.generators))[i]
 
     def fox(self, g) -> dict:
         """{t: matrix of m |-> m.(dw(g)/ds_t)} for the tree path w(g) of
@@ -439,19 +443,30 @@ class PresentationComplex(FreeResolution):
         dg[t] = _mat_add(dg[t], right) if t in dg else right
         return dg
 
+    def word_fox(self, word) -> dict:
+        """{t: matrix of m |-> m.(dR/ds_t)} for a relator word R, summed
+        per generator: a letter s_t after the prefix p adds p, and a
+        letter s_t^{-1} subtracts p s_t^{-1}."""
+        G, right = self.G, self.M.act_right
+        d, p = {}, G.identity
+        for x in word:
+            t = abs(x) - 1
+            if x > 0:
+                m, p = right(p), G.times(p, x)
+            else:
+                p = G.times(p, x)
+                m = [[-v for v in row] for row in right(p)]
+            d[t] = _mat_add(d[t], m) if t in d else m
+        return d
+
     def differential(self, i):
         if i == 1:
             # d_1(m e_s) = m.s - m
             for s in self.G.generators:
                 yield [(0, 1, self.M.act_right(s)), (0, -1, None)]
             return
-        # relator R = w(g) s w(gs)^{-1}:
-        # dR/dt = dw(g)/dt + [t = s] g - dw(gs)/dt
-        for g, si, gs in self.G.relators():
-            terms = [(t, 1, m) for t, m in self.fox(g).items()]
-            terms += [(t, -1, m) for t, m in self.fox(gs).items()]
-            terms.append((si, 1, self.M.act_right(g)))
-            yield terms
+        for word in self.G.relators():
+            yield [(t, 1, m) for t, m in self.word_fox(word).items()]
 
     def cell_map(self, i, other: "PresentationComplex", group_map, mat):
         """f_0 = mat and f_1(m e_s) = sum_t (mat.m).(dw'(group_map(s))/dt)
@@ -551,12 +566,15 @@ class StabilizationSetup:
     def verify(self) -> None:
         """Raise AssertionError (kept under python -O) unless phi is an
         injective homomorphism, ValueError unless s is equivariant over
-        it.  phi(g) phi(s_i) = phi(g s_i) holds on tree edges by
-        construction and is checked on every relator (g, i, g s_i); then
-        induction on the tree depth of h gives phi(g h) = phi(g) phi(h)."""
-        Gs, mul = self.small.group, self.big.group.mul
-        for g, i, gs in Gs.relators():
-            if mul(self.phi(g), self.gen_images[i]) != self.phi(gs):
+        it.  The generator images satisfy every relator word of the small
+        group, so the map they define on the free group factors through
+        it; phi, their product along tree paths, is that map."""
+        Gs, big = self.small.group, self.big.group
+        images = dict(enumerate(self.gen_images, 1))
+        images.update((-i, big.inv(s)) for i, s in list(images.items()))
+        for word in Gs.relators():
+            if reduce(lambda g, x: big.mul(g, images[x]), word,
+                      big.identity) != big.identity:
                 raise AssertionError("phi is not a homomorphism")
         if len({self.phi(g) for g in Gs.elements}) != Gs.order:
             raise AssertionError("phi is not injective")

@@ -224,30 +224,25 @@ class ChainComplex:
 
 
 def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
-    """W_n(A,X): p-simplices are Hom(X^{p+1}, A + nX) for p < n; face i
-    forgets slot i (`BracketCategory.face_reps`, on the reps of a whole
-    level).  Every level is listed here; a face array is computed when a
-    reader first asks for it."""
+    """W_n(A,X): p-simplices are Hom(X^{p+1}, A + nX) for p < n, listed
+    as their reps (`BracketCategory.hom_reps`); face i forgets slot i
+    (`BracketCategory.face_reps`, on a whole level).  Every level is
+    listed here; a face array is computed when a reader first asks for
+    it."""
     obj = A + n * x
-    levels = []
-    for p in range(n):
-        hom = U.hom_set((p + 1) * x, obj)
-        levels.append(list(hom))
+    levels = [U.hom_reps((p + 1) * x, obj) for p in range(n)]
     # drop trailing empty levels so dimension reflects content
     while levels and not levels[-1]:
         levels.pop()
 
     @functools.cache
-    def reps(p):
-        return [f.rep for f in levels[p]]
-
-    @functools.cache
     def index(p):
-        return {r: s for s, r in enumerate(reps(p))}
+        return {r: s for s, r in enumerate(levels[p])}
 
     def face(p, i):
         idx = index(p - 1)
-        return [idx[r] for r in U.face_reps((p + 1) * x, obj, reps(p), i, x)]
+        return [idx[r] for r in
+                U.face_reps((p + 1) * x, obj, levels[p], i, x)]
 
     return SemiSimplicialSet(levels, face)
 

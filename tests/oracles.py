@@ -399,21 +399,23 @@ def face_inclusion(U, p: int, i: int, x: int):
 
 def build_W(U, A: int, x: int, n: int) -> SemiSimplicialSet:
     """W_n(A,X) with levels from the generic scan of Aut(A + nX)
-    (`BraidedGroupoidInstance.hom_reps`) and face i the composite
-    f delta_i in U."""
+    (`BraidedGroupoidInstance.hom_reps`), listed as reps as
+    `simplicial.build_W` lists them, and face i the composite f delta_i
+    in U."""
     obj = A + n * x
-    levels = [[UMorphism((p + 1) * x, obj, r) for r in
-               BraidedGroupoidInstance.hom_reps(U.G, (p + 1) * x, obj)]
-              for p in range(n)]
-    while levels and not levels[-1]:
-        levels.pop()
+    homs = [[UMorphism((p + 1) * x, obj, r) for r in
+             BraidedGroupoidInstance.hom_reps(U.G, (p + 1) * x, obj)]
+            for p in range(n)]
+    while homs and not homs[-1]:
+        homs.pop()
     faces = [None]
-    for p in range(1, len(levels)):
-        idx = {f: i for i, f in enumerate(levels[p - 1])}
+    for p in range(1, len(homs)):
+        idx = {f: i for i, f in enumerate(homs[p - 1])}
         incs = [face_inclusion(U, p, i, x) for i in range(p + 1)]
-        faces.append([[idx[U.compose(f, inc)] for f in levels[p]]
+        faces.append([[idx[U.compose(f, inc)] for f in homs[p]]
                       for inc in incs])
-    return SemiSimplicialSet(levels, faces)
+    return SemiSimplicialSet([[f.rep for f in level] for level in homs],
+                             faces)
 
 
 def complexes_isomorphic(S1: SimplicialComplex, S2: SimplicialComplex):

@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from homstab.bracket import BracketCategory
+from homstab.bracket import BracketCategory, UMorphism
 from homstab.groupoids import (
     BraidedGroupoidInstance, FiniteRing, SymmetricGroupoid, WreathGroupoid,
     make_general_linear, make_symmetric, make_wreath)
@@ -307,9 +307,10 @@ def _face_mismatches(cat, A, x, top):
                 oracles.face_arrays(W) != oracles.face_arrays(want):
             out.append(("build_W", n))
         for p, level in enumerate(W.levels):
+            homs = [UMorphism((p + 1) * x, A + n * x, r) for r in level]
             for i in range(p + 1):
                 inc = oracles.face_inclusion(cat, p, i, x)
-                out += [("face", n, p, i, f) for f in level
+                out += [("face", n, p, i, f) for f in homs
                         if cat.face(f, i, x) != cat.compose(f, inc)]
     return out
 
@@ -383,17 +384,20 @@ def _broken_closed_forms():
 
 @pytest.mark.parametrize("case", [0, 1], ids=["Sym drops", "Z/3 wr repeats"])
 def test_closed_form_hom_set_violation_raises(case):
+    # build_W lists the same checked reps: level 0 of W_3(0, 1) is (1,3)
     G, m, n, message = _broken_closed_forms()[case]
-    with pytest.raises(AssertionError) as exc:
-        BracketCategory(G).hom_set(m, n)
-    assert str(exc.value).startswith(message)
+    for read in (lambda: BracketCategory(G).hom_set(m, n),
+                 lambda: build_W(BracketCategory(G), 0, 1, n)):
+        with pytest.raises(AssertionError) as exc:
+            read()
+        assert str(exc.value).startswith(message)
 
 
 def test_checks_survive_optimized_python():
     code = textwrap.dedent("""
         from homstab.bracket import BracketCategory
         from homstab.groupoids import FiniteRing, make_general_linear
-        from homstab.simplicial import SemiSimplicialSet
+        from homstab.simplicial import SemiSimplicialSet, build_W
         from tests.test_bracket import (_broken_closed_forms,
                                         _broken_face_arrays)
         from tests.test_homology import _broken_phi_setups
@@ -411,6 +415,11 @@ def test_checks_survive_optimized_python():
                 BracketCategory(G).hom_set(m, n)
             except AssertionError as exc:
                 print(exc)
+        for G, m, n, _ in _broken_closed_forms():
+            try:
+                build_W(BracketCategory(G), 0, 1, n)
+            except AssertionError as exc:
+                print(exc)
         for setup, _ in _broken_phi_setups():
             try:
                 setup.verify()
@@ -423,9 +432,11 @@ def test_checks_survive_optimized_python():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 8
     assert "semi-simplicial identity" in lines[0]
     assert lines[1].startswith("hom set (1,2) has 96 morphisms")
     for line, case in zip(lines[2:4], _broken_closed_forms()):
         assert line.startswith(case[3])
-    assert lines[4:] == ["phi is not a homomorphism", "phi is not injective"]
+    for line, case in zip(lines[4:6], _broken_closed_forms()):
+        assert line.startswith(case[3])
+    assert lines[6:] == ["phi is not a homomorphism", "phi is not injective"]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from functools import reduce
 
 import pytest
 
@@ -14,6 +15,7 @@ from homstab.homology_engine import (BarBudget, GModule,
                                      PresentationComplex, bar_homology,
                                      hurewicz, trivial_module)
 from homstab.exact_linalg import FGAbelianGroup, product_mod
+from homstab.pi1 import todd_coxeter_trivial
 from tests.oracles import (abelianization, commutator, coords_span,
                            subgroup_closure)
 
@@ -305,14 +307,25 @@ def test_tree_is_a_spanning_tree(G):
             assert G.mul(parent, G.generators[i]) == g
         seen.add(g)
     assert seen == set(G.elements)
-    # the relators are the other edges of the Cayley graph, one level-2
-    # cell each
-    rels = list(G.relators())
+    path = {G.identity: ()}                 # w(g), parents first
+    for g, edge in list(tree.items())[1:]:
+        path[g] = path[edge[0]] + (edge[1] + 1,)
+    assert all(reduce(G.times, path[g], G.identity) == g for g in G)
+    # the Cayley words are the other edges of the Cayley graph, one
+    # w(g) s_i w(g s_i)^-1 each; the relators, Cayley or given, are one
+    # level-2 cell each and hold in G
+    edges = [(g, i, G.mul(g, s)) for g in G
+             for i, s in enumerate(G.generators)]
+    edges = [(g, i, gs) for g, i, gs in edges if tree[gs] != (g, i)]
+    assert len(edges) + len(tree) - 1 == G.order * len(G.generators)
+    assert G.cayley_relators() == [
+        path[g] + (i + 1,) + tuple(-x for x in reversed(path[gs]))
+        for g, i, gs in edges]
+    rels = G.relators()
     assert len(rels) == PresentationComplex(
         trivial_module(G), BarBudget()).cells(2)
-    assert len(rels) + len(tree) - 1 == G.order * len(G.generators)
-    for g, i, gs in rels:
-        assert gs == G.mul(g, G.generators[i]) and tree[gs] != (g, i)
+    for w in rels + G.cayley_relators():
+        assert reduce(G.times, w, G.identity) == G.identity
     # without its last generator the set may not generate; the tree
     # refuses it then
     gens = G.generators[:-1]
@@ -330,16 +343,23 @@ def test_tree_is_a_spanning_tree(G):
                          ids=["sign on s1", "dihedral of order 8"])
 def test_verify_action_catches_one_wrong_relation(s1, s2):
     # both generators act by involutions, so s_i^2 = 1 holds and only the
-    # braid relation (s1 s2)^3 = 1 fails.  No module given by generator
-    # matrices fails on a single Cayley relator of Sym(3): each of the 7
-    # follows from the other 6.  (s1 s2)^3 shows on exactly 2 of them
+    # braid relation (s1 s2)^3 = 1 fails, the one Coxeter word it is.  No
+    # module given by generator matrices fails on a single Cayley relator
+    # of Sym(3): each of the 7 follows from the other 6.  (s1 s2)^3 shows
+    # on exactly 2 of them
     G = symmetric_group(3)
     M = GModule(G, FGAbelianGroup(len(s1)), dict(zip(G.generators,
                                                      (s1, s2))))
-    wrong = [(g, i) for g, i, gs in G.relators()
-             if product_mod(M.act(g), M.act(G.generators[i]),
-                            M.orders) != M.act(gs)]
-    assert len(wrong) == 2
+    images = {i: M.act(s) for i, s in enumerate(G.generators, 1)}
+    images.update({-i: M.act(G.inv(s))
+                   for i, s in enumerate(G.generators, 1)})
+    one = M.act(G.identity)
+
+    def wrong(words):
+        return [w for w in words if reduce(
+            lambda a, x: product_mod(a, images[x], M.orders), w, one) != one]
+    assert wrong(G.relators()) == [(1, 2) * 3]
+    assert len(wrong(G.cayley_relators())) == 2
     with pytest.raises(ValueError, match="not a homomorphism"):
         M.verify_action()
 
@@ -353,3 +373,43 @@ def test_deep_tree_action():
     assert rot.act(4999) == [[0, 1], [-1, 0]]        # rotation^(4999 % 4)
     rot.verify_action()
     assert str(bar_homology(trivial_module(G), 1)) == "Z/5000"
+
+
+def _wreath_bases():
+    from tests.test_bracket import _cyclic3_identity_last
+    return [(cyclic_group(2), 5), (cyclic_group(3), 4),
+            (_cyclic3_identity_last(), 4), (symmetric_group(3), 3)]
+
+
+PRESENTED = [
+    *(symmetric_group(n) for n in range(8)),
+    *(wreath_group(base, n) for base, top in _wreath_bases()
+      for n in range(top + 1)),
+    *(cyclic_group(m) for m in (1, 2, 3, 5, 12)),
+]
+
+
+@pytest.mark.parametrize("G", PRESENTED, ids=lambda G: G.name)
+def test_builtin_presentation_is_complete(G):
+    # a missing relator leaves d o d = 0 but makes the presentation
+    # complex inexact, so the short words of Sym(n), G wr Sym(n) and Z/m
+    # must present G: each holds in G, and Todd-Coxeter over the trivial
+    # subgroup closes at exactly |G| cosets
+    rels = G.relators()
+    if G.name.startswith("Sym(") and " wr " not in G.name:
+        n = len(G.identity)             # n (n - 1) / 2 Coxeter words
+        assert len(rels) == n * (n - 1) // 2
+    assert all(reduce(G.times, w, G.identity) == G.identity for w in rels)
+    verdict, cosets = todd_coxeter_trivial(len(G.generators), rels,
+                                           budget_rows=20 * G.order + 100)
+    assert cosets == G.order
+    assert verdict == ("trivial" if G.order == 1 else "finite")
+
+
+def test_given_relator_must_hold():
+    # (s_0 s_1)^2 is not the identity in Sym(3): the group refuses it
+    G = symmetric_group(3)
+    with pytest.raises(ValueError, match=r"relator \(1, 2, 1, 2\) does "
+                       r"not hold in H"):
+        FiniteGroup(G.elements, G.mul, G.inv, G.identity, name="H",
+                    generators=G.generators, relators=[(1, 1), (1, 2) * 2])

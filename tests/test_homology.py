@@ -186,15 +186,15 @@ def test_budget_refusals():
                        "needs a 516961 x 371694959 boundary") as exc:
         bar_homology(trivial_module(big), 2)
     assert exc.value.estimate == 719 ** 5
-    # H_1 reads level 2 of the presentation complex: 3! (2 - 1) + 1 = 7
+    # H_1 reads level 2 of the presentation complex: the 3 Coxeter
     # relators of Sym(3), over its 2 generators
     small = symmetric_group(3)
     with pytest.raises(BudgetExceeded, match=r"presentation complex: "
-                       r"chain level 2 needs a 2 x 7 boundary \(14 entries "
-                       r"> 13\)") as exc:
-        bar_homology(trivial_module(small), 1, BarBudget(13))
-    assert exc.value.estimate == 14
-    assert str(bar_homology(trivial_module(small), 1, BarBudget(14))) \
+                       r"chain level 2 needs a 2 x 3 boundary \(6 entries "
+                       r"> 5\)") as exc:
+        bar_homology(trivial_module(small), 1, BarBudget(5))
+    assert exc.value.estimate == 6
+    assert str(bar_homology(trivial_module(small), 1, BarBudget(6))) \
         == "Z/2"
 
 
@@ -203,7 +203,8 @@ def test_budget_refusals():
     (lambda: symmetric_group(4), 4, 3, True),
     # bar d_3 of Z/2 wr Sym(3): 2.3e8 entries, 17 s
     (lambda: wreath_group(cyclic_group(2), 3), 1, 3, True),
-    # presentation d_2 of Sym(7) on the tensor square, rank 49: 3.6e8
+    # presentation d_2 of Sym(7) on the tensor square, rank 49: 3.0e5
+    # entries (3.6e8 with one relator per Cayley edge)
     (lambda: symmetric_group(7), 49, 2, True),
     # bar d_4 of Z/3 wr Sym(2): 4.1e8 entries, 117 s
     (lambda: wreath_group(cyclic_group(3), 2), 1, 4, True),
@@ -261,7 +262,7 @@ def test_relative_homology_reads_levels_up_to_i_plus_1():
 
 def test_h0_stabilization_builds_chain_level_1_only():
     # Sym(2) -> Sym(3), constant Z: H_0 reads presentation level 1 of
-    # Sym(3), a 1 x 2 boundary; level 2, 2 x 7, is first read by H_1 and
+    # Sym(3), a 1 x 2 boundary; level 2, 2 x 3, is first read by H_1 and
     # refused there
     from homstab.bracket import BracketCategory
     from homstab.coeffsys import constant_system
@@ -269,11 +270,11 @@ def test_h0_stabilization_builds_chain_level_1_only():
     from homstab.homology_engine import stabilization_status
     setup = constant_system(BracketCategory(make_symmetric()), 0, 1, 3
                             ).stabilization_setup(2)
-    budget = BarBudget(13)
+    budget = BarBudget(5)
     st = stabilization_status(setup, 0, budget)
     assert (str(st["source"]), str(st["target"])) == ("Z", "Z")
     assert st["is_iso"]
-    with pytest.raises(BudgetExceeded, match="chain level 2 needs a 2 x 7 "):
+    with pytest.raises(BudgetExceeded, match="chain level 2 needs a 2 x 3 "):
         stabilization_status(setup, 1, budget)
 
 

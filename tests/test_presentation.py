@@ -21,7 +21,8 @@ from homstab.exact_linalg import (FGAbelianGroup, SparseCols,
                                   identity_matrix, mat_mul)
 from homstab.groupoids import (FiniteRing, make_general_linear,
                                make_symmetric, make_wreath)
-from homstab.groups import alternating_group, cyclic_group, symmetric_group
+from homstab.groups import (FiniteGroup, alternating_group, cyclic_group,
+                            symmetric_group)
 from homstab.homology_engine import (
     BarBudget, BarComplex, GModule, MappingCone, PresentationComplex,
     bar_homology, les_exact_at_rel, permutation_module, resolve,
@@ -110,6 +111,46 @@ def test_presentation_matches_bar_gl(monkeypatch, modulus, n_max):
         _agree(system, n_max, monkeypatch)
 
 
+def _cells(make_cat, build, n_top):
+    """_les_cell of every cell n -> n + 1 <= n_top, i <= 1, of each
+    system build(cat) returns, on a new category, and the level-2 sizes of
+    their presentation complexes."""
+    out, sizes = [], []
+    for system in build(make_cat()):
+        for n in range(n_top):
+            setup = system.stabilization_setup(n)
+            setup.verify()
+            out += [_les_cell(setup, i) for i in (0, 1)]
+        sizes.append([resolve(M, BarBudget(), top=2).cells(2)
+                      for M in system.modules[:n_top + 1]])
+    return out, sizes
+
+
+@pytest.mark.parametrize("make_cat, build, n_top", [
+    (lambda: BracketCategory(make_symmetric()),
+     lambda cat: _systems(cat, 5, symmetric=True), 5),
+    (lambda: BracketCategory(make_symmetric()),
+     lambda cat: [tensor_power(standard_system(cat, 0, 4), 2)], 4),
+    (lambda: BracketCategory(make_wreath(cyclic_group(2))),
+     lambda cat: _systems(cat, 3), 3),
+    (lambda: BracketCategory(make_wreath(cyclic_group(3))),
+     lambda cat: _systems(cat, 3, subgroup=[(3,)]), 3)],
+    ids=["Sym", "Sym tensor", "Z/2 wr Sym", "Z/3 wr Sym"])
+def test_short_relators_match_cayley(monkeypatch, make_cat, build, n_top):
+    # the systems of the bar comparisons above, their cells at i <= 1 on
+    # presentation complexes with the short words against the Cayley
+    # words: the same groups, verdicts, Rel_1 and LES defects
+    short, short_sizes = _cells(make_cat, build, n_top)
+    with monkeypatch.context() as m:
+        m.setattr(FiniteGroup, "relators", FiniteGroup.cayley_relators)
+        cayley, cayley_sizes = _cells(make_cat, build, n_top)
+    assert short == cayley
+    # Sym(3) has 3 Coxeter words and 7 Cayley words; from n = 3 on the
+    # short words are fewer on every level
+    for a, b in zip(short_sizes, cayley_sizes):
+        assert all(x < y for x, y in zip(a[3:], b[3:])) and a != b
+
+
 def _perm_sign(p):
     return (-1) ** sum(1 for a, b in itertools.combinations(p, 2) if a > b)
 
@@ -188,14 +229,15 @@ def test_presentation_matches_bar_tensor(monkeypatch, rank, power, twist,
 
 
 def test_presentation_level_sizes_and_resolve():
-    # C_2 has |G| (|S| - 1) + 1 relators per module generator: 361 for
-    # Sym(5), against 119^2 bar cells; a run reading level 3 keeps both
+    # C_2 has one cell per relator per module generator: the 10 Coxeter
+    # relators of Sym(5) (361 Cayley relators, |G| (|S| - 1) + 1), against
+    # 119^2 bar cells; a run reading level 3 keeps both
     G = symmetric_group(5)
     M = permutation_module(G, 5)
     cx = resolve(M, BarBudget(), top=2)
     assert isinstance(cx, PresentationComplex)
-    assert [cx.level_size(i) for i in range(3)] == [5, 20, 5 * 361]
-    assert cx.boundary(2).ncols == 5 * 361
+    assert [cx.level_size(i) for i in range(3)] == [5, 20, 5 * 10]
+    assert cx.boundary(2).ncols == 5 * 10
     assert resolve(M, BarBudget(), top=1) is cx
     assert isinstance(resolve(M, BarBudget(), top=3), BarComplex)
     with pytest.raises(ValueError, match="levels 0..2"):
@@ -210,18 +252,22 @@ def test_presentation_level_sizes_and_resolve():
 
 
 def test_wrong_fox_column_fails_d2():
-    # one Fox derivative off by the identity: the relator columns through
-    # that element no longer close up under d_1
-    M = permutation_module(symmetric_group(3), 3)
-    cx = PresentationComplex(M, BarBudget())
-    for g in M.group.elements:      # every derivative right, then one off
-        cx.fox(g)
-    g = next(g for g in M.group.elements if cx.fox(g))
-    t, mat = next(iter(cx.fox(g).items()))
-    cx._fox[g] = {**cx.fox(g), t: [[x + (a == b) for b, x in enumerate(row)]
-                                   for a, row in enumerate(mat)]}
-    with pytest.raises(AssertionError, match=r"presentation complex: d\^2"):
-        cx.homology(1)
+    # one Fox derivative of one relator off by the identity: that
+    # relator's columns no longer close up under d_1.  (s_0 s_1)^3 of
+    # Sym(3), and the first Cayley word of Alt(4)
+    for G, index in ((symmetric_group(3), -1), (alternating_group(4), 0)):
+        M = permutation_module(G, len(G.identity))
+        cx = PresentationComplex(M, BarBudget())
+        word = G.relators()[index]
+        fox = cx.word_fox(word)
+        t, mat = next(iter(fox.items()))
+        wrong = {**fox, t: [[x + (a == b) for b, x in enumerate(row)]
+                            for a, row in enumerate(mat)]}
+        cx.word_fox = lambda w, cx=cx, word=word, wrong=wrong: \
+            wrong if w == word else PresentationComplex.word_fox(cx, w)
+        with pytest.raises(AssertionError,
+                           match=r"presentation complex: d\^2"):
+            cx.homology(1)
 
 
 def _sym_setup(n):

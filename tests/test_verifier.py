@@ -153,9 +153,9 @@ def test_run_stability_constant_consistent():
 
 def test_run_stability_budget_starved():
     # cell (2, 1) reads level 2 of the presentation complex of Sym(3),
-    # a 2 x 7 boundary
+    # a 2 x 3 boundary
     cfg = _cfg(n_max=3, i_max=1)
-    cfg.budgets["boundary_entries"] = 13
+    cfg.budgets["boundary_entries"] = 5
     rep = run_stability(cfg)
     assert rep["summary"]["skipped"] > 0
     assert rep["summary"]["VIOLATION"] == 0
@@ -251,7 +251,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["stability", "--config", str(path)]) == 0
     capsys.readouterr()
     config = json.loads(path.read_text())
-    config["budgets"] = {"boundary_entries": 13}
+    config["budgets"] = {"boundary_entries": 5}
     path.write_text(json.dumps(config))
     assert cli_main(["stability", "--config", str(path)]) == 3
     capsys.readouterr()
@@ -536,9 +536,9 @@ def test_cli_degree_window_admits_the_last_recursion_step(tmp_path,
     # the limit reads H_1 of Sym(4) under the run's budget, outside any
     # grid cell
     ("symmetric", {"kind": "abelian_constant", "params": {}}, 4,
-     {"budgets": {"boundary_entries": 146}},
-     "presentation complex: chain level 2 needs a 3 x 49 boundary (147 "
-     "entries > 146)"),
+     {"budgets": {"boundary_entries": 17}},
+     "presentation complex: chain level 2 needs a 3 x 6 boundary (18 "
+     "entries > 17)"),
 ])
 def test_cli_abelian_params_exit_1(tmp_path, capsys, family, coeff, n_max,
                                    extra, message):
