@@ -405,10 +405,23 @@ def run_axioms(cfg: FamilyConfig) -> dict:
             checks.append({"name": f"homogeneity ({m},{n})",
                            "passed": h["passed"],
                            "witness": None if h["passed"] else repr(h)})
-    pb = cat.verify_prebraid(min(top, 4))
-    checks.append({"name": "prebraid identities", "passed": pb["passed"],
-                   "witness": repr(pb["failures"]) if pb["failures"]
-                   else None})
+    # up to top, or below the least object whose Aut the budget refuses;
+    # passing there, the check is reported as a refused homogeneity cell
+    refused = None
+    for pb_top in range(top, -1, -1):
+        try:
+            pb = cat.verify_prebraid(pb_top)
+            break
+        except BudgetExceeded as exc:
+            refused = refused or exc
+    if refused and pb["passed"]:
+        checks.append({"name": "prebraid identities", "passed": True,
+                       **_refusal(cfg, refused, top=top)})
+    else:
+        checks.append({"name": "prebraid identities",
+                       "passed": pb["passed"],
+                       "witness": repr(pb["failures"]) if pb["failures"]
+                       else None})
     ls = cat.verify_local_standardness(cfg.A, cfg.X, cfg.n_max)
     checks.append({"name": "local standardness", "passed": ls["passed"],
                    "witness": None if ls["passed"] else repr(

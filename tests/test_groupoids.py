@@ -1,10 +1,12 @@
 import pytest
 
+from homstab import groups
 from homstab.groups import (FiniteGroup, cyclic_group, perm_identity,
                             mat_block_sum)
 from homstab.groupoids import (
     make_symmetric, make_wreath, make_general_linear, FiniteRing,
     GeneralLinearGroupoid, verify_groupoid_axioms, braid_family,
+    AxiomReport,
 )
 from homstab.laurent import lm_identity, lm_eq, lm_mul
 from homstab.coeffsys import BurauSystem
@@ -135,3 +137,114 @@ def test_non_generating_generators_fail_homomorphism_check():
     assert check.witness == (2, "generators")
     # the other checks do not read generators
     assert all(c.passed for c in report.checks if c is not check)
+
+
+def _step_loop_homomorphism_failure(G, n_max):
+    """The step loop of the homomorphism check with no projection test
+    for a unit factor: |Aut(m)| |Aut(n)| (1 + |S_m| + |S_n|) steps on
+    every pair (m, n), the unit pairs included."""
+    for k in range(0, n_max + 1):
+        try:
+            G.aut(k).tree()
+        except ValueError:
+            return (k, "generators")
+    for m in range(0, n_max + 1):
+        for n in range(0, n_max + 1 - m):
+            Gm, Gn, Gmn = G.aut(m), G.aut(n), G.aut(m + n)
+            e_m, e_n = Gm.identity, Gn.identity
+            pairs = ([(e_m, e_n)] + [(s, e_n) for s in Gm.generators]
+                     + [(e_m, t) for t in Gn.generators])
+            steps = [(s, t, G.block_sum(s, t, m, n)) for s, t in pairs]
+            for g1 in Gm:
+                for h1 in Gn:
+                    phi = G.block_sum(g1, h1, m, n)
+                    for g2, h2, phi2 in steps:
+                        if G.block_sum(Gm.mul(g1, g2), Gn.mul(h1, h2),
+                                       m, n) != Gmn.mul(phi, phi2):
+                            return (m, n, g1, g2, h1, h2)
+    return None
+
+
+class _BrokenUnitSum(GeneralLinearGroupoid):
+    """GL(F_2) whose block sum with the empty factor on `side` sends
+    SWAP in Aut(2) to a transvection."""
+
+    def __init__(self, side):
+        super().__init__(FiniteRing(2))
+        self.side = side
+
+    def block_sum(self, g, h, m, n):
+        if (m, n) == (0, 2) and self.side == "left" and h == SWAP:
+            return ((1, 1), (0, 1))
+        if (m, n) == (2, 0) and self.side == "right" and g == SWAP:
+            return ((1, 1), (0, 1))
+        return super().block_sum(g, h, m, n)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_sum_wrong_on_one_element_fails_with_step_witness(side):
+    G = _BrokenUnitSum(side)
+    check = _check(verify_groupoid_axioms(G, 3), HOMOMORPHISM)
+    assert not check.passed
+    assert check.witness == _step_loop_homomorphism_failure(G, 3)
+    assert check.witness[:2] == ((0, 2) if side == "left" else (2, 0))
+    assert _all_pairs_homomorphism_failure(G, 3) is not None
+
+
+class _ConjugatingUnit(GeneralLinearGroupoid):
+    """GL(F_2) whose empty factor acts on Aut(n), n >= 2, by conjugation
+    with a transvection c: (g, h) -> c h c^-1 for m = 0, and
+    (g, h) -> c g c^-1 for n = 0.  A homomorphism, not the projection."""
+
+    def __init__(self):
+        super().__init__(FiniteRing(2))
+
+    def block_sum(self, g, h, m, n):
+        k = max(m, n)
+        if min(m, n) > 0 or k < 2:
+            return super().block_sum(g, h, m, n)
+        c = self.aut(k).generators[0]
+        return self.mul(self.mul(c, h if m == 0 else g), self.inv(c))
+
+
+def test_unit_sum_by_conjugation_passes_through_the_step_loop():
+    G = _ConjugatingUnit()
+    assert G.block_sum(G.identity(0), SWAP, 0, 2) != SWAP
+    assert G.block_sum(SWAP, G.identity(0), 2, 0) != SWAP
+    check = _check(verify_groupoid_axioms(G, 3), HOMOMORPHISM)
+    assert check.passed, check.witness
+    assert _step_loop_homomorphism_failure(G, 3) is None
+    assert _all_pairs_homomorphism_failure(G, 3) is None
+
+
+def test_unit_pairs_take_no_products(monkeypatch):
+    """On GL(Z/4) n_max 2 every product of the homomorphism check falls
+    on the pair (1, 1): |Aut(1)|^2 (1 + 2 |S_1|) = 12 steps of three
+    products, in Aut(1), Aut(1) and Aut(2)."""
+    G = GeneralLinearGroupoid(FiniteRing(4))
+    for k in range(3):
+        G.aut(k).tree()
+    pair, calls, counted = [None], [], []
+    block_sum, mul = G.block_sum, groups.mat_mul_mod
+
+    def recording_block_sum(g, h, m, n):
+        pair[0] = (m, n)
+        return block_sum(g, h, m, n)
+
+    def counting_mul(a, b, m):
+        calls.append(pair[0])
+        return mul(a, b, m)
+
+    add = AxiomReport.add
+
+    def snapshot_add(rep, identity, *args):
+        if identity == HOMOMORPHISM:
+            counted.extend(calls)
+        return add(rep, identity, *args)
+
+    monkeypatch.setattr(G, "block_sum", recording_block_sum)
+    monkeypatch.setattr(groups, "mat_mul_mod", counting_mul)
+    monkeypatch.setattr(AxiomReport, "add", snapshot_add)
+    assert _check(verify_groupoid_axioms(G, 2), HOMOMORPHISM).passed
+    assert len(G.aut(1).generators) == 1
+    assert counted == [(1, 1)] * 36

@@ -9,7 +9,7 @@ from homstab.groups import (
     FiniteGroup, symmetric_group, alternating_group, cyclic_group, wreath_group,
     general_linear_group, gln_order, perm_mul, perm_inv, perm_identity,
     perm_block_sum, perm_braiding, mat_mul_mod, mat_inv_mod, mat_identity,
-    mat_det_mod, BudgetExceeded,
+    mat_det_mod, mat_block_sum, mat_braiding, BudgetExceeded,
 )
 from homstab.homology_engine import (BarBudget, GModule,
                                      PresentationComplex, bar_homology,
@@ -96,6 +96,67 @@ def test_mat_mul_mod_matches_triple_loop():
                           for _ in range(n)) for _ in range(2))
             assert mat_mul_mod(x, y, m) == _mat_mul_naive(x, y, m)
     assert mat_mul_mod((), (), 4) == _mat_mul_naive((), (), 4) == ()
+
+
+def _mat_block_sum_naive(a, b):
+    n, k = len(a), len(b)
+    return tuple(tuple(a[i][j] if i < n and j < n
+                       else b[i - n][j - n] if i >= n and j >= n else 0
+                       for j in range(n + k)) for i in range(n + k))
+
+
+def _random_mats(rng, n, m, count):
+    return [tuple(tuple(rng.randrange(m) for _ in range(n))
+                  for _ in range(n)) for _ in range(count)]
+
+
+def test_mat_kernels_match_index_formulas():
+    # mat_mul_mod has its oracle in test_mat_mul_mod_matches_triple_loop
+    gl2 = general_linear_group(2, 4)
+    for x in gl2:
+        for y in gl2:
+            assert mat_block_sum(x, y) == _mat_block_sum_naive(x, y)
+    rng = random.Random(23)
+    for n in (3, 4):
+        mats = _random_mats(rng, n, 6, 40)
+        for x, y in zip(mats, mats[1:]):
+            assert mat_block_sum(x, y) == _mat_block_sum_naive(x, y)
+    # 0x0 and unit sides: a 0x0 side gives the other operand itself
+    for a in [(), ((3,),), ((1, 2), (3, 0))] + _random_mats(rng, 3, 6, 3):
+        for b in ((), ((5,),)):
+            assert mat_block_sum(a, b) == _mat_block_sum_naive(a, b)
+            assert mat_block_sum(b, a) == _mat_block_sum_naive(b, a)
+        assert mat_block_sum(a, ()) is a and mat_block_sum((), a) is a
+    # the braiding sends basis vector e_j to e_p(j), p = perm_braiding
+    for m in range(4):
+        for n in range(4):
+            p = perm_braiding(m, n)
+            cols = tuple(zip(*mat_braiding(m, n)))
+            assert cols == tuple(tuple(int(i == p[j]) for i in range(m + n))
+                                 for j in range(m + n))
+            assert mat_braiding(m, n) is mat_braiding(m, n)
+
+
+def test_mat_inverse_is_two_sided():
+    cases = [(general_linear_group(2, 4), 4), (general_linear_group(3, 2), 2)]
+    rng = random.Random(7)
+    for n, m in ((2, 6), (3, 6), (3, 12), (4, 12)):
+        mats = [a for a in _random_mats(rng, n, m, 200)
+                if math.gcd(mat_det_mod(a, m), m) == 1]
+        assert len(mats) >= 10
+        cases.append((mats, m))
+    for mats, m in cases:
+        for a in mats:
+            n = len(a)
+            inv = mat_inv_mod(a, m)
+            assert mat_mul_mod(a, inv, m) == mat_identity(n)
+            assert mat_mul_mod(inv, a, m) == mat_identity(n)
+    assert mat_inv_mod((), 4) == ()
+    # det 0 over Z, det 2 mod 4 and det 3 mod 6: none is a unit
+    for a, m in ((((1, 2), (2, 4)), 5), (((1, 1), (1, 3)), 4),
+                 (((1, 0), (0, 3)), 6)):
+        with pytest.raises(ValueError, match="matrix not invertible mod m"):
+            mat_inv_mod(a, m)
 
 
 def test_mat_det_mod_matches_leibniz():

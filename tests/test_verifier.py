@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from homstab import verifier
+from homstab.groupoids import SymmetricGroupoid
+from homstab.groups import perm_mul
 from homstab.verifier import (
     load_config, config_hash, predicted_ranges, run_axioms,
     run_connectivity, run_degree, run_homology, run_stability,
@@ -73,6 +76,55 @@ def test_run_axioms_passes():
     rep = run_axioms(_cfg(n_max=3))
     assert rep["passed"]
     assert any(c["name"].startswith("groupoid") for c in rep["checks"])
+
+
+class _BrokenBraiding(SymmetricGroupoid):
+    """Sym whose braiding(2, 3) is off by a transposition, with
+    braiding_inv(m, n) = braiding(n, m) as for a symmetric braiding."""
+
+    def braiding(self, m, n):
+        b = super().braiding(m, n)
+        return perm_mul(b, (0, 2, 1, 3, 4)) if (m, n) == (2, 3) else b
+
+    def braiding_inv(self, m, n):
+        return self.braiding(n, m)
+
+
+def _prebraid_check(rep):
+    (check,) = [c for c in rep["checks"]
+                if c["name"] == "prebraid identities"]
+    return check
+
+
+def test_prebraid_checked_up_to_top(monkeypatch):
+    # a + b = 5 is past the 4 the check once stopped at
+    monkeypatch.setattr(verifier, "build_instance",
+                        lambda cfg: _BrokenBraiding(cfg.budget("group_order")))
+    assert BracketCategory(_BrokenBraiding()).verify_prebraid(4)["passed"]
+    check = _prebraid_check(run_axioms(_cfg(n_max=5)))
+    assert not check["passed"]
+    assert "('prebraid', 2, 3)" in check["witness"]
+
+
+@pytest.mark.parametrize("make", [SymmetricGroupoid, _BrokenBraiding])
+def test_prebraid_past_the_budget(monkeypatch, make):
+    """Aut(6) past group_order 120: the identities are checked up to 5,
+    and a check that passes there is reported as refused.  Local
+    standardness reads Aut(6) too, so it is stubbed here."""
+    monkeypatch.setattr(verifier, "build_instance",
+                        lambda cfg: make(cfg.budget("group_order")))
+    monkeypatch.setattr(BracketCategory, "verify_local_standardness",
+                        lambda self, A, x, n_max: {"passed": True})
+    cfg = _cfg(A=1, n_max=5, budgets={"group_order": 120})
+    check = _prebraid_check(run_axioms(cfg))
+    if make is SymmetricGroupoid:
+        assert check == {
+            "name": "prebraid identities", "passed": True,
+            "skipped": "|Sym(6)| = 720 exceeds budget 120", "estimate": 720,
+            "repro": {"config_hash": config_hash(cfg), "top": 6}}
+    else:
+        assert not check["passed"] and "skipped" not in check
+        assert "('prebraid', 2, 3)" in check["witness"]
 
 
 def test_run_connectivity_symmetric():
