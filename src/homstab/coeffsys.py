@@ -77,6 +77,8 @@ class CoefficientSystem:
         self.modules = list(modules)
         self.s_mats = [[row[:] for row in m] for m in s_mats]
         self.name = name
+        self._sigma: dict = {}          # n -> component of sigma_X
+        self._suspension = None
 
     # -- basic accessors
 
@@ -135,8 +137,11 @@ class CoefficientSystem:
         return self.cat.lower_suspension(self.A, self.x, n)
 
     def sigma_mat(self, n: int):
-        """Component F_n -> F_{n+1} of the natural map sigma_X."""
-        return self.evaluate(self.sigma_mor(n))
+        """Component F_n -> F_{n+1} of the natural map sigma_X, computed
+        once."""
+        if n not in self._sigma:
+            self._sigma[n] = self.evaluate(self.sigma_mor(n))
+        return self._sigma[n]
 
     # -- verification
 
@@ -193,7 +198,12 @@ class CoefficientSystem:
     # -- suspension and the kernel/cokernel calculus
 
     def suspend(self) -> "CoefficientSystem":
-        """Sigma F = F o Sigma_X on the window 0..n_max-1."""
+        """Sigma F = F o Sigma_X on the window 0..n_max-1, built once."""
+        if self._suspension is None:
+            self._suspension = self._suspend()
+        return self._suspension
+
+    def _suspend(self) -> "CoefficientSystem":
         cat, A, x = self.cat, self.A, self.x
         mods = []
         for n in range(self.n_max):
@@ -248,11 +258,14 @@ class CoefficientSystem:
 
     def stabilization_setup(self, n: int) -> StabilizationSetup:
         """(G_n -> G_{n+1}, s_n), phi the upper suspension g |-> g + id_x
-        given on the generators of G_n."""
-        gens = tuple(self.cat.sigma_upper_on_group(g, self.obj(n), self.x)
+        given on the generators of G_n, with the instance's restriction
+        to the first block as its left inverse."""
+        inst, a, x = self.inst, self.obj(n), self.x
+        gens = tuple(self.cat.sigma_upper_on_group(g, a, x)
                      for g in self.group(n).generators)
         return StabilizationSetup(self.modules[n], self.modules[n + 1],
-                                  gens, self.s_mats[n])
+                                  gens, self.s_mats[n],
+                                  lambda h: inst.first_block(h, a, x))
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +523,7 @@ class InternalizedSystem(CoefficientSystem):
     def sigma_mat(self, n: int):
         return self.base.sigma_mat(n)
 
-    def suspend(self) -> "InternalizedSystem":
+    def _suspend(self) -> "InternalizedSystem":
         bs = self.base.suspend()
         lim = AbelianizationLimit(self.limit.limit, self.limit.stable_from,
                                   self.limit.certified,
@@ -769,11 +782,6 @@ class BurauSystem:
         word = tuple(range(-shift, 0))
         return lau.lm_mul(self.act_word(n + shift + 1, word),
                           self.can_step(n + shift))
-
-    def verify_relations(self, n: int):
-        """First failing braid relator under the Burau images, or None."""
-        return self.family.verify_images(
-            n, self.images(n), lau.lm_identity(n), lau.lm_mul, lau.lm_eq)
 
     def degree_profile(self, r_max: int, N_max: int) -> DegreeProfile:
         """Degree within the structural fragment: sigma_X components are

@@ -35,13 +35,15 @@ class FiniteRing:
 class BraidedGroupoidInstance:
     """A finite braided monoidal groupoid on objects 0, 1, 2, ...
 
-    Subclasses provide `_make_aut`, `block_sum` and `braiding`; Aut(n)
-    construction is memoized and budget-guarded.  Subclasses with a
+    Subclasses provide `_make_aut`, `block_sum`, `first_block` and
+    `braiding`; Aut(n) is memoized, and refused past the group budget
+    where it is enumerated (at construction for GL, at the first read of
+    its elements for Sym and G wr Sym).  Subclasses with a
     closed form for the minimum of a left-block coset override
     `coset_min`, and `face_reps` where a face has one too; those that
     can list the coset minima of Hom(m, n) without Aut(n) override
-    `hom_reps`, and `aut_order` with the order formula and budget check
-    of their group constructor.
+    `hom_reps`, and `aut_order` with the order formula and the budget
+    check of enumerating Aut(n).
     """
 
     symmetric_flag = False
@@ -71,6 +73,11 @@ class BraidedGroupoidInstance:
 
     def braiding(self, m: int, n: int):
         """b_{m,n} in Aut(m+n)."""
+        raise NotImplementedError
+
+    def first_block(self, f, m: int, n: int):
+        """g for f = g + h in Aut(m+n), g in Aut(m) and h in Aut(n); None
+        when f is no such block sum.  A homomorphism on the block sums."""
         raise NotImplementedError
 
     def mul(self, a, b):
@@ -188,6 +195,10 @@ class SymmetricGroupoid(BraidedGroupoidInstance):
     def braiding(self, m, n):
         return gr.perm_braiding(m, n)
 
+    def first_block(self, f, m, n):
+        g = f[:m]
+        return g if all(x < m for x in g) else None
+
     def aut_order(self, n):
         return gr.symmetric_order(n, self.budget)
 
@@ -237,6 +248,10 @@ class WreathGroupoid(BraidedGroupoidInstance):
 
     def braiding(self, m, n):
         return gr.wreath_braiding(self.base, m, n)
+
+    def first_block(self, f, m, n):
+        a, s = f
+        return (a[:m], s[:m]) if all(x < m for x in s[:m]) else None
 
     def degree(self, f):
         return len(f[1])
@@ -323,6 +338,12 @@ class GeneralLinearGroupoid(BraidedGroupoidInstance):
 
     def braiding(self, m, n):
         return gr.mat_braiding(m, n)
+
+    def first_block(self, f, m, n):
+        if any(any(row[m:]) for row in f[:m]) or \
+                any(any(row[:m]) for row in f[m:]):
+            return None
+        return tuple(row[:m] for row in f[:m])
 
     def _echelon_coset_min(self, c, f):
         """Over a prime field, f (g + id) replaces the first c columns of
@@ -536,8 +557,8 @@ def verify_groupoid_axioms(G: BraidedGroupoidInstance,
 # A presented family describes a sequence of groups G_n by generators and
 # relators without ever enumerating elements.  It exists to feed the
 # coefficient-system calculus for families whose groups are infinite
-# (e.g. braid groups): matrix images of the generators are supplied by
-# the caller together with the ring operations needed to validate them.
+# (e.g. braid groups): the caller supplies matrix images of the
+# generators (`coeffsys.BurauSystem`).
 
 
 class PresentedGroupFamily:
@@ -555,25 +576,6 @@ class PresentedGroupFamily:
         self.gens = gens
         self.relators = relators
         self.b1n = b1n
-
-    def verify_images(self, n, images, identity, mul, eq):
-        """Check that matrix images satisfy every relator of G_n.
-
-        ``images`` maps signed generator index -> matrix; ``identity``
-        is the identity matrix; ``mul``/``eq`` are ring-matrix ops.
-        Returns the first failing relator, or None.
-        """
-        for word in self.relators(n):
-            acc = identity
-            for letter in word:
-                acc = mul(acc, images[letter])
-            if not eq(acc, identity):
-                return word
-        # inverses really invert
-        for i in range(1, self.gens(n) + 1):
-            if not eq(mul(images[i], images[-i]), identity):
-                return (i, -i)
-        return None
 
 
 def braid_family() -> PresentedGroupFamily:

@@ -4,10 +4,11 @@ Elements are hashable canonical tuples; three backends are provided:
 permutations (tuple of images, 0-indexed), matrices over Z/m (tuple of
 row tuples), and wreath products base ≀ Sym(n) (pair of a label tuple and
 a permutation).  Enumeration respects a configurable order budget and
-raises :class:`BudgetExceeded`, with estimate |G|, past it.  No group
-theory beyond enumeration, the spanning tree of the Cayley graph and
-relator words lives here: G^ab is H_1(G; Z), which `homology_engine`
-computes.
+raises :class:`BudgetExceeded`, with estimate |G|, past it; Sym(n) and
+base wr Sym(n) are enumerated only when their elements are read.  No
+group theory beyond enumeration, the steps down to the identity (closed
+forms, or the spanning tree of the Cayley graph) and relator words lives
+here: G^ab is H_1(G; Z), which `homology_engine` computes.
 """
 
 from __future__ import annotations
@@ -46,37 +47,44 @@ class FiniteGroup:
     Elements are canonical hashable values totally ordered by `sorted`;
     the sorted tuple fixes a deterministic indexing used everywhere
     downstream (canonical coset representatives, chain bases, caches).
+    Sym(n) and base wr Sym(n) pass their `order` and, as `elements`, a
+    function listing them: `elements` and `index` are built on first
+    read, which refuses past `budget` (`BudgetExceeded`, estimate |G|).
 
     `generators` must generate the group.  Module actions, coinvariants
     and homomorphism checks cost one unit per generator, so every group
-    here passes a small set: Coxeter transpositions for Sym(n), the
-    3-cycles (0 1 k) for Alt(n), 1 for Z/m, transvections and diagonal
-    units for GL_n(Z/m), and base generators in slot 0 plus Coxeter
-    transpositions for base wr Sym(n).  Without `generators` every
-    non-identity element is a generator.
+    here passes a small set: Coxeter transpositions for Sym(n), 1 for
+    Z/m, transvections and diagonal units for GL_n(Z/m), and base
+    generators in slot 0 plus Coxeter transpositions for base wr Sym(n).
+    Without `generators` every non-identity element is a generator.
 
     `relators` are words presenting G on them, as signed 1-based
     generator indices (the convention of `pi1.todd_coxeter_trivial`):
     Sym(n), base wr Sym(n) and Z/m pass short ones, and without them
     `relators()` are the |G| (|S| - 1) + 1 Cayley words.
 
-    `tree()`, the one spanning tree of the Cayley graph, is kept and
-    shared by every module over the group.  `walk` is the one way down
-    it: module actions, the Fox derivatives of tree paths and
-    homomorphisms given on generators are read on elements by it, one
-    step per element.
+    `walk` is the one way down to an element: module actions, Fox
+    derivatives and homomorphisms given on generators are read on
+    elements by it, one step g -> (parent, i), g = parent s_i, per
+    element.  Sym(n) and base wr Sym(n) pass `step` in closed form; other
+    groups step along `tree()`, the kept BFS spanning tree of the Cayley
+    graph, which is also the oracle of the closed forms.
     """
 
     def __init__(self, elements, mul, inv, identity, name="G",
-                 generators=None, relators=None):
-        self.elements = tuple(sorted(elements))
-        self.index = {g: i for i, g in enumerate(self.elements)}
+                 generators=None, relators=None, step=None, order=None,
+                 budget=None):
         self.mul = mul
         self.inv = inv
         self.identity = identity
         self.name = name
+        if order is None:
+            self._enumerate(elements)
+        else:
+            self.order, self._list, self._budget = order, elements, budget
         self.generators = tuple(generators) if generators is not None else \
             tuple(g for g in self.elements if g != identity)
+        self._step = step or self._tree_step
         self._tree, self._times = None, {}
         # given words are checked here, once; Cayley words on first read
         self._relators = None if relators is None else \
@@ -84,11 +92,21 @@ class FiniteGroup:
         for w in self._relators or ():
             if reduce(self.times, w, identity) != identity:
                 raise ValueError(f"relator {w} does not hold in {name}")
-        assert identity in self.index
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def _enumerate(self, elements) -> None:
+        self.elements = tuple(sorted(elements))
+        self.index = {g: i for i, g in enumerate(self.elements)}
+        self.order = len(self.elements)
+        assert self.identity in self.index
+
+    def __getattr__(self, attr):
+        # only reached for elements and index of a group built by formula,
+        # before their first read
+        if attr not in ("elements", "index") or "_list" not in vars(self):
+            raise AttributeError(attr)
+        _check_order(self.name, self.order, self._budget)
+        self._enumerate(self._list())
+        return vars(self)[attr]
 
     def __iter__(self):
         return iter(self.elements)
@@ -99,10 +117,11 @@ class FiniteGroup:
     def tree(self) -> dict:
         """The BFS spanning tree of the Cayley graph, {g: (parent, i)}
         with g = parent s_i and the identity mapped to None, in BFS order
-        (parents first); computed once.  Deterministic: generators tried
-        in order, frontier kept sorted."""
+        (parents first); computed once, after the group is enumerated.
+        Deterministic: generators tried in order, frontier kept sorted."""
         if self._tree is not None:
             return self._tree
+        order = len(self.elements)
         tree = {self.identity: None}
         frontier = [self.identity]
         while frontier:
@@ -114,24 +133,31 @@ class FiniteGroup:
                         tree[y] = (x, i)
                         nxt.append(y)
             frontier = sorted(nxt)
-        if len(tree) != self.order:
+        if len(tree) != order:
             raise ValueError("generators do not generate the group")
         self._tree = tree
         return tree
 
+    def _tree_step(self, g):
+        # the step of a group without a closed form: its tree edge, the
+        # tree's own lookup from the first step on
+        self._step = self.tree().__getitem__
+        return self._step(g)
+
     def walk(self, g, memo: dict, step):
         """f(g) for f given by memo, holding f(identity), and f(x s_i) =
-        step(f(x), x, i): up the tree to the nearest memoized ancestor,
+        step(f(x), x, i): up the steps to the nearest memoized element,
         then down, one step and memo entry per element (a loop: the tree
         of Z/m has depth m - 1)."""
-        tree = self.tree()
+        parent = self._step
         path = []
         while g not in memo:
-            path.append(g)
-            g = tree[g][0]
+            edge = parent(g)
+            path.append((g, edge))
+            g = edge[0]
         value = memo[g]
-        for h in reversed(path):
-            value = memo[h] = step(value, *tree[h])
+        for h, edge in reversed(path):
+            value = memo[h] = step(value, *edge)
         return value
 
     def times(self, g, x):
@@ -189,19 +215,30 @@ def perm_inv(g):
 
 
 def symmetric_order(n, budget=DEFAULT_GROUP_BUDGET) -> int:
-    """|Sym(n)|, refused past budget as `symmetric_group` refuses it."""
+    """|Sym(n)|, refused past budget as reading the elements of
+    `symmetric_group` refuses it."""
     order = math.factorial(n)
     _check_order(f"Sym({n})", order, budget)
     return order
 
 
 def symmetric_group(n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
-    symmetric_order(n, budget)
-    elems = list(itertools.permutations(range(n)))
+    """Sym(n) on the Coxeter transpositions, enumerated on the first read
+    of its elements; its steps are `_descent_step`."""
     gens = [tuple_swap(n, i) for i in range(n - 1)] if n > 1 else []
-    return FiniteGroup(elems, perm_mul, perm_inv, perm_identity(n),
-                       name=f"Sym({n})", generators=gens,
-                       relators=coxeter_relators(n))
+    return FiniteGroup(lambda: itertools.permutations(range(n)), perm_mul,
+                       perm_inv, perm_identity(n), name=f"Sym({n})",
+                       generators=gens, relators=coxeter_relators(n),
+                       step=_descent_step, order=math.factorial(n),
+                       budget=budget)
+
+
+def _descent_step(g):
+    """(g s_i, i) for i the first right descent of g, g(i) > g(i+1):
+    g s_i has one inversion fewer (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, ch. 3)."""
+    i = next(i for i in range(len(g) - 1) if g[i] > g[i + 1])
+    return g[:i] + (g[i + 1], g[i]) + g[i + 2:], i
 
 
 def coxeter_relators(n, shift=0) -> list:
@@ -218,36 +255,6 @@ def tuple_swap(n, i):
     out = list(range(n))
     out[i], out[i + 1] = out[i + 1], out[i]
     return tuple(out)
-
-
-def alternating_group(n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
-    _check_order(f"Alt({n})", math.factorial(n) // 2 if n > 1 else 1,
-                 budget)
-    elems = [p for p in itertools.permutations(range(n)) if _perm_sign(p) == 1]
-    # the 3-cycles (0 1 k), k = 2 .. n - 1, generate Alt(n)
-    gens = []
-    for k in range(2, n):
-        p = list(range(n))
-        p[0], p[1], p[k] = 1, k, 0
-        gens.append(tuple(p))
-    return FiniteGroup(elems, perm_mul, perm_inv, perm_identity(n),
-                       name=f"Alt({n})", generators=gens)
-
-
-def _perm_sign(p):
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if not seen[i]:
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-    return sign
 
 
 def perm_block_sum(g, h):
@@ -442,17 +449,20 @@ def wreath_inv(base):
 
 
 def wreath_order(base: FiniteGroup, n, budget=DEFAULT_GROUP_BUDGET) -> int:
-    """|base wr Sym(n)|, refused past budget as `wreath_group` refuses it."""
+    """|base wr Sym(n)|, refused past budget as reading the elements of
+    `wreath_group` refuses it."""
     order = base.order ** n * math.factorial(n)
     _check_order(f"{base.name} wr Sym({n})", order, budget)
     return order
 
 
 def wreath_group(base: FiniteGroup, n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
-    wreath_order(base, n, budget)
-    elems = [(labels, p)
-             for labels in itertools.product(base.elements, repeat=n)
-             for p in itertools.permutations(range(n))]
+    """base wr Sym(n), enumerated on the first read of its elements; its
+    steps are `_wreath_step`."""
+    def elements():
+        return [(labels, p)
+                for labels in itertools.product(base.elements, repeat=n)
+                for p in itertools.permutations(range(n))]
     ident = wreath_identity(base, n)
     labels, perm = ident
     gens = [((s,) + labels[1:], perm) for s in base.generators] if n else []
@@ -466,9 +476,34 @@ def wreath_group(base: FiniteGroup, n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGro
     words += [(x, t, -x, -t) for x in b for t in s[1:]]
     words += [(x, s[0], y, s[0], -x, -s[0], -y, -s[0])
               for x in b for y in b] if n > 1 else []
-    return FiniteGroup(elems, wreath_mul(base), wreath_inv(base), ident,
+    return FiniteGroup(elements, wreath_mul(base), wreath_inv(base), ident,
                        name=f"{base.name} wr Sym({n})", generators=gens,
-                       relators=words)
+                       relators=words, step=_wreath_step(base, k),
+                       order=base.order ** n * math.factorial(n),
+                       budget=budget)
+
+
+def _wreath_step(base: FiniteGroup, k: int):
+    """The step of base wr Sym(n) on g = (a, s), k base generators before
+    the transpositions, c_j = a[s[j]] the label at slot j: if c_0 != e,
+    c_0 takes the base's step; else the least labelled slot j >= 1 moves
+    to j - 1 (letter s_{j-1}); else s takes its descent step.  (sum of
+    base depths, sum of j + 1 over labelled slots j, length of s) falls
+    at each step."""
+    e = base.identity
+
+    def step(g):
+        a, s = g
+        if a[s[0]] != e:
+            parent, i = base._step(a[s[0]])
+            return (a[:s[0]] + (parent,) + a[s[0] + 1:], s), i
+        for j in range(1, len(s)):
+            if a[s[j]] != e:
+                return (a, s[:j - 1] + (s[j], s[j - 1]) + s[j + 1:]), \
+                    k + j - 1
+        t, i = _descent_step(s)
+        return (a, t), k + i
+    return step
 
 
 def wreath_block_sum(base, g, h):

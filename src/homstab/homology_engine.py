@@ -11,11 +11,12 @@ complex's homology is one `presented_subquotient`, after one
 of the long exact sequence of a pair is one `map_homology` of the
 induced maps.
 
-A module's action, the Fox derivatives of the tree paths and the
-stabilization map phi are given on generators and read on elements by
-one `FiniteGroup.walk` down the spanning tree, and checked on the
+A module's action, the Fox derivatives of the paths to elements and
+the stabilization map phi are given on generators and read on elements
+by one `FiniteGroup.walk` down the group's steps, and checked on the
 group's relator words.  A `StabilizationSetup` is verified once (phi on
-the relators, injective; s equivariant) and keeps its chain maps.
+the relators, injective by a left inverse; s equivariant) and keeps its
+chain maps.
 
 Every caller takes its complex from `resolve(M, budget, top)`, where top
 is the highest chain level it reads (H_i reads levels up to i + 1):
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 
@@ -133,7 +135,7 @@ class GModule:
     orders `orders`, those of `underlying` (`FGAbelianGroup.orders`).
     `gen_action` maps each group generator to an integer matrix acting on
     coordinates from the left; any other element acts by one product
-    per element down the group's spanning tree (`FiniteGroup.walk`).
+    per element down the group's steps (`FiniteGroup.walk`).
     """
 
     def __init__(self, group: FiniteGroup, underlying: FGAbelianGroup,
@@ -176,7 +178,7 @@ class GModule:
         homomorphism: every relator word of the group, and s s^-1 for each
         generator s, acts as 1, letter s^-1 acting by act(s^-1).  Then
         act(s^-1) inverts act(s), so the action of the free group factors
-        through G, and act, the product along tree paths, is that map."""
+        through G, and act, the product along the steps, is that map."""
         for m in self._gen_mats:
             # relation columns must be preserved: o_j * (col j) = 0 in M
             for j, oj in enumerate(self.orders):
@@ -216,13 +218,6 @@ def trivial_module(group: FiniteGroup, rank: int = 1,
                    {g: ident for g in group.generators}, name="trivial")
 
 
-def sign_module(group: FiniteGroup, sign_of) -> GModule:
-    """Z with g acting by sign_of(g) in {+1, -1}."""
-    return GModule(group, FGAbelianGroup(1),
-                   {g: [[sign_of(g)]] for g in group.generators},
-                   name="sign")
-
-
 def permutation_module(group: FiniteGroup, n: int) -> GModule:
     """Z^n for a group of permutation tuples acting by g.e_j = e_{g(j)}."""
     action = {}
@@ -232,22 +227,6 @@ def permutation_module(group: FiniteGroup, n: int) -> GModule:
             m[g[j]][j] = 1
         action[g] = m
     return GModule(group, FGAbelianGroup(n), action, name=f"perm{n}")
-
-
-def group_ring_module(group: FiniteGroup, quotient: FiniteGroup,
-                      phi: dict) -> GModule:
-    """Z[Q] with g acting by left multiplication through phi: G -> Q."""
-    basis = quotient.elements
-    idx = {q: i for i, q in enumerate(basis)}
-    n = len(basis)
-    action = {}
-    for g in group.generators:
-        m = [[0] * n for _ in range(n)]
-        for j, q in enumerate(basis):
-            m[idx[quotient.mul(phi[g], q)]][j] = 1
-        action[g] = m
-    return GModule(group, FGAbelianGroup(n), action,
-                   name=f"Z[Q{n}]")
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +394,7 @@ class PresentationComplex(FreeResolution):
     derivatives (`word_fox`).  The words present G, so the cover is
     simply connected, C_2 -> C_1 -> C_0 -> Z is exact, and H_0, H_1 and
     the maps they induce are those of any resolution.  The chain map f_1
-    reads the Fox derivatives of tree paths (`fox`).
+    reads the Fox derivatives of the walk paths (`fox`).
     """
 
     kind = "presentation complex"
@@ -432,8 +411,8 @@ class PresentationComplex(FreeResolution):
             (1, len(self.G.generators))[i]
 
     def fox(self, g) -> dict:
-        """{t: matrix of m |-> m.(dw(g)/ds_t)} for the tree path w(g) of
-        g, down the spanning tree (`FiniteGroup.walk`): the edge
+        """{t: matrix of m |-> m.(dw(g)/ds_t)} for the path w(g) of g
+        down the group's steps (`FiniteGroup.walk`): the step
         g = x s_t gives dw(g)/ds_t = dw(x)/ds_t + x."""
         return self.G.walk(g, self._fox, self._fox_step)
 
@@ -470,7 +449,7 @@ class PresentationComplex(FreeResolution):
 
     def cell_map(self, i, other: "PresentationComplex", group_map, mat):
         """f_0 = mat and f_1(m e_s) = sum_t (mat.m).(dw'(group_map(s))/dt)
-        e_t with w' the tree paths of other.  The fundamental formula of
+        e_t with w' the walk paths of other.  The fundamental formula of
         Fox calculus, sum_t (dw/dt)(t - 1) = w - 1, gives d f_1 = f_0 d."""
         if i == 0:
             yield [(0, 1, mat)]
@@ -516,7 +495,7 @@ def coinvariants(M: GModule) -> FGAbelianGroup:
 def hurewicz(M: GModule, budget: BarBudget | None = None):
     """H_1(G; Z) = G^ab with the Hurewicz map G -> H_1(G; Z), for M the
     trivial module Z over G.  The map takes g to the class of the Fox
-    derivatives of its tree path w(g), which on Z are the letter counts
+    derivatives of its walk path w(g), which on Z are the letter counts
     of w(g): a 1-cycle of the presentation complex (whose d_1 vanishes on
     Z), in the canonical coordinates of H_1.  Returns (H_1 as a
     Subquotient, the map)."""
@@ -538,8 +517,10 @@ class StabilizationSetup:
 
     phi is given on generators: gen_images holds the images of
     small.group.generators in order, and phi(g) is their product along
-    the tree path of g (`FiniteGroup.walk`).  verify() certifies that
-    phi is an injective homomorphism and that the integer matrix
+    the steps of g (`FiniteGroup.walk`).  restrict(h) is the first
+    diagonal block of h in G_big, None if h is not block-diagonal: a
+    homomorphism rho on the block-diagonal elements.  verify() certifies
+    that phi is an injective homomorphism and that the integer matrix
     s_matrix is equivariant over it, i.e.
     s . act_small(g) == act_big(phi(g)) . s  on the presentations.
     The chain maps are kept per level and pair of resolutions, and the
@@ -551,6 +532,7 @@ class StabilizationSetup:
     big: GModule
     gen_images: tuple
     s_matrix: list
+    restrict: Callable
 
     def __post_init__(self):
         self._phi = {self.small.group.identity: self.big.group.identity}
@@ -568,7 +550,9 @@ class StabilizationSetup:
         injective homomorphism, ValueError unless s is equivariant over
         it.  The generator images satisfy every relator word of the small
         group, so the map they define on the free group factors through
-        it; phi, their product along tree paths, is that map."""
+        it; phi, their product along the steps, is that map.  Each image
+        is block-diagonal with first block its generator, so rho o phi is
+        the identity: a left inverse, with no pass over the elements."""
         Gs, big = self.small.group, self.big.group
         images = dict(enumerate(self.gen_images, 1))
         images.update((-i, big.inv(s)) for i, s in list(images.items()))
@@ -576,7 +560,8 @@ class StabilizationSetup:
             if reduce(lambda g, x: big.mul(g, images[x]), word,
                       big.identity) != big.identity:
                 raise AssertionError("phi is not a homomorphism")
-        if len({self.phi(g) for g in Gs.elements}) != Gs.order:
+        if any(self.restrict(h) != s
+               for s, h in zip(Gs.generators, self.gen_images)):
             raise AssertionError("phi is not injective")
         check_equivariant(self.s_matrix, self.small, self.big, self.phi,
                           "s is not equivariant over phi")

@@ -422,10 +422,15 @@ def run_axioms(cfg: FamilyConfig) -> dict:
                        "passed": pb["passed"],
                        "witness": repr(pb["failures"]) if pb["failures"]
                        else None})
-    ls = cat.verify_local_standardness(cfg.A, cfg.X, cfg.n_max)
-    checks.append({"name": "local standardness", "passed": ls["passed"],
-                   "witness": None if ls["passed"] else repr(
-                       {k: v for k, v in ls.items() if "fail" in k})})
+    try:
+        ls = cat.verify_local_standardness(cfg.A, cfg.X, cfg.n_max)
+    except BudgetExceeded as exc:
+        checks.append({"name": "local standardness", "passed": True,
+                       **_refusal(cfg, exc, n_max=cfg.n_max)})
+    else:
+        checks.append({"name": "local standardness", "passed": ls["passed"],
+                       "witness": None if ls["passed"] else repr(
+                           {k: v for k, v in ls.items() if "fail" in k})})
     return {
         "command": "verify-axioms",
         "schema_version": SCHEMA_VERSION,
@@ -688,14 +693,15 @@ def report_emit(report: dict, fmt: str = "json", stream=None) -> str:
 
 
 def exit_code(report: dict) -> int:
-    """0 = clean, 2 = violations/failed checks, 3 = budget-starved."""
+    """0 = clean, 2 = violations/failed checks, 3 = budget-starved (a
+    refused cell or check)."""
     if report.get("passed") is False:
         return 2
     if report.get("summary", {}).get("VIOLATION", 0):
         return 2
-    cells = report.get("cells", [])
+    entries = report.get("cells", []) + report.get("checks", [])
     skipped = report.get("skipped", 0) or sum(
-        1 for c in cells if "skipped" in c or c.get("verdict") == "skipped")
+        1 for c in entries if "skipped" in c or c.get("verdict") == "skipped")
     if skipped:
         return 3
     return 0

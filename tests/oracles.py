@@ -27,6 +27,16 @@ against the paper's descriptions of them.
 conjugation_acts_trivially checks H_i(G; M) against every inner
 automorphism of G, and presented_abelianization reads G_n^ab off the
 exponent sums of a family's relators; src has no caller of either.
+sign_module and group_ring_module build test modules, alternating_group
+a group that steps along its BFS tree, and relator_failure checks matrix
+images of a presented family's generators (the Burau images on the
+braid relators: burau_relation_failure).
+
+The walk oracles read what `FiniteGroup.walk` reads along the BFS tree
+of the Cayley graph instead of a group's closed-form steps:
+tree_walk_act, tree_walk_phi and phi_injective_on_elements, the pass
+over every element that the left-inverse certificate of
+`StabilizationSetup.verify` replaces.
 """
 
 import itertools
@@ -34,11 +44,14 @@ import math
 
 from homstab.bracket import UMorphism
 from homstab.exact_linalg import (FGAbelianGroup, SparseCols,
-                                  homology_of_pair, induced_matrix,
-                                  presented_subquotient, smith_normal_form)
+                                  homology_of_pair, identity_matrix,
+                                  induced_matrix, presented_subquotient,
+                                  product_mod, smith_normal_form)
 from homstab.groupoids import BraidedGroupoidInstance, PresentedGroupFamily
-from homstab.groups import FiniteGroup
+from homstab.groups import (DEFAULT_GROUP_BUDGET, BudgetExceeded,
+                            FiniteGroup, perm_identity, perm_inv, perm_mul)
 from homstab.homology_engine import BarBudget, GModule, resolve
+from homstab import laurent as lau
 from homstab.pi1 import TwoSkeleton
 from homstab.simplicial import (LiftProfile, SemiSimplicialSet,
                                 SimplicialComplex, _tuple_faces)
@@ -536,3 +549,122 @@ def presented_abelianization(family: PresentedGroupFamily,
         cols.append({i: v for i, v in enumerate(col) if v})
     return presented_subquotient(SparseCols.zero(0, g), SparseCols(g, cols),
                                  [], []).group
+
+
+def sign_module(group: FiniteGroup, sign_of) -> GModule:
+    """Z with g acting by sign_of(g) in {+1, -1}."""
+    return GModule(group, FGAbelianGroup(1),
+                   {g: [[sign_of(g)]] for g in group.generators},
+                   name="sign")
+
+
+def group_ring_module(group: FiniteGroup, quotient: FiniteGroup,
+                      phi: dict) -> GModule:
+    """Z[Q] with g acting by left multiplication through phi: G -> Q."""
+    basis = quotient.elements
+    idx = {q: i for i, q in enumerate(basis)}
+    n = len(basis)
+    action = {}
+    for g in group.generators:
+        m = [[0] * n for _ in range(n)]
+        for j, q in enumerate(basis):
+            m[idx[quotient.mul(phi[g], q)]][j] = 1
+        action[g] = m
+    return GModule(group, FGAbelianGroup(n), action,
+                   name=f"Z[Q{n}]")
+
+
+def relator_failure(family: PresentedGroupFamily, n, images, identity,
+                    mul, eq):
+    """The first relator of G_n that the matrix images break, or None.
+
+    ``images`` maps signed generator index -> matrix; ``identity`` is
+    the identity matrix; ``mul``/``eq`` are ring-matrix ops.  Each
+    generator's image must be inverted by the image of its inverse."""
+    for word in family.relators(n):
+        acc = identity
+        for letter in word:
+            acc = mul(acc, images[letter])
+        if not eq(acc, identity):
+            return word
+    for i in range(1, family.gens(n) + 1):
+        if not eq(mul(images[i], images[-i]), identity):
+            return (i, -i)
+    return None
+
+
+def burau_relation_failure(B, n: int):
+    """First failing braid relator under the Burau images of B_n, or
+    None."""
+    return relator_failure(B.family, n, B.images(n), lau.lm_identity(n),
+                           lau.lm_mul, lau.lm_eq)
+
+
+def alternating_group(n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:
+    """Alt(n) on the 3-cycles (0 1 k), k = 2 .. n - 1, enumerated when
+    built, steps along its BFS tree."""
+    order = math.factorial(n) // 2 if n > 1 else 1
+    if order > budget:
+        raise BudgetExceeded(f"|Alt({n})| = {order} exceeds budget "
+                             f"{budget}", estimate=order)
+    elems = [p for p in itertools.permutations(range(n))
+             if perm_sign(p) == 1]
+    gens = []
+    for k in range(2, n):
+        p = list(range(n))
+        p[0], p[1], p[k] = 1, k, 0
+        gens.append(tuple(p))
+    return FiniteGroup(elems, perm_mul, perm_inv, perm_identity(n),
+                       name=f"Alt({n})", generators=gens)
+
+
+def perm_sign(p) -> int:
+    """The sign of a permutation tuple, from its cycle lengths."""
+    seen = [False] * len(p)
+    sign = 1
+    for i in range(len(p)):
+        if not seen[i]:
+            j, length = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+    return sign
+
+
+def tree_walk(G: FiniteGroup, g, memo: dict, step):
+    """FiniteGroup.walk along the BFS tree of G, whatever steps G has."""
+    tree = G.tree()
+    path = []
+    while g not in memo:
+        path.append(g)
+        g = tree[g][0]
+    value = memo[g]
+    for h in reversed(path):
+        value = memo[h] = step(value, *tree[h])
+    return value
+
+
+def tree_walk_act(M: GModule, g):
+    """M.act(g) as the product of generator matrices along the tree path
+    of g."""
+    return tree_walk(M.group, g, {M.group.identity: identity_matrix(M.rank)},
+                     lambda m, x, i: product_mod(m, M._gen_mats[i],
+                                                 M.orders))
+
+
+def tree_walk_phi(setup, g):
+    """setup.phi(g) as the product of the generator images along the tree
+    path of g."""
+    big = setup.big.group
+    return tree_walk(setup.small.group, g,
+                     {setup.small.group.identity: big.identity},
+                     lambda v, x, i: big.mul(v, setup.gen_images[i]))
+
+
+def phi_injective_on_elements(setup) -> bool:
+    """phi takes |G_small| distinct values: one pass over the elements."""
+    Gs = setup.small.group
+    return len({setup.phi(g) for g in Gs.elements}) == Gs.order

@@ -7,7 +7,7 @@ be refusals (documented skips), never silently ignored.
 
 import math
 
-from homstab.groups import symmetric_group, alternating_group
+from homstab.groups import symmetric_group
 from homstab.simplicial import (build_W, build_S, lift_profile, link,
                                 connectivity_certificate,
                                 SimplicialComplex)
@@ -21,7 +21,9 @@ from homstab.coeffsys import (constant_system, standard_system,
 from homstab.laurent import lp, lm_eq
 from homstab import verifier
 from homstab.verifier import load_config, run_stability, report_emit
-from tests.oracles import abelianization, complexes_isomorphic, hopf_h2
+from tests.oracles import (abelianization, alternating_group,
+                           burau_relation_failure, complexes_isomorphic,
+                           hopf_h2)
 
 
 def _cfg(**over):
@@ -167,7 +169,7 @@ def test_criterion_10_coefficient_calculus(sym_cat):
                  [[lp((0, 1), (1, -1)), lp((1, 1))],
                   [lp((0, 1)), {}]])
     for n in range(2, 7):
-        assert B.verify_relations(n) is None, n
+        assert burau_relation_failure(B, n) is None, n
 
 
 def test_criterion_11_relative_les_and_vanishing():

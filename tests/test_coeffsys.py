@@ -13,8 +13,8 @@ from homstab.coeffsys import (
     InternalizedSystem, BurauSystem,
 )
 from homstab.exact_linalg import identity_matrix, mat_mul
-from tests.oracles import (abelianization, coords_span,
-                           presented_abelianization)
+from tests.oracles import (abelianization, burau_relation_failure,
+                           coords_span, presented_abelianization)
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +203,7 @@ def test_internalized_sign_values(sym_cat):
 def test_burau_relations_and_matrix():
     B = BurauSystem(6)
     for n in range(2, 7):
-        assert B.verify_relations(n) is None, n
+        assert burau_relation_failure(B, n) is None, n
     m2 = B.images(2)[1]
     assert lm_eq(m2, [[lp((0, 1), (1, -1)), lp((1, 1))],
                       [lp((0, 1)), {}]])

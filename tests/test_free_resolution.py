@@ -12,9 +12,9 @@ import pytest
 
 from homstab.exact_linalg import induced_matrix
 from homstab.groups import cyclic_group
-from homstab.homology_engine import (BarBudget, FreeResolution,
-                                     group_ring_module, resolve,
-                                     sign_module, trivial_module)
+from homstab.homology_engine import (BarBudget, FreeResolution, resolve,
+                                     trivial_module)
+from tests.oracles import group_ring_module, sign_module
 
 
 class Periodic(FreeResolution):

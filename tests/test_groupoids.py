@@ -10,6 +10,7 @@ from homstab.groupoids import (
 )
 from homstab.laurent import lm_identity, lm_eq, lm_mul
 from homstab.coeffsys import BurauSystem
+from tests.oracles import relator_failure
 
 
 @pytest.mark.parametrize("make,n_max", [
@@ -21,6 +22,26 @@ from homstab.coeffsys import BurauSystem
 def test_braided_groupoid_axioms(make, n_max):
     report = verify_groupoid_axioms(make(), n_max)
     assert report.all_passed, report.failures()
+
+
+@pytest.mark.parametrize("make,top", [
+    (make_symmetric, 5),
+    (lambda: make_wreath(cyclic_group(2)), 4),
+    (lambda: make_general_linear(FiniteRing(2)), 3),
+    (lambda: make_general_linear(FiniteRing(4)), 2),
+])
+def test_first_block_inverts_block_sum(make, top):
+    # on every element f of Aut(m + n), m + n <= top: first_block gives g
+    # exactly when f = g + h, and None on the elements that are no block
+    # sum, the restriction that certifies phi injective
+    G = make()
+    for size in range(top + 1):
+        for m in range(size + 1):
+            n = size - m
+            sums = {G.block_sum(g, h, m, n): g
+                    for g in G.aut(m) for h in G.aut(n)}
+            for f in G.aut(size):
+                assert G.first_block(f, m, n) == sums.get(f), (m, n, f)
 
 
 def test_symmetric_braiding_is_symmetry():
@@ -43,9 +64,8 @@ def test_braid_family_relators_in_burau():
     fam = braid_family()
     B = BurauSystem(5)
     for n in (3, 4, 5):
-        bad = fam.verify_images(n, B.images(n),
-                                identity=lm_identity(n),
-                                mul=lm_mul, eq=lm_eq)
+        bad = relator_failure(fam, n, B.images(n),
+                              identity=lm_identity(n), mul=lm_mul, eq=lm_eq)
         assert bad is None, bad
 
 
@@ -65,8 +85,8 @@ def test_presented_family_rejects_bad_images():
     imgs = dict(B.images(3))
     imgs[1] = lm_identity(3)  # sigma_1 killed: braid relation fails
     imgs[-1] = lm_identity(3)
-    assert fam.verify_images(3, imgs, identity=lm_identity(3),
-                             mul=lm_mul, eq=lm_eq) is not None
+    assert relator_failure(fam, 3, imgs, identity=lm_identity(3),
+                           mul=lm_mul, eq=lm_eq) is not None
 
 
 HOMOMORPHISM = "block_sum is a homomorphism"

@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 
 from homstab.groups import (
-    FiniteGroup, symmetric_group, alternating_group, cyclic_group, wreath_group,
+    FiniteGroup, symmetric_group, cyclic_group, wreath_group,
     general_linear_group, gln_order, perm_mul, perm_inv, perm_identity,
     perm_block_sum, perm_braiding, mat_mul_mod, mat_inv_mod, mat_identity,
     mat_det_mod, mat_block_sum, mat_braiding, BudgetExceeded,
@@ -16,8 +16,8 @@ from homstab.homology_engine import (BarBudget, GModule,
                                      hurewicz, trivial_module)
 from homstab.exact_linalg import FGAbelianGroup, product_mod
 from homstab.pi1 import todd_coxeter_trivial
-from tests.oracles import (abelianization, commutator, coords_span,
-                           subgroup_closure)
+from tests.oracles import (abelianization, alternating_group, commutator,
+                           coords_span, subgroup_closure)
 
 
 def _hurewicz(G):
@@ -258,16 +258,24 @@ def test_tree_covers_group():
 
 
 def test_budget_guard():
+    # Sym(n) and G wr Sym(n) are built from their order formula and
+    # refuse at the first read of their elements; the others when built
+    G = symmetric_group(8, budget=100)
+    assert G.order == 40320
     with pytest.raises(BudgetExceeded, match=r"\|Sym\(8\)\| = 40320 "
                        "exceeds budget 100") as exc:
-        symmetric_group(8, budget=100)
+        G.elements
     assert exc.value.estimate == 40320
     # a refusal is not invalid input: callers that catch ValueError
     # (the groupoid generator check) must not swallow it
     assert not isinstance(exc.value, ValueError)
+    with pytest.raises(BudgetExceeded):
+        G.index
+    with pytest.raises(BudgetExceeded):
+        G.tree()
     for make in (lambda: alternating_group(6, budget=359),
                  lambda: general_linear_group(2, 3, budget=47),
-                 lambda: wreath_group(cyclic_group(2), 3, budget=47)):
+                 lambda: wreath_group(cyclic_group(2), 3, budget=47).elements):
         with pytest.raises(BudgetExceeded):
             make()
 
@@ -474,3 +482,57 @@ def test_given_relator_must_hold():
                        r"not hold in H"):
         FiniteGroup(G.elements, G.mul, G.inv, G.identity, name="H",
                     generators=G.generators, relators=[(1, 1), (1, 2) * 2])
+
+
+# (base, n): G = base wr Sym(n), or Sym(n) for base None
+WALKED = [*((None, n) for n in range(7)),
+          *((cyclic_group(2), n) for n in range(5)),
+          *((cyclic_group(3), n) for n in range(4)),
+          *((symmetric_group(3), n) for n in range(4))]
+
+
+def _slots_module(G, base):
+    """Z^n with g.e_j = e_g(j) for G = Sym(n); for G = base wr Sym(n),
+    Z[base x slots] with (a, s) sending (b, i) to (a[s(i)] b, s(i)).
+    Both are faithful permutation modules given by generator matrices."""
+    from homstab.homology_engine import permutation_module
+    if base is None:
+        return permutation_module(G, len(G.identity))
+    points = [(b, i) for b in base.elements
+              for i in range(len(G.identity[1]))]
+    idx = {p: j for j, p in enumerate(points)}
+    action = {}
+    for a, s in G.generators:
+        m = [[0] * len(points) for _ in points]
+        for (b, i), j in idx.items():
+            m[idx[base.mul(a[s[i]], b), s[i]]][j] = 1
+        action[a, s] = m
+    return GModule(G, FGAbelianGroup(len(points)), action)
+
+
+@pytest.mark.parametrize("base,n", WALKED, ids=lambda v: str(
+    getattr(v, "name", "Sym" if v is None else v)))
+def test_closed_form_steps_match_the_tree_walk(base, n):
+    # every step is an edge of the Cayley graph, every chain of steps ends
+    # at the identity, and module actions and phi read down the steps equal
+    # the products along the BFS tree paths
+    from homstab.bracket import BracketCategory
+    from homstab.coeffsys import constant_system
+    from homstab.groupoids import make_symmetric, make_wreath
+    from tests.oracles import tree_walk_act, tree_walk_phi
+    inst = make_symmetric() if base is None else make_wreath(base)
+    setup = constant_system(BracketCategory(inst), 0, 1, n + 1
+                            ).stabilization_setup(n)
+    G = setup.small.group
+    assert G._step != G._tree_step
+    for g in G:
+        h, steps = g, 0
+        while h != G.identity:
+            parent, i = G._step(h)
+            assert G.mul(parent, G.generators[i]) == h
+            h, steps = parent, steps + 1
+            assert steps <= G.order
+    M = _slots_module(G, base)
+    assert all(M.act(g) == tree_walk_act(M, g) for g in G)
+    setup.verify()
+    assert all(setup.phi(g) == tree_walk_phi(setup, g) for g in G)

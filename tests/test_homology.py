@@ -3,18 +3,17 @@ import math
 
 import pytest
 
-from homstab.groups import (BudgetExceeded, symmetric_group,
-                            alternating_group, cyclic_group, wreath_group)
+from homstab.groups import (BudgetExceeded, symmetric_group, cyclic_group,
+                            wreath_group)
 from homstab.exact_linalg import FGAbelianGroup
 from homstab.pi1 import todd_coxeter_trivial
 from homstab.homology_engine import (
-    BarBudget, GModule, trivial_module, sign_module,
-    permutation_module, group_ring_module, bar_homology,
-    coinvariants, resolve,
+    BarBudget, GModule, trivial_module, permutation_module,
+    bar_homology, coinvariants, resolve,
 )
-from tests.oracles import (S4_RELATORS, abelianization,
-                           conjugation_acts_trivially, hopf_h2,
-                           quotient_group)
+from tests.oracles import (S4_RELATORS, abelianization, alternating_group,
+                           conjugation_acts_trivially, group_ring_module,
+                           hopf_h2, quotient_group, sign_module)
 
 
 def test_coxeter_presentation_presents_s4():
@@ -429,6 +428,36 @@ def test_phi_certificate_refuses(case):
         setup.verify()
 
 
+@pytest.mark.parametrize("family,n", [("Sym", 4), ("Z/2 wr Sym", 3),
+                                      ("GL(F_2)", 2)])
+@pytest.mark.parametrize("move", ["leaves the block", "another element"])
+def test_phi_left_inverse_refuses(family, n, move):
+    # phi conjugated by a slot permutation c of G_{n+1} is still an
+    # injective homomorphism, so the relator check passes; but c = (n-1 n)
+    # moves the images out of the first block, and c = (0 1) keeps them
+    # block-diagonal with first blocks other than their generators.  The
+    # left-inverse certificate refuses both
+    from dataclasses import replace
+    from homstab.bracket import BracketCategory
+    from homstab.coeffsys import constant_system
+    from homstab.groupoids import (FiniteRing, make_general_linear,
+                                   make_symmetric, make_wreath)
+    inst = {"Sym": make_symmetric,
+            "Z/2 wr Sym": lambda: make_wreath(cyclic_group(2)),
+            "GL(F_2)": lambda: make_general_linear(FiniteRing(2))}[family]()
+    setup = constant_system(BracketCategory(inst), 0, 1, n + 1
+                            ).stabilization_setup(n)
+    setup.verify()
+    order = list(range(n + 1))
+    i = n - 1 if move == "leaves the block" else 0
+    order[i], order[i + 1] = order[i + 1], order[i]
+    c = inst.permute(inst.identity(n + 1), order)
+    images = tuple(inst.mul(inst.mul(c, h), inst.inv(c))
+                   for h in setup.gen_images)
+    with pytest.raises(AssertionError, match="phi is not injective"):
+        replace(setup, gen_images=images).verify()
+
+
 def _race(work, nthreads=8):
     """work() on nthreads threads released at once, with a 1 us switch
     interval; the list of their results."""
@@ -490,6 +519,22 @@ def test_setup_keeps_one_chain_map_across_threads(sym_cat):
         got = _race(lambda: work(setup))
         assert all(a is b for maps, _ in got for a, b in zip(maps, got[0][0]))
         assert all(phis == got[0][1] for _, phis in got)
+
+
+def test_first_read_of_elements_across_threads():
+    # bar-complex cells on --jobs threads may be the first to read the
+    # elements of a group built by formula: every thread gets the full
+    # sorted list, and an index that agrees with it
+    for make in (lambda: symmetric_group(6),
+                 lambda: wreath_group(cyclic_group(2), 3)):
+        for _ in range(5):
+            G = make()
+            got = _race(lambda: (G.elements,
+                                 [G.index[g] for g in G.elements]))
+            for elements, positions in got:
+                assert elements == tuple(sorted(elements))
+                assert len(elements) == G.order
+                assert positions == list(range(G.order))
 
 
 def test_z4_sign_module_d2_vanishes_only_mod_4():

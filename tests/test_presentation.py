@@ -21,12 +21,12 @@ from homstab.exact_linalg import (FGAbelianGroup, SparseCols,
                                   identity_matrix, mat_mul)
 from homstab.groupoids import (FiniteRing, make_general_linear,
                                make_symmetric, make_wreath)
-from homstab.groups import (FiniteGroup, alternating_group, cyclic_group,
-                            symmetric_group)
+from homstab.groups import FiniteGroup, cyclic_group, symmetric_group
 from homstab.homology_engine import (
     BarBudget, BarComplex, GModule, MappingCone, PresentationComplex,
     bar_homology, les_exact_at_rel, permutation_module, resolve,
-    sign_module, trivial_module)
+    trivial_module)
+from tests.oracles import alternating_group, sign_module
 
 
 def _les_cell(setup, i):

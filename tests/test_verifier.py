@@ -108,8 +108,9 @@ def test_prebraid_checked_up_to_top(monkeypatch):
 
 @pytest.mark.parametrize("make", [SymmetricGroupoid, _BrokenBraiding])
 def test_prebraid_past_the_budget(monkeypatch, make):
-    """Aut(6) past group_order 120: the identities are checked up to 5,
-    and a check that passes there is reported as refused.  Local
+    """Aut(6) past group_order 120.  The identities enumerate no Aut(n)
+    of Sym, so they are checked up to top 6 and pass there; a check
+    that only passes below the top would be reported as refused.  Local
     standardness reads Aut(6) too, so it is stubbed here."""
     monkeypatch.setattr(verifier, "build_instance",
                         lambda cfg: make(cfg.budget("group_order")))
@@ -118,10 +119,8 @@ def test_prebraid_past_the_budget(monkeypatch, make):
     cfg = _cfg(A=1, n_max=5, budgets={"group_order": 120})
     check = _prebraid_check(run_axioms(cfg))
     if make is SymmetricGroupoid:
-        assert check == {
-            "name": "prebraid identities", "passed": True,
-            "skipped": "|Sym(6)| = 720 exceeds budget 120", "estimate": 720,
-            "repro": {"config_hash": config_hash(cfg), "top": 6}}
+        assert check == {"name": "prebraid identities", "passed": True,
+                         "witness": None}
     else:
         assert not check["passed"] and "skipped" not in check
         assert "('prebraid', 2, 3)" in check["witness"]
@@ -498,11 +497,12 @@ def test_config_seed_is_hashed_not_read():
     assert config_hash(cfg) != config_hash(_cfg(seed=1))
 
 
-@pytest.mark.parametrize("command", ["stability", "verify-axioms"])
+@pytest.mark.parametrize("command", ["verify-axioms"])
 def test_cli_group_refusal_outside_a_cell_exits_1(tmp_path, capsys,
                                                    command):
-    # Aut(8) = Sym(8) is past the default group budget before any grid
-    # cell runs: one error line, no traceback
+    # the groupoid axioms enumerate Aut(8) = Sym(8), past the default
+    # group budget, before any check is reported: one error line, no
+    # traceback
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"family": {"kind": "symmetric",
                                            "params": {}}, "n_max": 8}))
@@ -511,6 +511,20 @@ def test_cli_group_refusal_outside_a_cell_exits_1(tmp_path, capsys,
     assert out == ""
     assert err == ("homstab: error: |Sym(8)| = 40320 exceeds budget "
                    "5040\n")
+
+
+def test_cli_stability_past_the_group_budget_exits_0(tmp_path, capsys):
+    # stability at i <= 1 enumerates no Sym(n), so Sym(8), past the
+    # default group budget, is no refusal: all 16 cells are computed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": {"kind": "symmetric",
+                                           "params": {}}, "n_max": 8}))
+    assert cli_main(["stability", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and len(report["cells"]) == 16
+    assert report["summary"]["skipped"] == 0
+    assert report["summary"]["VIOLATION"] == 0
 
 
 def test_cli_rejects_unknown_budget_key(tmp_path, capsys):
@@ -810,3 +824,84 @@ def test_degree_bound_defaults():
     assert _cfg().degree_bound() == (3, 0)
     cfg = _cfg(coeff={"kind": "standard", "params": {"r_max": 2}})
     assert cfg.degree_bound() == (2, 0)
+
+
+@pytest.mark.parametrize("family,coeff,theorems", [
+    ({"kind": "symmetric", "params": {}}, {"r_max": 2, "N_max": 0}, ["A"]),
+    ({"kind": "wreath", "params": {"cyclic_order": 2}},
+     {"r_max": 2, "N_max": 0}, ["A", "4.20"])],
+    ids=["stability-const-A", "Z/2 wr Sym"])
+def test_stability_enumerates_no_group(monkeypatch, family, coeff,
+                                       theorems):
+    # at i <= 1 the walks take closed-form steps: no Sym(n) or G wr Sym(n)
+    # builds its spanning tree or lists its elements
+    from homstab.groups import FiniteGroup
+    trees, listed = [], []
+    tree, enumerate_ = FiniteGroup.tree, FiniteGroup._enumerate
+
+    def counted(record, fn):
+        def wrapper(G, *args):
+            if "_list" in vars(G):          # a group built by formula
+                record.append(G.name)
+            return fn(G, *args)
+        return wrapper
+    monkeypatch.setattr(FiniteGroup, "tree", counted(trees, tree))
+    monkeypatch.setattr(FiniteGroup, "_enumerate",
+                        counted(listed, enumerate_))
+    cfg = _cfg(family=family, n_max=5, theorems=theorems,
+               coeff={"kind": "constant", "params": coeff})
+    report = run_stability(cfg, jobs=2)
+    assert exit_code(report) == 0 and len(report["cells"]) == 10
+    assert (trees, listed) == ([], [])
+
+
+@pytest.mark.parametrize("family,budget,refused", [
+    ({"kind": "gl", "params": {"modulus": 2}}, 5040,
+     "|GL_4(Z/2)| = 20160 exceeds budget 5040"),
+    ({"kind": "symmetric", "params": {}}, 120,
+     "|Sym(6)| = 720 exceeds budget 120")], ids=["GL(F_2)", "Sym"])
+def test_local_standardness_past_the_budget_is_refused(family, budget,
+                                                       refused):
+    # Aut(A + n_max X) = Aut(4) of GL(F_2) and Aut(6) of Sym are past the
+    # budget: local standardness is a refused check, and so are the
+    # homogeneity cells past it, and the report exits 3
+    cfg = _cfg(family=family, A=1, n_max=3 if budget == 5040 else 5,
+               budgets={"group_order": budget})
+    report = run_axioms(cfg)
+    (ls,) = [c for c in report["checks"] if c["name"] == "local standardness"]
+    assert ls == {"name": "local standardness", "passed": True,
+                  "skipped": refused, "estimate": int(refused.split()[2]),
+                  "repro": {"config_hash": config_hash(cfg),
+                            "n_max": cfg.n_max}}
+    assert report["passed"] is True
+    assert exit_code(report) == 3
+
+
+def test_exit_code_reads_refused_checks():
+    checks = [{"name": "a", "passed": True}]
+    assert exit_code({"passed": True, "checks": checks}) == 0
+    checks.append({"name": "b", "passed": True, "skipped": "refused"})
+    assert exit_code({"passed": True, "checks": checks}) == 3
+    checks.append({"name": "c", "passed": False})
+    assert exit_code({"passed": False, "checks": checks}) == 2
+
+
+def test_frontier_past_the_group_budget():
+    # Sym(10) and Z/2 wr Sym(7) are past the default group budget, which
+    # refuses only enumeration: every cell is computed.  Z^n is induced
+    # from Sym(n-1), so by Shapiro's lemma H_1(Sym(n); Z^n) =
+    # H_1(Sym(n-1); Z) = Z/2 for n >= 3
+    std = run_stability(_cfg(
+        n_max=10, theorems=["A", "4.20"],
+        coeff={"kind": "standard", "params": {"r_max": 2, "N_max": 0}}),
+        jobs=2)
+    wreath = run_stability(_cfg(
+        family={"kind": "wreath", "params": {"cyclic_order": 2}}, n_max=7,
+        theorems=["A", "4.20"],
+        coeff={"kind": "constant", "params": {"r_max": 2, "N_max": 0}}),
+        jobs=2)
+    for report in (std, wreath):
+        assert exit_code(report) == 0
+        assert report["summary"]["skipped"] == 0
+    assert [c["source"] for c in std["cells"] if c["i"] == 1] == \
+        ["0"] * 3 + ["Z/2"] * 7
