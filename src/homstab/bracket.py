@@ -165,14 +165,16 @@ class BracketCategory:
         """sigma^X = id_a + iota_x : a -> a + x."""
         return self.monoidal_sum(self.identity_mor(a), self.iota(x))
 
-    def lower_suspension(self, A: int, x: int, n: int) -> UMorphism:
-        """sigma_X = (b_{X,A} + id_{X^n}) (iota_X + id_{A + nx}) from
-        object A + n x to A + (n+1) x."""
+    def _lam(self, A: int, x: int, n: int):
+        """lambda_n = b_{X,A} + id_{X^n} in Aut(A + (n+1) x)."""
         G = self.G
-        obj = A + n * x
-        t = G.block_sum(G.braiding(x, A), G.identity(n * x), x + A, n * x)
-        inc = self.monoidal_sum(self.iota(x), self.identity_mor(obj))
-        return self.post_compose(t, inc)
+        return G.block_sum(G.braiding(x, A), G.identity(n * x), x + A, n * x)
+
+    def lower_suspension(self, A: int, x: int, n: int) -> UMorphism:
+        """sigma_X = lambda_n (iota_X + id_{A + nx}) from object A + n x
+        to A + (n+1) x."""
+        inc = self.monoidal_sum(self.iota(x), self.identity_mor(A + n * x))
+        return self.post_compose(self._lam(A, x, n), inc)
 
     def sigma_upper_on_group(self, g, a: int, x: int):
         """Sigma^X(g) = g + id_x in Aut(a + x)."""
@@ -180,12 +182,10 @@ class BracketCategory:
 
     def sigma_lower_on_group(self, g, A: int, x: int, n: int):
         """Sigma_X(g) for g in Aut(A + n x): conjugate of g + id_x by
-        (b_{X,A} + id_{X^n}) b_{A + nx, X}."""
+        lambda_n b_{A + nx, X}."""
         G = self.G
         obj = A + n * x
-        t = G.block_sum(G.braiding(x, A), G.identity(n * x), x + A, n * x)
-        u = G.braiding(obj, x)
-        conj = G.mul(t, u)
+        conj = G.mul(self._lam(A, x, n), G.braiding(obj, x))
         return G.mul(G.mul(conj, self.sigma_upper_on_group(g, obj, x)),
                      G.inv(conj))
 
@@ -196,11 +196,9 @@ class BracketCategory:
         m = (f.source - A) // x if x else 0
         n = (f.target - A) // x if x else 0
         assert A + m * x == f.source and A + n * x == f.target
-        lam_n = G.block_sum(G.braiding(x, A), G.identity(n * x), x + A, n * x)
-        lam_m_inv = G.inv(
-            G.block_sum(G.braiding(x, A), G.identity(m * x), x + A, m * x))
+        lam_m_inv = G.inv(self._lam(A, x, m))
         mid = self.monoidal_sum(self.identity_mor(x), f)
-        out = self.post_compose(lam_n, mid)
+        out = self.post_compose(self._lam(A, x, n), mid)
         # precompose with lam_m_inv: an automorphism of the source
         return self.canonicalize(
             out.source, out.target,
@@ -240,7 +238,14 @@ class BracketCategory:
     def verify_prebraid(self, n_max: int) -> dict:
         """b_{A,B} (id_A + iota_B) = iota_B + id_A as morphisms A -> B+A,
         for all A + B <= n_max; plus the coset identity
-        [B, b b^{-1}] = [B, id]."""
+        [B, b b^{-1}] = [B, id].
+
+        Both hold for every braiding whose braiding_inv is its inverse:
+        `monoidal_sum` builds id_A + iota_B with b_{A,B}^{-1}, which the
+        post-composed b_{A,B} cancels, as U of any braided groupoid is
+        prebraided.  So a wrong braiding is caught not here but by the
+        naturality, hexagon and symmetry checks of
+        `groupoids.verify_groupoid_axioms`."""
         failures = []
         G = self.G
         for a in range(0, n_max + 1):

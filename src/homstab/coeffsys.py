@@ -24,6 +24,7 @@ morphisms.  The module implements:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .groupoids import PresentedGroupFamily, braid_family
@@ -629,24 +630,22 @@ def tensor_power(F: CoefficientSystem, p: int) -> CoefficientSystem:
         raise ValueError("tensor power needs p >= 1")
     if any(o for n in range(F.n_max + 1) for o in F.orders(n)):
         raise ValueError("tensor powers implemented for free systems only")
+
+    def power(m):
+        out = m
+        for _ in range(p - 1):
+            out = _kron(out, m)
+        return out
+
     mods, s_mats = [], []
     for n in range(F.n_max + 1):
-        gen_action = {}
-        for g in F.group(n).generators:
-            m = F.modules[n].act(g)
-            out = m
-            for _ in range(p - 1):
-                out = _kron(out, m)
-            gen_action[g] = out
+        gen_action = {g: power(F.modules[n].act(g))
+                      for g in F.group(n).generators}
         mods.append(GModule(F.group(n),
                             FGAbelianGroup(F.rank(n) ** p, ()),
                             gen_action, name=f"({F.name})x{p}_{n}"))
         if n < F.n_max:
-            s = F.s_mats[n]
-            out = s
-            for _ in range(p - 1):
-                out = _kron(out, s)
-            s_mats.append(out)
+            s_mats.append(power(F.s_mats[n]))
     return CoefficientSystem(F.cat, F.A, F.x, F.n_max, mods, s_mats,
                              name=f"{F.name}^(x{p})")
 
@@ -672,16 +671,14 @@ def abelian_constant_system(cat: BracketCategory, A: int, x: int,
             f"subgroup {subgroup!r}: each entry must list "
             f"{len(factors)} integers, one per invariant factor of the "
             f"limit {fg}")
-    elements = _coords_closure(
-        [tuple(1 if i == j else 0 for i in range(len(factors)))
-         for j in range(len(factors))], factors)
     sub = _coords_closure(list(subgroup), factors) if subgroup else \
         {tuple(0 for _ in factors)}
 
     def coset(a):
         return min(coords_add(a, s, factors) for s in sub)
 
-    reps = sorted({coset(a) for a in elements})
+    reps = sorted({coset(a)
+                   for a in itertools.product(*map(range, factors))})
     idx = {r: i for i, r in enumerate(reps)}
     q = len(reps)
 

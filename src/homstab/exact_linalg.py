@@ -99,9 +99,6 @@ class SparseCols:
             raise ValueError("dimension mismatch in compose")
         return SparseCols(self.nrows, [self.apply(c) for c in other.cols])
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseCols) and self.nrows == other.nrows
                 and self.cols == other.cols)
@@ -424,9 +421,6 @@ class LatticeSpan:
         v = self._to_sparse(vec)
         self._reduce(v, -1)
         return v
-
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
 
     def basis(self) -> list[tuple[int, dict[int, int]]]:
         """(lead, row) pairs in increasing lead order; rows are copies."""

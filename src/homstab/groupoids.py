@@ -406,10 +406,6 @@ class AxiomReport:
     n_max: int
     checks: list[AxiomCheck] = field(default_factory=list)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def add(self, identity, passed, witness=None):
         self.checks.append(AxiomCheck(identity, passed, witness))
 

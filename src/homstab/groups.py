@@ -63,12 +63,13 @@ class FiniteGroup:
     Sym(n), base wr Sym(n) and Z/m pass short ones, and without them
     `relators()` are the |G| (|S| - 1) + 1 Cayley words.
 
-    `walk` is the one way down to an element: module actions, Fox
-    derivatives and homomorphisms given on generators are read on
-    elements by it, one step g -> (parent, i), g = parent s_i, per
-    element.  Sym(n) and base wr Sym(n) pass `step` in closed form; other
-    groups step along `tree()`, the kept BFS spanning tree of the Cayley
-    graph, which is also the oracle of the closed forms.
+    `walk` is the one way down to an element: module actions and
+    homomorphisms given on generators are read on elements by it, one
+    step g -> (parent, i), g = parent s_i, per element, and `word(g)`
+    lists the letters of those steps, which Fox derivatives and the
+    Hurewicz map read.  Sym(n) and base wr Sym(n) pass `step` in closed
+    form; other groups step along `tree()`, the kept BFS spanning tree of
+    the Cayley graph, which is also the oracle of the closed forms.
     """
 
     def __init__(self, elements, mul, inv, identity, name="G",
@@ -159,6 +160,11 @@ class FiniteGroup:
         for h, edge in reversed(path):
             value = memo[h] = step(value, *edge)
         return value
+
+    def word(self, g) -> tuple:
+        """The letters of g's path down its steps, as 1-based generator
+        indices: g is the product of those generators in order."""
+        return self.walk(g, {self.identity: ()}, lambda w, x, i: w + (i + 1,))
 
     def times(self, g, x):
         """g s_x, or g s_{-x}^{-1} for x < 0, kept: Cayley words share

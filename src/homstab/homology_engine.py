@@ -11,11 +11,13 @@ complex's homology is one `presented_subquotient`, after one
 of the long exact sequence of a pair is one `map_homology` of the
 induced maps.
 
-A module's action, the Fox derivatives of the paths to elements and
-the stabilization map phi are given on generators and read on elements
-by one `FiniteGroup.walk` down the group's steps, and checked on the
-group's relator words.  A `StabilizationSetup` is verified once (phi on
-the relators, injective by a left inverse; s equivariant) and keeps its
+A module's action and the stabilization map phi are given on
+generators and read on elements by one `FiniteGroup.walk` down the
+group's steps, and checked on the group's relator words.  Every Fox
+derivative is one `PresentationComplex.word_fox` of a word: a relator
+for d_2, the letters of phi(s) down its steps (`FiniteGroup.word`) for
+the chain map f_1.  A `StabilizationSetup` is verified once (phi on the
+relators, injective by a left inverse; s equivariant) and keeps its
 chain maps.
 
 Every caller takes its complex from `resolve(M, budget, top)`, where top
@@ -35,8 +37,9 @@ homology groups are kept, so neighbouring grid cells that resolve the
 same module share them.
 
 Both are a `FreeResolution`: a subclass lists the free Z[G]-cells of its
-levels and nothing else, and the base builds, budget-checks and keeps
-the levels of C = M (x) (resolution).  It gives
+levels and nothing else, and the base builds and budget-checks the
+levels of C = M (x) (resolution); `PresentedComplex` keeps them.  It
+gives
 
   * cells(i): the number of Z[G]-cells of level i;
   * differential(i): for each cell of level i in order, the terms
@@ -71,6 +74,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
@@ -237,15 +241,25 @@ class PresentedComplex:
     """A chain complex whose level i is the abelian group presented on
     level_size(i) generators, row r of order row_orders(i)[r] (0 = Z).
 
-    Subclasses give level_size(i), boundary(i) and row_orders(i); the
-    d^2 check and homology come from those.  Homology is the subquotient
-    {v : d v = 0} / im d modulo the orders, and is kept per degree.
+    Subclasses give level_size(i), row_orders(i) and _build(i), the
+    boundary d_i; boundary(i) builds each level once and keeps it, and
+    the d^2 check and homology come from those.  Homology is the
+    subquotient {v : d v = 0} / im d modulo the orders, and is kept per
+    degree.
     """
 
     kind = "complex"
 
     def __init__(self):
+        self._boundaries: dict[int, SparseCols] = {}
         self._homology: dict[int, Subquotient] = {}
+
+    def boundary(self, i) -> SparseCols:
+        """d_i : C_i -> C_{i-1} as a SparseCols matrix, built once."""
+        if i in self._boundaries:
+            return self._boundaries[i]
+        # threads that race for one level keep the first copy built
+        return self._boundaries.setdefault(i, self._build(i))
 
     def homology(self, i) -> Subquotient:
         if i in self._homology:
@@ -271,7 +285,7 @@ class FreeResolution(PresentedComplex):
     cells(i), differential(i) and cell_map(i, other, group_map, mat).
 
     Level i has rank * cells(i) rows, of the orders of the module
-    generators; boundary(i) builds it on first use, after the budget
+    generators; its boundary is built on first use, after the budget
     admits it.  chain_map(i, other, group_map, mat) is the map
     C_i(self) -> C_i(other) over a homomorphism group_map and a module
     map mat equivariant over it, which induces the map on homology.
@@ -284,7 +298,6 @@ class FreeResolution(PresentedComplex):
         self.M = M
         self.G = M.group
         self.budget = budget
-        self._boundaries: dict[int, SparseCols] = {}
 
     def level_size(self, i) -> int:
         return self.M.rank * self.cells(i)
@@ -292,16 +305,12 @@ class FreeResolution(PresentedComplex):
     def row_orders(self, i):
         return self.M.orders * self.cells(i)
 
-    def boundary(self, i) -> SparseCols:
-        """d_i : C_i -> C_{i-1} as a SparseCols matrix."""
-        if i in self._boundaries:
-            return self._boundaries[i]
+    def _build(self, i) -> SparseCols:
         if i < 1 or self.top is not None and i > self.top:
             raise ValueError("boundary index out of range")
         self.budget.check(self, i)
-        d = _tensor(self.differential(i), self.M.rank, self.M.rank,
-                    self.level_size(i - 1))
-        return self._boundaries.setdefault(i, d)
+        return _tensor(self.differential(i), self.M.rank, self.M.rank,
+                       self.level_size(i - 1))
 
     def chain_map(self, i, other: "FreeResolution", group_map,
                   mat) -> SparseCols:
@@ -394,15 +403,11 @@ class PresentationComplex(FreeResolution):
     derivatives (`word_fox`).  The words present G, so the cover is
     simply connected, C_2 -> C_1 -> C_0 -> Z is exact, and H_0, H_1 and
     the maps they induce are those of any resolution.  The chain map f_1
-    reads the Fox derivatives of the walk paths (`fox`).
+    is the Fox derivative of a word of each image (`cell_map`).
     """
 
     kind = "presentation complex"
     top = 2
-
-    def __init__(self, M: GModule, budget: BarBudget):
-        super().__init__(M, budget)
-        self._fox: dict = {self.G.identity: {}}
 
     def cells(self, i) -> int:
         if not 0 <= i <= self.top:
@@ -410,22 +415,10 @@ class PresentationComplex(FreeResolution):
         return len(self.G.relators()) if i == 2 else \
             (1, len(self.G.generators))[i]
 
-    def fox(self, g) -> dict:
-        """{t: matrix of m |-> m.(dw(g)/ds_t)} for the path w(g) of g
-        down the group's steps (`FiniteGroup.walk`): the step
-        g = x s_t gives dw(g)/ds_t = dw(x)/ds_t + x."""
-        return self.G.walk(g, self._fox, self._fox_step)
-
-    def _fox_step(self, dx, x, t):
-        dg = dict(dx)
-        right = self.M.act_right(x)
-        dg[t] = _mat_add(dg[t], right) if t in dg else right
-        return dg
-
     def word_fox(self, word) -> dict:
-        """{t: matrix of m |-> m.(dR/ds_t)} for a relator word R, summed
-        per generator: a letter s_t after the prefix p adds p, and a
-        letter s_t^{-1} subtracts p s_t^{-1}."""
+        """{t: matrix of m |-> m.(dw/ds_t)} for a word w in the
+        generators, summed per generator: a letter s_t after the prefix p
+        adds p, and a letter s_t^{-1} subtracts p s_t^{-1}."""
         G, right = self.G, self.M.act_right
         d, p = {}, G.identity
         for x in word:
@@ -448,15 +441,17 @@ class PresentationComplex(FreeResolution):
             yield [(t, 1, m) for t, m in self.word_fox(word).items()]
 
     def cell_map(self, i, other: "PresentationComplex", group_map, mat):
-        """f_0 = mat and f_1(m e_s) = sum_t (mat.m).(dw'(group_map(s))/dt)
-        e_t with w' the walk paths of other.  The fundamental formula of
-        Fox calculus, sum_t (dw/dt)(t - 1) = w - 1, gives d f_1 = f_0 d."""
+        """f_0 = mat and f_1(m e_s) = sum_t (mat.m).(dw/dt) e_t, with w
+        the word of group_map(s) down the steps of other's group
+        (`FiniteGroup.word`).  Any word of it gives d f_1 = f_0 d, by the
+        fundamental formula of Fox calculus, sum_t (dw/dt)(t - 1) = w - 1."""
         if i == 0:
             yield [(0, 1, mat)]
         elif i == 1:
+            word = other.G.word
             for s in self.G.generators:
-                yield [(t, 1, mat_mul(m, mat))
-                       for t, m in other.fox(group_map(s)).items()]
+                yield [(t, 1, mat_mul(m, mat)) for t, m in
+                       other.word_fox(word(group_map(s))).items()]
         else:
             raise ValueError(
                 f"the {self.kind} has chain maps in levels 0 and 1 only")
@@ -494,16 +489,16 @@ def coinvariants(M: GModule) -> FGAbelianGroup:
 
 def hurewicz(M: GModule, budget: BarBudget | None = None):
     """H_1(G; Z) = G^ab with the Hurewicz map G -> H_1(G; Z), for M the
-    trivial module Z over G.  The map takes g to the class of the Fox
-    derivatives of its walk path w(g), which on Z are the letter counts
-    of w(g): a 1-cycle of the presentation complex (whose d_1 vanishes on
-    Z), in the canonical coordinates of H_1.  Returns (H_1 as a
-    Subquotient, the map)."""
+    trivial module Z over G.  The map takes g to the class of the letter
+    counts of its word w(g) down the group's steps (`FiniteGroup.word`),
+    which are the Fox derivatives of w(g) on Z: a 1-cycle of the
+    presentation complex (whose d_1 vanishes on Z), in the canonical
+    coordinates of H_1.  Returns (H_1 as a Subquotient, the map)."""
     if M.orders != [0] or any(a != [[1]] for a in M.gen_action.values()):
         raise ValueError("the Hurewicz map needs the trivial module Z")
     cx = resolve(M, budget or BarBudget(), top=2)
-    h1, fox = cx.homology(1), cx.fox
-    return h1, lambda g: h1.project({t: m[0][0] for t, m in fox(g).items()})
+    h1, word = cx.homology(1), M.group.word
+    return h1, lambda g: h1.project(Counter(x - 1 for x in word(g)))
 
 
 # ----------------------------------------------------------------------
@@ -625,9 +620,8 @@ class MappingCone(PresentedComplex):
 
     Cone_i = C_{i-1}(small) (+) C_i(big), d(x, y) = (-dx, f(x) + dy).
     H_i(Cone) is the relative homology of the stabilization pair; it
-    reads the levels up to i + 1 only, and f up to level i.  Boundaries
-    are built on first use and kept; take a cone from
-    `StabilizationSetup.cone` to share them.
+    reads the levels up to i + 1 only, and f up to level i.  Take a cone
+    from `StabilizationSetup.cone` to share its levels.
     """
 
     kind = "mapping cone"
@@ -638,7 +632,6 @@ class MappingCone(PresentedComplex):
         self.setup = setup
         self.cx_s = resolve(setup.small, budget, top)
         self.cx_b = resolve(setup.big, budget, top)
-        self._boundaries: dict[int, SparseCols] = {}
 
     def level_size(self, i) -> int:
         return self.offset(i) + self.cx_b.level_size(i)
@@ -651,9 +644,7 @@ class MappingCone(PresentedComplex):
         small = self.cx_s.row_orders(i - 1) if i >= 1 else []
         return small + self.cx_b.row_orders(i)
 
-    def boundary(self, i) -> SparseCols:
-        if i in self._boundaries:
-            return self._boundaries[i]
+    def _build(self, i) -> SparseCols:
         ns_out = self.offset(i - 1)
         cols = []
         db = self.cx_b.boundary(i)
@@ -670,8 +661,7 @@ class MappingCone(PresentedComplex):
                 cols.append(col)
         for c in range(self.cx_b.level_size(i)):
             cols.append({ns_out + r: v for r, v in db.cols[c].items()})
-        return self._boundaries.setdefault(
-            i, SparseCols(self.level_size(i - 1), cols))
+        return SparseCols(self.level_size(i - 1), cols)
 
 
 def relative_homology(setup: StabilizationSetup, i: int,

@@ -266,7 +266,7 @@ def _sorted_levels(S):
 
 def _checked(boundaries):
     for p in range(1, len(boundaries)):
-        assert boundaries[p - 1].compose(boundaries[p]).is_zero(), \
+        assert not any(boundaries[p - 1].compose(boundaries[p]).cols), \
             "boundary squared is nonzero"
     return boundaries
 

@@ -21,7 +21,7 @@ from tests.oracles import relator_failure
 ])
 def test_braided_groupoid_axioms(make, n_max):
     report = verify_groupoid_axioms(make(), n_max)
-    assert report.all_passed, report.failures()
+    assert not report.failures(), report.failures()
 
 
 @pytest.mark.parametrize("make,top", [

@@ -78,13 +78,18 @@ def test_run_axioms_passes():
     assert any(c["name"].startswith("groupoid") for c in rep["checks"])
 
 
-class _BrokenBraiding(SymmetricGroupoid):
-    """Sym whose braiding(2, 3) is off by a transposition, with
-    braiding_inv(m, n) = braiding(n, m) as for a symmetric braiding."""
+class _WrongBraiding(SymmetricGroupoid):
+    """Sym whose braiding(2, 3) is off by a transposition, and whose
+    braiding_inv is its inverse."""
 
     def braiding(self, m, n):
         b = super().braiding(m, n)
         return perm_mul(b, (0, 2, 1, 3, 4)) if (m, n) == (2, 3) else b
+
+
+class _BrokenBraiding(_WrongBraiding):
+    """_WrongBraiding with braiding_inv(m, n) = braiding(n, m), as for a
+    symmetric braiding."""
 
     def braiding_inv(self, m, n):
         return self.braiding(n, m)
@@ -104,6 +109,25 @@ def test_prebraid_checked_up_to_top(monkeypatch):
     check = _prebraid_check(run_axioms(_cfg(n_max=5)))
     assert not check["passed"]
     assert "('prebraid', 2, 3)" in check["witness"]
+
+
+def test_wrong_braiding_caught_by_groupoid_checks(monkeypatch):
+    """With braiding_inv the inverse of a wrong braiding, the prebraid
+    identities hold (U of a braided groupoid is prebraided); the groupoid
+    checks catch it."""
+    monkeypatch.setattr(verifier, "build_instance",
+                        lambda cfg: _WrongBraiding(cfg.budget("group_order")))
+    rep = run_axioms(_cfg(n_max=5))
+    failed = {c["name"]: c["witness"] for c in rep["checks"]
+              if not c["passed"]}
+    assert _prebraid_check(rep)["passed"]
+    assert failed == {
+        "groupoid: braiding naturality": "(2, 3, (0, 1), (1, 0, 2))",
+        "groupoid: hexagon (sum on the left)": "(1, 1, 3)",
+        "groupoid: hexagon (sum on the right)": "(2, 1, 2)",
+        "groupoid: symmetry b_{n,m} b_{m,n} = id": "(2, 3)",
+    }
+    assert exit_code(rep) == 2
 
 
 @pytest.mark.parametrize("make", [SymmetricGroupoid, _BrokenBraiding])
