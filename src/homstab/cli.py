@@ -16,14 +16,23 @@ from . import verifier
 from .groups import BudgetExceeded
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+COMMANDS = ("verify-axioms", "connectivity", "homology", "degree", "stability")
+
+
+class _OneCommand(argparse.ArgumentParser):
+    # leaves help and errors to the parser of every subcommand
+    def error(self, *args):
+        raise SystemExit(2)
+    print_help = error
+
+
+def build_parser(commands=COMMANDS, cls=argparse.ArgumentParser):
+    parser = cls(
         prog="homstab",
         description="Exact verification of homological stability "
                     "predictions for homogeneous categories.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify-axioms", "connectivity", "homology",
-                 "degree", "stability"):
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="path to a JSON run configuration")
@@ -36,20 +45,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> dict:
+    """verifier.run_<command>, "verify-" dropped, on the config."""
     cfg = verifier.load_config(args.config)
-    if args.command == "verify-axioms":
-        return verifier.run_axioms(cfg)
-    if args.command == "connectivity":
-        return verifier.run_connectivity(cfg)
-    if args.command == "homology":
-        return verifier.run_homology(cfg, jobs=args.jobs)
-    if args.command == "degree":
-        return verifier.run_degree(cfg)
-    return verifier.run_stability(cfg, jobs=args.jobs)
+    run = getattr(verifier, "run_" + args.command.removeprefix("verify-"))
+    return run(cfg, jobs=args.jobs) if "jobs" in args else run(cfg)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        # only the subparser argv names; help and errors from all five
+        args = build_parser([c for c in COMMANDS if c in argv[:1]],
+                            _OneCommand).parse_args(argv)
+    except SystemExit:
+        args = build_parser().parse_args(argv)
     try:
         report = _run(args)
     except (ValueError, OSError, BudgetExceeded) as exc:

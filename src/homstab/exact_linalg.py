@@ -16,7 +16,8 @@ every homology group, kernel, cokernel and subquotient is computed by
 it.  `map_homology` is its form for dense maps A --f--> B --g--> C: the
 LES defects, the kernels and cokernels of coefficient systems and the
 epi/iso verdicts of `classify_induced` all read it.  `reduce_unit_pairs`
-shrinks a chain complex by its +-1 pairs before it gets there.
+shrinks a chain complex by its +-1 pairs before it gets there, and its
+`Transport`s carry cycles and induced maps across the reduction.
 """
 
 from __future__ import annotations
@@ -83,14 +84,8 @@ class SparseCols:
         """Matrix-vector product on a sparse vector (vec indexes columns)."""
         out: dict[int, int] = {}
         for j, c in vec.items():
-            if not c:
-                continue
-            for i, v in self.cols[j].items():
-                w = out.get(i, 0) + c * v
-                if w:
-                    out[i] = w
-                else:
-                    out.pop(i, None)
+            if c:
+                _submul(out, self.cols[j], -c)
         return out
 
     def compose(self, other: "SparseCols") -> "SparseCols":
@@ -512,12 +507,7 @@ def triangular_coords(vec: dict[int, int], basis, leads) -> list[int]:
             raise ValueError("vector not in lattice (division failure)")
         out.append(q)
         if q:
-            for i, x in bvec.items():
-                w = resid.get(i, 0) - q * x
-                if w:
-                    resid[i] = w
-                else:
-                    resid.pop(i, None)
+            _submul(resid, bvec, q)
     if resid:
         raise ValueError("vector not in lattice (nonzero residue)")
     return out
@@ -600,7 +590,8 @@ class Subquotient:
 
     Canonical generators are listed torsion-first in divisibility order,
     then free generators.  `project` takes an ambient cycle to canonical
-    coordinates; `lift` returns an ambient representative.
+    coordinates; `lift` returns an ambient representative, both through
+    the `Transport` of a level reduced by its unit pairs, if any.
     """
 
     ambient_dim: int
@@ -614,6 +605,7 @@ class Subquotient:
     factors: list[int]            # full SNF diagonal of the image lattice
     torsion_pos: list[int] = field(default_factory=list)
     free_pos: list[int] = field(default_factory=list)
+    transport: Transport | None = None
 
     def kernel_rank(self) -> int:
         return len(self.leads)
@@ -625,6 +617,8 @@ class Subquotient:
             raise ValueError("vector is not a cycle for this subquotient") from exc
 
     def project(self, vec: dict[int, int]) -> tuple[int, ...]:
+        if self.transport is not None:
+            vec = self.transport.project(vec)
         y = self._kernel_coords(vec)
         k = self.kernel_rank()
         w = [sum(self.U[r][c] * y[c] for c in range(k)) for r in range(k)]
@@ -641,15 +635,9 @@ class Subquotient:
         k = self.kernel_rank()
         out: dict[int, int] = {}
         for c in range(k):
-            coeff = self.Uinv[c][pos]
-            if coeff:
-                for i, x in self.kernel_basis[c].items():
-                    w = out.get(i, 0) + coeff * x
-                    if w:
-                        out[i] = w
-                    else:
-                        out.pop(i, None)
-        return out
+            if self.Uinv[c][pos]:
+                _submul(out, self.kernel_basis[c], -self.Uinv[c][pos])
+        return out if self.transport is None else self.transport.lift(out)
 
 
 def presented_subquotient(d_out: SparseCols, d_in: SparseCols,
@@ -707,24 +695,63 @@ def homology_of_pair(d_out: SparseCols, d_in: SparseCols) -> Subquotient:
     return presented_subquotient(d_out, d_in, [], [])
 
 
-def reduce_unit_pairs(boundaries: list[SparseCols]) -> None:
-    """Reduce a chain complex in place to a smaller one with the same
-    homology.
+@dataclass
+class Transport:
+    """The chain maps pi: C_p -> C'_p and iota: C'_p -> C_p of a level and
+    what `reduce_unit_pairs` leaves of it.  project (pi) clears each row a
+    of a pair (b', a) of the level above by x -= x_a u d b', in
+    elimination order, then drops the removed cells; lift (iota) sets
+    each b paired here, in reverse order, to -u sum_c lam_c x_c over the
+    lam_c = <d c, a> its elimination cancelled (Kaczynski-Mrozek-
+    Slusarek; Skoldberg, Morse theory from an algebraic viewpoint)."""
 
-    boundaries[p] is d_p: C_p -> C_{p-1} with d_{p-1} d_p = 0, no two
-    columns the same dict; the complex is read as ending at C_m, m =
-    len(boundaries) - 1, so its homology is kept in degrees below m.
+    kept: list[int] = field(default_factory=list)   # cells of C'_p
+    clears: list = field(default_factory=list)      # (a, u, d b')
+    restores: list = field(default_factory=list)    # (b, a, u, {c: lam_c})
+
+    def project(self, vec: dict[int, int]) -> dict[int, int]:
+        v = dict(vec)
+        for a, u, db in self.clears:
+            x = v.get(a)
+            if x:
+                _submul(v, db, x * u)
+        return {j: v[r] for j, r in enumerate(self.kept) if v.get(r)}
+
+    def lift(self, vec: dict[int, int]) -> dict[int, int]:
+        v = {self.kept[j]: x for j, x in vec.items() if x}
+        for b, _, u, lam in reversed(self.restores):
+            small, big = (v, lam) if len(v) < len(lam) else (lam, v)
+            s = sum(big.get(c, 0) * x for c, x in small.items())
+            if s:
+                v[b] = -u * s
+        return v
+
+
+def reduce_unit_pairs(boundaries: list[SparseCols],
+                      orders: list[list[int]]) -> list[Transport]:
+    """Reduce a chain complex in place to a smaller one with the same
+    homology below its top, and return the chain maps between the two.
+
+    boundaries[p] is d_p: C_p -> C_{p-1}, no two columns the same dict,
+    and orders[p] the orders of its rows (0 = Z), with d_{p-1} d_p = 0
+    modulo them; the complex ends at C_m, m = len(boundaries) - 1.
     Level by level from the bottom, a pair (b in C_p, a in C_{p-1}) with
-    <d b, a> = u = +-1 is removed (Kaczynski-Mrozek-Slusarek): every
-    other c of C_p with <d c, a> = lam != 0 gets d c -= lam * u * d b,
-    and b's row leaves d_{p+1}.  Rows a are taken with the fewest cofaces
-    first (Markowitz order) and b with the fewest faces, so fill-in stays
-    small.  Non-unit entries are never pivots: what they carry is left
-    to the Hermite form.  On return boundaries[p] maps the surviving
-    cells of C_p, in their old order, to those of C_{p-1}.
+    <d b, a> = u = +-1 and a of order 0 is removed: every other c of C_p
+    with <d c, a> = lam != 0 gets d c -= lam * u * d b, and b's row
+    leaves d_{p+1}.  Rows a are taken with the fewest cofaces first
+    (Markowitz order) and b with the fewest faces, so fill-in stays
+    small.  Non-unit entries and rows of nonzero order are never pivots:
+    what they carry is left to the Hermite form.
+
+    On return boundaries[p] maps the surviving cells of C_p, in their old
+    order, to those of C_{p-1}, and orders[p] lists the orders of its
+    rows.  Returns the `Transport` of each level C_p below the top: pi
+    iota = id, and both commute with d modulo the orders.
     """
+    m = len(boundaries) - 1
+    transports = [Transport() for _ in range(m)]
     # paired[p + 1]: the cells of C_p removed so far
-    paired = [set() for _ in range(len(boundaries) + 1)]
+    paired = [set() for _ in range(m + 2)]
     for p, d in enumerate(boundaries):
         level, rows = d.cols, paired[p]   # rows: the b of one level down
         cofaces = [[] for _ in range(d.nrows)]
@@ -734,7 +761,8 @@ def reduce_unit_pairs(boundaries: list[SparseCols]) -> None:
                     del c[r]
             for r in c:
                 cofaces[r].append(j)
-        heap = [(len(cf), a) for a, cf in enumerate(cofaces) if cf]
+        heap = [(len(cf), a) for a, cf in enumerate(cofaces)
+                if cf and not orders[p][a]]
         heapq.heapify(heap)
         while heap:
             n, a = heapq.heappop(heap)
@@ -749,21 +777,29 @@ def reduce_unit_pairs(boundaries: list[SparseCols]) -> None:
                 continue
             b = min(units, key=lambda j: len(level[j]))
             db, u = level[b], level[b][a]
-            for j in live:
-                if j != b:
-                    c = level[j]
-                    for r in db.keys() - c.keys():
-                        cofaces[r].append(j)
-                    _submul(c, db, c[a] * u)
-            db.clear()
+            lam = {j: level[j][a] for j in live if j != b}
+            for j, x in lam.items():
+                c = level[j]
+                for r in db.keys() - c.keys():
+                    cofaces[r].append(j)
+                _submul(c, db, x * u)
+            level[b] = {}
+            if p:
+                transports[p - 1].clears.append((a, u, db))
+            if p < m:
+                transports[p].restores.append((b, a, u, lam))
             rows.add(a)
             paired[p + 1].add(b)
     for p, d in enumerate(boundaries):
-        pos = {r: i for i, r in enumerate(
-            r for r in range(d.nrows) if r not in paired[p])}
-        d.nrows = len(pos)
+        kept = [r for r in range(d.nrows) if r not in paired[p]]
+        pos = {r: i for i, r in enumerate(kept)}
+        orders[p] = [orders[p][r] for r in kept]
+        if p:
+            transports[p - 1].kept = kept
+        d.nrows = len(kept)
         d.cols = [{pos[r]: v for r, v in c.items()} if c else c
                   for j, c in enumerate(d.cols) if j not in paired[p + 1]]
+    return transports
 
 
 def assemble_subquotient(n: int, kbasis, leads,

@@ -5,11 +5,12 @@ Z[G]-module M, plus what the stability verifier needs: coinvariants,
 the Hurewicz map G -> H_1(G; Z) = G^ab, stabilization chain maps, and
 relative homology as a mapping cone.  Every group here is computed by
 `exact_linalg`, which alone knows how a presented group is encoded:
-callers pass orders (0 = Z), read from `FGAbelianGroup.orders`.  A
-complex's homology is one `presented_subquotient`, after one
-`check_composable` of d o d modulo the orders; the homology at each node
-of the long exact sequence of a pair is one `map_homology` of the
-induced maps.
+callers pass orders (0 = Z), read from `FGAbelianGroup.orders`.
+`PresentedComplex.homology`, here and for `simplicial`, is the one
+homology routine: one `check_composable` of d o d modulo the orders,
+unit pairs cancelled, and one `presented_subquotient` of what is left;
+the homology at each node of the long exact sequence of a pair is one
+`map_homology` of the induced maps.
 
 A module's action and the stabilization map phi are given on
 generators and read on elements by one `FiniteGroup.walk` down the
@@ -92,6 +93,7 @@ from .exact_linalg import (
     presented_subquotient,
     product_mod,
     reduce_rows,
+    reduce_unit_pairs,
     rows_congruent,
 )
 # not called here: perfbench/test_tracer.py checks that tracing patches
@@ -239,13 +241,16 @@ def permutation_module(group: FiniteGroup, n: int) -> GModule:
 
 class PresentedComplex:
     """A chain complex whose level i is the abelian group presented on
-    level_size(i) generators, row r of order row_orders(i)[r] (0 = Z).
+    level_size(i) generators, row r of order row_orders(i)[r] (0 = Z),
+    for i >= -1: level -1 is Z for an augmented complex, else 0.
 
     Subclasses give level_size(i), row_orders(i) and _build(i), the
-    boundary d_i; boundary(i) builds each level once and keeps it, and
-    the d^2 check and homology come from those.  Homology is the
-    subquotient {v : d v = 0} / im d modulo the orders, and is kept per
-    degree.
+    boundary d_i; boundary(i) builds each level once and keeps it.
+    homology(i), {v : d v = 0} / im d modulo the orders, checks d^2 = 0
+    on copies of levels 0..i+1, cancels their unit pairs and hands the
+    reduced pair, if level i is left, to `presented_subquotient`; the
+    group keeps the transport of its level.  The largest reduction is
+    kept while a lower degree may read it, and each group per degree.
     """
 
     kind = "complex"
@@ -253,6 +258,7 @@ class PresentedComplex:
     def __init__(self):
         self._boundaries: dict[int, SparseCols] = {}
         self._homology: dict[int, Subquotient] = {}
+        self._reduced = None    # (top, levels, row orders, transports)
 
     def boundary(self, i) -> SparseCols:
         """d_i : C_i -> C_{i-1} as a SparseCols matrix, built once."""
@@ -261,22 +267,37 @@ class PresentedComplex:
         # threads that race for one level keep the first copy built
         return self._boundaries.setdefault(i, self._build(i))
 
+    def _level(self, i) -> SparseCols:
+        """A copy of d_i that the reduction may overwrite."""
+        d = self.boundary(i)
+        return SparseCols(d.nrows, [dict(c) for c in d.cols])
+
     def homology(self, i) -> Subquotient:
         if i in self._homology:
             return self._homology[i]
-        # level i + 1 first: it is the larger one, which a budget refuses
-        d_in = self.boundary(i + 1)
-        if i >= 1:
-            d_out, orders_out = self.boundary(i), self.row_orders(i - 1)
-            try:
-                check_composable(d_out, d_in, orders_out)
-            except ValueError as exc:
-                raise AssertionError(f"{self.kind}: d^2 != 0") from exc
+        red, top = self._reduced, i + 1
+        if red is None or red[0] < top:
+            # level top first: it is the largest one, which a budget refuses
+            ds = [self._level(p) for p in range(top, -1, -1)][::-1]
+            orders = [self.row_orders(p - 1) for p in range(top + 1)]
+            for p in range(top):
+                try:
+                    check_composable(ds[p], ds[p + 1], orders[p])
+                except ValueError as exc:
+                    raise AssertionError(f"{self.kind}: d^2 != 0") from exc
+            red = self._reduced = (top, ds, orders,
+                                   reduce_unit_pairs(ds, orders))
+        _, ds, orders, transports = red
+        if ds[i].ncols:
+            h = presented_subquotient(ds[i], ds[i + 1], orders[i],
+                                      orders[i + 1])
         else:
-            d_out, orders_out = SparseCols.zero(0, self.level_size(0)), None
-        h = presented_subquotient(d_out, d_in, orders_out,
-                                  self.row_orders(i))
-        return self._homology.setdefault(i, h)
+            h = Subquotient(0, FGAbelianGroup(0), [], [], [], [], [])
+        h.ambient_dim, h.transport = self.level_size(i), transports[i]
+        h = self._homology.setdefault(i, h)
+        if all(j in self._homology for j in range(red[0])):
+            self._reduced = None    # no lower degree is left to read it
+        return h
 
 
 class FreeResolution(PresentedComplex):
@@ -300,17 +321,28 @@ class FreeResolution(PresentedComplex):
         self.budget = budget
 
     def level_size(self, i) -> int:
-        return self.M.rank * self.cells(i)
+        return self.M.rank * self.cells(i) if i >= 0 else 0
 
     def row_orders(self, i):
-        return self.M.orders * self.cells(i)
+        return self.M.orders * self.cells(i) if i >= 0 else []
 
     def _build(self, i) -> SparseCols:
-        if i < 1 or self.top is not None and i > self.top:
+        if i < 0 or self.top is not None and i > self.top:
             raise ValueError("boundary index out of range")
+        if i == 0:
+            return SparseCols.zero(0, self.level_size(0))
         self.budget.check(self, i)
         return _tensor(self.differential(i), self.M.rank, self.M.rank,
                        self.level_size(i - 1))
+
+    def homology(self, i) -> Subquotient:
+        """H_i(G; M), which |G| kills for i >= 1 (transfer): asserted,
+        also under python -O."""
+        h, n = super().homology(i), self.G.order
+        if i and (h.group.free_rank or any(n % d for d in h.group.torsion)):
+            raise AssertionError(
+                f"{self.kind}: H_{i} = {h.group} is not killed by |G| = {n}")
+        return h
 
     def chain_map(self, i, other: "FreeResolution", group_map,
                   mat) -> SparseCols:
@@ -649,15 +681,11 @@ class MappingCone(PresentedComplex):
         cols = []
         db = self.cx_b.boundary(i)
         if i >= 1:
-            ds = self.cx_s.boundary(i - 1) if i >= 2 else None
+            ds = self.cx_s.boundary(i - 1)
             f = self.setup.chain_map(i - 1, self.cx_s, self.cx_b)
             for c in range(self.cx_s.level_size(i - 1)):
-                col = {}
-                if ds is not None:
-                    for r, v in ds.cols[c].items():
-                        col[r] = -v
-                for r, v in f.cols[c].items():
-                    col[ns_out + r] = v
+                col = {r: -v for r, v in ds.cols[c].items()}
+                col.update((ns_out + r, v) for r, v in f.cols[c].items())
                 cols.append(col)
         for c in range(self.cx_b.level_size(i)):
             cols.append({ns_out + r: v for r, v in db.cols[c].items()})
@@ -711,10 +739,8 @@ def les_exact_at_rel(setup: StabilizationSetup, i: int,
     out["defects"]["at_H_i_big"] = defect(Mf, Mj, h_s_i, h_b_i, rel_i)
     if i >= 1:
         # connecting map: Cone_i -> C_{i-1}(small) is (x, y) |-> x
-        d_cols = []
-        for c in range(cone.level_size(i)):
-            d_cols.append({c: 1} if c < off else {})
-        d_amb = SparseCols(cx_s.level_size(i - 1), d_cols)
+        d_amb = SparseCols(cx_s.level_size(i - 1), [
+            {c: 1} if c < off else {} for c in range(cone.level_size(i))])
         Md = induced_matrix(d_amb, rel_i, h_s_im1)
         Mf_prev = induced_matrix(setup.chain_map(i - 1, cx_s, cx_b),
                                  h_s_im1, h_b_im1)

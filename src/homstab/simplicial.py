@@ -5,8 +5,8 @@ certificates.
 A simplicial complex is the semi-simplicial set of its sorted simplices
 (face i drops vertex i), so W_n and S_n share one chain complex, one
 2-skeleton and one certificate.  A certificate up to degree t builds
-chain levels 0..t+1 only and cancels their unit pairs before any
-Hermite form.
+chain levels 0..t+1 only, and `PresentedComplex.homology` cancels their
+unit pairs before any Hermite form, as it does for every complex.
 
 build_W lists every level of W_n but computes a face array only when a
 reader first asks for it: the certificate reads every face of levels
@@ -23,8 +23,10 @@ import math
 from dataclasses import dataclass
 
 from .bracket import BracketCategory
-from .exact_linalg import (FGAbelianGroup, SparseCols, check_composable,
-                           homology_of_pair, reduce_unit_pairs)
+# homology_of_pair is not called here: perfbench/test_tracer.py checks
+# that tracing patches it in every module that imports it
+from .exact_linalg import SparseCols, homology_of_pair  # noqa: F401
+from .homology_engine import PresentedComplex
 
 
 class SemiSimplicialSet:
@@ -160,28 +162,33 @@ class SimplicialComplex(SemiSimplicialSet):
         return tuple(sorted(s)) in self.simplices
 
 
-class ChainComplex:
-    """Augmented integer chain complex of a semi-simplicial set X:
-    boundary(0) is the augmentation C_0 -> Z and boundary(p): C_p ->
-    C_{p-1} is the alternating sum of the faces.
+class ChainComplex(PresentedComplex):
+    """Augmented integer chain complex of a semi-simplicial set X, a
+    `PresentedComplex` of free levels: d_0 is the augmentation C_0 -> Z
+    and d_p: C_p -> C_{p-1} the alternating sum of the faces, so its
+    homology is the reduced homology of X.
 
-    boundary(p) builds d_p afresh from the face arrays and records p in
-    `built`.  d d = 0 follows from the face identities that X checks;
-    `reduced` checks it again on each pair it builds, before the
-    reduction overwrites them.
+    d d = 0 follows from the face identities that X checks, and
+    `homology` checks it again.  The reduction reads each level as built
+    from the face arrays, with no copy kept.
     """
 
+    kind = "chain complex"
+
     def __init__(self, X: SemiSimplicialSet):
+        super().__init__()
         self.X = X
-        self.built = set()
 
-    def level_dim(self, p):
-        return len(self.X.levels[p]) if 0 <= p < len(self.X.levels) else 0
+    def level_size(self, p):
+        sizes = [1] + self.X.level_sizes()   # level -1: the Z of d_0
+        return sizes[p + 1] if p + 1 < len(sizes) else 0
 
-    def boundary(self, p) -> SparseCols:
-        self.built.add(p)
+    def row_orders(self, p):
+        return [0] * self.level_size(p)
+
+    def _build(self, p) -> SparseCols:
         if p == 0:
-            return SparseCols(1, [{0: 1} for _ in range(self.level_dim(0))])
+            return SparseCols(1, [{0: 1} for _ in range(self.level_size(0))])
         cols = []
         if p < len(self.X.levels):
             faces = [self.X.face(p, i) for i in range(p + 1)]
@@ -191,32 +198,14 @@ class ChainComplex:
                     t = faces[i][s]
                     col[t] = col.get(t, 0) + (-1) ** i
                 cols.append({k: v for k, v in col.items() if v})
-        return SparseCols(self.level_dim(p - 1), cols)
+        return SparseCols(self.level_size(p - 1), cols)
 
-    def reduced(self, up_to) -> list[SparseCols]:
-        """Boundaries 0..up_to+1, or fewer when X ends below up_to, with
-        d d = 0 checked on each pair and then reduced by unit pairs
-        (`reduce_unit_pairs`): a complex with the reduced homology of X
-        in degrees 0..up_to.  Builds no other boundary."""
-        top = min(up_to + 1, len(self.X.levels))
-        ds = [self.boundary(p) for p in range(top + 1)]
-        for d_out, d_in in zip(ds, ds[1:]):
-            check_composable(d_out, d_in)
-        reduce_unit_pairs(ds)
-        return ds
+    _level = _build
 
     def reduced_homology(self, up_to):
-        """H-tilde_i for 0 <= i <= up_to (augmented complex): the
-        homology of the reduced complex, by Hermite and Smith forms only
-        where a level it reads is not empty."""
-        ds = self.reduced(up_to)
-        out = []
-        for i in range(up_to + 1):
-            if i + 1 >= len(ds) or ds[i].ncols == 0:
-                out.append(FGAbelianGroup(0))
-            else:
-                out.append(homology_of_pair(ds[i], ds[i + 1]).group)
-        return out
+        """H-tilde_i for 0 <= i <= up_to, degree up_to first, so that
+        every lower degree reads its reduction of levels 0..up_to+1."""
+        return [self.homology(i).group for i in range(up_to, -1, -1)][::-1]
 
 
 # ------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import pytest
 
+from homstab import homology_engine
+from homstab.exact_linalg import SparseCols
 from homstab.groupoids import make_symmetric, make_wreath, \
     make_general_linear, FiniteRing
 from homstab.groups import DEFAULT_GROUP_BUDGET, cyclic_group
 from homstab.bracket import BracketCategory
 from homstab.homology_engine import StabilizationSetup
-from tests.oracles import phi_injective_on_elements
+from tests.oracles import check_transports, phi_injective_on_elements
 
 
 @pytest.fixture(autouse=True)
@@ -26,6 +28,28 @@ def phi_element_oracle(monkeypatch):
     for setup in verified:
         if setup.small.group.order <= DEFAULT_GROUP_BUDGET:
             assert phi_injective_on_elements(setup)
+
+
+@pytest.fixture(autouse=True)
+def transport_oracle(monkeypatch):
+    """After each test, every unit-pair reduction that a presented
+    complex ran in it paired free rows only, and its chain maps pi and
+    iota commute with the boundaries and satisfy pi iota = id, on every
+    cell (`oracles.check_transports`).  It runs after the test, so what
+    the test counts or times is not disturbed."""
+    runs = []
+    reduce = homology_engine.reduce_unit_pairs
+
+    def recorded(ds, orders):
+        raw = [SparseCols(d.nrows, [dict(c) for c in d.cols]) for d in ds]
+        raw_orders = [list(o) for o in orders]
+        transports = reduce(ds, orders)
+        runs.append((raw, raw_orders, ds, orders, transports))
+        return transports
+    monkeypatch.setattr(homology_engine, "reduce_unit_pairs", recorded)
+    yield
+    for run in runs:
+        check_transports(*run)
 
 
 @pytest.fixture(scope="session")

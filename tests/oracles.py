@@ -37,16 +37,25 @@ of the Cayley graph instead of a group's closed-form steps:
 tree_walk_act, tree_walk_phi and phi_injective_on_elements, the pass
 over every element that the left-inverse certificate of
 `StabilizationSetup.verify` replaces.
+
+The reduction oracles check `PresentedComplex.homology`, which cancels
+unit pairs before the Hermite form: unreduced_homology is the
+subquotient of the raw levels, read by the raw chain maps, and
+check_transports checks the chain maps of one reduction cell by cell.
+check_functoriality samples F(g f) = F(g) F(f) on a coefficient system,
+which `CoefficientSystem.verify` does not.
 """
 
 import itertools
 import math
+import random
 
 from homstab.bracket import UMorphism
-from homstab.exact_linalg import (FGAbelianGroup, SparseCols,
+from homstab.exact_linalg import (FGAbelianGroup, SparseCols, Transport,
                                   homology_of_pair, identity_matrix,
                                   induced_matrix, presented_subquotient,
-                                  product_mod, smith_normal_form)
+                                  product_mod, rows_congruent,
+                                  smith_normal_form)
 from homstab.groupoids import BraidedGroupoidInstance, PresentedGroupFamily
 from homstab.groups import (DEFAULT_GROUP_BUDGET, BudgetExceeded,
                             FiniteGroup, perm_identity, perm_inv, perm_mul)
@@ -668,3 +677,67 @@ def phi_injective_on_elements(setup) -> bool:
     """phi takes |G_small| distinct values: one pass over the elements."""
     Gs = setup.small.group
     return len({setup.phi(g) for g in Gs.elements}) == Gs.order
+
+
+def unreduced_homology(cx, i):
+    """H_i of a presented complex as `presented_subquotient` of its raw
+    levels d_i and d_{i+1}, with no unit pair cancelled: an induced map
+    then reads the raw chain maps in the coordinates of the levels."""
+    return presented_subquotient(cx.boundary(i), cx.boundary(i + 1),
+                                 cx.row_orders(i - 1), cx.row_orders(i))
+
+
+def _congruent(u: dict, v: dict, orders) -> bool:
+    return all((x % orders[r] if orders[r] else x) == 0
+               for r, x in ((r, u.get(r, 0) - v.get(r, 0))
+                            for r in u.keys() | v.keys()))
+
+
+def check_transports(raw, raw_orders, ds, orders, transports):
+    """The chain maps of one `reduce_unit_pairs` run, on every cell: pi
+    iota = id on each level, and d' pi = pi d, d iota = iota d' on each
+    boundary below the top, row r taken modulo its order; on C_{-1} they
+    drop and restore the rows that the pairs of d_0 removed.  Every pair
+    removes a row of order 0, so that pi and iota are maps of the
+    presented levels.  raw and raw_orders are the levels and row orders
+    passed in, ds and orders what the run left of them."""
+    # C_{-1}, below the lowest transport, has at most one row (the Z of
+    # an augmentation), so pi drops its row if paired and iota puts 0
+    paired = {a for _, a, _, _ in transports[0].restores} \
+        if transports else set()
+    bottom = Transport([r for r in range(raw[0].nrows) if r not in paired])
+    for p, t in enumerate(transports):
+        # x_a is a coordinate of the presented level only on a free row a
+        assert not any(raw_orders[p][a] for _, a, _, _ in t.restores), p
+        assert not any(raw_orders[p + 1][a] for a, _, _ in t.clears), p
+        for j in range(len(t.kept)):
+            assert t.project(t.lift({j: 1})) == {j: 1}, (p, j)
+        below = transports[p - 1] if p else bottom
+        for c, col in enumerate(raw[p].cols):
+            assert _congruent(ds[p].apply(t.project({c: 1})),
+                              below.project(col), orders[p]), (p, c)
+        for j, col in enumerate(ds[p].cols):
+            assert _congruent(raw[p].apply(t.lift({j: 1})),
+                              below.lift(col), raw_orders[p]), (p, j)
+
+
+def check_functoriality(F, pairs: int, seed: int) -> None:
+    """F(g f) = F(g) F(f) on `pairs` composable pairs of bracket
+    morphisms drawn with the given seed, inside F's window; raises
+    ValueError on the first failure."""
+    cat, rng, checked = F.cat, random.Random(seed), 0
+    while checked < pairs:
+        m = rng.randrange(0, F.n_max + 1)
+        p = rng.randrange(m, F.n_max + 1)
+        q = rng.randrange(p, F.n_max + 1)
+        hf = cat.hom_set(F.obj(m), F.obj(p))
+        hg = cat.hom_set(F.obj(p), F.obj(q))
+        if not hf or not hg:
+            continue
+        f = hf[rng.randrange(len(hf))]
+        g = hg[rng.randrange(len(hg))]
+        lhs = F.evaluate(cat.compose(g, f))
+        rhs = product_mod(F.evaluate(g), F.evaluate(f), F.orders(q))
+        if not rows_congruent(lhs, rhs, F.orders(q)):
+            raise ValueError("functoriality fails on a sample")
+        checked += 1

@@ -401,7 +401,8 @@ def test_checks_survive_optimized_python():
         from homstab.simplicial import SemiSimplicialSet, build_W
         from tests.test_bracket import (_broken_closed_forms,
                                         _broken_face_arrays)
-        from tests.test_homology import _broken_phi_setups
+        from tests.test_homology import (_broken_phi_setups,
+                                         _dropped_relator_complex)
 
         assert False, "not running under python -O"
         try:
@@ -426,6 +427,10 @@ def test_checks_survive_optimized_python():
                 setup.verify()
             except AssertionError as exc:
                 print(exc)
+        try:
+            _dropped_relator_complex().homology(1)
+        except AssertionError as exc:
+            print(exc)
     """)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -433,11 +438,13 @@ def test_checks_survive_optimized_python():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert "semi-simplicial identity" in lines[0]
     assert lines[1].startswith("hom set (1,2) has 96 morphisms")
     for line, case in zip(lines[2:4], _broken_closed_forms()):
         assert line.startswith(case[3])
     for line, case in zip(lines[4:6], _broken_closed_forms()):
         assert line.startswith(case[3])
-    assert lines[6:] == ["phi is not a homomorphism", "phi is not injective"]
+    assert lines[6:] == ["phi is not a homomorphism", "phi is not injective",
+                         "presentation complex: H_1 = Z is not killed by "
+                         "|G| = 4"]

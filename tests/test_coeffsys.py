@@ -14,21 +14,52 @@ from homstab.coeffsys import (
 )
 from homstab.exact_linalg import identity_matrix, mat_mul
 from tests.oracles import (abelianization, burau_relation_failure,
-                           coords_span, presented_abelianization)
+                           check_functoriality, coords_span,
+                           presented_abelianization)
 
 
 @pytest.fixture(scope="module")
 def std(sym_cat):
     S = standard_system(sym_cat, 0, 4)
-    S.verify(functoriality_pairs=5, seed=2)
+    S.verify()
+    check_functoriality(S, 5, seed=2)
     return S
 
 
 def test_constant_system(sym_cat):
     C = constant_system(sym_cat, 0, 1, 4)
-    C.verify(functoriality_pairs=5, seed=1)
+    C.verify()
+    check_functoriality(C, 5, seed=1)
     dp = degree_profile(C, 1, 0)
     assert (dp.status, dp.r, dp.N) == ("ok", 0, 0)
+
+
+@pytest.mark.parametrize("kind", ["constant", "standard", "tensor square",
+                                  "Z[Q]"])
+def test_functoriality_on_samples(sym_cat, kind):
+    # F(g f) = F(g) F(f) on sampled composable pairs, for each builtin
+    # finite system; Z[Q] over the abelianization limit Z/2 of Sym
+    def group_ring():
+        lim = abelianization_limit(sym_cat, 0, 1, 4, 2)
+        return abelian_constant_system(sym_cat, 0, 1, 4, lim)[0]
+    F = {"constant": lambda: constant_system(sym_cat, 0, 1, 4),
+         "standard": lambda: standard_system(sym_cat, 0, 4),
+         "tensor square": lambda: tensor_power(
+             standard_system(sym_cat, 0, 3), 2),
+         "Z[Q]": group_ring}[kind]()
+    F.verify()
+    check_functoriality(F, 12, seed=3)
+
+
+def test_functoriality_oracle_refuses_a_wrong_evaluation(sym_cat):
+    # canonical morphisms evaluated without the braiding that moves the
+    # image of F_m into the last coordinates: verify, which reads no
+    # canonical chain, passes, and F(g f) = F(g) F(f) fails on a sample
+    S = standard_system(sym_cat, 0, 3)
+    S.cchain = S.schain
+    S.verify()
+    with pytest.raises(ValueError, match="functoriality fails"):
+        check_functoriality(S, 40, seed=0)
 
 
 def test_constant_with_torsion(sym_cat):

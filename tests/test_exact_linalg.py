@@ -215,26 +215,45 @@ def test_homology_of_pair_circle():
 
 def test_reduce_unit_pairs_keeps_non_unit_entry():
     # Z --2--> Z: 2 is no pivot, so both cells stay
-    ds = [SparseCols(1, [{0: 2}])]
-    reduce_unit_pairs(ds)
-    assert (ds[0].nrows, ds[0].cols) == (1, [{0: 2}])
+    ds, orders = [SparseCols(1, [{0: 2}])], [[0]]
+    assert reduce_unit_pairs(ds, orders) == []
+    assert (ds[0].nrows, ds[0].cols, orders) == (1, [{0: 2}], [[0]])
 
 
 def test_reduce_unit_pairs_updates_non_unit_coface():
     # both rows have two cofaces, so row 0 is the pivot row and column 0
     # (its only unit) the pivot column; column 1 becomes (3, 1) - 3 (1, 1)
-    ds = [SparseCols.from_dense([[1, 3], [1, 1]], 2)]
-    reduce_unit_pairs(ds)
-    assert (ds[0].nrows, ds[0].cols) == (1, [{0: -2}])
+    ds, orders = [SparseCols.from_dense([[1, 3], [1, 1]], 2)], [[0, 0]]
+    reduce_unit_pairs(ds, orders)
+    assert (ds[0].nrows, ds[0].cols, orders) == (1, [{0: -2}], [[0]])
+
+
+def test_reduce_unit_pairs_never_pivots_a_torsion_row():
+    # the matrix above with row 0 of order 4: row 1 pivots instead, on
+    # column 0, and column 1 becomes (3, 1) - (1, 1)
+    ds, orders = [SparseCols.from_dense([[1, 3], [1, 1]], 2)], [[4, 0]]
+    reduce_unit_pairs(ds, orders)
+    assert (ds[0].nrows, ds[0].cols, orders) == (1, [{0: 2}], [[4]])
+    ds, orders = [SparseCols(1, [{0: 1}])], [[3]]
+    reduce_unit_pairs(ds, orders)
+    assert (ds[0].nrows, ds[0].cols) == (1, [{0: 1}])
 
 
 def test_reduce_unit_pairs_drops_pivot_rows_one_level_up():
     # the triangle boundary: C_1 pairs off against C_0 but one edge, and
     # the rows of the paired edges leave the empty d_2
-    d1 = SparseCols.from_dense([[-1, 0, -1], [1, -1, 0], [0, 1, 1]], 3)
-    ds = [SparseCols(1, [{0: 1}, {0: 1}, {0: 1}]), d1, SparseCols.zero(3, 0)]
-    reduce_unit_pairs(ds)
+    d1 = [[-1, 0, -1], [1, -1, 0], [0, 1, 1]]
+    ds = [SparseCols(1, [{0: 1}, {0: 1}, {0: 1}]),
+          SparseCols.from_dense(d1, 3), SparseCols.zero(3, 0)]
+    orders = [[0], [0] * 3, [0] * 3]
+    transports = reduce_unit_pairs(ds, orders)
     assert [(d.nrows, d.ncols) for d in ds] == [(0, 0), (0, 1), (1, 0)]
+    assert orders == [[], [], [0]]
+    # the surviving edge is the loop: lifted, it is a cycle of d1
+    (edge,) = transports[1].kept
+    loop = transports[1].lift({0: 1})
+    assert loop[edge] == 1 and SparseCols.from_dense(d1, 3).apply(loop) == {}
+    assert transports[1].project(loop) == {0: 1}
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,7 +265,7 @@ def test_reduce_unit_pairs_keeps_kernel_and_cokernel(rows):
     width = min(len(r) for r in rows)
     d = SparseCols.from_dense([r[:width] for r in rows], width)
     ds = [SparseCols(d.nrows, [dict(c) for c in d.cols])]
-    reduce_unit_pairs(ds)
+    reduce_unit_pairs(ds, [[0] * d.nrows])
 
     def groups(m):
         return (homology_of_pair(m, SparseCols.zero(m.ncols, 0)).group,

@@ -13,7 +13,8 @@ from homstab.homology_engine import (
 )
 from tests.oracles import (S4_RELATORS, abelianization, alternating_group,
                            conjugation_acts_trivially, group_ring_module,
-                           hopf_h2, quotient_group, sign_module)
+                           hopf_h2, quotient_group, sign_module,
+                           unreduced_homology)
 
 
 def test_coxeter_presentation_presents_s4():
@@ -350,7 +351,9 @@ def test_mapping_cone_rejects_non_equivariant_map():
 def test_mapping_cone_built_once_per_pair(monkeypatch):
     # Sym standard, n_max 4, theorems A and 4.20: the cells (n, 0) and
     # (n, 1) both read the cone of one stabilization pair and its
-    # boundaries, so 4 cones are built and 12 boundary reads build 8
+    # boundaries, so 4 cones are built; each reduces levels 0..1 for H_0
+    # and 0..2 for H_1, so 20 boundary reads build 12, each (cone, level)
+    # once
     from homstab.homology_engine import MappingCone
     from homstab.verifier import load_config, run_stability
     cones, boundaries = [], []
@@ -374,8 +377,8 @@ def test_mapping_cone_built_once_per_pair(monkeypatch):
     run_stability(cfg, jobs=1)
     built = {id(d) for _, _, d in boundaries}
     assert len(cones) == 4
-    assert len(boundaries) == 12
-    assert len(built) == len({(id(c), i) for c, i, _ in boundaries}) == 8
+    assert len(boundaries) == 20
+    assert len(built) == len({(id(c), i) for c, i, _ in boundaries}) == 12
 
 
 @pytest.mark.parametrize("family,n_top", [
@@ -551,3 +554,63 @@ def test_z4_sign_module_d2_vanishes_only_mod_4():
     assert cx.boundary(1).compose(cx.boundary(2)).cols == [{0: 8}]
     assert [str(cx.homology(i).group) for i in range(3)] == ["Z/2"] * 3
     assert str(bar_homology(M, 1)) == "Z/2"
+
+
+def test_shapiro_standard_against_constant():
+    # Shapiro: Z^n is induced from Sym(n - 1), so H_i(Sym(n); Z^n) =
+    # H_i(Sym(n - 1); Z), with the stabilization maps.  Every cell (n, i)
+    # of the standard frontier config at n_max 10 against the constant
+    # cell (n - 1, i); n = 0 has F_0 = 0 and no counterpart
+    from homstab.verifier import load_config, run_stability
+
+    def cells(coeff, n_max):
+        report = run_stability(load_config({
+            "family": {"kind": "symmetric", "params": {}}, "A": 0, "X": 1,
+            "k": 2, "n_max": n_max, "i_max": 1, "theorems": ["A", "4.20"],
+            "coeff": {"kind": coeff, "params": {"r_max": 2, "N_max": 0}}}),
+            jobs=1)
+        keys = ("source", "target", "is_epi", "is_iso", "rel", "les_exact")
+        return {(c["n"], c["i"]): [c[k] for k in keys]
+                for c in report["cells"]}
+    standard, constant = cells("standard", 10), cells("constant", 9)
+    assert len(standard) == 20
+    for (n, i), cell in standard.items():
+        if n:
+            assert cell == constant[n - 1, i], (n, i)
+
+
+def _dropped_relator_complex():
+    """The presentation complex of Z/4 on its word b^4, trivial Z, with
+    that column of d_2 dropped: H_1 comes out Z."""
+    from homstab.exact_linalg import SparseCols
+    cx = resolve(trivial_module(cyclic_group(4)), BarBudget(), top=2)
+    d2 = cx.boundary(2)
+    cx._boundaries[2] = SparseCols(d2.nrows, d2.cols[:-1])
+    return cx
+
+
+def test_transfer_bound_refuses_a_dropped_relator():
+    # |G| kills H_i(G; M) for i >= 1, so a free H_1 is a defect
+    with pytest.raises(AssertionError, match=r"presentation complex: H_1 = "
+                       r"Z is not killed by \|G\| = 4"):
+        _dropped_relator_complex().homology(1)
+    assert str(resolve(trivial_module(cyclic_group(4)), BarBudget(),
+                       top=2).homology(1).group) == "Z/4"
+
+
+def test_free_cell_onto_a_torsion_row():
+    # Z/2 acting on Z/2 (+) Z by s(y, x) = (y + x, x): d_1 maps the free
+    # generator x onto the torsion row y by 1.  That row never pivots:
+    # pairing it with x would lose the relation 2y = 0, and H_1 would
+    # come out 0.  Both resolutions against the unreduced oracle
+    from homstab.exact_linalg import FGAbelianGroup
+    from homstab.homology_engine import GModule
+    (s,) = cyclic_group(2).generators
+    M = GModule(cyclic_group(2), FGAbelianGroup(1, (2,)),
+                {s: [[1, 1], [0, 1]]})
+    M.verify_action()
+    for top, groups in ((2, ["Z", "Z/2"]), (4, ["Z", "Z/2", "0", "Z/2"])):
+        cx = resolve(M, BarBudget(), top=top)
+        assert [str(cx.homology(i).group) for i in range(top)] == groups
+        assert [str(unreduced_homology(cx, i).group)
+                for i in range(top)] == groups

@@ -3,7 +3,7 @@ oracle.
 
 On every stabilization cell that both compute (i <= 1), the two
 resolutions give the same groups, epi/iso verdicts, Rel_1 and LES
-verdicts.  A wrong Fox column, a wrong f_1 and a non-equivariant setup
+verdicts, and so does the unreduced oracle, which cancels no unit pair.  A wrong Fox column, a wrong f_1 and a non-equivariant setup
 each fail the d^2 check.
 """
 
@@ -24,9 +24,9 @@ from homstab.groupoids import (FiniteRing, make_general_linear,
 from homstab.groups import FiniteGroup, cyclic_group, symmetric_group
 from homstab.homology_engine import (
     BarBudget, BarComplex, GModule, MappingCone, PresentationComplex,
-    bar_homology, les_exact_at_rel, permutation_module, resolve,
-    trivial_module)
-from tests.oracles import alternating_group, sign_module
+    PresentedComplex, bar_homology, les_exact_at_rel, permutation_module,
+    resolve, trivial_module)
+from tests.oracles import alternating_group, sign_module, unreduced_homology
 
 
 def _les_cell(setup, i):
@@ -42,13 +42,25 @@ def _les_cell(setup, i):
     return out
 
 
+def _checked_les_cell(setup, i, monkeypatch):
+    """_les_cell, asserted equal to the unreduced oracle's: every group
+    `presented_subquotient` of the raw levels, read by the raw chain
+    maps, with no unit pair cancelled."""
+    cell = _les_cell(setup, i)
+    with monkeypatch.context() as m:
+        m.setattr(PresentedComplex, "homology", unreduced_homology)
+        assert _les_cell(setup, i) == cell, (i, cell)
+    return cell
+
+
 def _agree(system, n_top, monkeypatch):
-    """Every cell n -> n + 1 <= n_top, i <= 1, on both resolutions."""
+    """Every cell n -> n + 1 <= n_top, i <= 1, on both resolutions and
+    against the unreduced oracle."""
     for n in range(n_top):
         setup = system.stabilization_setup(n)
         setup.verify()
         for i in (0, 1):
-            small = _les_cell(setup, i)
+            small = _checked_les_cell(setup, i, monkeypatch)
             with monkeypatch.context() as m:
                 # no caller's top is <= 0, so every resolve is a bar one
                 m.setattr(PresentationComplex, "top", 0)
@@ -111,16 +123,18 @@ def test_presentation_matches_bar_gl(monkeypatch, modulus, n_max):
         _agree(system, n_max, monkeypatch)
 
 
-def _cells(make_cat, build, n_top):
+def _cells(make_cat, build, n_top, monkeypatch):
     """_les_cell of every cell n -> n + 1 <= n_top, i <= 1, of each
-    system build(cat) returns, on a new category, and the level-2 sizes of
-    their presentation complexes."""
+    system build(cat) returns, on a new category, checked against the
+    unreduced oracle, and the level-2 sizes of their presentation
+    complexes."""
     out, sizes = [], []
     for system in build(make_cat()):
         for n in range(n_top):
             setup = system.stabilization_setup(n)
             setup.verify()
-            out += [_les_cell(setup, i) for i in (0, 1)]
+            out += [_checked_les_cell(setup, i, monkeypatch)
+                    for i in (0, 1)]
         sizes.append([resolve(M, BarBudget(), top=2).cells(2)
                       for M in system.modules[:n_top + 1]])
     return out, sizes
@@ -140,10 +154,10 @@ def test_short_relators_match_cayley(monkeypatch, make_cat, build, n_top):
     # the systems of the bar comparisons above, their cells at i <= 1 on
     # presentation complexes with the short words against the Cayley
     # words: the same groups, verdicts, Rel_1 and LES defects
-    short, short_sizes = _cells(make_cat, build, n_top)
+    short, short_sizes = _cells(make_cat, build, n_top, monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(FiniteGroup, "relators", FiniteGroup.cayley_relators)
-        cayley, cayley_sizes = _cells(make_cat, build, n_top)
+        cayley, cayley_sizes = _cells(make_cat, build, n_top, monkeypatch)
     assert short == cayley
     # Sym(3) has 3 Coxeter words and 7 Cayley words; from n = 3 on the
     # short words are fewer on every level

@@ -6,6 +6,7 @@ semi-simplicial type."""
 
 import pytest
 
+from homstab import homology_engine
 from homstab.bracket import BracketCategory
 from homstab.exact_linalg import SparseCols
 from homstab.groupoids import make_wreath
@@ -44,53 +45,76 @@ def _assert_chain_matches(X, boundaries):
         oracles.reduced_homology(boundaries, up_to)
 
 
-def _assert_reduction_invariants(X):
+def _counting_chain_complex(X):
+    """X's chain complex and the list of the levels it builds, in order
+    of building."""
+    cc, built = X.chain_complex(), []
+    build = cc._level
+    cc._level = lambda p: built.append(p) or build(p)
+    return cc, built
+
+
+def reduced_levels(monkeypatch, run):
+    """run() under a recording reduce_unit_pairs: the levels of every
+    reduction it ran, as the reduction left them."""
+    runs, reduce = [], homology_engine.reduce_unit_pairs
+    monkeypatch.setattr(homology_engine, "reduce_unit_pairs",
+                        lambda ds, orders: runs.append(ds)
+                        or reduce(ds, orders))
+    run()
+    monkeypatch.setattr(homology_engine, "reduce_unit_pairs", reduce)
+    return runs
+
+
+def _assert_reduction_invariants(X, monkeypatch):
     """For every degree the differential test reads: the reduced complex
     has d d = 0 and the alternating cell count of the levels it keeps,
-    and no level above up_to + 1 is built or paired."""
+    and levels 0..up_to + 1 are built once each, the top one first, and
+    no other."""
     up_to = X.dimension + 1 \
         if sum(X.level_sizes()) <= FULL_HOMOLOGY_SIMPLICES else 0
     for t in range(up_to + 1):
-        cc = X.chain_complex()
-        ds = cc.reduced(t)
-        top = min(t + 1, len(X.levels))
-        assert cc.built == set(range(top + 1)) and len(ds) == top + 1
+        cc, built = _counting_chain_complex(X)
+        (ds,) = reduced_levels(monkeypatch, lambda: cc.reduced_homology(t))
+        top = t + 1
+        assert built == list(range(top, -1, -1)) and len(ds) == top + 1
         for d_out, d_in in zip(ds, ds[1:]):
             assert d_in.nrows == d_out.ncols
             assert not any(d_out.compose(d_in).cols)
-        before = [1] + [cc.level_dim(p) for p in range(top + 1)]
+        before = [1] + [cc.level_size(p) for p in range(top + 1)]
         after = [ds[0].nrows] + [d.ncols for d in ds]
         assert sum((-1) ** p * (b - a) for p, (b, a)
                    in enumerate(zip(before, after))) == 0
 
 
-def _assert_complex_matches(S):
+def _assert_complex_matches(S, monkeypatch):
     _assert_chain_matches(S, oracles.complex_boundaries(S))
-    _assert_reduction_invariants(S)
+    _assert_reduction_invariants(S, monkeypatch)
     assert two_skeleton_from_semisimplicial(S) == \
         oracles.two_skeleton_from_complex(S)
 
 
 @pytest.mark.parametrize("family, A, n_max", FAMILIES)
-def test_W_and_S_match_oracles(request, family, A, n_max):
+def test_W_and_S_match_oracles(request, monkeypatch, family, A, n_max):
     cat = request.getfixturevalue(family)
     for n in range(n_max + 1):
         W = build_W(cat, A, 1, n)
         S = build_S(W)
         _assert_chain_matches(W, oracles.semisimplicial_boundaries(W))
-        _assert_reduction_invariants(W)
-        _assert_complex_matches(S)
+        _assert_reduction_invariants(W, monkeypatch)
+        _assert_complex_matches(S, monkeypatch)
         lp, old = lift_profile(W), oracles.lift_profile(W, S)
         assert lp.counts == old.counts and lp.condition == old.condition
         assert set(lp.counts) == S.simplices
 
 
-def test_links_match_oracles(sym_cat):
+def test_links_match_oracles(sym_cat, monkeypatch):
     # the links of test_link_recursion
     for n in range(2, 7):
         S = build_S(build_W(sym_cat, 0, 1, n))
         for p in range(n - 1):
-            _assert_complex_matches(link(S, tuple(range(p + 1))))
+            _assert_complex_matches(link(S, tuple(range(p + 1))),
+                                    monkeypatch)
 
 
 def _assert_vertex_tuples_match(X):
@@ -138,9 +162,9 @@ def test_identity_violation_names_first_simplex(sym_cat, moved):
 def test_chain_levels_built_on_first_read(sym_cat):
     W = build_W(sym_cat, 0, 1, 5)
     for k in range(W.dimension):
-        cc = W.chain_complex()
+        cc, built = _counting_chain_complex(W)
         cc.reduced_homology(k)
-        assert sorted(cc.built) == list(range(k + 2))
+        assert sorted(built) == list(range(k + 2))
 
 
 @pytest.mark.parametrize("n_vertices, simplices", [

@@ -498,6 +498,38 @@ def test_cli_flags_per_subcommand():
                            ["homology", "--seed", "1"]]:
         with pytest.raises(SystemExit):
             parser.parse_args(argv[:1] + ["--config", "c.json"] + argv[1:])
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv[:1] + ["--config", "c.json"] + argv[1:])
+        assert exc.value.code == 2
+
+
+def test_cli_builds_one_subparser_unless_it_must_speak(monkeypatch,
+                                                       capsys, tmp_path):
+    # a valid call builds the subparser argv names and no other; help and
+    # errors come from the parser of all five subcommands, word for word
+    from homstab import cli
+    built, build = [], cli.build_parser
+
+    def recording(*args):
+        parser = build(*args)
+        built.append(parser._subparsers._group_actions[0].choices.keys())
+        return parser
+    monkeypatch.setattr(cli, "build_parser", recording)
+    path = tmp_path / "none.json"
+    assert cli_main(["degree", "--config", str(path)]) == 1
+    assert [list(b) for b in built] == [["degree"]]
+    capsys.readouterr()
+    for argv in (["degree", "--config"], ["stability", "-h"], ["--help"],
+                 ["bogus"], []):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as want:
+            build().parse_args(argv)
+        assert (exc.value.code, got) == (want.value.code,
+                                         capsys.readouterr())
+        assert list(built[-1]) == list(cli.COMMANDS)
 
 
 def test_stability_verifies_each_level_once(monkeypatch):
