@@ -3,8 +3,9 @@ oracle.
 
 On every stabilization cell that both compute (i <= 1), the two
 resolutions give the same groups, epi/iso verdicts, Rel_1 and LES
-verdicts, and so does the unreduced oracle, which cancels no unit pair.  A wrong Fox column, a wrong f_1 and a non-equivariant setup
-each fail the d^2 check.
+verdicts, and so does the unreduced oracle, which cancels no unit
+pair.  A wrong Fox column, a wrong f_1 and a non-equivariant setup each
+fail the d^2 check.
 """
 
 import itertools
