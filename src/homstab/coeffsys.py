@@ -18,8 +18,11 @@ morphisms.  The module implements:
   a stably detected abelianization limit, where G_n^ab is H_1(G_n; Z)
   of the presentation complex and s_n is the Hurewicz map;
 * builtin systems (constant, standard/permutation, tensor powers,
-  abelian-constant group rings) plus the Burau system over the braid
-  family, handled with Laurent-polynomial matrices.
+  abelian-constant group rings).
+
+Every system here is finite: integer matrices over a finite group.  The
+Burau system over the braid groups lives in `burau`, with its Laurent
+algebra.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groupoids import PresentedGroupFamily, braid_family
 from .bracket import BracketCategory, UMorphism
 from .exact_linalg import (FGAbelianGroup, SparseCols, identity_matrix,
                            induced_matrix, map_homology, mat_mul,
@@ -35,7 +37,6 @@ from .exact_linalg import (FGAbelianGroup, SparseCols, identity_matrix,
 from .homology_engine import (BarBudget, GModule, StabilizationSetup,
                               check_equivariant, hurewicz, permutation_module,
                               stabilization_status)
-from . import laurent as lau
 
 
 def _kron(a, b):
@@ -80,6 +81,7 @@ class CoefficientSystem:
         self.name = name
         self._sigma: dict = {}          # n -> component of sigma_X
         self._suspension = None
+        self._witness = None            # (split_witness(self),) once solved
 
     # -- basic accessors
 
@@ -290,11 +292,8 @@ def degree_profile(F, r_max: int, N_max: int,
     split degree asks instead for a `split_witness`, so N_K = 0.
 
     The answer is window-relative: each recursion level shrinks the
-    window by one, so n_max must be at least N_max + r_max + 1.  A
-    structural Laurent system gives its own profile, split either way.
+    window by one, so n_max must be at least N_max + r_max + 1.
     """
-    if hasattr(F, "degree_profile"):
-        return F.degree_profile(r_max, N_max)
     _check_window(F.n_max, r_max, N_max)
     t = _trivial_from(F)
     if t is not None and t <= N_max:
@@ -321,8 +320,15 @@ def degree_profile(F, r_max: int, N_max: int,
 def split_witness(F: CoefficientSystem):
     """Retractions rho_n : F_{n+1} -> F_n with rho_n sigma_X = id,
     equivariant over Sigma_X and natural in the system; None if the
-    joint integer linear system has no solution on this window.
+    joint integer linear system has no solution on this window.  Solved
+    once per system: the answer is kept on F, as `suspend` keeps Sigma F.
     """
+    if F._witness is None:
+        F._witness = (_solve_split(F),)
+    return F._witness[0]
+
+
+def _solve_split(F: CoefficientSystem):
     cat, A, x = F.cat, F.A, F.x
     W = F.n_max
     # variable layout: rho_n entry (i, j) for n in 0..W-1
@@ -674,133 +680,3 @@ def abelian_constant_system(cat: BracketCategory, A: int, x: int,
              for j in range(len(factors))]
             for _ in range(n_max + 1)]
     return system, star
-
-
-# ----------------------------------------------------------------------
-# the Burau system over the braid family
-
-
-def _burau_gen(n, i, inverse=False):
-    """Unreduced Burau matrix of sigma_i (1-based) in B_n."""
-    mat = [[dict(lau.L_ONE) if a == b else {} for b in range(n)]
-           for a in range(n)]
-    a = i - 1
-    if inverse:
-        mat[a][a] = {}
-        mat[a][a + 1] = dict(lau.L_ONE)
-        mat[a + 1][a] = lau.lp((-1, 1))
-        mat[a + 1][a + 1] = lau.lp((0, 1), (-1, -1))
-    else:
-        mat[a][a] = lau.lp((0, 1), (1, -1))
-        mat[a][a + 1] = lau.lp((1, 1))
-        mat[a + 1][a] = dict(lau.L_ONE)
-        mat[a + 1][a + 1] = {}
-    return mat
-
-
-class BurauSystem:
-    """The Burau coefficient system over the braid family.
-
-    Level n carries Z[t, t^{-1}]^n with sigma_i acting by the unreduced
-    Burau matrix; the structure map is inclusion as the first n
-    coordinates.  All linear algebra stays in the unit-pivot structural
-    fragment of Laurent matrices.
-    """
-
-    def __init__(self, n_max: int):
-        self.family: PresentedGroupFamily = braid_family()
-        self.n_max = n_max
-        self.name = "burau"
-        self._images: dict[int, dict] = {}
-
-    def rank(self, n: int) -> int:
-        return n
-
-    def module_trivial(self, n: int) -> bool:
-        return n == 0
-
-    def images(self, n: int) -> dict:
-        if n not in self._images:
-            img = {}
-            for i in range(1, n):
-                img[i] = _burau_gen(n, i)
-                img[-i] = _burau_gen(n, i, inverse=True)
-            self._images[n] = img
-        return self._images[n]
-
-    def act_word(self, n: int, word):
-        if not word:
-            return lau.lm_identity(n)
-        return lau.lm_word(self.images(n), word)
-
-    def s_mat(self, n: int):
-        return [[dict(lau.L_ONE) if i == j else {} for j in range(n)]
-                for i in range(n + 1)]
-
-    @staticmethod
-    def _bn1_word(n: int):
-        """Block braiding b_{n,1} in B_{n+1} via the hexagon recursion
-        b_{n,1} = (b_{1,1} + id) . (id + b_{n-1,1})."""
-        return tuple(range(1, n + 1))
-
-    def can_step(self, n: int):
-        """F of the canonical morphism [x, id] : n -> n+1; with the
-        complement in the left block this is act(b_{n,1}) . s_n."""
-        return lau.lm_mul(self.act_word(n + 1, self._bn1_word(n)),
-                          self.s_mat(n))
-
-    def sigma_mat(self, n: int, shift: int = 0):
-        """Matrix of F(Sigma_X^shift sigma_{X,n}).
-
-        sigma_{X,n} = [x, id] is canonical, and each application of
-        Sigma_X shifts the rep by one strand and appends sigma_1^{-1},
-        giving the rep word (-shift, ..., -1) at level n + shift."""
-        word = tuple(range(-shift, 0))
-        return lau.lm_mul(self.act_word(n + shift + 1, word),
-                          self.can_step(n + shift))
-
-    def degree_profile(self, r_max: int, N_max: int) -> DegreeProfile:
-        """Degree within the structural fragment: sigma_X components are
-        eliminated with unit pivots; the cokernel tower must become a
-        system of isomorphisms (constant-like) within two steps."""
-        _check_window(self.n_max, r_max, N_max)
-        if all(self.module_trivial(n) for n in range(N_max, self.n_max + 1)):
-            return DegreeProfile("ok", -1, N_max, self.n_max)
-        if r_max < 0:
-            return DegreeProfile("exceeds", None, None, self.n_max)
-        elims = []
-        for n in range(self.n_max):
-            e = lau.UnitElimination(self.sigma_mat(n))
-            if not e.kernel_trivial():
-                return DegreeProfile("exceeds", None, None, self.n_max)
-            elims.append(e)
-        coker_ranks = [e.cokernel_rank() for e in elims]
-        t = self.n_max
-        for n in range(self.n_max - 1, -1, -1):
-            if coker_ranks[n] == 0:
-                t = n
-            else:
-                break
-        if t <= N_max:
-            return DegreeProfile("ok", 0, t, self.n_max)
-        if r_max < 1:
-            return DegreeProfile("exceeds", None, None, self.n_max)
-        # induced map on cokernels of the suspended sigma component;
-        # it must be an isomorphism at every window level
-        for n in range(self.n_max - 1):
-            amb = self.sigma_mat(n, shift=1)     # F_{n+1} -> F_{n+2}
-            t_mat = lau.lm_mul(lau.lm_mul(elims[n + 1].U, amb),
-                               elims[n].Uinv)
-            r_src, r_dst = elims[n].rank, elims[n + 1].rank
-            for i in range(r_dst, len(t_mat)):
-                for j in range(r_src):
-                    if t_mat[i][j]:
-                        return DegreeProfile("exceeds", None, None,
-                                             self.n_max)
-            block = [row[r_src:] for row in t_mat[r_dst:]]
-            if len(block) != len(block[0] if block else []):
-                return DegreeProfile("exceeds", None, None, self.n_max)
-            e2 = lau.UnitElimination(block)
-            if not (e2.kernel_trivial() and e2.cokernel_rank() == 0):
-                return DegreeProfile("exceeds", None, None, self.n_max)
-        return DegreeProfile("ok", 1, 0, self.n_max)

@@ -3,7 +3,9 @@
 Objects are natural numbers with monoidal sum = addition; the data of an
 instance is Aut(n) for each n (within budget), a block-sum homomorphism
 and a braiding element, plus executable axiom checks with counterexample
-witnesses.
+witnesses.  The braid groupoid is not one of them: its groups are
+infinite, and the Burau system (`burau`) reads B_n only through the
+matrices of its generators.
 """
 
 from __future__ import annotations
@@ -545,53 +547,3 @@ def verify_groupoid_axioms(G: BraidedGroupoidInstance,
         rep.add("symmetry b_{n,m} b_{m,n} = id", w is None, w)
 
     return rep
-
-
-# ----------------------------------------------------------------------
-# presented families
-#
-# A presented family describes a sequence of groups G_n by generators and
-# relators without ever enumerating elements.  It exists to feed the
-# coefficient-system calculus for families whose groups are infinite
-# (e.g. braid groups): the caller supplies matrix images of the
-# generators (`coeffsys.BurauSystem`).
-
-
-class PresentedGroupFamily:
-    """Family n -> G_n given by presentations.
-
-    gens(n) returns the number of generators of G_n; relators(n) yields
-    relator words as tuples of signed 1-based generator indices (+i for
-    the generator, -i for its inverse).  The stabilization map
-    G_n -> G_{n+1} sends generator i to generator i; the distinguished
-    suspension element b1n(n) is a word in the generators of G_{n+1}.
-    """
-
-    def __init__(self, name, gens, relators, b1n):
-        self.name = name
-        self.gens = gens
-        self.relators = relators
-        self.b1n = b1n
-
-
-def braid_family() -> PresentedGroupFamily:
-    """Artin braid groups: G_n = B_n with generators s_1..s_{n-1}."""
-
-    def gens(n):
-        return max(n - 1, 0)
-
-    def relators(n):
-        out = []
-        for i in range(1, n - 1):
-            # s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}
-            out.append((i, i + 1, i, -(i + 1), -i, -(i + 1)))
-        for i in range(1, n - 1):
-            for j in range(i + 2, n):
-                out.append((i, j, -i, -j))
-        return out
-
-    def b1n(n):
-        # block braiding b_{1,n} in B_{n+1}: s_n s_{n-1} ... s_1
-        return tuple(range(n, 0, -1))
-
-    return PresentedGroupFamily("braid", gens, relators, b1n)

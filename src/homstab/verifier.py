@@ -28,7 +28,7 @@ from .homology_engine import (BarBudget, GModule, bar_homology,
                               stabilization_status, les_exact_at_rel)
 from .coeffsys import (CoefficientSystem, constant_system, standard_system,
                        tensor_power, abelian_constant_system, internalize,
-                       abelianization_limit, BurauSystem, degree_profile,
+                       abelianization_limit, degree_profile,
                        split_witness, split_degree_profile)
 
 SCHEMA_VERSION = 1
@@ -301,6 +301,7 @@ def build_system(cfg: FamilyConfig, cat: BracketCategory):
             return system
         return internalize(system, lim, star)
     if kind == "burau":
+        from .burau import BurauSystem
         return BurauSystem(cfg.n_max)
     if kind == "custom":
         return _custom_system(cat, cfg)
@@ -486,20 +487,22 @@ def run_degree(cfg: FamilyConfig) -> dict:
         "system": system.name,
         "window_n_max": system.n_max,
     }
-    dp = degree_profile(system, r_max, n_cap)
+    if isinstance(system, CoefficientSystem):
+        dp = degree_profile(system, r_max, n_cap)
+        wit = split_witness(system)
+        split = {"witness_found": wit is not None}
+        if wit is not None:
+            sdp = split_degree_profile(system, r_max, n_cap)
+            split["degree"] = {"status": sdp.status, "r": sdp.r,
+                               "N": sdp.N, "window": sdp.window}
+    else:
+        dp = system.degree_profile(r_max, n_cap)
+        split = {"witness_found": None,
+                 "note": "structural Laurent fragment"}
     out["degree"] = {"status": dp.status, "r": dp.r, "N": dp.N,
                      "window": dp.window,
                      "note": "window-relative verdict"}
-    if isinstance(system, CoefficientSystem):
-        wit = split_witness(system)
-        out["split"] = {"witness_found": wit is not None}
-        if wit is not None:
-            sdp = split_degree_profile(system, r_max, n_cap)
-            out["split"]["degree"] = {"status": sdp.status, "r": sdp.r,
-                                      "N": sdp.N, "window": sdp.window}
-    else:
-        out["split"] = {"witness_found": None,
-                        "note": "structural Laurent fragment"}
+    out["split"] = split
     out["passed"] = dp.status == "ok"
     return out
 

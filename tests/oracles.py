@@ -25,12 +25,13 @@ complex comparisons (isomorphism search, Y^ord) check W_n and S_n
 against the paper's descriptions of them.
 
 conjugation_acts_trivially checks H_i(G; M) against every inner
-automorphism of G, and presented_abelianization reads G_n^ab off the
-exponent sums of a family's relators; src has no caller of either.
+automorphism of G, and presented_abelianization reads G^ab off the
+exponent sums of a presentation's relators; src has no caller of either.
 sign_module and group_ring_module build test modules, alternating_group
 a group that steps along its BFS tree, and relator_failure checks matrix
-images of a presented family's generators (the Burau images on the
-braid relators: burau_relation_failure).
+images of a presentation's generators.  braid_presentation is Artin's
+presentation of B_n, which src does not hold: burau_relation_failure
+checks the Burau images on it.
 
 The walk oracles read what `FiniteGroup.walk` reads along the BFS tree
 of the Cayley graph instead of a group's closed-form steps:
@@ -48,6 +49,7 @@ which `CoefficientSystem.verify` does not.
 
 import itertools
 import math
+import operator
 import random
 
 from homstab.bracket import UMorphism
@@ -56,11 +58,11 @@ from homstab.exact_linalg import (FGAbelianGroup, SparseCols, Transport,
                                   induced_matrix, presented_subquotient,
                                   product_mod, rows_congruent,
                                   smith_normal_form)
-from homstab.groupoids import BraidedGroupoidInstance, PresentedGroupFamily
+from homstab.burau import lm_identity, lm_mul
+from homstab.groupoids import BraidedGroupoidInstance
 from homstab.groups import (DEFAULT_GROUP_BUDGET, BudgetExceeded,
                             FiniteGroup, perm_identity, perm_inv, perm_mul)
 from homstab.homology_engine import BarBudget, GModule, resolve
-from homstab import laurent as lau
 from homstab.pi1 import TwoSkeleton
 from homstab.simplicial import (LiftProfile, SemiSimplicialSet,
                                 SimplicialComplex, _tuple_faces)
@@ -546,12 +548,11 @@ def conjugation_acts_trivially(M: GModule, i: int,
     return True
 
 
-def presented_abelianization(family: PresentedGroupFamily,
-                             n: int) -> FGAbelianGroup:
-    """Abelianization of G_n from relator exponent sums."""
-    g = family.gens(n)
+def presented_abelianization(g: int, relators) -> FGAbelianGroup:
+    """Abelianization of the group on g generators with these relators,
+    from their exponent sums."""
     cols = []
-    for word in family.relators(n):
+    for word in relators:
         col = [0] * g
         for letter in word:
             col[abs(letter) - 1] += 1 if letter > 0 else -1
@@ -583,20 +584,32 @@ def group_ring_module(group: FiniteGroup, quotient: FiniteGroup,
                    name=f"Z[Q{n}]")
 
 
-def relator_failure(family: PresentedGroupFamily, n, images, identity,
-                    mul, eq):
-    """The first relator of G_n that the matrix images break, or None.
+def braid_presentation(n: int):
+    """(gens, relators) of B_n on s_1 .. s_{n-1}: relator words of signed
+    1-based generator indices (+i for s_i, -i for its inverse)."""
+    relators = []
+    for i in range(1, n - 1):
+        # s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1}
+        relators.append((i, i + 1, i, -(i + 1), -i, -(i + 1)))
+    for i in range(1, n - 1):
+        for j in range(i + 2, n):
+            relators.append((i, j, -i, -j))
+    return max(n - 1, 0), relators
+
+
+def relator_failure(gens: int, relators, images, identity, mul, eq):
+    """The first relator that the matrix images break, or None.
 
     ``images`` maps signed generator index -> matrix; ``identity`` is
     the identity matrix; ``mul``/``eq`` are ring-matrix ops.  Each
     generator's image must be inverted by the image of its inverse."""
-    for word in family.relators(n):
+    for word in relators:
         acc = identity
         for letter in word:
             acc = mul(acc, images[letter])
         if not eq(acc, identity):
             return word
-    for i in range(1, family.gens(n) + 1):
+    for i in range(1, gens + 1):
         if not eq(mul(images[i], images[-i]), identity):
             return (i, -i)
     return None
@@ -605,8 +618,8 @@ def relator_failure(family: PresentedGroupFamily, n, images, identity,
 def burau_relation_failure(B, n: int):
     """First failing braid relator under the Burau images of B_n, or
     None."""
-    return relator_failure(B.family, n, B.images(n), lau.lm_identity(n),
-                           lau.lm_mul, lau.lm_eq)
+    return relator_failure(*braid_presentation(n), B.images(n),
+                           lm_identity(n), lm_mul, operator.eq)
 
 
 def alternating_group(n, budget=DEFAULT_GROUP_BUDGET) -> FiniteGroup:

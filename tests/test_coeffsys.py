@@ -1,21 +1,21 @@
 import pytest
 
 from homstab.bracket import BracketCategory
-from homstab.groupoids import braid_family, make_wreath
+from homstab.groupoids import make_wreath
 from homstab.groups import cyclic_group
 from homstab.homology_engine import GModule, bar_homology
 from homstab.exact_linalg import FGAbelianGroup
-from homstab.laurent import lp, lm_eq
+from homstab.burau import BurauSystem, lm_mul, lp
 from homstab.coeffsys import (
     CoefficientSystem, constant_system, standard_system, tensor_power,
     degree_profile, split_witness, split_degree_profile,
     abelianization_limit, abelian_constant_system, internalize,
-    InternalizedSystem, BurauSystem,
+    InternalizedSystem,
 )
 from homstab.exact_linalg import identity_matrix, mat_mul
-from tests.oracles import (abelianization, burau_relation_failure,
-                           check_functoriality, coords_span,
-                           presented_abelianization)
+from tests.oracles import (abelianization, braid_presentation,
+                           burau_relation_failure, check_functoriality,
+                           coords_span, presented_abelianization)
 
 
 @pytest.fixture(scope="module")
@@ -236,32 +236,26 @@ def test_burau_relations_and_matrix():
     for n in range(2, 7):
         assert burau_relation_failure(B, n) is None, n
     m2 = B.images(2)[1]
-    assert lm_eq(m2, [[lp((0, 1), (1, -1)), lp((1, 1))],
-                      [lp((0, 1)), {}]])
+    assert m2 == [[lp((0, 1), (1, -1)), lp((1, 1))],
+                  [lp((0, 1)), {}]]
 
 
 def test_burau_degree():
-    dp = degree_profile(BurauSystem(5), 2, 0)
+    dp = BurauSystem(5).degree_profile(2, 0)
     assert (dp.status, dp.r, dp.N) == ("ok", 1, 0)
 
 
 def test_burau_suspension_naturality():
     B = BurauSystem(5)
     for n in (1, 2, 3):
-        lhs = _lm_mm(B.sigma_mat(n, shift=1), B.sigma_mat(n))
-        rhs = _lm_mm(B.sigma_mat(n + 1), B.sigma_mat(n))
-        assert lm_eq(lhs, rhs), n
-
-
-def _lm_mm(a, b):
-    from homstab.laurent import lm_mul
-    return lm_mul(a, b)
+        lhs = lm_mul(B.sigma_mat(n, shift=1), B.sigma_mat(n))
+        rhs = lm_mul(B.sigma_mat(n + 1), B.sigma_mat(n))
+        assert lhs == rhs, n
 
 
 def test_braid_abelianization():
-    fam = braid_family()
     for n in (2, 3, 5):
-        assert str(presented_abelianization(fam, n)) == "Z"
+        assert str(presented_abelianization(*braid_presentation(n))) == "Z"
 
 
 def test_stabilization_setup_verifies(std):

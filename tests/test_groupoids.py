@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from homstab import groups
@@ -5,12 +7,11 @@ from homstab.groups import (FiniteGroup, cyclic_group, perm_identity,
                             mat_block_sum)
 from homstab.groupoids import (
     make_symmetric, make_wreath, make_general_linear, FiniteRing,
-    GeneralLinearGroupoid, verify_groupoid_axioms, braid_family,
+    GeneralLinearGroupoid, verify_groupoid_axioms,
     AxiomReport,
 )
-from homstab.laurent import lm_identity, lm_eq, lm_mul
-from homstab.coeffsys import BurauSystem
-from tests.oracles import relator_failure
+from homstab.burau import BurauSystem, lm_identity, lm_mul
+from tests.oracles import braid_presentation, relator_failure
 
 
 @pytest.mark.parametrize("make,n_max", [
@@ -61,32 +62,30 @@ def test_gl_aut_order():
 
 
 def test_braid_family_relators_in_burau():
-    fam = braid_family()
     B = BurauSystem(5)
     for n in (3, 4, 5):
-        bad = relator_failure(fam, n, B.images(n),
-                              identity=lm_identity(n), mul=lm_mul, eq=lm_eq)
+        bad = relator_failure(*braid_presentation(n), B.images(n),
+                              identity=lm_identity(n), mul=lm_mul,
+                              eq=operator.eq)
         assert bad is None, bad
 
 
 def test_braid_family_relator_shapes():
-    fam = braid_family()
-    assert fam.gens(4) == 3
-    rels = fam.relators(4)
+    gens, rels = braid_presentation(4)
+    assert gens == 3
     # two braid relations and one far commutator
     assert any(len(r) == 6 for r in rels)
     assert any(len(r) == 4 for r in rels)
-    assert fam.b1n(4) == (4, 3, 2, 1)
 
 
 def test_presented_family_rejects_bad_images():
-    fam = braid_family()
     B = BurauSystem(3)
     imgs = dict(B.images(3))
     imgs[1] = lm_identity(3)  # sigma_1 killed: braid relation fails
     imgs[-1] = lm_identity(3)
-    assert relator_failure(fam, 3, imgs, identity=lm_identity(3),
-                           mul=lm_mul, eq=lm_eq) is not None
+    assert relator_failure(*braid_presentation(3), imgs,
+                           identity=lm_identity(3), mul=lm_mul,
+                           eq=operator.eq) is not None
 
 
 HOMOMORPHISM = "block_sum is a homomorphism"

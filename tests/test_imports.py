@@ -1,7 +1,12 @@
 """Every name a module of src/homstab imports is used in that module,
-unless its line is marked "# noqa: F401" (a deliberate re-export)."""
+unless its line is marked "# noqa: F401" (a deliberate re-export); and
+the braid fragment (`burau`) is loaded by `burau` runs only."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -40,3 +45,23 @@ def test_scan_sees_unused_and_marked_imports():
     src = ("import os\nimport sys  # noqa: F401\n"
            "from math import gcd, lcm\nprint(gcd)\n")
     assert unused_imports(src) == ["lcm (line 3)", "os (line 1)"]
+
+
+def test_burau_loaded_by_burau_runs_only():
+    code = textwrap.dedent("""
+        import sys
+        import homstab.cli
+        from homstab import verifier
+        from homstab.bracket import BracketCategory
+        print("homstab.burau" in sys.modules)
+        cfg = verifier.load_config({
+            "family": {"kind": "symmetric", "params": {}}, "k": 2,
+            "n_max": 4, "coeff": {"kind": "burau", "params": {}}})
+        cat = BracketCategory(verifier.build_instance(cfg))
+        print(type(verifier.build_system(cfg, cat)).__module__)
+        print("homstab.burau" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "homstab.burau", "True"]

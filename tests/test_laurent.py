@@ -1,32 +1,33 @@
 import pytest
 
-from homstab.laurent import (
-    lp, L_ZERO, L_ONE, L_T, l_add, l_neg, l_sub, l_mul, l_eq, l_is_zero,
-    l_unit_inverse, lm_zero, lm_identity, lm_mul, lm_eq, lm_word,
-    UnitElimination,
+from homstab.burau import (
+    lp, L_ONE, l_add, l_neg, l_sub, l_mul, l_unit_inverse, lm_zero,
+    lm_identity, lm_mul, UnitElimination, BurauSystem,
 )
+
+L_T = lp((1, 1))
 
 
 def test_poly_arithmetic():
     a = lp((0, 1), (1, -1))      # 1 - t
     b = lp((0, 1), (1, 1))       # 1 + t
-    assert l_eq(l_mul(a, b), lp((0, 1), (2, -1)))   # 1 - t^2
-    assert l_is_zero(l_sub(a, a))
-    assert l_eq(l_add(a, l_neg(a)), L_ZERO)
-    assert l_eq(l_mul(L_T, l_unit_inverse(L_T)), L_ONE)
+    assert l_mul(a, b) == lp((0, 1), (2, -1))   # 1 - t^2
+    assert not l_sub(a, a)
+    assert l_add(a, l_neg(a)) == {}
+    assert l_mul(L_T, l_unit_inverse(L_T)) == L_ONE
 
 
 def test_unit_inverse_scope():
-    assert l_eq(l_unit_inverse(lp((3, -1))), lp((-3, -1)))
+    assert l_unit_inverse(lp((3, -1))) == lp((-3, -1))
     assert l_unit_inverse(lp((0, 1), (1, 1))) is None   # 1 + t
     assert l_unit_inverse(lp((0, 2))) is None           # 2
 
 
 def test_matrix_ops():
     ident = lm_identity(2)
-    assert lm_eq(lm_mul(ident, ident), ident)
+    assert lm_mul(ident, ident) == ident
     z = lm_zero(2, 2)
-    assert lm_eq(lm_mul(ident, z), z)
+    assert lm_mul(ident, z) == z
 
 
 def test_unit_elimination_full_rank():
@@ -38,12 +39,12 @@ def test_unit_elimination_full_rank():
 
 
 def test_unit_elimination_transform_identity():
-    M = [[L_T, L_ONE], [L_ONE, L_ZERO], [L_ZERO, L_ZERO]]
+    M = [[L_T, L_ONE], [L_ONE, {}], [{}, {}]]
     elim = UnitElimination(M)
     assert elim.rank == 2 and elim.cokernel_rank() == 1
     # U @ M == R and U @ Uinv == I
-    assert lm_eq(lm_mul(elim.U, M), elim.R)
-    assert lm_eq(lm_mul(elim.U, elim.Uinv), lm_identity(3))
+    assert lm_mul(elim.U, M) == elim.R
+    assert lm_mul(elim.U, elim.Uinv) == lm_identity(3)
 
 
 def test_unit_elimination_outside_fragment():
@@ -54,7 +55,6 @@ def test_unit_elimination_outside_fragment():
 
 
 def test_lm_word_signed_indices():
-    imgs = {1: [[L_T]], -1: [[l_unit_inverse(L_T)]]}
-    assert lm_eq(lm_word(imgs, (1, 1, -1)), [[L_T]])
-    with pytest.raises(ValueError):
-        lm_word(imgs, ())
+    B = BurauSystem(2)
+    assert B.act_word(2, (1, 1, -1)) == B.images(2)[1]
+    assert B.act_word(2, ()) == lm_identity(2)

@@ -961,3 +961,74 @@ def test_frontier_past_the_group_budget():
         assert report["summary"]["skipped"] == 0
     assert [c["source"] for c in std["cells"] if c["i"] == 1] == \
         ["0"] * 3 + ["Z/2"] * 7
+
+
+BURAU = {"family": {"kind": "symmetric", "params": {}}, "k": 2, "n_max": 5,
+         "i_max": 1, "coeff": {"kind": "burau", "params": {}}}
+
+
+def _cli(tmp_path, capsys, argv, config):
+    """(exit code, stdout, stderr) of cli.main on argv and config."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = cli_main(argv[:1] + ["--config", str(path)] + argv[1:])
+    return (code, *capsys.readouterr())
+
+
+def test_cli_degree_on_burau(tmp_path, capsys):
+    code, out, err = _cli(tmp_path, capsys, ["degree"], BURAU)
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["system"] == "burau" and rep["passed"] is True
+    assert rep["degree"] == {"status": "ok", "r": 1, "N": 0, "window": 5,
+                             "note": "window-relative verdict"}
+    assert rep["split"] == {"witness_found": None,
+                            "note": "structural Laurent fragment"}
+    code, out, err = _cli(tmp_path, capsys,
+                          ["degree", "--format", "table"], BURAU)
+    assert (code, err) == (0, "")
+    assert ("degree: {'status': 'ok', 'r': 1, 'N': 0, 'window': 5, "
+            "'note': 'window-relative verdict'}\n") in out
+
+
+@pytest.mark.parametrize("command, theorems, message", [
+    ("stability", None,
+     "Theorem 3.1 is stated for the coeff kinds ['constant'], not 'burau'"),
+    ("stability", ["A"], "stability grids need a finite coefficient system"),
+    ("homology", None, "homology grids need a finite coefficient system"),
+], ids=["stability default", "stability A", "homology"])
+def test_cli_grids_refuse_burau(tmp_path, capsys, command, theorems,
+                                message):
+    config = dict(BURAU, theorems=theorems) if theorems else BURAU
+    assert _cli(tmp_path, capsys, [command], config) == (
+        1, "", f"homstab: error: {message}\n")
+
+
+def test_degree_solves_each_split_witness_once(tmp_path, capsys,
+                                               monkeypatch):
+    # the CI Split-witness run asks the tensor square for its witness
+    # twice, in run_degree and at the top of its split degree, and each
+    # cokernel system once: one joint integer system per distinct system
+    from homstab import coeffsys
+    asked, solves = [], []
+    witness, solve = coeffsys.split_witness, coeffsys.solve_integer
+
+    def recorded(F):
+        asked.append(F)
+        return witness(F)
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+    monkeypatch.setattr(coeffsys, "split_witness", recorded)
+    monkeypatch.setattr(verifier, "split_witness", recorded)
+    monkeypatch.setattr(coeffsys, "solve_integer", counted)
+    config = {"family": {"kind": "symmetric", "params": {}}, "k": 2,
+              "n_max": 6, "coeff": {"kind": "tensor", "params": {
+                  "power": 2, "r_max": 3, "N_max": 1}}}
+    code, out, err = _cli(tmp_path, capsys, ["degree"], config)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["split"]["witness_found"] is True
+    distinct = len({id(F) for F in asked})
+    assert len(asked) > distinct
+    assert len(solves) == distinct
