@@ -17,10 +17,12 @@ it misses, and for G wr Sym any base labels at the points of t and the
 least label elsewhere.  GL over any modulus scans Aut(n), one coset
 minimum per element; that scan is the oracle of the closed forms.
 `BracketCategory.hom_reps` checks the count against |Aut(n)| /
-|Aut(n-m)| (`aut_order`: the order formula for the closed forms, so
-that no group is built) and refuses an Aut(n) past the group budget as
-the group constructor does: the top level of W_n(0, X) has |Aut(n)|
-simplices.  `build_W` lists those reps; `hom_set` keeps them wrapped.
+|Aut(n-m)| (`hom_count`, by `aut_order`: the order formula for the
+closed forms, so that no group is built) and refuses an Aut(n) past the
+group budget as the group constructor does; `hom_set` keeps its reps
+wrapped.  `build_W` reads the same count as a level size and lists a
+level past the group budget, which then binds only where Aut(n) is
+enumerated (GL): the boundary budget of its chain complex bounds it.
 
 The same coset gives the stabilizer of a morphism without a scan:
 Stab([X^c, f]) = f (Aut(c) + id_m) f^-1, which local standardness reads
@@ -87,17 +89,26 @@ class BracketCategory:
         """The unique morphism 0 -> n."""
         return self.canonicalize(0, n, self.G.identity(n))
 
-    def hom_reps(self, m: int, n: int) -> list:
+    def hom_count(self, m: int, n: int, budget=None) -> int:
+        """|Hom(m, n)| = |Aut(n)| / |Aut(n-m)| (`aut_order`), Aut(n)
+        refused past budget (default: the group budget)."""
+        G = self.G
+        count, rem = divmod(G.aut_order(n, budget),
+                            G.aut_order(n - m, budget))
+        if rem:
+            raise AssertionError(f"|Aut({n - m})| does not divide |Aut({n})|")
+        return count
+
+    def hom_reps(self, m: int, n: int, budget=None) -> list:
         """The reps of all morphisms m -> n, sorted: the instance's
-        `hom_reps`, checked duplicate-free and against |Aut(n)| /
-        |Aut(n-m)| (also under python -O), after |Aut(n)| passes the
-        group budget.  Not kept: `build_W` reads each level once."""
+        `hom_reps`, checked duplicate-free and against `hom_count` (also
+        under python -O), after Aut(n) passes budget (default: the group
+        budget).  Not kept: `build_W` reads each level once."""
         if m > n:
             return []
-        G = self.G
-        expected, rem = divmod(G.aut_order(n), G.aut_order(n - m))
-        reps = G.hom_reps(m, n)
-        if rem or len(reps) != expected:
+        expected = self.hom_count(m, n, budget)
+        reps = self.G.hom_reps(m, n)
+        if len(reps) != expected:
             raise AssertionError(
                 f"hom set ({m},{n}) has {len(reps)} morphisms, not "
                 f"|Aut(n)| / |Aut(n-m)|")

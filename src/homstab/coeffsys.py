@@ -80,7 +80,7 @@ class CoefficientSystem:
         self.s_mats = [[row[:] for row in m] for m in s_mats]
         self.name = name
         self._sigma: dict = {}          # n -> component of sigma_X
-        self._suspension = None
+        self._suspension = self._cokernel = None
         self._witness = None            # (split_witness(self),) once solved
 
     # -- basic accessors
@@ -230,11 +230,16 @@ class CoefficientSystem:
         return self._subquotient_system("ker", self, sqs)
 
     def cokernel_system(self) -> "CoefficientSystem":
-        """coker(sigma_X : F -> Sigma F) on the window 0..n_max-1."""
-        sqs = [map_homology(self.sigma_mat(n), [], self.orders(n),
-                            self.orders(n + 1), [])
-               for n in range(self.n_max)]
-        return self._subquotient_system("coker", self.suspend(), sqs)
+        """coker(sigma_X : F -> Sigma F) on the window 0..n_max-1, built
+        once, as `suspend` keeps Sigma F: the plain and the split degree
+        both recurse into it."""
+        if self._cokernel is None:
+            sqs = [map_homology(self.sigma_mat(n), [], self.orders(n),
+                                self.orders(n + 1), [])
+                   for n in range(self.n_max)]
+            self._cokernel = self._subquotient_system("coker",
+                                                      self.suspend(), sqs)
+        return self._cokernel
 
     # -- stability plumbing
 

@@ -11,6 +11,7 @@ matrices of its generators.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 from . import groups as gr
@@ -64,9 +65,10 @@ class BraidedGroupoidInstance:
     def _make_aut(self, n: int) -> FiniteGroup:
         raise NotImplementedError
 
-    def aut_order(self, n: int) -> int:
-        """|Aut(n)|, refused past the budget as `aut` refuses it.
-        Generic: the order of the enumerated group."""
+    def aut_order(self, n: int, budget=None) -> int:
+        """|Aut(n)|, refused past budget (default: the group budget) as
+        `aut` refuses it.  Generic: the order of the enumerated group,
+        which the group budget bounds whatever budget is."""
         return self.aut(n).order
 
     def block_sum(self, g, h, m: int, n: int):
@@ -143,6 +145,12 @@ class BraidedGroupoidInstance:
         order = _face_order(c, i, x, self.degree(reps[0]))
         return [self.coset_min(c + x, self.permute(r, order)) for r in reps]
 
+    def simplex_stabilizer_order(self, k: int, x: int, n: int):
+        """The order of the setwise stabilizer in Aut(n) of the vertex set
+        of a (k-1)-simplex of W, a morphism X^k -> n; None where no
+        closed form is known (generic), unbounded by the group budget."""
+        return None
+
     def hom_reps(self, m: int, n: int) -> list:
         """The coset minima of Hom(m, n), sorted: coset_min(n - m, f) for
         f in Aut(n).
@@ -201,8 +209,15 @@ class SymmetricGroupoid(BraidedGroupoidInstance):
         g = f[:m]
         return g if all(x < m for x in g) else None
 
-    def aut_order(self, n):
-        return gr.symmetric_order(n, self.budget)
+    def aut_order(self, n, budget=None):
+        return gr.symmetric_order(n, self.budget if budget is None
+                                  else budget)
+
+    def simplex_stabilizer_order(self, k, x, n):
+        # a vertex is one block of the tail, an injective word (with
+        # its labels on G wr Sym): the stabilizer permutes the k blocks
+        # as wholes and the complement freely
+        return math.factorial(k) * self.aut_order(n - k * x, math.inf)
 
     def coset_min(self, c, f):
         # right multiplication by Aut(c) + id permutes the first c images
@@ -288,8 +303,11 @@ class WreathGroupoid(BraidedGroupoidInstance):
                         tuple(sorted(moved)) + s[c:lo] + s[hi:]))
         return out
 
-    def aut_order(self, n):
-        return gr.wreath_order(self.base, n, self.budget)
+    def aut_order(self, n, budget=None):
+        return gr.wreath_order(self.base, n, self.budget if budget is None
+                               else budget)
+
+    simplex_stabilizer_order = SymmetricGroupoid.simplex_stabilizer_order
 
     def hom_reps(self, m, n):
         # the minima that coset_min gives: an injective tail t, any base

@@ -29,7 +29,7 @@ def two_skeleton_from_semisimplicial(W) -> TwoSkeleton:
     d = W.face
     edges = list(zip(d(1, 1), d(1, 0))) if len(W.levels) > 1 else []
     tris = list(zip(d(2, 2), d(2, 0), d(2, 1))) if len(W.levels) > 2 else []
-    return TwoSkeleton(len(W.levels[0]) if W.levels else 0, edges, tris)
+    return TwoSkeleton(W.level_sizes()[0] if W.levels else 0, edges, tris)
 
 
 def edge_path_presentation(skel: TwoSkeleton):

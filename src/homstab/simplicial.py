@@ -5,14 +5,15 @@ certificates.
 A simplicial complex is the semi-simplicial set of its sorted simplices
 (face i drops vertex i), so W_n and S_n share one chain complex, one
 2-skeleton and one certificate.  A certificate up to degree t builds
-chain levels 0..t+1 only, and `PresentedComplex.homology` cancels their
-unit pairs before any Hermite form, as it does for every complex.
+chain levels 0..t+1 only, each after the boundary budget admits it, and
+`PresentedComplex.homology` cancels their unit pairs before any Hermite
+form, as it does for every complex.
 
-build_W lists every level of W_n but computes a face array only when a
-reader first asks for it: the certificate reads every face of levels
-1..t+1, the 2-skeleton those of levels 1 and 2, and the lift profile
-d_0 and d_p of every level.  Each semi-simplicial identity is checked
-once its last array is computed.
+build_W sizes every level of W_n by the order formula, lists a level on
+its first read and computes a face array when a reader first asks for
+it: the certificate reads levels 0..t+1, the 2-skeleton levels 0..2,
+and the lift profile none on Sym and G wr Sym.  Each semi-simplicial
+identity is checked once its last array is computed.
 """
 
 from __future__ import annotations
@@ -26,17 +27,19 @@ from .bracket import BracketCategory
 # homology_of_pair is not called here: perfbench/test_tracer.py checks
 # that tracing patches it in every module that imports it
 from .exact_linalg import SparseCols, homology_of_pair  # noqa: F401
-from .homology_engine import PresentedComplex
+from .homology_engine import BarBudget, PresentedComplex
 
 
 class SemiSimplicialSet:
     """Levels of p-simplices with face index arrays.
 
     levels[p] is a duplicate-free list; face(p, i)[s] is the index in
-    levels[p-1] of d_i applied to simplex s of level p.  `faces` is
-    either every array, faces[p][i] for p >= 1, or a function
-    faces(p, i) that `face` calls on the first read of array (p, i) and
-    whose result it keeps.
+    levels[p-1] of d_i applied to simplex s of level p.  `levels` is
+    every level, or with `sizes` a function levels(p); `faces` every
+    array, faces[p][i] for p >= 1, or a function faces(p, i).  A
+    function is called on the first read of its level or array, and its
+    result kept.  `lift_counts`, p -> the W-lifts of a p-simplex of S,
+    is set where a closed form gives it (`build_W`).
 
     The identities d_i d_j = d_{j-1} d_i (i < j) are checked also under
     python -O: a violation raises AssertionError.  Arrays passed whole
@@ -46,8 +49,14 @@ class SemiSimplicialSet:
     every identity whose arrays exist.
     """
 
-    def __init__(self, levels, faces):
-        self.levels = levels
+    lift_counts = None
+
+    def __init__(self, levels, faces, sizes=None):
+        if sizes is None:
+            sizes = [len(l) for l in levels]
+        else:
+            levels = _Levels(levels, len(sizes))
+        self.levels, self._sizes = levels, sizes
         if callable(faces):
             self._compute = faces
             self._faces = {}
@@ -79,7 +88,7 @@ class SemiSimplicialSet:
         return len(self.levels) - 1
 
     def level_sizes(self):
-        return [len(l) for l in self.levels]
+        return list(self._sizes)
 
     def vertex_tuples(self):
         """The ordered vertex indices of every simplex, level by level:
@@ -94,8 +103,25 @@ class SemiSimplicialSet:
                         in zip(self.face(p, p), self.face(p, 0))])
         return out
 
-    def chain_complex(self) -> "ChainComplex":
-        return ChainComplex(self)
+    def chain_complex(self, budget=None) -> "ChainComplex":
+        return ChainComplex(self, budget)
+
+
+class _Levels:
+    """Level p listed by make(p) on its first read, and kept."""
+
+    def __init__(self, make, count):
+        self._make, self._count, self._listed = make, count, {}
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, p):
+        if not 0 <= p < self._count:
+            raise IndexError(p)
+        if p not in self._listed:
+            self._listed[p] = self._make(p)
+        return self._listed[p]
 
 
 def _identities(p):
@@ -166,7 +192,8 @@ class ChainComplex(PresentedComplex):
     """Augmented integer chain complex of a semi-simplicial set X, a
     `PresentedComplex` of free levels: d_0 is the augmentation C_0 -> Z
     and d_p: C_p -> C_{p-1} the alternating sum of the faces, so its
-    homology is the reduced homology of X.
+    homology is the reduced homology of X.  Each level is built after
+    `budget` (default `BarBudget()`) admits its rows x columns.
 
     d d = 0 follows from the face identities that X checks, and
     `homology` checks it again.  The reduction reads each level as built
@@ -175,9 +202,10 @@ class ChainComplex(PresentedComplex):
 
     kind = "chain complex"
 
-    def __init__(self, X: SemiSimplicialSet):
+    def __init__(self, X: SemiSimplicialSet, budget=None):
         super().__init__()
         self.X = X
+        self.budget = budget or BarBudget()
 
     def level_size(self, p):
         sizes = [1] + self.X.level_sizes()   # level -1: the Z of d_0
@@ -187,12 +215,13 @@ class ChainComplex(PresentedComplex):
         return [0] * self.level_size(p)
 
     def _build(self, p) -> SparseCols:
+        self.budget.check(self, p)
         if p == 0:
             return SparseCols(1, [{0: 1} for _ in range(self.level_size(0))])
         cols = []
         if p < len(self.X.levels):
             faces = [self.X.face(p, i) for i in range(p + 1)]
-            for s in range(len(self.X.levels[p])):
+            for s in range(self.level_size(p)):
                 col = {}
                 for i in range(p + 1):
                     t = faces[i][s]
@@ -214,26 +243,37 @@ class ChainComplex(PresentedComplex):
 
 def build_W(U: BracketCategory, A: int, x: int, n: int) -> SemiSimplicialSet:
     """W_n(A,X): p-simplices are Hom(X^{p+1}, A + nX) for p < n, listed
-    as their reps (`BracketCategory.hom_reps`); face i forgets slot i
-    (`BracketCategory.face_reps`, on a whole level).  Every level is
-    listed here; a face array is computed when a reader first asks for
-    it."""
-    obj = A + n * x
-    levels = [U.hom_reps((p + 1) * x, obj) for p in range(n)]
-    # drop trailing empty levels so dimension reflects content
-    while levels and not levels[-1]:
-        levels.pop()
+    as their reps (`BracketCategory.hom_reps`) on the first read of
+    their level; face i forgets slot i (`BracketCategory.face_reps`, on
+    a whole level), computed on its first read.  `level_sizes` is
+    |Aut(A + nX)| / |Aut(c)|, c = A + nX - (p+1)X (`hom_count`).  No
+    group budget bounds a level (GL enumerates Aut(A + nX) within it);
+    the chain complex refuses one past its boundary budget.
+
+    Aut(A + nX) acts transitively on each level, a hom set being one
+    coset space, so the vertex set sigma of a p-simplex f has as lifts
+    the orbit of f under Stab(sigma), whose stabilizer is Stab(f), a
+    conjugate of Aut(c) + id: |Stab(sigma)| / |Aut(c)| lifts, kept as
+    `lift_counts` where `simplex_stabilizer_order` gives Stab(sigma)."""
+    obj, G = A + n * x, U.G
+    sizes = [U.hom_count((p + 1) * x, obj, math.inf) for p in range(n)]
 
     @functools.cache
     def index(p):
-        return {r: s for s, r in enumerate(levels[p])}
+        return {r: s for s, r in enumerate(W.levels[p])}
 
     def face(p, i):
         idx = index(p - 1)
         return [idx[r] for r in
-                U.face_reps((p + 1) * x, obj, levels[p], i, x)]
+                U.face_reps((p + 1) * x, obj, W.levels[p], i, x)]
 
-    return SemiSimplicialSet(levels, face)
+    W = SemiSimplicialSet(
+        lambda p: U.hom_reps((p + 1) * x, obj, math.inf), face, sizes)
+    stabs = [G.simplex_stabilizer_order(p + 1, x, obj) for p in range(n)]
+    if None not in stabs:
+        W.lift_counts = {p: s // G.aut_order(obj - (p + 1) * x, math.inf)
+                         for p, s in enumerate(stabs)}
+    return W
 
 
 def _distinct_vertex_tuples(W: SemiSimplicialSet):
@@ -254,27 +294,37 @@ def build_S(W: SemiSimplicialSet) -> SimplicialComplex:
 
 @dataclass
 class LiftProfile:
-    counts: dict          # S-simplex tuple -> number of W-lifts
+    counts: dict          # p -> number of W-lifts of each p-simplex of S
     condition: str        # "A" | "B" | "neither"
 
 
 def lift_profile(W: SemiSimplicialSet) -> LiftProfile:
-    """For every S-simplex, |pi_p^{-1}(sigma)|; condition (A) requires
-    every ordering of the vertex set to occur exactly once ((p+1)! lifts),
-    condition (B) a single lift.
+    """|pi_p^{-1}(sigma)| for the p-simplices sigma of S, one count per
+    p; condition (A) requires every ordering of the vertex set to occur
+    exactly once ((p+1)! lifts), condition (B) a single lift.
 
-    No S_n is built: its simplices are exactly the vertex sets of the
-    W-simplices with distinct vertices, as W is closed under faces, so
-    every S-simplex has at least one lift and is a key here."""
-    counts, orderings = {}, {}
-    for vt in _distinct_vertex_tuples(W):
-        key = tuple(sorted(vt))
-        counts[key] = counts.get(key, 0) + 1
-        orderings.setdefault(key, set()).add(vt)
-    cond_a = all(
-        counts[s] == math.factorial(len(s))
-        and len(orderings[s]) == counts[s]
-        for s in counts)
+    With `W.lift_counts` (Sym and G wr Sym) no level is listed: Stab(sigma)
+    acts on the vertices through Sym(p+1) with kernel Stab(f), so (p+1)!
+    lifts give every ordering once.  Otherwise the W-simplices with
+    distinct vertices are scanned, their vertex sets being the simplices
+    of S (W is closed under faces), and the counts of one dimension must
+    agree, Aut(A + nX) acting transitively (AssertionError otherwise)."""
+    counts = W.lift_counts
+    if counts is not None:
+        cond_a = all(c == math.factorial(p + 1) for p, c in counts.items())
+    else:
+        lifts, orderings, counts = {}, {}, {}
+        for vt in _distinct_vertex_tuples(W):
+            key = tuple(sorted(vt))
+            lifts[key] = lifts.get(key, 0) + 1
+            orderings.setdefault(key, set()).add(vt)
+        for s, c in lifts.items():
+            if counts.setdefault(len(s) - 1, c) != c:
+                raise AssertionError(
+                    f"the {len(s) - 1}-simplices of S have unequal lift "
+                    f"counts: Aut does not act transitively")
+        cond_a = all(c == math.factorial(len(s)) and len(orderings[s]) == c
+                     for s, c in lifts.items())
     cond_b = all(c == 1 for c in counts.values())
     condition = "A" if cond_a else ("B" if cond_b else "neither")
     return LiftProfile(counts, condition)
@@ -312,8 +362,10 @@ class ConnectivityCertificate:
 
 
 def connectivity_certificate(X: SemiSimplicialSet, target: int,
-                             pi1_budget: int = 10 ** 6) -> ConnectivityCertificate:
-    """Certify that X is target-connected.
+                             pi1_budget: int = 10 ** 6,
+                             budget=None) -> ConnectivityCertificate:
+    """Certify that X is target-connected, each chain level built after
+    the `BarBudget` budget (default `BarBudget()`) admits it.
 
     The topological claim is the homological vanishing degree when pi1 is
     certified trivial, and at most 0 otherwise (Hurewicz packaging);
@@ -323,14 +375,15 @@ def connectivity_certificate(X: SemiSimplicialSet, target: int,
     """
     from . import pi1 as pi1mod
 
-    if not X.levels or not X.levels[0]:
+    sizes = X.level_sizes()
+    if not sizes or not sizes[0]:
         return ConnectivityCertificate(
             components=0, homology_vanishing_up_to=10 ** 9,
             pi1_status="trivial (empty)", certified_connectivity=-2,
             mode="topological", target=target,
             meets_target=target <= -2, meets_target_homological=target <= -2)
 
-    hom = X.chain_complex().reduced_homology(max(target, 0))
+    hom = X.chain_complex(budget).reduced_homology(max(target, 0))
     vanish = -1
     for i, h in enumerate(hom):
         if h.is_trivial():

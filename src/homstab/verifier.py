@@ -449,11 +449,13 @@ def run_connectivity(cfg: FamilyConfig) -> dict:
         target = (n - 2) // cfg.k
         try:
             W = build_W(cat, cfg.A, cfg.X, n)
+            lp = lift_profile(W)
+            cert = connectivity_certificate(W, target,
+                                            cfg.budget("pi1_steps"),
+                                            cfg.bar_budget())
         except BudgetExceeded as exc:
             cells.append({"n": n, **_refusal(cfg, exc, n=n)})
             continue
-        lp = lift_profile(W)
-        cert = connectivity_certificate(W, target, cfg.budget("pi1_steps"))
         cells.append({
             "n": n,
             "target": target,

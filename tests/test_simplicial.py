@@ -53,10 +53,10 @@ def test_rp2_torsion_survives_reduction(monkeypatch):
 def test_lift_profile_condition_A(sym_cat, n):
     W = build_W(sym_cat, 0, 1, n)
     lp = lift_profile(W)
-    assert set(lp.counts) == build_S(W).simplices
+    assert set(lp.counts) == {len(s) - 1 for s in build_S(W).simplices}
     assert lp.condition == "A"
-    for simplex, count in lp.counts.items():
-        assert count == math.factorial(len(simplex))
+    for p, count in lp.counts.items():
+        assert count == math.factorial(p + 1)
 
 
 def test_lift_counts_exact_factorial(sym_cat):
@@ -64,9 +64,8 @@ def test_lift_counts_exact_factorial(sym_cat):
     for n in range(1, 7):
         W = build_W(sym_cat, 0, 1, n)
         lp = lift_profile(W)
-        assert set(lp.counts) == build_S(W).simplices
-        for simplex, count in lp.counts.items():
-            p = len(simplex) - 1
+        assert set(lp.counts) == {len(s) - 1 for s in build_S(W).simplices}
+        for p, count in lp.counts.items():
             if p > 4:
                 continue
             assert count == math.factorial(p + 1)

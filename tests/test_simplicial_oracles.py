@@ -8,7 +8,7 @@ import pytest
 
 from homstab import homology_engine
 from homstab.bracket import BracketCategory
-from homstab.exact_linalg import SparseCols
+from homstab.exact_linalg import FGAbelianGroup, SparseCols
 from homstab.groupoids import make_wreath
 from homstab.groups import cyclic_group
 from homstab.pi1 import two_skeleton_from_semisimplicial
@@ -104,8 +104,54 @@ def test_W_and_S_match_oracles(request, monkeypatch, family, A, n_max):
         _assert_reduction_invariants(W, monkeypatch)
         _assert_complex_matches(S, monkeypatch)
         lp, old = lift_profile(W), oracles.lift_profile(W, S)
-        assert lp.counts == old.counts and lp.condition == old.condition
-        assert set(lp.counts) == S.simplices
+        assert lp.counts == _per_dimension(old.counts)
+        assert lp.condition == old.condition
+        assert set(lp.counts) == {len(s) - 1 for s in S.simplices}
+
+
+def _per_dimension(counts):
+    """Lift counts per S-simplex folded to one count per dimension, the
+    counts of each dimension asserted equal."""
+    out = {}
+    for s, c in counts.items():
+        assert out.setdefault(len(s) - 1, c) == c, s
+    return out
+
+
+# (category fixture, A, X, n_max): the closed form on Sym and G wr Sym,
+# the scan on GL
+LIFT_CASES = [("sym_cat", 0, 1, 6), ("wreath_cat", 0, 1, 5),
+              ("z3_wreath_cat", 0, 1, 4)] + [
+    (family, A, x, 3) for family in ("sym_cat", "wreath_cat",
+                                     "z3_wreath_cat")
+    for A, x in ((1, 1), (0, 2))] + [("gl2_cat", A, 1, 3) for A in (0, 1)]
+
+
+@pytest.mark.parametrize("family, A, x, n_max", LIFT_CASES)
+def test_lift_profile_matches_oracle(request, family, A, x, n_max):
+    # the lifts of one S-simplex per dimension, from two stabilizer
+    # orders or from the scan, against the lifts of every S-simplex
+    cat = request.getfixturevalue(family)
+    for n in range(n_max + 1):
+        W = build_W(cat, A, x, n)
+        assert (W.lift_counts is None) == (family == "gl2_cat" and n > 0)
+        lp, old = lift_profile(W), oracles.lift_profile(W, build_S(W))
+        assert lp.condition == old.condition, n
+        assert lp.counts == _per_dimension(old.counts), n
+
+
+# the derangement numbers D_1..D_6
+DERANGEMENTS = [0, 1, 2, 9, 44, 265]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_injective_words_homology(sym_cat, n):
+    # W_n(0, 1) over Sym is the complex of injective words on n letters,
+    # (n-2)-connected with H-tilde_{n-1} free of rank D_n (Farmer 1978;
+    # Bjorner-Wachs, Trans. AMS 277, 1983); every level is read
+    W = build_W(sym_cat, 0, 1, n)
+    assert W.chain_complex().reduced_homology(n - 1) == \
+        [FGAbelianGroup(0)] * (n - 1) + [FGAbelianGroup(DERANGEMENTS[n - 1])]
 
 
 def test_links_match_oracles(sym_cat, monkeypatch):

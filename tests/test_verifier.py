@@ -157,48 +157,62 @@ def test_run_connectivity_symmetric():
         assert cell["meets_target_topological"]
 
 
+SYMMETRIC = {"kind": "symmetric", "params": {}}
 WREATH3 = {"kind": "wreath", "params": {"cyclic_order": 3}}
 
 
-def _faces_read(monkeypatch, swap=None):
-    """Run connectivity on Z/3 wr Sym, n_max 4, with every face array
-    that build_W computes recorded as (n, p, i).  swap = (p, i) swaps
-    the first two entries of that array of W_4."""
-    computed = []
-    face_reps = BracketCategory.face_reps
+def _levels_read(monkeypatch, family, n_max, swap=None):
+    """Run connectivity on family at n_max, with every level that build_W
+    lists recorded as (n, p) and every face array it computes as
+    (n, p, i).  swap = (n, p, i) swaps the first two entries of that
+    array."""
+    listed, computed = [], []
+    hom_reps, face_reps = BracketCategory.hom_reps, BracketCategory.face_reps
+
+    def listing(self, m, n, budget=None):
+        listed.append((n, m - 1))
+        return hom_reps(self, m, n, budget)
 
     def recorded(self, m, n, reps, i, x):
         computed.append((n, m - 1, i))
         out = face_reps(self, m, n, reps, i, x)
-        if (n, m - 1, i) == (4, *(swap or ())):
+        if (n, m - 1, i) == swap:
             out[0], out[1] = out[1], out[0]
         return out
 
-    monkeypatch.setattr(BracketCategory, "face_reps", recorded)
-    rep = run_connectivity(_cfg(family=WREATH3, n_max=4))
-    return rep, computed
+    with monkeypatch.context() as patch:
+        patch.setattr(BracketCategory, "hom_reps", listing)
+        patch.setattr(BracketCategory, "face_reps", recorded)
+        rep = run_connectivity(_cfg(family=family, n_max=n_max))
+    return rep, listed, computed
 
 
 def test_connectivity_computes_only_the_faces_it_reads(monkeypatch):
-    # W_n's certificate reads chain levels 0..t+1, t = (n - 2) // 2, and
-    # pi_1 (attempted from t = 1 on) the 2-skeleton; above them the lift
-    # profile reads d_0 and d_p alone.  Each array is computed once.
-    rep, computed = _faces_read(monkeypatch)
-    assert rep["passed"]
-    assert rep["cells"][3]["pi1_status"] == "trivial"
-    full = {2: 1, 3: 1, 4: 2}
-    want = [(n, p, i) for n in range(2, 5) for p in range(1, n)
-            for i in range(p + 1) if p <= full[n] or i in (0, p)]
-    assert sorted(computed) == want
+    # W_n's certificate reads chain levels 0..t+1, t = max((n-2) // 2, 0),
+    # and pi_1 (attempted from t = 1 on) the 2-skeleton, and the lift
+    # profile of Sym and G wr Sym reads no level: so the faces of levels
+    # 1..t+1 are computed, and the levels they read listed, each once,
+    # and no other; Sym(8) is past the default group budget
+    for family, n_max in ((SYMMETRIC, 8), (WREATH3, 4)):
+        rep, listed, computed = _levels_read(monkeypatch, family, n_max)
+        assert rep["passed"]
+        assert rep["cells"][3]["pi1_status"] == "trivial"
+        faces = [(n, p, i) for n in range(1, n_max + 1)
+                 for p in range(1, min((n - 2) // 2 + 2, n))
+                 for i in range(p + 1)]
+        assert sorted(computed) == faces
+        assert sorted(listed) == sorted({(n, q) for n, p, _ in faces
+                                         for q in (p - 1, p)})
 
 
-@pytest.mark.parametrize("swap", [(3, 0), (3, 3)], ids=["d0", "d3"])
+@pytest.mark.parametrize("swap", [(6, 3, 0), (6, 3, 3)], ids=["d0", "d3"])
 def test_connectivity_checks_the_faces_it_reads(monkeypatch, swap):
-    # the lift profile is all that reads W_4's top level, through d_0 and
-    # d_3; swapping two of their entries breaks d_0 d_3 = d_2 d_0, which
-    # is checked before either array reaches it
+    # over Sym, W_6's certificate up to degree 2 reads level 3 through
+    # every face; swapping two entries of d_0 or d_3 there breaks a
+    # semi-simplicial identity, which is checked before the array
+    # reaches the chain complex
     with pytest.raises(AssertionError, match="semi-simplicial identity"):
-        _faces_read(monkeypatch, swap)
+        _levels_read(monkeypatch, SYMMETRIC, 6, swap)
 
 
 def test_run_degree_constant():
@@ -257,14 +271,24 @@ def test_refused_cell_repro_names_the_cell_only():
 
 
 def test_connectivity_refusal_carries_estimate_and_repro():
-    # W_4 needs Aut(4) = Sym(4), over a group budget of 6
-    cfg = _cfg(budgets={"group_order": 6})
-    cells = {c["n"]: c for c in run_connectivity(cfg)["cells"]}
-    assert "skipped" not in cells[3]
-    assert {key: cells[4][key] for key in ("skipped", "estimate", "repro")
-            } == {"skipped": "|Sym(4)| = 24 exceeds budget 6",
-                  "estimate": 24,
-                  "repro": {"config_hash": config_hash(cfg), "n": 4}}
+    # W_4 over Sym needs chain level 2, a 12 x 24 boundary, over an
+    # entries budget of 287: no group budget bounds W over Sym.  W_3
+    # over GL(F_2) needs Aut(3) = GL_3(F_2), which GL enumerates, over a
+    # group budget of 6
+    for over, n, refusal, estimate in (
+            ({"budgets": {"boundary_entries": 287}}, 4,
+             "chain complex: chain level 2 needs a 12 x 24 boundary "
+             "(288 entries > 287)", 288),
+            ({"family": {"kind": "gl", "params": {"modulus": 2}},
+              "n_max": 3, "budgets": {"group_order": 6}}, 3,
+             "|GL_3(Z/2)| = 168 exceeds budget 6", 168)):
+        cfg = _cfg(**over)
+        cells = {c["n"]: c for c in run_connectivity(cfg)["cells"]}
+        assert "skipped" not in cells[n - 1]
+        assert {key: cells[n][key] for key in ("skipped", "estimate",
+                                                "repro")} == \
+            {"skipped": refusal, "estimate": estimate,
+             "repro": {"config_hash": config_hash(cfg), "n": n}}
 
 
 def test_homology_budgets_h0_like_stability():
@@ -1032,3 +1056,24 @@ def test_degree_solves_each_split_witness_once(tmp_path, capsys,
     distinct = len({id(F) for F in asked})
     assert len(asked) > distinct
     assert len(solves) == distinct
+
+
+def test_degree_builds_each_cokernel_system_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # the plain and the split degree of the CI Split-witness run both
+    # recurse into the cokernel tower: one build per distinct system
+    from homstab.coeffsys import CoefficientSystem
+    built, subquotient = [], CoefficientSystem._subquotient_system
+
+    def recorded(self, kind, ambient, sqs):
+        if kind == "coker":
+            built.append(self)      # kept alive, so that ids stay distinct
+        return subquotient(self, kind, ambient, sqs)
+    monkeypatch.setattr(CoefficientSystem, "_subquotient_system", recorded)
+    config = {"family": {"kind": "symmetric", "params": {}}, "k": 2,
+              "n_max": 6, "coeff": {"kind": "tensor", "params": {
+                  "power": 2, "r_max": 3, "N_max": 1}}}
+    code, out, err = _cli(tmp_path, capsys, ["degree"], config)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["split"]["degree"]["status"] == "ok"
+    assert len(built) == len({id(F) for F in built}) == 3
