@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import lru_cache, reduce
 
 from .exact_linalg import xgcd
@@ -312,9 +311,41 @@ def mat_identity(n):
 
 
 def mat_mul_mod(a, b, m):
-    cols = tuple(zip(*b))
-    return tuple([tuple([sum(map(operator.mul, row, col)) % m
-                         for col in cols]) for row in a])
+    """a b mod m for n x n matrices a and b, n = len(a), by the product
+    that _mat_mul_code(n, m) writes out.  A b of another shape raises
+    ValueError."""
+    return _mat_mul_code(len(a), m)(a, b)
+
+
+def _tuple_source(items):
+    # a trailing comma after every item: "()", "(x, )", "(x, y, )"
+    return "(" + "".join(f"{x}, " for x in items) + ")"
+
+
+@lru_cache(maxsize=None)
+def _mat_mul_code(n, m):
+    """The n x n product mod m written out entry by entry, compiled on
+    its first use and kept per (n, m), the way dataclasses writes
+    __init__: the rows of both operands are unpacked into locals, so an
+    entry costs n multiplications, n - 1 additions and one reduction,
+    with no loop, zip or call.  n and m reach the source only through
+    the integer format :d, which refuses anything but an integer."""
+    a = [[f"a{i}_{k}" for k in range(n)] for i in range(n)]
+    b = [[f"b{k}_{j}" for j in range(n)] for k in range(n)]
+
+    def entry(i, j):
+        terms = " + ".join(f"{a[i][k]} * {b[k][j]}" for k in range(n))
+        return f"({terms}) % {m:d}"
+
+    rows = (_tuple_source(entry(i, j) for j in range(n)) for i in range(n))
+    source = (f"def mat_mul(a, b):\n"
+              f"    {_tuple_source(map(_tuple_source, a))} = a\n"
+              f"    {_tuple_source(map(_tuple_source, b))} = b\n"
+              f"    return {_tuple_source(rows)}\n")
+    namespace = {}
+    exec(compile(source, f"<mat_mul {n:d}x{n:d} mod {m:d}>", "exec"),
+         namespace)
+    return namespace["mat_mul"]
 
 
 def mat_det_mod(a, m):

@@ -388,11 +388,17 @@ def run_axioms(cfg: FamilyConfig) -> dict:
     inst = build_instance(cfg)
     cat = BracketCategory(inst)
     checks = []
-    rep = verify_groupoid_axioms(inst, cfg.n_max)
-    for c in rep.checks:
-        checks.append({"name": f"groupoid: {c.identity}",
-                       "passed": c.passed,
-                       "witness": repr(c.witness) if c.witness else None})
+    try:
+        rep = verify_groupoid_axioms(inst, cfg.n_max)
+    except BudgetExceeded as exc:
+        checks.append({"name": "groupoid axioms", "passed": True,
+                       **_refusal(cfg, exc, n_max=cfg.n_max)})
+    else:
+        for c in rep.checks:
+            checks.append({"name": f"groupoid: {c.identity}",
+                           "passed": c.passed,
+                           "witness": repr(c.witness) if c.witness
+                           else None})
     top = cfg.A + cfg.n_max * cfg.X
     for m in range(0, top + 1):
         for n in range(m, top + 1):

@@ -88,14 +88,21 @@ def test_mat_mul_mod_matches_triple_loop():
     for x in mats:
         for y in mats:
             assert mat_mul_mod(x, y, 4) == _mat_mul_naive(x, y, 4)
-    # seeded random 3x3 and 4x4 over Z/4 and Z/6, and the 0x0 case
+    # seeded random pairs for every n from 0 to 6 over Z/2, Z/3, Z/4, Z/6
     rng = random.Random(14)
-    for n, m in itertools.product((3, 4), (4, 6)):
-        for _ in range(200):
-            x, y = (tuple(tuple(rng.randrange(m) for _ in range(n))
-                          for _ in range(n)) for _ in range(2))
+    for n, m in itertools.product(range(7), (2, 3, 4, 6)):
+        for _ in range(100):
+            x, y = _random_mats(rng, n, m, 2)
             assert mat_mul_mod(x, y, m) == _mat_mul_naive(x, y, m)
-    assert mat_mul_mod((), (), 4) == _mat_mul_naive((), (), 4) == ()
+    assert mat_mul_mod((), (), 4) == ()
+    # the shapes must agree: tuple unpacking refuses what zip truncated
+    with pytest.raises(ValueError):
+        mat_mul_mod(mat_identity(2), mat_identity(3), 2)
+    with pytest.raises(ValueError):
+        mat_mul_mod(mat_identity(3), mat_identity(2), 2)
+    # only an integer modulus reaches the generated source
+    with pytest.raises(ValueError):
+        mat_mul_mod(mat_identity(2), mat_identity(2), "4")
 
 
 def _mat_block_sum_naive(a, b):

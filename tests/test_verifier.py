@@ -577,20 +577,30 @@ def test_config_seed_is_hashed_not_read():
     assert config_hash(cfg) != config_hash(_cfg(seed=1))
 
 
-@pytest.mark.parametrize("command", ["verify-axioms"])
-def test_cli_group_refusal_outside_a_cell_exits_1(tmp_path, capsys,
-                                                   command):
+def test_cli_refused_groupoid_axioms_exit_3(tmp_path, capsys):
     # the groupoid axioms enumerate Aut(8) = Sym(8), past the default
-    # group budget, before any check is reported: one error line, no
-    # traceback
+    # group budget: they are one refused check, the remaining checks
+    # run, and those past the budget are refused too
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"family": {"kind": "symmetric",
                                            "params": {}}, "n_max": 8}))
-    assert cli_main([command, "--config", str(path)]) == 1
+    assert cli_main(["verify-axioms", "--config", str(path)]) == 3
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("homstab: error: |Sym(8)| = 40320 exceeds budget "
-                   "5040\n")
+    report = json.loads(out)
+    assert err == "" and report["passed"] is True
+    refusal = "|Sym(8)| = 40320 exceeds budget 5040"
+    checks = report["checks"]
+    assert checks[0] == {"name": "groupoid axioms", "passed": True,
+                         "skipped": refusal, "estimate": 40320,
+                         "repro": {"config_hash": report["config_hash"],
+                                   "n_max": 8}}
+    refused = [c["name"] for c in checks if "skipped" in c]
+    assert refused == (["groupoid axioms"]
+                       + [f"homogeneity ({m},8)" for m in range(9)]
+                       + ["local standardness"])
+    assert all(c["skipped"] == refusal for c in checks if "skipped" in c)
+    assert all(c["passed"] for c in checks)
+    assert "prebraid identities" in {c["name"] for c in checks}
 
 
 def test_cli_stability_past_the_group_budget_exits_0(tmp_path, capsys):
