@@ -685,7 +685,8 @@ def report_emit(report: dict, fmt: str = "json", stream=None) -> str:
         lines.append(report["banner"])
     if "checks" in report:
         for c in report["checks"]:
-            mark = "ok " if c["passed"] else "FAIL"
+            mark = ("skip" if "skipped" in c
+                    else "ok " if c["passed"] else "FAIL")
             lines.append(f"  [{mark}] {c['name']}")
     for c in report.get("cells", []):
         frag = " ".join(f"{k}={v}" for k, v in sorted(c.items())

@@ -4,9 +4,11 @@ tuples, on every W_n and S_n the suite builds; the invariants of the
 unit-pair reduction on each of them; and the invariants of the one
 semi-simplicial type."""
 
+import dataclasses
+
 import pytest
 
-from homstab import homology_engine
+from homstab import homology_engine, verifier
 from homstab.bracket import BracketCategory
 from homstab.exact_linalg import FGAbelianGroup, SparseCols
 from homstab.groupoids import make_wreath
@@ -152,6 +154,31 @@ def test_injective_words_homology(sym_cat, n):
     W = build_W(sym_cat, 0, 1, n)
     assert W.chain_complex().reduced_homology(n - 1) == \
         [FGAbelianGroup(0)] * (n - 1) + [FGAbelianGroup(DERANGEMENTS[n - 1])]
+
+
+@pytest.mark.parametrize("k", [2, 1])
+def test_connectivity_verdicts_match_injective_words(k):
+    # W_n(0, 1) over Sym is (n-2)-connected, so each computed cell of
+    # `connectivity` reads homology vanishing up to its target (n-2)//k,
+    # no further, and meets it: the CI Connectivity guard config (k 2,
+    # n_max 9), and the same config at slope 1, whose target n-2 reads
+    # all of W_n until the default boundary budget refuses a level.
+    # Configs refuse k < 2, so slope 1 is set on the loaded config
+    cfg = dataclasses.replace(verifier.load_config(
+        {"family": {"kind": "symmetric", "params": {}}, "A": 0, "X": 1,
+         "k": 2, "n_max": 9}), k=k)
+    cells = verifier.run_connectivity(cfg)["cells"]
+    assert [c["n"] for c in cells] == list(range(1, 10))
+    computed = [c for c in cells if "skipped" not in c]
+    assert [c["n"] for c in computed] == list(range(1, len(computed) + 1))
+    # the CI guard config computes every cell, slope 1 W_1 .. W_7 at least
+    assert len(computed) >= (9 if k == 2 else 7)
+    for c in computed:
+        assert c["target"] == (c["n"] - 2) // k
+        assert c["homology_vanishing_up_to"] == max(c["target"], 0)
+        assert c["meets_target_homological"] is True
+    for c in cells[len(computed):]:
+        assert c["estimate"] > cfg.budget("boundary_entries")
 
 
 def test_links_match_oracles(sym_cat, monkeypatch):

@@ -1,6 +1,17 @@
+import contextlib
+import importlib.util
+import io
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homstab import verifier
 from homstab.groupoids import SymmetricGroupoid
@@ -12,6 +23,8 @@ from homstab.verifier import (
 )
 from homstab.bracket import BracketCategory
 from homstab.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _cfg(**over):
@@ -527,24 +540,24 @@ def test_cli_flags_per_subcommand():
         assert exc.value.code == 2
 
 
-def test_cli_builds_one_subparser_unless_it_must_speak(monkeypatch,
-                                                       capsys, tmp_path):
-    # a valid call builds the subparser argv names and no other; help and
-    # errors come from the parser of all five subcommands, word for word
+def test_cli_valid_call_builds_no_parser(monkeypatch, capsys, tmp_path):
+    # a valid call is read from the option table and builds no parser;
+    # help and errors come from the parser of all five subcommands, word
+    # for word
     from homstab import cli
     built, build = [], cli.build_parser
 
-    def recording(*args):
-        parser = build(*args)
+    def recording():
+        parser = build()
         built.append(parser._subparsers._group_actions[0].choices.keys())
         return parser
     monkeypatch.setattr(cli, "build_parser", recording)
     path = tmp_path / "none.json"
     assert cli_main(["degree", "--config", str(path)]) == 1
-    assert [list(b) for b in built] == [["degree"]]
+    assert built == []
     capsys.readouterr()
-    for argv in (["degree", "--config"], ["stability", "-h"], ["--help"],
-                 ["bogus"], []):
+    for argv in (["degree", "--config"], ["stability", "-h"], ["-h"],
+                 ["--help"], ["bogus"], []):
         built.clear()
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
@@ -554,6 +567,113 @@ def test_cli_builds_one_subparser_unless_it_must_speak(monkeypatch,
         assert (exc.value.code, got) == (want.value.code,
                                          capsys.readouterr())
         assert list(built[-1]) == list(cli.COMMANDS)
+
+
+def test_cli_valid_call_loads_no_argparse(tmp_path):
+    # in a fresh process a well-formed call imports neither argparse nor
+    # gettext, nor the locale module gettext loads on its first lookup
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_max": 2, "i_max": 1}))
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from homstab.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(sys.argv[1:])
+        print(code, *(m in sys.modules
+                      for m in ("argparse", "gettext", "locale")))
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(verifier.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code, "stability", "--config", str(path),
+         "--format", "table", "--jobs", "2"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "False", "False", "False"]
+
+
+def _full_parse(argv, parser=None):
+    """vars of the full parser's namespace for argv, or None where it
+    prints help or an error."""
+    from homstab.cli import build_parser
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars((parser or build_parser()).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+ARGV_TOKENS = ["verify-axioms", "connectivity", "homology", "degree",
+               "stability", "bogus", "--config", "--conf",
+               "--config=c.json", "--format", "json", "table", "tables",
+               "--jobs", "2", "02", "-1", "2.5", "--jobs=3", "-h",
+               "--help", "--", "c.json", ""]
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+    st.builds(lambda command, pairs: [command] + [t for p in pairs
+                                                  for t in p],
+              st.sampled_from(ARGV_TOKENS),
+              st.lists(st.tuples(st.sampled_from(ARGV_TOKENS),
+                                 st.sampled_from(ARGV_TOKENS)),
+                       max_size=3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGVS)
+@example(["stability", "--config", "c.json", "--jobs", "02",
+          "--format", "table"])
+@example(["degree", "--format", "json", "--config", ""])
+@example(["homology", "--jobs", "-1", "--config", "c.json"])
+def test_read_argv_agrees_with_full_parser(argv):
+    # the reader declines or gives the full parser's namespace
+    from homstab.cli import read_argv
+    got = read_argv(argv)
+    assert got is None or vars(got) == _full_parse(argv)
+
+
+def test_read_argv_agrees_on_every_flag_pair():
+    # each command token with every pair of tokens after it, alone and
+    # after a valid --config: random argv seldom give a bad value and
+    # the --config a call needs both
+    from homstab.cli import build_parser, read_argv
+    parser = build_parser()
+    for command in ARGV_TOKENS[:6]:
+        for flag in ARGV_TOKENS:
+            for value in ARGV_TOKENS:
+                for argv in ([command, flag, value],
+                             [command, "--config", "c.json", flag, value]):
+                    got = read_argv(argv)
+                    assert got is None or \
+                        vars(got) == _full_parse(argv, parser), argv
+
+
+def _workflow_argvs():
+    """The argv of every homstab.cli call in the CI workflow."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    return [shlex.split(call)
+            for call in re.findall(r"-m homstab\.cli ([^>|\n]*)", text)]
+
+
+def test_benchmark_and_ci_calls_take_the_reader(tmp_path):
+    # the calls that are run, not only the ones the reader is built for,
+    # skip the full parser: each benchmark workload, and each CI call the
+    # full parser accepts (CI also asks it for help and an error)
+    from homstab.cli import read_argv
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [workloads.cli_argv(name, str(tmp_path / "c.json"))
+             for name in workloads.WORKLOADS]
+    assert len(argvs) == 4
+    ci = _workflow_argvs()
+    assert [argv for argv in ci if _full_parse(argv) is None] == [
+        ["stability", "--help"], ["bogus"]]
+    ci = [argv for argv in ci if _full_parse(argv)]
+    assert len(ci) >= 17
+    for argv in argvs + ci:
+        got = read_argv(argv)
+        assert got is not None and vars(got) == _full_parse(argv), argv
 
 
 def test_stability_verifies_each_level_once(monkeypatch):
@@ -601,6 +721,27 @@ def test_cli_refused_groupoid_axioms_exit_3(tmp_path, capsys):
     assert all(c["skipped"] == refusal for c in checks if "skipped" in c)
     assert all(c["passed"] for c in checks)
     assert "prebraid identities" in {c["name"] for c in checks}
+
+
+def test_table_marks_refused_checks_skip(tmp_path, capsys):
+    # a check the budget refused reads [skip] in a table report, not the
+    # [ok ] of a passed check; the exit code is 3, as with JSON
+    config = {"family": {"kind": "symmetric", "params": {}}, "n_max": 8}
+    code, out, err = _cli(tmp_path, capsys,
+                          ["verify-axioms", "--format", "table"], config)
+    assert (code, err) == (3, "")
+    marks = dict(line[3:].split("] ", 1)[::-1] for line in out.splitlines()
+                 if line.startswith("  ["))
+    refused = (["groupoid axioms", "local standardness"]
+               + [f"homogeneity ({m},8)" for m in range(9)])
+    assert {marks[name] for name in refused} == {"skip"}
+    assert marks["prebraid identities"] == "ok "
+    text = report_emit({"checks": [
+        {"name": "a", "passed": True}, {"name": "b", "passed": False},
+        {"name": "c", "passed": True, "skipped": "refused"}]}, "table",
+        io.StringIO())
+    assert text.splitlines()[1:] == ["  [ok ] a", "  [FAIL] b",
+                                     "  [skip] c"]
 
 
 def test_cli_stability_past_the_group_budget_exits_0(tmp_path, capsys):
